@@ -34,7 +34,6 @@
 #include "stburst/core/batch_miner.h"
 #include "stburst/history/long_horizon.h"
 #include "stburst/stream/feed_runtime.h"
-#include "stburst/stream/sharded_runtime.h"
 #include "stburst/core/discrepancy.h"
 #include "stburst/core/getmax.h"
 #include "stburst/core/max_clique.h"
@@ -835,7 +834,6 @@ int Run() {
     // One full FeedRuntime tick over the corpus: pooled append splice,
     // retention eviction (window = the corpus timeline, so every tick
     // evicts one timestamp), dirty re-mine, and a budget-64 refresh sweep.
-    double unsharded_tick_s = 0.0;
     {
       FeedRuntimeOptions fr_opts;
       fr_opts.miner.stcomb.min_interval_burstiness = 0.1;
@@ -850,7 +848,6 @@ int Run() {
         if (!runtime->Tick(std::move(snap)).ok()) return 1;
       }
       double tick_s = t_tick.ElapsedSeconds();
-      unsharded_tick_s = tick_s;
       report("feed_runtime_tick",
              tick_s * 1e9 / static_cast<double>(kWeeks), docs_per_week);
       std::printf("  -> runtime tick: %.1f ms/snapshot (splice + evict + "
@@ -952,113 +949,6 @@ int Run() {
       std::printf("  -> long-horizon baseline: %.0f ns/(term,stream) over "
                   "%zu pairs (seeded mass %.1f)\n",
                   pair_ns / static_cast<double>(pairs), pairs, seeded_mass);
-    }
-
-    // The sharded runtime requires documents in nondecreasing time order
-    // (id-preserving evictions); the simulator files documents per event,
-    // so re-file the same corpus time-sorted. Streams, vocabulary ids, and
-    // per-timestamp document order are all preserved.
-    auto sorted_or = Collection::Create(corpus.timeline_length());
-    Collection sorted_corpus = std::move(sorted_or).value();
-    for (const auto& info : corpus.streams()) {
-      sorted_corpus.AddStream(info.name, info.geo, info.position);
-    }
-    {
-      Vocabulary* vocab = sorted_corpus.mutable_vocabulary();
-      for (size_t t = 0; t < corpus.vocabulary().size(); ++t) {
-        vocab->Intern(corpus.vocabulary().TermOf(static_cast<TermId>(t)));
-      }
-    }
-    {
-      std::vector<size_t> order(corpus.num_documents());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return corpus.documents()[a].time < corpus.documents()[b].time;
-      });
-      for (size_t i : order) {
-        const Document& d = corpus.documents()[i];
-        if (!sorted_corpus.AddDocument(d.stream, d.time, d.tokens, d.event_id)
-                 .ok()) {
-          return 1;
-        }
-      }
-    }
-
-    // The same ticks through a 4-shard ShardedRuntime (same options as
-    // feed_runtime_tick, vocabulary split hash(term) % 4, per-shard phases
-    // fanned across one shared pool). The interesting ratio is against the
-    // unsharded tick: sharding pays snapshot splitting and coordination to
-    // buy per-shard parallelism, which only nets out with cores to spare.
-    {
-      ShardedRuntimeOptions sh_opts;
-      sh_opts.runtime.miner.stcomb.min_interval_burstiness = 0.1;
-      sh_opts.runtime.num_threads = 4;
-      sh_opts.runtime.retention_window = corpus.timeline_length();
-      sh_opts.runtime.refresh_budget = 64;
-      sh_opts.num_shards = 4;
-      auto runtime = ShardedRuntime::Create(sorted_corpus, sh_opts);
-      if (!runtime.ok()) {
-        std::fprintf(stderr, "sharded_tick_k4 Create: %s\n",
-                     std::string(runtime.status().message()).c_str());
-        return 1;
-      }
-      std::vector<Snapshot> ticks = master;
-      Timer t_tick;
-      for (Snapshot& snap : ticks) {
-        auto stats = runtime->Tick(std::move(snap));
-        if (!stats.ok()) {
-          std::fprintf(stderr, "sharded_tick_k4 Tick: %s\n",
-                       std::string(stats.status().message()).c_str());
-          return 1;
-        }
-      }
-      double tick_s = t_tick.ElapsedSeconds();
-      report("sharded_tick_k4",
-             tick_s * 1e9 / static_cast<double>(kWeeks), docs_per_week);
-      std::printf("  -> sharded tick (K=4): %.1f ms/snapshot, %.2fx the "
-                  "unsharded tick\n",
-                  tick_s * 1e3 / static_cast<double>(kWeeks),
-                  unsharded_tick_s / tick_s);
-    }
-
-    // Scatter-gather search over the 4-shard read plane: per-shard TA with
-    // on-the-fly DocId translation, merged by the coordinator. Uncached, so
-    // the op times the composed threshold loop itself.
-    {
-      ShardedRuntimeOptions sh_opts;
-      sh_opts.runtime.miner.stcomb.min_interval_burstiness = 0.1;
-      sh_opts.runtime.num_threads = 4;
-      sh_opts.runtime.retention_window = corpus.timeline_length();
-      sh_opts.runtime.refresh_budget = 64;
-      sh_opts.runtime.search_serving = SearchServing::kCombinatorial;
-      sh_opts.num_shards = 4;
-      auto runtime = ShardedRuntime::Create(sorted_corpus, sh_opts);
-      if (!runtime.ok()) {
-        std::fprintf(stderr, "sharded_search_k4 Create: %s\n",
-                     std::string(runtime.status().message()).c_str());
-        return 1;
-      }
-
-      Rng qrng(654);
-      const size_t vocab_size = corpus.vocabulary().size();
-      std::vector<std::vector<TermId>> queries;
-      for (size_t q = 0; q < 64; ++q) {
-        TermId a = static_cast<TermId>(qrng.NextUint64(vocab_size));
-        TermId b = static_cast<TermId>(qrng.NextUint64(vocab_size));
-        queries.push_back({a, b});
-      }
-      constexpr size_t kReps = 512;
-      Timer t_search;
-      for (size_t r = 0; r < kReps; ++r) {
-        for (const auto& q : queries) (void)runtime->Search(q, 10);
-      }
-      double search_s = t_search.ElapsedSeconds();
-      const size_t total = kReps * queries.size();
-      report("sharded_search_k4", search_s * 1e9 / static_cast<double>(total),
-             total);
-      std::printf("  -> sharded search (K=4): %.0f ns/query over %zu-term "
-                  "vocabulary\n",
-                  search_s * 1e9 / static_cast<double>(total), vocab_size);
     }
   }
 

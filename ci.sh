@@ -25,14 +25,7 @@
 #                                        stalling it to the runner's limit
 #        TEST_LABEL=regex ./ci.sh        run only ctest tests whose LABELS
 #                                        match the regex (ctest -L), e.g.
-#                                        TEST_LABEL=sharded or
-#                                        TEST_LABEL='sharded|concurrency'
-#        SHARDS=K ./ci.sh                sharded-runtime matrix leg: exports
-#                                        STBURST_TEST_SHARDS=K so the parity
-#                                        suite pins its shard count, and
-#                                        narrows the run to the `sharded`
-#                                        ctest label unless TEST_LABEL is
-#                                        set explicitly
+#                                        TEST_LABEL=concurrency
 #        NO_CCACHE=1 ./ci.sh             skip the ccache compiler launcher
 #                                        that is otherwise used when ccache
 #                                        is on PATH (CI caches the ccache
@@ -79,15 +72,7 @@ fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}"
 cmake --build "$BUILD_DIR" -j "$JOBS"
-# The shard-matrix leg: SHARDS=K pins the shard count the parity suite
-# tests (tests/sharded_runtime_test.cc reads STBURST_TEST_SHARDS) and, by
-# default, runs only the `sharded` ctest label — the rest of the suite is
-# shard-count independent and already covered by the main legs.
 CTEST_ARGS=()
-if [[ -n "${SHARDS:-}" ]]; then
-  export STBURST_TEST_SHARDS="$SHARDS"
-  TEST_LABEL="${TEST_LABEL:-sharded}"
-fi
 if [[ -n "${TEST_LABEL:-}" ]]; then
   CTEST_ARGS+=("-L" "$TEST_LABEL")
 fi

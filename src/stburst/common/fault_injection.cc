@@ -42,10 +42,6 @@ SiteState g_sites[] = {
                                   // mutation
     {"runtime.publish"},          // after the next search snapshot is fully
                                   // built, before its publication swap
-    {"sharded.commit"},           // ShardedRuntime::Tick, after every shard
-                                  // staged cleanly and before the first
-                                  // shard commits (never hit by an
-                                  // unsharded FeedRuntime::Tick)
     {"history.fold"},             // FeedRuntime ingest, on an evicting tick
                                   // with history on, before the evicted
                                   // postings fold into the cold tier

@@ -120,8 +120,7 @@ size_t ResolveThreadCount(size_t requested);
 ///
 /// Reentrancy: the body may itself call ParallelFor on the same pool. The
 /// completion wait is a helping wait (ThreadPool::TryRunOneTask), so nested
-/// fan-out — e.g. a loop over runtime shards whose bodies fan per-term work
-/// across the same standing pool — cannot deadlock on a saturated pool.
+/// fan-out cannot deadlock on a saturated pool.
 ///
 /// Thread-safety: `body` runs concurrently on multiple threads and must be
 /// safe for that; per-worker scratch indexed by the worker id is the

@@ -51,40 +51,6 @@ TopKResult ThresholdTopK(const InvertedIndex& index,
 TopKResult ExhaustiveTopK(const InvertedIndex& index,
                           const std::vector<TermId>& query, size_t k);
 
-/// One query term's posting list as served by a vocabulary shard: the
-/// shard's index (postings hold shard-local DocIds) plus the translation
-/// back to global ids. `doc_map` is ascending, indexed by
-/// local_id - local_base: (*doc_map)[p.doc - local_base] is the global id
-/// of local posting doc p.doc. The coordinator (ShardedRuntime::Search)
-/// builds one per deduped query term from the owning shard's published
-/// snapshot.
-struct ShardedTermList {
-  TermId term = kInvalidTerm;
-  const InvertedIndex* index = nullptr;
-  const std::vector<DocId>* doc_map = nullptr;
-  DocId local_base = 0;
-};
-
-/// Scatter-gather TA over per-shard posting lists: the same threshold loop
-/// as ThresholdTopK, with each sorted access translated shard-local →
-/// global on the fly and each random access translated global → shard-local
-/// (binary search on the ascending doc map; a document absent from a term's
-/// shard scores 0 there, exactly as a document absent from a term's list
-/// does unsharded).
-///
-/// Composition argument: shard postings are sorted by (score desc, DocId
-/// asc) and the local → global translation is strictly increasing, so each
-/// translated list is element-for-element the unsharded list of that term;
-/// the frontier — and therefore the global threshold, the termination
-/// point, and every access count — is bit-identical to ThresholdTopK over
-/// the unsharded index (the per-shard thresholds sum to the global one in
-/// list order). `lists` must be deduped and sorted by term, the order
-/// DedupeQuery produces. `generation` stamps the result (the coordinator's
-/// view generation; shard generations are not individually meaningful to a
-/// caller holding a composed view).
-TopKResult ShardedThresholdTopK(const std::vector<ShardedTermList>& lists,
-                                size_t k, uint64_t generation);
-
 }  // namespace stburst
 
 #endif  // STBURST_INDEX_THRESHOLD_ALGORITHM_H_

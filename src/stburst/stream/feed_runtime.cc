@@ -103,26 +103,18 @@ Status GuardTickPhase(Fn&& fn) {
 
 FeedRuntime::FeedRuntime(Collection collection, FeedRuntimeOptions options)
     : options_(std::move(options)), collection_(std::move(collection)) {
-  if (options_.shared_pool != nullptr) {
-    // Borrowed pool: the coordinator that lent it sizes the parallelism;
-    // spawning our own workers on top would oversubscribe the machine once
-    // per shard.
-    pool_ = options_.shared_pool;
-  } else {
-    const size_t threads = ResolveThreadCount(options_.num_threads);
-    // The calling thread participates in every ParallelFor, so threads - 1
-    // pool workers give the requested parallelism; serial runtimes hold no
-    // pool at all (ParallelFor(nullptr, ...) runs inline).
-    if (threads > 1) {
-      owned_pool_ = std::make_unique<ThreadPool>(
-          ThreadPoolOptions{threads - 1, options_.pin_threads});
-      pool_ = owned_pool_.get();
-    }
+  const size_t threads = ResolveThreadCount(options_.num_threads);
+  // The calling thread participates in every ParallelFor, so threads - 1
+  // pool workers give the requested parallelism; serial runtimes hold no
+  // pool at all (ParallelFor(nullptr, ...) runs inline).
+  if (threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(
+        ThreadPoolOptions{threads - 1, options_.pin_threads});
   }
   // The miner always runs on the standing pool (or inline when serial);
   // a caller-supplied transient-pool configuration would reintroduce the
   // per-tick spawn/join this runtime exists to remove.
-  options_.miner.pool = pool_;
+  options_.miner.pool = pool_.get();
   options_.miner.num_threads = 1;
 }
 
@@ -200,7 +192,7 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
   }
 
   runtime.index_ = FrequencyIndex::BuildWithPool(runtime.collection_,
-                                                 runtime.pool_);
+                                                 runtime.pool_.get());
   STB_ASSIGN_OR_RETURN(runtime.result_,
                        MineAllTerms(runtime.index_, runtime.options_.miner));
 
@@ -240,9 +232,9 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
 }
 
 StatusOr<FeedTickStats> FeedRuntime::Tick(Snapshot snapshot) {
-  // Exactly the phase protocol a coordinator drives, with this runtime as
-  // the only participant. Each phase maps its own exceptions, so the error
-  // surface is identical to the old monolithic tick.
+  // Exactly the per-phase protocol an instrumented caller drives. Each
+  // phase maps its own exceptions, so Tick reports the same errors as the
+  // phases run one by one.
   STB_ASSIGN_OR_RETURN(TickTransaction tx,
                        PrepareTickIngest(std::move(snapshot)));
   std::vector<TermId> refresh_targets;
@@ -395,7 +387,7 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
   undo->collection_appended = true;
   STB_ASSIGN_OR_RETURN(stats->time, collection_.Append(std::move(snapshot)));
   undo->index_appended = true;
-  STB_RETURN_NOT_OK(index_.AppendSnapshot(collection_, pool_));
+  STB_RETURN_NOT_OK(index_.AppendSnapshot(collection_, pool_.get()));
 
   const Timestamp window = options_.retention_window;
   if (window > 0 && collection_.timeline_length() > window) {
@@ -406,7 +398,7 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
                                                 &undo->collection_undo));
       undo->freq_evicted = true;
       STB_RETURN_NOT_OK(
-          index_.EvictBefore(cutoff, pool_, &undo->freq_undo));
+          index_.EvictBefore(cutoff, pool_.get(), &undo->freq_undo));
       stats->evicted = true;
 
       // Tiered history (retention rule 9): the postings the eviction just
@@ -669,12 +661,15 @@ std::vector<RefreshCandidate> FeedRuntime::RefreshCandidates(
   // every quiet term (anything whose postings changed was re-mined and
   // re-stamped this tick), so the scan is O(V) with no posting walks.
   //
-  // A quiet term only qualifies while its burstiness normalization actually
-  // drifted — the window length changed since its last mine. On a
+  // A quiet term only qualifies while its burstiness normalization drifted
+  // — the window length changed since its last mine. On a
   // length-preserving steady-state slide its windowed series content and
   // absolute timeframes are unchanged (retention contract), so a re-mine
-  // would be a bit-identical no-op; skipping it drains the sweep to zero
-  // once the window is full. Sub-threshold terms never qualify either: the
+  // would be a no-op in exact arithmetic only: in floating point the slot
+  // can drift by rounding, and occasionally in structure. Skipping such
+  // slots is policy, not proof — it drains the sweep to zero once the
+  // window is full, and bench/e2e measures the drift it leaves as
+  // audit.quiet_slots_*. Sub-threshold terms never qualify either: the
   // miner would skip them anyway, and cycling them through the budget
   // would starve real work.
   const std::vector<TermId>& exclude = tx.impl_->dirty_todo;
@@ -700,8 +695,7 @@ std::vector<TermId> FeedRuntime::SelectRefreshTargets(
     std::vector<RefreshCandidate> candidates, size_t budget) {
   budget = std::min(budget, candidates.size());
   // Deterministic order: priority descending, TermId ascending on ties —
-  // the sweep must pick the same terms at any thread count (and, merged
-  // across shards, the same terms at any shard count).
+  // the sweep must pick the same terms at any thread count.
   std::partial_sort(candidates.begin(),
                     candidates.begin() + static_cast<ptrdiff_t>(budget),
                     candidates.end(),
@@ -750,7 +744,7 @@ std::vector<std::vector<Posting>> FeedRuntime::StageSearchPostings(
   std::vector<std::vector<Posting>> staged(terms.size());
   const size_t workers = pool_ != nullptr ? pool_->num_threads() + 1 : 1;
   std::vector<std::vector<TermPattern>> scratch(workers);
-  ParallelFor(pool_, 0, terms.size(), [&](size_t worker, size_t i) {
+  ParallelFor(pool_.get(), 0, terms.size(), [&](size_t worker, size_t i) {
     STBURST_FAULT_POINT_THROW("runtime.search_update");
     ScoreSearchTerm(terms[i], slot_for(terms[i]), &scratch[worker],
                     &staged[i]);

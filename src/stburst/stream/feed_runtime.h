@@ -108,22 +108,13 @@ struct FeedRuntimeOptions {
   /// Workers of the persistent pool (0 = hardware concurrency, 1 = fully
   /// serial on the calling thread). Shared by the index build, the append
   /// splice, eviction, every re-mine, and the search-snapshot build — no
-  /// per-tick thread spawn/join. Ignored when `shared_pool` is set.
+  /// per-tick thread spawn/join.
   size_t num_threads = 1;
 
-  /// Pin the owned pool's workers to cores (ThreadPoolOptions::pin_threads)
-  /// — for dedicated hosts where the runtime owns the machine. Ignored when
-  /// `shared_pool` is set (the pool's creator decides) or when the runtime
-  /// is serial.
+  /// Pin the pool's workers to cores (ThreadPoolOptions::pin_threads) — for
+  /// dedicated hosts where the runtime owns the machine. Ignored when the
+  /// runtime is serial.
   bool pin_threads = false;
-
-  /// Borrowed standing pool. When set, the runtime spawns no threads of its
-  /// own and fans every parallel phase across this pool instead — the way a
-  /// coordinator (ShardedRuntime) lets K shards share one pool rather than
-  /// oversubscribing the machine K times. Nested fan-out is safe: ParallelFor
-  /// waits by helping (see common/parallel.h). Not owned; must outlive the
-  /// runtime.
-  ThreadPool* shared_pool = nullptr;
 
   /// Retention window W in timestamps: after each tick, timestamps older
   /// than timeline_length - W are evicted from the collection, the index,
@@ -150,8 +141,7 @@ struct FeedRuntimeOptions {
   /// file when reopening an mmap tier (aggregates cannot be re-bucketed).
   Timestamp history_bucket_width = 4;
 
-  /// Published tier file for kMmap (required there, ignored otherwise). A
-  /// ShardedRuntime derives per-shard files as `<path>.shard<i>`.
+  /// Published tier file for kMmap (required there, ignored otherwise).
   std::string history_path;
 
   /// Maintain a bursty-document search read plane (paper §5) over the
@@ -179,13 +169,16 @@ struct FeedRuntimeOptions {
   /// Background refresh budget: quiet terms re-mined per tick, stalest
   /// first (priority = total windowed mass × ticks since last mine, ties to
   /// the smaller TermId). Only terms whose burstiness normalization
-  /// actually drifted qualify — i.e. the retained window length changed
-  /// since their last mine; on a length-preserving steady-state slide a
-  /// quiet term's slot is provably identical, so the sweep drains to zero
-  /// instead of re-mining no-ops forever. Counted in terms, not wall
-  /// clock, so the sweep is deterministic at any thread count. 0 disables
-  /// the sweep (quiet slots keep the PR-2 staleness contract
-  /// indefinitely).
+  /// drifted qualify — i.e. the retained window length changed since their
+  /// last mine. On a length-preserving steady-state slide a quiet term's
+  /// slot would be identical to a re-mine only in exact arithmetic; in
+  /// floating point it can differ by rounding and occasionally in
+  /// structure. The sweep skips such slots by policy, so it drains to zero
+  /// instead of re-mining near-no-ops forever, and the drift it leaves is
+  /// measured by the `audit.quiet_slots_*` metrics of bench/e2e. Counted in
+  /// terms, not wall clock, so the sweep is deterministic at any thread
+  /// count. 0 disables the sweep (quiet slots keep the plain staleness
+  /// contract of docs/ARCHITECTURE.md indefinitely).
   size_t refresh_budget = 0;
 
   /// What Tick does with snapshot documents that fail validation.
@@ -226,19 +219,16 @@ struct FeedTickStats {
 
 /// One quiet term the refresh sweep could re-mine this tick, with the
 /// priority the scheduling policy assigns it (windowed mass × ticks since
-/// its last mine). Produced by FeedRuntime::RefreshCandidates; a
-/// coordinator that owns several runtimes (ShardedRuntime) merges the
-/// per-shard candidate lists and selects one global budget with
-/// FeedRuntime::SelectRefreshTargets, so sharding never changes *which*
-/// terms the sweep refreshes.
+/// its last mine). Produced by FeedRuntime::RefreshCandidates and ranked by
+/// FeedRuntime::SelectRefreshTargets.
 struct RefreshCandidate {
   TermId term = kInvalidTerm;
   double priority = 0.0;
 };
 
 /// The pure validation half of FeedRuntime's step 0, usable by any owner of
-/// a snapshot stream (ShardedRuntime validates once globally before
-/// splitting). kRejectTick returns InvalidArgument on the first malformed
+/// a snapshot stream (for example to screen a snapshot before it reaches a
+/// runtime). kRejectTick returns InvalidArgument on the first malformed
 /// document; kDropDocument compacts the offenders out of `snapshot` and
 /// adds their count to `*rejected`. Malformed means: unknown stream id
 /// (>= num_streams), token outside [0, vocabulary_size), or the same stream
@@ -302,19 +292,20 @@ class FeedRuntime {
     std::unique_ptr<Impl> impl_;
   };
 
-  /// Phase-split Tick, for coordinators that interleave several runtimes'
-  /// ticks into one transaction (ShardedRuntime). The protocol is
+  /// Per-phase Tick, for instrumented callers that time or inspect each
+  /// phase of a tick (bench/e2e/bench_e2e.cc attributes tick latency this
+  /// way). The protocol is
   ///
   ///   PrepareTickIngest → RefreshCandidates / SelectRefreshTargets →
   ///   StageTickDerived → CommitTick | AbortTick
   ///
-  /// and Tick() itself is exactly this composition, so a single-runtime
-  /// caller never needs it. Each phase is individually transactional: a
-  /// non-OK PrepareTickIngest has already rolled itself back; a non-OK
-  /// StageTickDerived leaves the transaction intact and the caller MUST
-  /// AbortTick it; CommitTick either commits, rolls back cleanly, or — on a
-  /// failure after publication began — wedges the runtime, exactly like
-  /// Tick.
+  /// and Tick() itself is exactly this composition (tested bit for bit), so
+  /// a caller that only wants the tick never needs it. Each phase is
+  /// individually transactional: a non-OK PrepareTickIngest has already
+  /// rolled itself back; a non-OK StageTickDerived leaves the transaction
+  /// intact and the caller MUST AbortTick it; CommitTick either commits,
+  /// rolls back cleanly, or — on a failure after publication began — wedges
+  /// the runtime, exactly like Tick.
   ///
   /// PrepareTickIngest runs validation and the mutation phase (append,
   /// index splice, retention eviction) plus the dirty re-mine into staging.
@@ -327,9 +318,8 @@ class FeedRuntime {
       const TickTransaction& tx) const;
 
   /// The deterministic selection rule of the refresh sweep: the `budget`
-  /// highest-priority candidates, ties to the smaller TermId. Static so a
-  /// coordinator can run it over merged per-shard candidate lists and get
-  /// the same global pick the unsharded runtime would make.
+  /// highest-priority candidates in priority order, ties to the smaller
+  /// TermId. Static: it reads no runtime state.
   static std::vector<TermId> SelectRefreshTargets(
       std::vector<RefreshCandidate> candidates, size_t budget);
 
@@ -365,9 +355,8 @@ class FeedRuntime {
   Vocabulary* mutable_vocabulary() { return collection_.mutable_vocabulary(); }
 
   /// The standing pool, usable by callers between ticks (e.g. to fan a
-  /// search-index rebuild); nullptr when the runtime is serial. The
-  /// borrowed pool when options.shared_pool was set.
-  ThreadPool* pool() { return pool_; }
+  /// search-index rebuild); nullptr when the runtime is serial.
+  ThreadPool* pool() { return pool_.get(); }
 
   /// The currently published search snapshot — one atomic acquire load, no
   /// locks. Hold it as long as you like: it stays bit-identical while
@@ -463,11 +452,8 @@ class FeedRuntime {
 
   FeedRuntimeOptions options_;
   Collection collection_;
-  // The standing pool: owned_pool_ holds the runtime's own workers (null
-  // when serial or borrowing); pool_ is the pool every phase actually uses —
-  // owned_pool_.get(), options_.shared_pool, or null when fully serial.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
+  // The standing pool every phase fans across; null when fully serial.
+  std::unique_ptr<ThreadPool> pool_;
   // Standing stream-position binning for regional mining (null otherwise):
   // built once at Create — stream positions never move — and lent to every
   // re-mine via options_.miner.binning, so no tick rebuilds the geometry.

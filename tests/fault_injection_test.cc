@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "index_test_util.h"
+#include "runtime_test_util.h"
 #include "stburst/common/random.h"
 #include "stburst/index/pattern_index.h"
 #include "stburst/index/search_engine.h"
@@ -85,95 +85,6 @@ FeedRuntimeOptions SweepOptions() {
   return opts;
 }
 
-void ExpectIdenticalCollections(const Collection& a, const Collection& b) {
-  ASSERT_EQ(a.timeline_length(), b.timeline_length());
-  ASSERT_EQ(a.window_start(), b.window_start());
-  ASSERT_EQ(a.doc_id_base(), b.doc_id_base());
-  ASSERT_EQ(a.num_documents(), b.num_documents());
-  ASSERT_EQ(a.vocabulary().size(), b.vocabulary().size());
-  for (size_t i = 0; i < a.documents().size(); ++i) {
-    const Document& da = a.documents()[i];
-    const Document& db = b.documents()[i];
-    EXPECT_EQ(da.id, db.id);
-    EXPECT_EQ(da.stream, db.stream);
-    EXPECT_EQ(da.time, db.time);
-    EXPECT_EQ(da.tokens, db.tokens);
-    EXPECT_EQ(da.event_id, db.event_id);
-  }
-  for (StreamId s = 0; s < a.num_streams(); ++s) {
-    for (Timestamp t = a.window_start(); t < a.timeline_length(); ++t) {
-      EXPECT_EQ(a.DocumentsAt(s, t), b.DocumentsAt(s, t))
-          << "stream " << s << " time " << t;
-    }
-  }
-}
-
-void ExpectIdenticalFrequency(const FrequencyIndex& a,
-                              const FrequencyIndex& b) {
-  ASSERT_EQ(a.num_terms(), b.num_terms());
-  ASSERT_EQ(a.window_start(), b.window_start());
-  ASSERT_EQ(a.timeline_length(), b.timeline_length());
-  for (TermId t = 0; t < a.num_terms(); ++t) {
-    const auto& pa = a.postings(t);
-    const auto& pb = b.postings(t);
-    ASSERT_EQ(pa.size(), pb.size()) << "term " << t;
-    for (size_t i = 0; i < pa.size(); ++i) {
-      EXPECT_EQ(pa[i].stream, pb[i].stream) << "term " << t;
-      EXPECT_EQ(pa[i].time, pb[i].time) << "term " << t;
-      EXPECT_EQ(pa[i].count, pb[i].count) << "term " << t;
-    }
-  }
-}
-
-void ExpectIdenticalResults(const BatchMineResult& a,
-                            const BatchMineResult& b) {
-  ASSERT_EQ(a.terms.size(), b.terms.size());
-  EXPECT_EQ(a.terms_mined, b.terms_mined);
-  EXPECT_EQ(a.terms_skipped, b.terms_skipped);
-  for (size_t t = 0; t < a.terms.size(); ++t) {
-    const TermPatterns& pa = a.terms[t];
-    const TermPatterns& pb = b.terms[t];
-    ASSERT_EQ(pa.mined, pb.mined) << "term " << t;
-    ASSERT_EQ(pa.combinatorial.size(), pb.combinatorial.size())
-        << "term " << t;
-    for (size_t i = 0; i < pa.combinatorial.size(); ++i) {
-      EXPECT_EQ(pa.combinatorial[i].streams, pb.combinatorial[i].streams);
-      EXPECT_EQ(pa.combinatorial[i].timeframe, pb.combinatorial[i].timeframe);
-      EXPECT_EQ(pa.combinatorial[i].score, pb.combinatorial[i].score);
-    }
-    ASSERT_EQ(pa.regional.size(), pb.regional.size()) << "term " << t;
-  }
-}
-
-void ExpectIdenticalTiers(const ColdTier* a, const ColdTier* b) {
-  ASSERT_EQ(a == nullptr, b == nullptr);
-  if (a == nullptr) return;
-  ASSERT_EQ(a->covered_start(), b->covered_start());
-  ASSERT_EQ(a->folded_until(), b->folded_until());
-  ASSERT_EQ(a->bucket_width(), b->bucket_width());
-  ASSERT_EQ(a->term_upper_bound(), b->term_upper_bound());
-  ASSERT_EQ(a->stream_upper_bound(), b->stream_upper_bound());
-  for (TermId t = 0; t < a->term_upper_bound(); ++t) {
-    EXPECT_EQ(a->TermRows(t), b->TermRows(t)) << "tier rows, term " << t;
-  }
-}
-
-// The whole observable surface of a runtime, search generation and cold
-// tier included.
-void ExpectIdenticalRuntimes(const FeedRuntime& a, const FeedRuntime& b) {
-  ExpectIdenticalCollections(a.collection(), b.collection());
-  ExpectIdenticalFrequency(a.index(), b.index());
-  ExpectIdenticalResults(a.result(), b.result());
-  for (TermId t = 0; t < a.result().terms.size(); ++t) {
-    EXPECT_EQ(a.staleness(t), b.staleness(t)) << "term " << t;
-  }
-  ExpectIdenticalTiers(a.history(), b.history());
-  ASSERT_NE(a.search_index(), nullptr);
-  ASSERT_NE(b.search_index(), nullptr);
-  EXPECT_EQ(a.search_index()->generation(), b.search_index()->generation());
-  ExpectIdenticalIndexes(*a.search_index(), *b.search_index());
-}
-
 InvertedIndex RebuildReferenceSearchIndex(const FeedRuntime& runtime) {
   PatternIndex patterns;
   for (TermId t = 0; t < runtime.result().terms.size(); ++t) {
@@ -192,9 +103,6 @@ struct SweepCase {
 std::vector<SweepCase> AllSweepCases() {
   std::vector<SweepCase> cases;
   for (std::string_view site : fault::RegisteredSites()) {
-    // Coordinator-only site: an unsharded Tick never routes through it.
-    // tests/sharded_runtime_test.cc sweeps it through ShardedRuntime::Tick.
-    if (site == "sharded.commit") continue;
     cases.push_back({site, fault::FailureKind::kStatus});
     cases.push_back({site, fault::FailureKind::kBadAlloc});
   }
@@ -279,7 +187,6 @@ TEST(FaultRegistry, SweepConfigurationHitsEverySite) {
     ASSERT_TRUE(runtime->Tick(MakeSnapshot(rng)).ok());
   }
   for (std::string_view site : fault::RegisteredSites()) {
-    if (site == "sharded.commit") continue;  // coordinator-only site
     EXPECT_GE(fault::HitCount(site), 1u) << "site never hit: " << site;
   }
   fault::DisarmAll();

@@ -1,7 +1,8 @@
 // Tests for stream/feed_runtime: the long-running live-feed runtime — tick
 // determinism across thread counts, the bounded-memory plateau under a
 // retention window, retention edge cases (burst at the window boundary,
-// re-appending an evicted term), and the quiet-term refresh policy.
+// re-appending an evicted term), the quiet-term refresh policy, and the
+// per-phase tick API.
 
 #include "stburst/stream/feed_runtime.h"
 
@@ -12,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "index_test_util.h"
+#include "runtime_test_util.h"
 #include "stburst/common/random.h"
 #include "stburst/core/expected.h"
 #include "stburst/index/search_engine.h"
@@ -71,45 +72,6 @@ Snapshot MakeSnapshot(Rng& rng, size_t num_streams, size_t vocab) {
     }
   }
   return snap;
-}
-
-void ExpectIdenticalResults(const BatchMineResult& a, const BatchMineResult& b) {
-  ASSERT_EQ(a.terms.size(), b.terms.size());
-  EXPECT_EQ(a.terms_mined, b.terms_mined);
-  EXPECT_EQ(a.terms_skipped, b.terms_skipped);
-  for (size_t t = 0; t < a.terms.size(); ++t) {
-    const TermPatterns& pa = a.terms[t];
-    const TermPatterns& pb = b.terms[t];
-    ASSERT_EQ(pa.mined, pb.mined) << "term " << t;
-    ASSERT_EQ(pa.combinatorial.size(), pb.combinatorial.size()) << "term " << t;
-    for (size_t i = 0; i < pa.combinatorial.size(); ++i) {
-      EXPECT_EQ(pa.combinatorial[i].streams, pb.combinatorial[i].streams);
-      EXPECT_EQ(pa.combinatorial[i].timeframe, pb.combinatorial[i].timeframe);
-      EXPECT_EQ(pa.combinatorial[i].score, pb.combinatorial[i].score);
-    }
-    ASSERT_EQ(pa.regional.size(), pb.regional.size()) << "term " << t;
-    for (size_t i = 0; i < pa.regional.size(); ++i) {
-      EXPECT_EQ(pa.regional[i].streams, pb.regional[i].streams);
-      EXPECT_EQ(pa.regional[i].timeframe, pb.regional[i].timeframe);
-      EXPECT_EQ(pa.regional[i].score, pb.regional[i].score);
-    }
-  }
-}
-
-void ExpectIdenticalPostings(const FrequencyIndex& a, const FrequencyIndex& b) {
-  ASSERT_EQ(a.num_terms(), b.num_terms());
-  ASSERT_EQ(a.window_start(), b.window_start());
-  ASSERT_EQ(a.timeline_length(), b.timeline_length());
-  for (TermId t = 0; t < a.num_terms(); ++t) {
-    const auto& pa = a.postings(t);
-    const auto& pb = b.postings(t);
-    ASSERT_EQ(pa.size(), pb.size()) << "term " << t;
-    for (size_t i = 0; i < pa.size(); ++i) {
-      EXPECT_EQ(pa[i].stream, pb[i].stream);
-      EXPECT_EQ(pa[i].time, pb[i].time);
-      EXPECT_EQ(pa[i].count, pb[i].count);
-    }
-  }
 }
 
 FeedRuntimeOptions BaseOptions(size_t threads) {
@@ -477,9 +439,10 @@ TEST(FeedRuntime, RefreshSweepDrainsToZeroInSteadyState) {
   }
   // While the window grows, quiet terms' 1/N baseline drifts and the sweep
   // works; once every tick is a length-preserving slide, terms re-stamped
-  // at the full window length are provably identical, so after a short
-  // drain (each fill-era slot refreshed once) the sweep must go idle
-  // instead of re-mining no-ops forever.
+  // at the full window length no longer qualify (their slots equal a
+  // re-mine in exact arithmetic; the floating-point drift is skipped by
+  // policy), so after a short drain (each fill-era slot refreshed once) the
+  // sweep must go idle instead of re-mining near-no-ops forever.
   size_t total = 0, tail = 0;
   for (size_t i = 0; i < refreshed_per_tick.size(); ++i) {
     total += refreshed_per_tick[i];
@@ -727,6 +690,138 @@ TEST(FeedRuntime, SearchEdgeCasesAreDefined) {
   EXPECT_TRUE(runtime->Search(std::vector<TermId>{TermId{0}}, 0).docs.empty());
   EXPECT_TRUE(
       runtime->Search(std::vector<TermId>{TermId{9999}}, 5).docs.empty());
+}
+
+// ---- The per-phase API (PrepareTickIngest → RefreshCandidates /
+// SelectRefreshTargets → StageTickDerived → CommitTick | AbortTick) ----
+
+constexpr size_t kPhaseStreams = 5;
+constexpr size_t kPhaseVocab = 50;
+
+// Windowed ticks with search serving, a refresh sweep, and the cold tier:
+// every phase has work to do once the window overfills.
+FeedRuntimeOptions PhaseOptions() {
+  FeedRuntimeOptions opts = BaseOptions(2);
+  opts.retention_window = 8;
+  opts.refresh_budget = 4;
+  opts.search_serving = SearchServing::kCombinatorial;
+  opts.history_mode = HistoryMode::kInMemory;
+  opts.history_bucket_width = 2;
+  return opts;
+}
+
+// Tick() spelled out phase by phase, the way an instrumented caller runs it.
+StatusOr<FeedTickStats> TickByPhases(FeedRuntime* runtime, Snapshot snapshot,
+                                     size_t refresh_budget) {
+  STB_ASSIGN_OR_RETURN(FeedRuntime::TickTransaction tx,
+                       runtime->PrepareTickIngest(std::move(snapshot)));
+  std::vector<TermId> targets = FeedRuntime::SelectRefreshTargets(
+      runtime->RefreshCandidates(tx), refresh_budget);
+  const Status staged = runtime->StageTickDerived(&tx, std::move(targets));
+  if (!staged.ok()) {
+    runtime->AbortTick(std::move(tx));
+    return staged;
+  }
+  return runtime->CommitTick(std::move(tx));
+}
+
+// Every FeedTickStats field except the wall-clock `seconds`.
+void ExpectSameStats(const FeedTickStats& a, const FeedTickStats& b) {
+  EXPECT_EQ(a.time, b.time);
+  EXPECT_EQ(a.documents, b.documents);
+  EXPECT_EQ(a.rejected_documents, b.rejected_documents);
+  EXPECT_EQ(a.dirty_terms, b.dirty_terms);
+  EXPECT_EQ(a.refreshed_terms, b.refreshed_terms);
+  EXPECT_EQ(a.search_terms, b.search_terms);
+  EXPECT_EQ(a.folded_terms, b.folded_terms);
+  EXPECT_EQ(a.evicted, b.evicted);
+  EXPECT_EQ(a.degraded, b.degraded);
+}
+
+TEST(FeedRuntimePhases, ComposedPhasesMatchTickBitForBit) {
+  const FeedRuntimeOptions opts = PhaseOptions();
+  auto phased = FeedRuntime::Create(
+      MakeSeedCollection(kPhaseStreams, 3, kPhaseVocab), opts);
+  ASSERT_TRUE(phased.ok()) << phased.status().ToString();
+  auto ticked = FeedRuntime::Create(
+      MakeSeedCollection(kPhaseStreams, 3, kPhaseVocab), opts);
+  ASSERT_TRUE(ticked.ok()) << ticked.status().ToString();
+
+  Rng rng_a(2718), rng_b(2718);  // identical feeds
+  size_t refreshed = 0, evicting = 0, folded = 0;
+  for (int tick = 0; tick < 20; ++tick) {
+    auto a = TickByPhases(&*phased,
+                          MakeSnapshot(rng_a, kPhaseStreams, kPhaseVocab),
+                          opts.refresh_budget);
+    auto b = ticked->Tick(MakeSnapshot(rng_b, kPhaseStreams, kPhaseVocab));
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    ExpectSameStats(*a, *b);
+    ExpectIdenticalRuntimes(*phased, *ticked);
+    refreshed += a->refreshed_terms;
+    evicting += a->evicted ? 1 : 0;
+    folded += a->folded_terms;
+  }
+  // Not vacuous: the run refreshed, evicted, and folded.
+  EXPECT_GT(refreshed, 0u);
+  EXPECT_GT(evicting, 0u);
+  EXPECT_GT(folded, 0u);
+}
+
+TEST(FeedRuntimePhases, AbortAfterStageRestoresPreTickState) {
+  const FeedRuntimeOptions opts = PhaseOptions();
+  auto subject = FeedRuntime::Create(
+      MakeSeedCollection(kPhaseStreams, 3, kPhaseVocab), opts);
+  ASSERT_TRUE(subject.ok()) << subject.status().ToString();
+  auto control = FeedRuntime::Create(
+      MakeSeedCollection(kPhaseStreams, 3, kPhaseVocab), opts);
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+
+  // Overfill the window so the aborted tick appends, evicts, and folds.
+  Rng rng(1618);
+  for (int tick = 0; tick < 10; ++tick) {
+    const Snapshot snap = MakeSnapshot(rng, kPhaseStreams, kPhaseVocab);
+    ASSERT_TRUE(subject->Tick(snap).ok());
+    ASSERT_TRUE(control->Tick(snap).ok());
+  }
+  const std::shared_ptr<const IndexSnapshot> published =
+      subject->search_snapshot();
+
+  // The subject stages a whole tick, then aborts it; the control never sees
+  // the snapshot.
+  const Snapshot doomed = MakeSnapshot(rng, kPhaseStreams, kPhaseVocab);
+  auto tx = subject->PrepareTickIngest(doomed);
+  ASSERT_TRUE(tx.ok()) << tx.status().ToString();
+  std::vector<TermId> targets = FeedRuntime::SelectRefreshTargets(
+      subject->RefreshCandidates(*tx), opts.refresh_budget);
+  ASSERT_TRUE(subject->StageTickDerived(&*tx, std::move(targets)).ok());
+  subject->AbortTick(std::move(*tx));
+
+  EXPECT_FALSE(subject->wedged());
+  EXPECT_EQ(subject->search_snapshot().get(), published.get());
+  ExpectIdenticalRuntimes(*subject, *control);
+
+  // The same snapshot then ticks cleanly, and both stay in lockstep.
+  auto retried = subject->Tick(doomed);
+  auto fresh = control->Tick(doomed);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_TRUE(retried->evicted);
+  ExpectSameStats(*retried, *fresh);
+  ExpectIdenticalRuntimes(*subject, *control);
+}
+
+TEST(FeedRuntimePhases, SelectRefreshTargetsBudgetAndTies) {
+  const std::vector<RefreshCandidate> candidates = {
+      {TermId{7}, 2.0}, {TermId{3}, 2.0}, {TermId{5}, 1.0}, {TermId{1}, 2.0}};
+  EXPECT_TRUE(FeedRuntime::SelectRefreshTargets(candidates, 0).empty());
+  EXPECT_TRUE(FeedRuntime::SelectRefreshTargets({}, 4).empty());
+  // Equal priorities break toward the smaller TermId.
+  EXPECT_EQ(FeedRuntime::SelectRefreshTargets(candidates, 2),
+            (std::vector<TermId>{1, 3}));
+  // A budget past the candidate count returns every candidate, ranked.
+  EXPECT_EQ(FeedRuntime::SelectRefreshTargets(candidates, 10),
+            (std::vector<TermId>{1, 3, 7, 5}));
 }
 
 }  // namespace

@@ -237,5 +237,22 @@ TEST(ParallelFor, SharedPoolRunsMultipleLoops) {
   EXPECT_EQ(sum.load(), 5 * (99L * 100L / 2));
 }
 
+TEST(ParallelFor, NestedLoopsOnOneSaturatedPoolComplete) {
+  // More outer bodies than workers, each fanning an inner loop across the
+  // same pool: every worker ends up waiting on an inner loop, which only
+  // completes because the wait helps run queued chunks.
+  ThreadPool pool(2);
+  std::vector<std::atomic<long>> sums(16);
+  for (auto& s : sums) s.store(0);
+  ParallelFor(&pool, 0, sums.size(), [&](size_t, size_t outer) {
+    ParallelFor(&pool, 0, 200, [&](size_t, size_t i) {
+      sums[outer].fetch_add(static_cast<long>(i));
+    });
+  });
+  for (size_t o = 0; o < sums.size(); ++o) {
+    EXPECT_EQ(sums[o].load(), 199L * 200L / 2) << "outer " << o;
+  }
+}
+
 }  // namespace
 }  // namespace stburst
