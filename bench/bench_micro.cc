@@ -13,13 +13,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <functional>
 #include <limits>
-#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -386,63 +383,6 @@ size_t MineVocabularyNaive(const FrequencyIndex& freq,
   return total_patterns;
 }
 
-// The seed ThreadPool: one mutex-guarded FIFO shared by every worker. Kept
-// here as the fixed baseline for the work-stealing pool comparison (the
-// library pool now runs per-worker deques; this replica preserves the old
-// scheduling shape: every Submit and every task grab bump the one lock).
-class MutexQueuePool {
- public:
-  explicit MutexQueuePool(size_t num_threads) {
-    for (size_t i = 0; i < num_threads; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-  ~MutexQueuePool() {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& w : workers_) w.join();
-  }
-  void Submit(std::function<void()> task) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++in_flight_;
-      queue_.push_back(std::move(task));
-    }
-    cv_.notify_one();
-  }
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return in_flight_ == 0; });
-  }
-
- private:
-  void WorkerLoop() {
-    for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // shutdown with a drained queue
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      task();
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) done_cv_.notify_all();
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_, done_cv_;
-  std::deque<std::function<void()>> queue_;
-  size_t in_flight_ = 0;
-  bool shutdown_ = false;
-  std::vector<std::thread> workers_;
-};
-
 // ---------------------------------------------------------------------------
 
 std::vector<double> RandomScores(size_t n, uint64_t seed) {
@@ -609,58 +549,6 @@ int Run() {
     std::printf("  -> vectorized kadane filter: %.2fx over the sequential "
                 "recurrence (%s)\n",
                 scalar_ns / vec_ns, simd::IsaName(simd::ActiveIsa()));
-  }
-
-  // Steal-heavy fan-out through the seed's mutex-queue pool vs the
-  // work-stealing pool: generator tasks submit Zipf-cost children from
-  // inside workers, so children land on the submitting worker's deque and
-  // the others must steal — the regime where one shared lock serializes.
-  {
-    constexpr size_t kGenerators = 8;
-    constexpr size_t kChildren = 64;
-    constexpr size_t kTasks = kGenerators * kChildren;
-    constexpr size_t kPoolThreads = 4;
-    std::vector<double> out(kTasks);
-    auto zipf_child = [&out](size_t i) {
-      // Cost ~ 1/(i+1): the head tasks dominate the tail.
-      const size_t iters = 6000 / (i % kChildren + 1) + 50;
-      double acc = 0.0;
-      for (size_t k = 0; k < iters; ++k) {
-        acc += static_cast<double>((k ^ i) & 0xff) * 1e-9;
-      }
-      out[i] = acc;
-    };
-
-    MutexQueuePool queue_pool(kPoolThreads);
-    double queue_ns = TimeNs([&] {
-      for (size_t g = 0; g < kGenerators; ++g) {
-        queue_pool.Submit([&, g] {
-          for (size_t c = 0; c < kChildren; ++c) {
-            const size_t i = g * kChildren + c;
-            queue_pool.Submit([&zipf_child, i] { zipf_child(i); });
-          }
-        });
-      }
-      queue_pool.Wait();
-    });
-
-    ThreadPool steal_pool(kPoolThreads);
-    double steal_ns = TimeNs([&] {
-      for (size_t g = 0; g < kGenerators; ++g) {
-        steal_pool.Submit([&, g] {
-          for (size_t c = 0; c < kChildren; ++c) {
-            const size_t i = g * kChildren + c;
-            steal_pool.Submit([&zipf_child, i] { zipf_child(i); });
-          }
-        });
-      }
-      steal_pool.Wait();
-    });
-    report("pool_zipf_fanout_queue", queue_ns, kTasks);
-    report("pool_zipf_fanout_steal", steal_ns, kTasks);
-    std::printf("  -> work-stealing fan-out: %.2fx over the mutex queue "
-                "(%zu threads, %zu tasks)\n",
-                queue_ns / steal_ns, kPoolThreads, kTasks);
   }
 
   {

@@ -45,6 +45,8 @@ SiteState g_sites[] = {
     {"history.fold"},             // FeedRuntime ingest, on an evicting tick
                                   // with history on, before the evicted
                                   // postings fold into the cold tier
+    {"pool.submit"},              // ThreadPool::Submit, before the task is
+                                  // queued (every pooled ParallelFor)
 };
 
 SiteState* FindSite(std::string_view name) {

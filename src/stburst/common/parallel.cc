@@ -5,258 +5,77 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include "stburst/common/fault_injection.h"
 
 namespace stburst {
 
-namespace {
-
-// Which pool (if any) the current thread is a worker of, and its deque
-// index there. Nested submits from a worker route to its own deque; every
-// other thread is external and goes through the injector.
-struct WorkerSlot {
-  ThreadPool* pool = nullptr;
-  size_t index = 0;
-};
-thread_local WorkerSlot tls_worker;
-
-}  // namespace
-
-// Chase–Lev work-stealing deque over heap-allocated task pointers. The
-// owner pushes and pops at the bottom (LIFO), thieves CAS the top (FIFO).
-//
-// This is the C11 formulation (Lê et al., "Correct and efficient
-// work-stealing for weak memory models") with every ordered access at
-// seq_cst and NO standalone fences: ThreadSanitizer does not model
-// std::atomic_thread_fence, and the TSan CI leg is a hard gate, so the
-// classic fence-based variant would report false races. The extra strength
-// costs little here — tasks are chunky (ParallelFor chunks, per-term
-// mines), so deque traffic is far off the critical path of the work itself.
-//
-// Grown buffers are retired, not freed, until the deque dies: a thief may
-// still hold the old buffer pointer and read a stale slot, which the CAS on
-// top_ then rejects. Slots are atomic pointers so that benign overlap
-// (owner wrapping a slot a thief is reading before its CAS fails) is
-// race-free at the language level too.
-class ThreadPool::Deque {
- public:
-  Deque() : buffer_(new Buffer(kInitialCapacity)) {}
-
-  ~Deque() {
-    delete buffer_.load(std::memory_order_relaxed);
-    for (Buffer* b : retired_) delete b;
-  }
-
-  // Owner only.
-  void Push(std::function<void()>* task) {
-    const int64_t b = bottom_.load();
-    const int64_t t = top_.load();
-    Buffer* buf = buffer_.load();
-    if (b - t >= buf->capacity) {
-      Buffer* bigger = new Buffer(buf->capacity * 2);
-      for (int64_t i = t; i < b; ++i) bigger->Put(i, buf->Get(i));
-      retired_.push_back(buf);
-      buffer_.store(bigger);
-      buf = bigger;
-    }
-    buf->Put(b, task);
-    bottom_.store(b + 1);
-  }
-
-  // Owner only. Null when empty (or when a thief won the last element).
-  std::function<void()>* Pop() {
-    const int64_t b = bottom_.load() - 1;
-    Buffer* buf = buffer_.load();
-    bottom_.store(b);
-    int64_t t = top_.load();
-    if (t > b) {  // already empty
-      bottom_.store(b + 1);
-      return nullptr;
-    }
-    std::function<void()>* task = buf->Get(b);
-    if (t == b) {
-      // Last element: race the thieves for it via the same CAS they use.
-      if (!top_.compare_exchange_strong(t, t + 1)) task = nullptr;
-      bottom_.store(b + 1);
-    }
-    return task;
-  }
-
-  // Any thread. Null on empty or lost race.
-  std::function<void()>* Steal() {
-    int64_t t = top_.load();
-    const int64_t b = bottom_.load();
-    if (t >= b) return nullptr;
-    Buffer* buf = buffer_.load();
-    std::function<void()>* task = buf->Get(t);
-    if (!top_.compare_exchange_strong(t, t + 1)) return nullptr;
-    return task;
-  }
-
-  bool NonEmpty() const { return bottom_.load() > top_.load(); }
-
- private:
-  struct Buffer {
-    explicit Buffer(int64_t cap)
-        : capacity(cap),
-          slots(new std::atomic<std::function<void()>*>[cap]) {}
-    ~Buffer() { delete[] slots; }
-    std::function<void()>* Get(int64_t i) const {
-      return slots[i & (capacity - 1)].load();
-    }
-    void Put(int64_t i, std::function<void()>* v) {
-      slots[i & (capacity - 1)].store(v);
-    }
-    const int64_t capacity;  // power of two
-    std::atomic<std::function<void()>*>* slots;
-  };
-
-  static constexpr int64_t kInitialCapacity = 64;
-
-  std::atomic<int64_t> top_{0};
-  std::atomic<int64_t> bottom_{0};
-  std::atomic<Buffer*> buffer_;
-  std::vector<Buffer*> retired_;  // owner-only; freed with the deque
-};
-
-ThreadPool::ThreadPool(size_t num_threads)
-    : ThreadPool(ThreadPoolOptions{num_threads, false}) {}
-
-ThreadPool::ThreadPool(const ThreadPoolOptions& options) {
-  const size_t n = ResolveThreadCount(options.num_threads);
-  deques_.reserve(n);
-  for (size_t i = 0; i < n; ++i) deques_.push_back(std::make_unique<Deque>());
+ThreadPool::ThreadPool(size_t num_threads) {
+  const size_t n = ResolveThreadCount(num_threads);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
-#if defined(__linux__)
-  if (options.pin_threads) {
-    const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-    for (size_t i = 0; i < workers_.size(); ++i) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(static_cast<unsigned>(i) % ncpu, &set);
-      pthread_setaffinity_np(workers_[i].native_handle(), sizeof(set), &set);
-    }
-  }
-#endif
 }
 
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    shutdown_.store(true);
+    shutdown_ = true;
   }
   work_available_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  auto* t = new std::function<void()>(std::move(task));
-  in_flight_.fetch_add(1);
-  if (tls_worker.pool == this) {
-    deques_[tls_worker.index]->Push(t);
-  } else {
-    std::lock_guard<std::mutex> lock(injector_mu_);
-    injector_.push_back(t);
-    injector_size_.fetch_add(1);
-  }
-  // Wake a sleeper if there might be one. The publish above and this load
-  // are both seq_cst, as are the sleeper's counter bump and its predicate
-  // check under mu_ — so either we observe the sleeper (and notify under
-  // the same mutex its wait holds), or the sleeper's predicate observes
-  // our work. No lost wakeup either way.
-  if (sleepers_.load() > 0) {
+  STBURST_FAULT_POINT_THROW("pool.submit");
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    work_available_.notify_one();
+    // push_back is all-or-nothing, and the count moves only once the task
+    // is queued, so a throw here leaves the pool exactly as it was.
+    queue_.push_back(std::move(task));
+    ++in_flight_;
   }
+  work_available_.notify_one();
 }
 
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_.load() == 0; });
-}
-
-void ThreadPool::FinishTask() {
-  if (in_flight_.fetch_sub(1) == 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    all_done_.notify_all();
-  }
-}
-
-bool ThreadPool::HasVisibleWork() {
-  if (injector_size_.load() > 0) return true;
-  for (const std::unique_ptr<Deque>& d : deques_) {
-    if (d->NonEmpty()) return true;
-  }
-  return false;
-}
-
-std::function<void()>* ThreadPool::FindTask(size_t self, bool is_worker) {
-  if (is_worker) {
-    if (std::function<void()>* t = deques_[self]->Pop()) return t;
-  }
-  if (injector_size_.load() > 0) {
-    std::lock_guard<std::mutex> lock(injector_mu_);
-    if (!injector_.empty()) {
-      std::function<void()>* t = injector_.front();
-      injector_.pop_front();
-      injector_size_.fetch_sub(1);
-      return t;
-    }
-  }
-  const size_t n = deques_.size();
-  const size_t start = is_worker ? self + 1 : 0;
-  for (size_t k = 0; k < n; ++k) {
-    const size_t victim = (start + k) % n;
-    if (is_worker && victim == self) continue;
-    if (std::function<void()>* t = deques_[victim]->Steal()) return t;
-  }
-  return nullptr;
+  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 bool ThreadPool::TryRunOneTask() {
-  const bool is_worker = tls_worker.pool == this;
-  std::function<void()>* t =
-      FindTask(is_worker ? tls_worker.index : 0, is_worker);
-  if (t == nullptr) return false;
-  (*t)();
-  delete t;
-  FinishTask();
+  std::function<void()> task;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (queue_.empty()) return false;
+    task = std::move(queue_.front());
+    queue_.pop_front();
+  }
+  task();
+  // Destroy the task's captures before it counts as done, so Wait()
+  // returning means nothing a task captured is still referenced.
+  task = nullptr;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (--in_flight_ == 0) all_done_.notify_all();
   return true;
 }
 
-void ThreadPool::WorkerLoop(size_t index) {
-  tls_worker.pool = this;
-  tls_worker.index = index;
+void ThreadPool::WorkerLoop() {
   for (;;) {
-    if (std::function<void()>* t = FindTask(index, /*is_worker=*/true)) {
-      (*t)();
-      delete t;
-      FinishTask();
-      continue;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_available_.wait(lock,
+                           [this] { return shutdown_ || !queue_.empty(); });
+      // Drained shutdown. A task still running on another worker may queue
+      // more work after this, but that worker comes back to the queue
+      // before it can exit, so nothing is orphaned.
+      if (queue_.empty()) return;
     }
-    // Nothing found (empty, or every steal lost its race): sleep until
-    // work becomes visible. The predicate re-checks under mu_, pairing
-    // with Submit's notify-under-mu_, so a task published between our scan
-    // and the wait cannot be missed.
-    std::unique_lock<std::mutex> lock(mu_);
-    sleepers_.fetch_add(1);
-    work_available_.wait(
-        lock, [this] { return shutdown_.load() || HasVisibleWork(); });
-    sleepers_.fetch_sub(1);
-    if (shutdown_.load() && !HasVisibleWork()) {
-      // Drained shutdown: a still-running task on another worker that
-      // submits more work pushes to its *own* deque and its own loop (not
-      // yet exited) runs it, so exiting here never orphans work.
-      tls_worker.pool = nullptr;
-      return;
-    }
+    // Another thread may take the task first; then this finds none and
+    // the loop waits again.
+    TryRunOneTask();
   }
 }
 
@@ -282,6 +101,14 @@ struct LoopState {
   std::exception_ptr error;
 };
 
+// Called from a catch block: keeps the first exception and stops every
+// participant from claiming further chunks.
+void RecordFailure(LoopState* state) {
+  std::unique_lock<std::mutex> lock(state->mu);
+  if (!state->error) state->error = std::current_exception();
+  state->failed.store(true, std::memory_order_relaxed);
+}
+
 void RunChunks(LoopState* state, size_t worker,
                const std::function<void(size_t, size_t)>& body) {
   for (;;) {
@@ -292,9 +119,7 @@ void RunChunks(LoopState* state, size_t worker,
     try {
       for (size_t i = start; i < stop; ++i) body(worker, i);
     } catch (...) {
-      std::unique_lock<std::mutex> lock(state->mu);
-      if (!state->error) state->error = std::current_exception();
-      state->failed.store(true, std::memory_order_relaxed);
+      RecordFailure(state);
       return;
     }
   }
@@ -320,12 +145,23 @@ void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
   state->chunk = std::max<size_t>(1, n / (8 * (helpers + 1)));
   state->outstanding = helpers;
 
-  for (size_t w = 0; w < helpers; ++w) {
-    pool->Submit([state, w, &body] {
-      RunChunks(state.get(), w, body);
-      std::unique_lock<std::mutex> lock(state->mu);
-      if (--state->outstanding == 0) state->done.notify_all();
-    });
+  size_t submitted = 0;
+  try {
+    for (; submitted < helpers; ++submitted) {
+      pool->Submit([state, w = submitted, &body] {
+        RunChunks(state.get(), w, body);
+        std::unique_lock<std::mutex> lock(state->mu);
+        if (--state->outstanding == 0) state->done.notify_all();
+      });
+    }
+  } catch (...) {
+    // A failed Submit queued nothing. The helpers already queued hold
+    // `body` by reference, so the loop must still quiesce before the
+    // exception leaves: fail the loop (they claim no further chunk) and
+    // stop counting the helpers that were never queued.
+    RecordFailure(state.get());
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->outstanding -= helpers - submitted;
   }
   // The calling thread participates with the highest worker id.
   RunChunks(state.get(), helpers, body);

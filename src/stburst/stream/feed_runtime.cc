@@ -107,10 +107,7 @@ FeedRuntime::FeedRuntime(Collection collection, FeedRuntimeOptions options)
   // The calling thread participates in every ParallelFor, so threads - 1
   // pool workers give the requested parallelism; serial runtimes hold no
   // pool at all (ParallelFor(nullptr, ...) runs inline).
-  if (threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(
-        ThreadPoolOptions{threads - 1, options_.pin_threads});
-  }
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
   // The miner always runs on the standing pool (or inline when serial);
   // a caller-supplied transient-pool configuration would reintroduce the
   // per-tick spawn/join this runtime exists to remove.

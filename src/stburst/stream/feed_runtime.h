@@ -111,11 +111,6 @@ struct FeedRuntimeOptions {
   /// per-tick thread spawn/join.
   size_t num_threads = 1;
 
-  /// Pin the pool's workers to cores (ThreadPoolOptions::pin_threads) — for
-  /// dedicated hosts where the runtime owns the machine. Ignored when the
-  /// runtime is serial.
-  bool pin_threads = false;
-
   /// Retention window W in timestamps: after each tick, timestamps older
   /// than timeline_length - W are evicted from the collection, the index,
   /// and the standing result (burstiness re-normalized to the window;

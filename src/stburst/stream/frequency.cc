@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "stburst/common/fault_injection.h"
@@ -225,9 +224,7 @@ FrequencyIndex FrequencyIndex::BuildImpl(const Collection& collection,
   ThreadPool* pool = borrowed;
   std::unique_ptr<ThreadPool> transient;
   if (pool == nullptr) {
-    size_t hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    const size_t workers = std::min(threads, hw);
+    const size_t workers = std::min(threads, ResolveThreadCount(0));
     // The calling thread participates, so workers - 1 pool threads suffice
     // (a null pool runs both stages on the calling thread alone).
     if (workers > 1) {
