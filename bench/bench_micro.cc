@@ -513,44 +513,6 @@ int Run() {
                   scalar / active, simd::IsaName(simd::ActiveIsa()));
     }
   }
-  // The vectorized-Kadane admission filter over a band sweep: the same
-  // standing-binning solve with KadaneMode::kVectorized vs the default
-  // sequential recurrence. Results are verified identical up front (the
-  // filter only decides whether a band's exact recurrence runs); the ratio
-  // is the pruning + SIMD-scan win on bands that cannot beat the running
-  // best.
-  {
-    MaxRectOptions scalar_opts;
-    scalar_opts.mode = MaxRectOptions::Mode::kGrid;
-    scalar_opts.grid_cols = 128;
-    scalar_opts.grid_rows = 128;
-    scalar_opts.kadane = MaxRectOptions::KadaneMode::kScalar;
-    MaxRectOptions vec_opts = scalar_opts;
-    vec_opts.kadane = MaxRectOptions::KadaneMode::kVectorized;
-
-    std::vector<Point2D> pts;
-    std::vector<double> w;
-    RandomPlane(1 << 15, 12, &pts, &w);
-    auto scalar_binning = SpatialBinning::Create(pts, scalar_opts);
-    auto vec_binning = SpatialBinning::Create(pts, vec_opts);
-    if (!scalar_binning.ok() || !vec_binning.ok()) return 1;
-    auto check_scalar = MaxWeightRectangle(*scalar_binning, w);
-    auto check_vec = MaxWeightRectangle(*vec_binning, w);
-    if (!check_scalar.ok() || !check_vec.ok() ||
-        check_scalar->score != check_vec->score) {
-      std::fprintf(stderr, "kadane mode parity violation\n");
-      return 1;
-    }
-    double scalar_ns =
-        TimeNs([&] { (void)MaxWeightRectangle(*scalar_binning, w); });
-    double vec_ns = TimeNs([&] { (void)MaxWeightRectangle(*vec_binning, w); });
-    report("kadane_band_sweep_scalar", scalar_ns, pts.size());
-    report("kadane_band_sweep_vectorized", vec_ns, pts.size());
-    std::printf("  -> vectorized kadane filter: %.2fx over the sequential "
-                "recurrence (%s)\n",
-                scalar_ns / vec_ns, simd::IsaName(simd::ActiveIsa()));
-  }
-
   {
     InvertedIndex idx = RandomIndex(1 << 16, 7);
     std::vector<TermId> query = {0, 1, 2};

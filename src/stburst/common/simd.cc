@@ -1,8 +1,5 @@
 #include "stburst/common/simd.h"
 
-#include <algorithm>
-#include <cfloat>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -27,7 +24,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar kernels — the portable reference every vector variant must match
-// bit-for-bit (except MayExceed, which is a pruning decision, not a value).
+// bit-for-bit.
 // ---------------------------------------------------------------------------
 
 void AddIntoScalar(double* dst, const double* src, size_t n) {
@@ -46,19 +43,6 @@ void MaxIntoScalar(double* dst, const double* src, size_t n) {
 
 void ScatterZeroScalar(double* cells, const size_t* idx, size_t n) {
   for (size_t i = 0; i < n; ++i) cells[idx[i]] = 0.0;
-}
-
-// Exact sequential Kadane (non-empty windows): the scalar dispatch level
-// answers MayExceed with no slack at all.
-bool MayExceedScalar(const double* a, size_t n, double threshold) {
-  if (n == 0) return false;
-  double best = a[0];
-  double run = a[0];
-  for (size_t i = 1; i < n; ++i) {
-    run = run > 0.0 ? run + a[i] : a[i];
-    if (run > best) best = run;
-  }
-  return best > threshold;
 }
 
 #if STBURST_SIMD_X86
@@ -121,99 +105,6 @@ __attribute__((target("avx2"))) void MaxIntoAvx2(double* dst,
                                             _mm256_loadu_pd(src + i)));
   }
   for (; i < n; ++i) dst[i] = dst[i] > src[i] ? dst[i] : src[i];
-}
-
-// Lane shifts toward higher index with an explicit fill lane — the scan
-// primitives. always_inline keeps them inside their target("avx2") callers.
-__attribute__((target("avx2"), always_inline)) inline __m256d Shl1Avx2(
-    __m256d v, __m256d fill) {
-  return _mm256_blend_pd(_mm256_permute4x64_pd(v, _MM_SHUFFLE(2, 1, 0, 0)),
-                         fill, 0x1);
-}
-
-__attribute__((target("avx2"), always_inline)) inline __m256d Shl2Avx2(
-    __m256d v, __m256d fill) {
-  return _mm256_blend_pd(_mm256_permute4x64_pd(v, _MM_SHUFFLE(1, 0, 0, 0)),
-                         fill, 0x3);
-}
-
-__attribute__((target("avx2"), always_inline)) inline double Lane3Avx2(
-    __m256d v) {
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  return _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
-}
-
-__attribute__((target("avx2"), always_inline)) inline double HMinAvx2(
-    __m256d v) {
-  __m128d m = _mm_min_pd(_mm256_castpd256_pd128(v),
-                         _mm256_extractf128_pd(v, 1));
-  m = _mm_min_sd(m, _mm_unpackhi_pd(m, m));
-  return _mm_cvtsd_f64(m);
-}
-
-__attribute__((target("avx2"), always_inline)) inline double HMaxAvx2(
-    __m256d v) {
-  __m128d m = _mm_max_pd(_mm256_castpd256_pd128(v),
-                         _mm256_extractf128_pd(v, 1));
-  m = _mm_max_sd(m, _mm_unpackhi_pd(m, m));
-  return _mm_cvtsd_f64(m);
-}
-
-__attribute__((target("avx2"), always_inline)) inline double HSumAvx2(
-    __m256d v) {
-  __m128d s = _mm_add_pd(_mm256_castpd256_pd128(v),
-                         _mm256_extractf128_pd(v, 1));
-  s = _mm_add_sd(s, _mm_unpackhi_pd(s, s));
-  return _mm_cvtsd_f64(s);
-}
-
-// The prefix-sum/prefix-max reformulation, 4 columns per step: within each
-// block an inclusive sum-scan builds the prefixes, a shifted inclusive
-// min-scan builds the exclusive prefix minima, and the block's best
-// (prefix[j] - min_prefix[<j]) folds into a running vector max. Scalar
-// carries (last prefix, running prefix minimum) stitch blocks together.
-__attribute__((target("avx2"))) bool MayExceedAvx2(const double* a, size_t n,
-                                                   double threshold) {
-  if (n == 0) return false;
-  double carry = 0.0;       // prefix sum entering the next block
-  double carry_min = 0.0;   // min prefix so far, incl. the empty prefix 0
-  double best = -HUGE_VAL;
-  double abs_sum = 0.0;
-  size_t i = 0;
-  if (n >= 4) {
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d inf = _mm256_set1_pd(HUGE_VAL);
-    const __m256d sign = _mm256_set1_pd(-0.0);
-    __m256d vbest = _mm256_set1_pd(-HUGE_VAL);
-    __m256d vabs = zero;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d v = _mm256_loadu_pd(a + i);
-      vabs = _mm256_add_pd(vabs, _mm256_andnot_pd(sign, v));
-      __m256d s = _mm256_add_pd(v, Shl1Avx2(v, zero));
-      s = _mm256_add_pd(s, Shl2Avx2(s, zero));
-      const __m256d p = _mm256_add_pd(s, _mm256_set1_pd(carry));
-      __m256d e = Shl1Avx2(p, inf);  // lane j: prefix[j-1]
-      e = _mm256_min_pd(e, Shl1Avx2(e, inf));
-      e = _mm256_min_pd(e, Shl2Avx2(e, inf));
-      const __m256d m = _mm256_min_pd(e, _mm256_set1_pd(carry_min));
-      vbest = _mm256_max_pd(vbest, _mm256_sub_pd(p, m));
-      carry_min = std::min(carry_min, HMinAvx2(p));
-      carry = Lane3Avx2(p);
-    }
-    best = HMaxAvx2(vbest);
-    abs_sum = HSumAvx2(vabs);  // reassociated — feeds the slack only
-  }
-  for (; i < n; ++i) {
-    const double x = a[i];
-    abs_sum += std::fabs(x);
-    const double p = carry + x;
-    best = std::max(best, p - carry_min);
-    carry_min = std::min(carry_min, p);
-    carry = p;
-  }
-  const double slack =
-      8.0 * static_cast<double>(n) * DBL_EPSILON * abs_sum;
-  return best + slack > threshold;
 }
 
 // ---------------------------------------------------------------------------
@@ -302,79 +193,6 @@ __attribute__((target(STBURST_AVX512))) void ScatterZeroAvx512(
   }
 }
 
-// Lane shifts by k with an explicit fill: valignq over the fill:value
-// concatenation. k is an immediate, hence three helpers.
-__attribute__((target(STBURST_AVX512), always_inline)) inline __m512d
-Shl1Avx512(__m512d v, __m512d fill) {
-  return _mm512_castsi512_pd(_mm512_alignr_epi64(
-      _mm512_castpd_si512(v), _mm512_castpd_si512(fill), 7));
-}
-
-__attribute__((target(STBURST_AVX512), always_inline)) inline __m512d
-Shl2Avx512(__m512d v, __m512d fill) {
-  return _mm512_castsi512_pd(_mm512_alignr_epi64(
-      _mm512_castpd_si512(v), _mm512_castpd_si512(fill), 6));
-}
-
-__attribute__((target(STBURST_AVX512), always_inline)) inline __m512d
-Shl4Avx512(__m512d v, __m512d fill) {
-  return _mm512_castsi512_pd(_mm512_alignr_epi64(
-      _mm512_castpd_si512(v), _mm512_castpd_si512(fill), 4));
-}
-
-__attribute__((target(STBURST_AVX512), always_inline)) inline double
-Lane7Avx512(__m512d v) {
-  const __m256d hi = _mm512_extractf64x4_pd(v, 1);
-  const __m128d hi2 = _mm256_extractf128_pd(hi, 1);
-  return _mm_cvtsd_f64(_mm_unpackhi_pd(hi2, hi2));
-}
-
-// Same scan as MayExceedAvx2 with 8 columns per step (three scan levels).
-__attribute__((target(STBURST_AVX512))) bool MayExceedAvx512(
-    const double* a, size_t n, double threshold) {
-  if (n == 0) return false;
-  double carry = 0.0;
-  double carry_min = 0.0;
-  double best = -HUGE_VAL;
-  double abs_sum = 0.0;
-  size_t i = 0;
-  if (n >= 8) {
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d inf = _mm512_set1_pd(HUGE_VAL);
-    __m512d vbest = _mm512_set1_pd(-HUGE_VAL);
-    __m512d vabs = zero;
-    for (; i + 8 <= n; i += 8) {
-      const __m512d v = _mm512_loadu_pd(a + i);
-      vabs = _mm512_add_pd(vabs, _mm512_abs_pd(v));
-      __m512d s = _mm512_add_pd(v, Shl1Avx512(v, zero));
-      s = _mm512_add_pd(s, Shl2Avx512(s, zero));
-      s = _mm512_add_pd(s, Shl4Avx512(s, zero));
-      const __m512d p = _mm512_add_pd(s, _mm512_set1_pd(carry));
-      __m512d e = Shl1Avx512(p, inf);  // lane j: prefix[j-1]
-      e = _mm512_min_pd(e, Shl1Avx512(e, inf));
-      e = _mm512_min_pd(e, Shl2Avx512(e, inf));
-      e = _mm512_min_pd(e, Shl4Avx512(e, inf));
-      const __m512d m = _mm512_min_pd(e, _mm512_set1_pd(carry_min));
-      vbest = _mm512_max_pd(vbest, _mm512_sub_pd(p, m));
-      carry_min = std::min(carry_min, _mm512_reduce_min_pd(p));
-      carry = Lane7Avx512(p);
-    }
-    best = _mm512_reduce_max_pd(vbest);
-    abs_sum = _mm512_reduce_add_pd(vabs);  // reassociated — slack only
-  }
-  for (; i < n; ++i) {
-    const double x = a[i];
-    abs_sum += std::fabs(x);
-    const double p = carry + x;
-    best = std::max(best, p - carry_min);
-    carry_min = std::min(carry_min, p);
-    carry = p;
-  }
-  const double slack =
-      8.0 * static_cast<double>(n) * DBL_EPSILON * abs_sum;
-  return best + slack > threshold;
-}
-
 #undef STBURST_AVX512
 
 #endif  // STBURST_SIMD_X86
@@ -388,23 +206,22 @@ struct Dispatch {
   void (*add_scaled_into)(double*, const double*, double, size_t);
   void (*max_into)(double*, const double*, size_t);
   void (*scatter_zero)(double*, const size_t*, size_t);
-  bool (*may_exceed)(const double*, size_t, double);
 };
 
 Dispatch MakeDispatch(Isa isa) {
 #if STBURST_SIMD_X86
   if (isa == Isa::kAvx512 && Avx512Supported()) {
-    return {Isa::kAvx512,    &AddIntoAvx512, &AddScaledIntoAvx512,
-            &MaxIntoAvx512,  &ScatterZeroAvx512, &MayExceedAvx512};
+    return {Isa::kAvx512, &AddIntoAvx512, &AddScaledIntoAvx512,
+            &MaxIntoAvx512, &ScatterZeroAvx512};
   }
   if (isa != Isa::kScalar && Avx2Supported()) {
     // AVX2 has no scatter; that kernel stays scalar at this level.
-    return {Isa::kAvx2,     &AddIntoAvx2, &AddScaledIntoAvx2,
-            &MaxIntoAvx2,   &ScatterZeroScalar, &MayExceedAvx2};
+    return {Isa::kAvx2, &AddIntoAvx2, &AddScaledIntoAvx2, &MaxIntoAvx2,
+            &ScatterZeroScalar};
   }
 #endif
-  return {Isa::kScalar,     &AddIntoScalar, &AddScaledIntoScalar,
-          &MaxIntoScalar,   &ScatterZeroScalar, &MayExceedScalar};
+  return {Isa::kScalar, &AddIntoScalar, &AddScaledIntoScalar, &MaxIntoScalar,
+          &ScatterZeroScalar};
 }
 
 bool EnvSetToOne(const char* name) {
@@ -478,10 +295,6 @@ void MaxInto(double* dst, const double* src, size_t n) {
 
 void ScatterZero(double* cells, const size_t* idx, size_t n) {
   ActiveDispatch().scatter_zero(cells, idx, n);
-}
-
-bool MaxSubarrayMayExceed(const double* a, size_t n, double threshold) {
-  return ActiveDispatch().may_exceed(a, n, threshold);
 }
 
 }  // namespace simd

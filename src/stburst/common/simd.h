@@ -1,24 +1,13 @@
 // Runtime-dispatched SIMD kernels for the mining hot paths.
 //
-// Scope is deliberately narrow: with one documented exception, only
-// *element-wise* operations, where the vector lanes carry independent
-// columns and no floating-point fold is reassociated. Every element-wise
-// kernel is therefore bit-identical across instruction sets — the AVX-512,
-// AVX2, and scalar paths produce the same doubles, so the miners' parity
-// guarantees (thread-count invariance, online/batch equivalence,
-// shared-binning vs per-call equality) hold regardless of which CPU runs
-// them. Horizontal reductions (sums across a row) are NOT offered as
-// value-producing kernels precisely because they would break that contract.
-//
-// The one exception is MaxSubarrayMayExceed, the vectorized-Kadane
-// admission scan: it reassociates float adds internally (blocked prefix
-// scans), but its result is a *boolean pruning decision* padded with a
-// provable rounding slack, never a score. Callers that prune on a `false`
-// are exact — the slack guarantees no window that beats the threshold is
-// ever missed — and callers that see `true` recover the winning window
-// with the sequential scalar recurrence. Reported scores therefore remain
-// sequential window sums on every ISA. This is the library's
-// "reassociation boundary" (see ARCHITECTURE.md).
+// Scope is deliberately narrow: only *element-wise* operations, where the
+// vector lanes carry independent columns and no floating-point fold is
+// reassociated. Every kernel is therefore bit-identical across instruction
+// sets — the AVX-512, AVX2, and scalar paths produce the same doubles, so
+// the miners' parity guarantees (thread-count invariance, online/batch
+// equivalence, shared-binning vs per-call equality) hold regardless of
+// which CPU runs them. Horizontal reductions (sums across a row) are NOT
+// offered precisely because they would break that contract.
 //
 // Dispatch policy: the ISA is resolved once per process — the widest of
 // {AVX-512, AVX2, scalar} that the binary carries, the CPU reports, and
@@ -83,32 +72,6 @@ void MaxInto(double* dst, const double* src, size_t n);
 /// 64-bit-index scatters; narrower ISAs use the scalar loop. The result is
 /// the same cells either way, so the bit-identity contract holds.
 void ScatterZero(double* cells, const size_t* idx, size_t n);
-
-/// Vectorized-Kadane admission scan — the reassociation boundary.
-///
-/// Decides whether the best (non-empty, contiguous) subarray sum of
-/// a[0..n) can exceed `threshold`. The vector paths evaluate the
-/// prefix-sum/prefix-max reformulation
-///
-///     kadane = max_j(prefix[j] - min_prefix[<j])
-///
-/// with 8-lane (AVX-512) or 4-lane (AVX2) blocked scans, then pad the
-/// result with slack = 8 * n * eps * sum(|a[i]|), which dominates the
-/// worst-case rounding divergence between the blocked and sequential
-/// prefix sums for any n < 2^40. Guarantees:
-///
-///   - returns false only when NO window's sequential (scalar) sum
-///     exceeds threshold — pruning on false is exact on every ISA;
-///   - may return true conservatively (rounding slack, and on the vector
-///     paths the bound can also include the empty window for padded
-///     blocks); callers must confirm with the exact scalar recurrence.
-///
-/// The scalar dispatch level runs the exact sequential Kadane recurrence
-/// (no slack). Arrays carrying exclusion poison (magnitudes near 1e18,
-/// e.g. core/discrepancy.h kExcludedWeight) inflate the slack until the
-/// filter stops pruning — still correct, just no faster than scalar.
-/// n == 0 returns false.
-bool MaxSubarrayMayExceed(const double* a, size_t n, double threshold);
 
 }  // namespace simd
 }  // namespace stburst

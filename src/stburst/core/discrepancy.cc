@@ -63,11 +63,7 @@ SolveScratch& LocalScratch(size_t ncells) {
 // update ahead of the Kadane recurrence) go through simd::AddInto — lanes
 // are independent columns, no fold is reassociated, so the SIMD and scalar
 // paths are bit-identical (tested). The Kadane recurrence itself is a
-// loop-carried dependency and stays scalar; under KadaneMode::kVectorized
-// each admitted band first runs simd::MaxSubarrayMayExceed (the vectorized
-// prefix-scan filter), and only bands the filter cannot prove beaten run
-// the recurrence. The filter's `false` is exact (conservative rounding
-// slack), so the emitted rectangle matches the scalar mode's.
+// loop-carried dependency and stays scalar.
 MaxRectResult SolveCells(const SpatialBinning& b, SolveScratch& scratch) {
   MaxRectResult result;
   const size_t rows = b.rows();
@@ -106,8 +102,6 @@ MaxRectResult SolveCells(const SpatialBinning& b, SolveScratch& scratch) {
   size_t best_r1 = 0, best_r2 = 0, best_c1 = 0, best_c2 = 0;
   bool found = false;
 
-  const bool vectorized_kadane =
-      b.kadane() == MaxRectOptions::KadaneMode::kVectorized;
   std::vector<double>& col_sums = scratch.col_sums;
   col_sums.resize(cols);
   for (size_t anchor = 0; anchor < positive_rows.size(); ++anchor) {
@@ -128,9 +122,7 @@ MaxRectResult SolveCells(const SpatialBinning& b, SolveScratch& scratch) {
       if (positive_rows[next_positive] == r2) ++next_positive;
 
       simd::AddInto(col_sums.data(), row, cols);
-      if (evaluate &&
-          (!vectorized_kadane ||
-           simd::MaxSubarrayMayExceed(col_sums.data(), cols, best_score))) {
+      if (evaluate) {
         // Max-subarray recurrence over the freshly accumulated column sums.
         double run = 0.0;
         size_t run_start = 0;
@@ -178,8 +170,12 @@ MaxRectResult SolveCells(const SpatialBinning& b, SolveScratch& scratch) {
 
 StatusOr<SpatialBinning> SpatialBinning::Create(
     const std::vector<Point2D>& points, const MaxRectOptions& options) {
+  for (const Point2D& p : points) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      return Status::InvalidArgument("point coordinates must be finite");
+    }
+  }
   SpatialBinning b;
-  b.kadane_ = options.kadane;
   if (options.mode == MaxRectOptions::Mode::kGrid) {
     if (options.grid_cols == 0 || options.grid_rows == 0) {
       return Status::InvalidArgument("grid resolution must be positive");

@@ -52,22 +52,6 @@ struct MaxRectOptions {
   /// Grid resolution for kGrid mode.
   size_t grid_cols = 64;
   size_t grid_rows = 64;
-  /// Band evaluation strategy for the Kadane sweep.
-  ///
-  /// kScalar (default) runs the sequential max-subarray recurrence on every
-  /// admitted band — the fully bit-identical path. kVectorized first runs
-  /// simd::MaxSubarrayMayExceed, a prefix-sum/prefix-max scan whose lanes
-  /// carry independent columns, and only falls back to the sequential
-  /// recurrence on bands the scan cannot prune. The scan reassociates float
-  /// adds internally (the library's one reassociation boundary — see
-  /// ARCHITECTURE.md), but it is used purely as an admission filter with a
-  /// provable rounding slack: reported scores are always sequential window
-  /// sums, and the per-band max stays within 4 ULP of the scalar mode's (in
-  /// practice equal; the argmax window on exact score ties is documented as
-  /// unspecified). Opt-in because the *decision* path differs from the
-  /// scalar mode's, even though the emitted results agree.
-  enum class KadaneMode { kScalar, kVectorized };
-  KadaneMode kadane = KadaneMode::kScalar;
 };
 
 /// The best rectangle found: its tight geometry, its score, and the indices
@@ -96,7 +80,8 @@ class SpatialBinning {
   SpatialBinning() = default;
 
   /// Builds the binning for `points` under `options`. InvalidArgument for a
-  /// zero grid resolution in kGrid mode. O(n log n).
+  /// non-finite (NaN or infinite) coordinate, or for a zero grid resolution
+  /// in kGrid mode. O(n log n).
   static StatusOr<SpatialBinning> Create(const std::vector<Point2D>& points,
                                          const MaxRectOptions& options = {});
 
@@ -115,15 +100,9 @@ class SpatialBinning {
   std::span<const uint32_t> point_rows() const { return point_row_; }
   std::span<const uint32_t> point_cols() const { return point_col_; }
 
-  /// The band evaluation strategy this binning was created with; every
-  /// solve against it (and thus R-Bursty, STLocal, the batch miner, and the
-  /// runtimes, which all share binnings) inherits it.
-  MaxRectOptions::KadaneMode kadane() const { return kadane_; }
-
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
-  MaxRectOptions::KadaneMode kadane_ = MaxRectOptions::KadaneMode::kScalar;
   std::vector<double> col_lo_, col_hi_;  // x-extent of each column
   std::vector<double> row_lo_, row_hi_;  // y-extent of each row
   std::vector<uint32_t> point_row_, point_col_;  // cell of each input point

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -214,6 +215,19 @@ TEST(MineAllTerms, RejectsBinningOfWrongSize) {
   auto binning = SpatialBinning::Create(std::vector<Point2D>(3));
   ASSERT_TRUE(binning.ok());
   opts.binning = &*binning;
+  EXPECT_TRUE(MineAllTerms(freq, opts).status().IsInvalidArgument());
+}
+
+TEST(MineAllTerms, RejectsNonFinitePositions) {
+  // The run's own binning refuses a NaN stream position; the status reaches
+  // the caller instead of a cell index one past the grid.
+  Collection c = MakeRandomCollection(5, 6, 10, 12, 80);
+  FrequencyIndex freq = FrequencyIndex::Build(c);
+  BatchMinerOptions opts;
+  opts.mine_regional = true;
+  opts.positions = c.StreamPositions();
+  opts.positions[2].x = std::numeric_limits<double>::quiet_NaN();
+  opts.model_factory = TestFactory();
   EXPECT_TRUE(MineAllTerms(freq, opts).status().IsInvalidArgument());
 }
 

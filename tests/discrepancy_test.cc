@@ -5,13 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "stburst/common/random.h"
 #include "stburst/common/simd.h"
+#include "stburst/geo/grid.h"
 
 namespace stburst {
 namespace {
@@ -118,10 +116,64 @@ double BruteForceBest(const std::vector<Point2D>& pts,
   return best;
 }
 
+// Grid-mode oracle: the best sum over every cell range of the cols x rows
+// grid over the points' bounding box, aggregated by UniformGrid itself.
+double BruteForceGridBest(const std::vector<Point2D>& pts,
+                          const std::vector<double>& w, size_t cols,
+                          size_t rows) {
+  auto grid = UniformGrid::Create(Rect::BoundingBox(pts), cols, rows);
+  EXPECT_TRUE(grid.ok());
+  if (!grid.ok()) return 0.0;
+  const std::vector<double> cells = grid->AggregateWeights(pts, w);
+  double best = 0.0;
+  for (size_t r1 = 0; r1 < rows; ++r1) {
+    for (size_t r2 = r1; r2 < rows; ++r2) {
+      for (size_t c1 = 0; c1 < cols; ++c1) {
+        for (size_t c2 = c1; c2 < cols; ++c2) {
+          double score = 0.0;
+          for (size_t r = r1; r <= r2; ++r) {
+            for (size_t c = c1; c <= c2; ++c) score += cells[r * cols + c];
+          }
+          best = std::max(best, score);
+        }
+      }
+    }
+  }
+  return best;
+}
+
 class MaxRectRandomTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MaxRectRandomTest, MatchesBruteForce) {
   Rng rng(1000 + GetParam());
+  MaxRectOptions grid_opts;
+  grid_opts.mode = MaxRectOptions::Mode::kGrid;
+  grid_opts.grid_cols = 4;
+  grid_opts.grid_rows = 4;
+  // Checks both modes against their oracles, and that each reported score
+  // equals the sum of weights over the reported members.
+  auto check = [&](const std::vector<Point2D>& pts,
+                   const std::vector<double>& w, const char* variant,
+                   int trial) {
+    SCOPED_TRACE(::testing::Message() << "seed " << GetParam() << " trial "
+                                      << trial << " " << variant);
+    auto r = MaxWeightRectangle(pts, w);
+    ASSERT_TRUE(r.ok());
+    EXPECT_NEAR(r->score, BruteForceBest(pts, w), 1e-9);
+    double sum = 0.0;
+    for (size_t i : r->points_inside) sum += w[i];
+    EXPECT_NEAR(sum, r->score, 1e-9);
+
+    auto g = MaxWeightRectangle(pts, w, grid_opts);
+    ASSERT_TRUE(g.ok());
+    EXPECT_NEAR(g->score,
+                BruteForceGridBest(pts, w, grid_opts.grid_cols,
+                                   grid_opts.grid_rows),
+                1e-9);
+    double grid_sum = 0.0;
+    for (size_t i : g->points_inside) grid_sum += w[i];
+    EXPECT_NEAR(grid_sum, g->score, 1e-9);
+  };
   for (int trial = 0; trial < 20; ++trial) {
     size_t n = 3 + rng.NextUint64(8);
     std::vector<Point2D> pts(n);
@@ -130,14 +182,18 @@ TEST_P(MaxRectRandomTest, MatchesBruteForce) {
       pts[i] = Point2D{rng.Uniform(0, 10), rng.Uniform(0, 10)};
       w[i] = rng.Uniform(-2.0, 2.0);
     }
-    auto r = MaxWeightRectangle(pts, w);
-    ASSERT_TRUE(r.ok());
-    EXPECT_NEAR(r->score, BruteForceBest(pts, w), 1e-9)
-        << "seed " << GetParam() << " trial " << trial;
-    // Reported score must equal the sum of weights inside the rect.
-    double sum = 0.0;
-    for (size_t i : r->points_inside) sum += w[i];
-    EXPECT_NEAR(sum, r->score, 1e-9);
+    check(pts, w, "plain", trial);
+
+    // The same layout with R-Bursty's exclusion poison on one point and two
+    // extra points coincident with existing ones (cells that aggregate).
+    std::vector<Point2D> dup_pts = pts;
+    std::vector<double> dup_w = w;
+    dup_w[rng.NextUint64(n)] = kExcludedWeight;
+    for (int extra = 0; extra < 2; ++extra) {
+      dup_pts.push_back(pts[rng.NextUint64(n)]);
+      dup_w.push_back(rng.Uniform(-2.0, 2.0));
+    }
+    check(dup_pts, dup_w, "poisoned+coincident", trial);
   }
 }
 
@@ -332,6 +388,35 @@ TEST(SpatialBinning, EmptyPointSet) {
   EXPECT_TRUE(r->rect.empty());
 }
 
+TEST(SpatialBinning, RejectsNonFinitePositions) {
+  // A NaN or infinite coordinate has no cell: the sort/lower_bound and the
+  // grid's clamp could otherwise bin it one past the last column or row.
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (int mode = 0; mode < 2; ++mode) {
+    MaxRectOptions opts;
+    if (mode == 1) {
+      opts.mode = MaxRectOptions::Mode::kGrid;
+      opts.grid_cols = 4;
+      opts.grid_rows = 4;
+    }
+    for (double bad : bad_values) {
+      for (int axis = 0; axis < 2; ++axis) {
+        std::vector<Point2D> pts = {{0, 0}, {5, 3}, {2, 7}, {9, 9}};
+        (axis == 0 ? pts[2].x : pts[2].y) = bad;
+        SCOPED_TRACE(::testing::Message() << "mode " << mode << " value "
+                                          << bad << " axis " << axis);
+        EXPECT_TRUE(SpatialBinning::Create(pts, opts).status()
+                        .IsInvalidArgument());
+        EXPECT_TRUE(MaxWeightRectangle(pts, {1.0, 1.0, 1.0, 1.0}, opts)
+                        .status()
+                        .IsInvalidArgument());
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SIMD dispatch: every vector SolveCells path (AVX2, AVX-512) must produce
 // rectangles, scores, and member lists bit-identical to scalar — the
@@ -396,93 +481,6 @@ TEST(SolveCellsSimd, AllIsaLevelsBitIdentical) {
         EXPECT_TRUE(r.ok());
         return r.ok() ? *r : MaxRectResult{};
       });
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// KadaneMode::kVectorized — the reassociation boundary's parity gate. The
-// contract is per-band maxima within 4 ULP of scalar mode (the argmax
-// window on exact ties is documented unspecified); the filter + exact
-// scalar-recovery implementation actually delivers bit-equality, which this
-// ULP gate subsumes. Runs under every supported dispatch ISA.
-// ---------------------------------------------------------------------------
-
-int64_t OrderedBits(double x) {
-  int64_t i;
-  static_assert(sizeof(i) == sizeof(x));
-  std::memcpy(&i, &x, sizeof(i));
-  return i < 0 ? std::numeric_limits<int64_t>::min() - i : i;
-}
-
-int64_t UlpDiff(double a, double b) {
-  if (a == b) return 0;
-  return std::llabs(OrderedBits(a) - OrderedBits(b));
-}
-
-TEST(SolveCellsKadane, VectorizedParityWithinUlpGate) {
-  Rng rng(20120807);
-  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
-  if (simd::Avx2Supported()) isas.push_back(simd::Isa::kAvx2);
-  if (simd::Avx512Supported()) isas.push_back(simd::Isa::kAvx512);
-
-  struct Shape {
-    size_t n;
-    MaxRectOptions opts;
-    bool single_column;  // all points share one x: a one-column band matrix
-  };
-  std::vector<Shape> shapes;
-  for (size_t n : {1u, 5u, 17u, 63u, 200u}) {
-    shapes.push_back({n, MaxRectOptions{}, false});
-  }
-  shapes.push_back({32, MaxRectOptions{}, true});  // degenerate single column
-  {
-    MaxRectOptions grid;
-    grid.mode = MaxRectOptions::Mode::kGrid;
-    shapes.push_back({4096, grid, false});
-  }
-
-  for (const Shape& shape : shapes) {
-    std::vector<Point2D> pts(shape.n);
-    for (size_t i = 0; i < shape.n; ++i) {
-      pts[i] = Point2D{shape.single_column ? 3.0 : rng.Uniform(0, 100),
-                       rng.Uniform(0, 100)};
-    }
-    MaxRectOptions scalar_opts = shape.opts;
-    scalar_opts.kadane = MaxRectOptions::KadaneMode::kScalar;
-    MaxRectOptions vec_opts = shape.opts;
-    vec_opts.kadane = MaxRectOptions::KadaneMode::kVectorized;
-    auto scalar_binning = SpatialBinning::Create(pts, scalar_opts);
-    auto vec_binning = SpatialBinning::Create(pts, vec_opts);
-    ASSERT_TRUE(scalar_binning.ok());
-    ASSERT_TRUE(vec_binning.ok());
-    ASSERT_EQ(vec_binning->kadane(), MaxRectOptions::KadaneMode::kVectorized);
-
-    for (int snapshot = 0; snapshot < 6; ++snapshot) {
-      std::vector<double> w = RandomWeights(rng, shape.n);
-      if (snapshot == 4) {
-        for (double& v : w) v = -std::fabs(v) - 0.125;  // all-negative band
-      }
-      // Scalar mode under scalar dispatch is the reference.
-      const simd::Isa previous = simd::SetIsaForTest(simd::Isa::kScalar);
-      auto reference = MaxWeightRectangle(*scalar_binning, w);
-      ASSERT_TRUE(reference.ok());
-      for (simd::Isa isa : isas) {
-        simd::SetIsaForTest(isa);
-        auto vectorized = MaxWeightRectangle(*vec_binning, w);
-        ASSERT_TRUE(vectorized.ok());
-        EXPECT_LE(UlpDiff(reference->score, vectorized->score), 4)
-            << simd::IsaName(isa) << " n=" << shape.n
-            << " snapshot=" << snapshot;
-        if (reference->score == vectorized->score) {
-          // Equal scores must mean the same window and members: the filter
-          // never alters which band wins, only whether its recurrence runs.
-          EXPECT_EQ(reference->rect, vectorized->rect) << simd::IsaName(isa);
-          EXPECT_EQ(reference->points_inside, vectorized->points_inside)
-              << simd::IsaName(isa);
-        }
-      }
-      simd::SetIsaForTest(previous);
     }
   }
 }

@@ -4,16 +4,12 @@
 // must be bit-identical across scalar / AVX2 / AVX-512 — compared with
 // memcmp, so signed zeros and every last ULP count — over odd sizes
 // straddling the 4- and 8-lane boundaries and over deliberately misaligned
-// spans. MaxSubarrayMayExceed is the documented reassociation boundary: it
-// is tested against its contract (never a false negative vs the exact
-// sequential Kadane; prunes when the threshold sits comfortably above the
-// true max) rather than for bit-identity.
+// spans.
 
 #include "stburst/common/simd.h"
 
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <random>
 #include <vector>
 
@@ -188,102 +184,6 @@ TEST(SimdKernels, ScatterZeroBitIdentical) {
         }
       }
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// MaxSubarrayMayExceed — contract tests for the reassociation boundary.
-// ---------------------------------------------------------------------------
-
-// The exact sequential Kadane max (non-empty windows) the filter's `false`
-// must never contradict.
-double ExactKadane(const std::vector<double>& a) {
-  double best = a[0];
-  double run = a[0];
-  for (size_t i = 1; i < a.size(); ++i) {
-    run = run > 0.0 ? run + a[i] : a[i];
-    best = std::max(best, run);
-  }
-  return best;
-}
-
-TEST(MaxSubarrayMayExceed, NeverFalseNegative) {
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> unit(-1.0, 1.0);
-  for (Isa isa : SupportedIsas()) {
-    const Isa previous = SetIsaForTest(isa);
-    for (size_t n : {1u, 2u, 3u, 5u, 8u, 13u, 64u, 257u}) {
-      for (int trial = 0; trial < 50; ++trial) {
-        std::vector<double> a(n);
-        for (double& x : a) x = unit(rng);
-        const double best = ExactKadane(a);
-        // Any threshold strictly below the exact max must come back true.
-        EXPECT_TRUE(MaxSubarrayMayExceed(
-            a.data(), n, best - 1e-12 - 1e-12 * std::fabs(best)))
-            << IsaName(isa) << " n=" << n;
-        EXPECT_TRUE(MaxSubarrayMayExceed(
-            a.data(), n, -std::numeric_limits<double>::infinity()))
-            << IsaName(isa) << " n=" << n;
-      }
-    }
-    SetIsaForTest(previous);
-  }
-}
-
-TEST(MaxSubarrayMayExceed, PrunesWellAboveTheMax) {
-  // With O(1) magnitudes and n <= 512 the rounding slack is ~1e-11, so a
-  // threshold a full 0.5 above the exact max must be pruned on every ISA.
-  std::mt19937_64 rng(11);
-  std::uniform_real_distribution<double> unit(-1.0, 1.0);
-  for (Isa isa : SupportedIsas()) {
-    const Isa previous = SetIsaForTest(isa);
-    for (size_t n : {1u, 4u, 9u, 100u, 512u}) {
-      for (int trial = 0; trial < 20; ++trial) {
-        std::vector<double> a(n);
-        for (double& x : a) x = unit(rng);
-        EXPECT_FALSE(MaxSubarrayMayExceed(a.data(), n, ExactKadane(a) + 0.5))
-            << IsaName(isa) << " n=" << n;
-      }
-    }
-    SetIsaForTest(previous);
-  }
-}
-
-TEST(MaxSubarrayMayExceed, AllNegativeAndDegenerateShapes) {
-  for (Isa isa : SupportedIsas()) {
-    const Isa previous = SetIsaForTest(isa);
-    // n == 0: vacuously false.
-    EXPECT_FALSE(MaxSubarrayMayExceed(nullptr, 0, -1e300)) << IsaName(isa);
-    // Single element (the degenerate single-column band).
-    const double one = -3.5;
-    EXPECT_TRUE(MaxSubarrayMayExceed(&one, 1, -4.0)) << IsaName(isa);
-    EXPECT_FALSE(MaxSubarrayMayExceed(&one, 1, -3.0)) << IsaName(isa);
-    // All-negative: the exact max is the largest single element; the
-    // non-empty contract means a threshold below it must pass and a
-    // threshold well above it must prune.
-    std::vector<double> neg(37);
-    for (size_t i = 0; i < neg.size(); ++i) {
-      neg[i] = -1.0 - static_cast<double>((i * 7) % 13);
-    }
-    EXPECT_TRUE(MaxSubarrayMayExceed(neg.data(), neg.size(), -1.5))
-        << IsaName(isa);
-    EXPECT_FALSE(MaxSubarrayMayExceed(neg.data(), neg.size(), 0.5))
-        << IsaName(isa);
-    SetIsaForTest(previous);
-  }
-}
-
-TEST(MaxSubarrayMayExceed, ExclusionPoisonStaysSafe) {
-  // kExcludedWeight-magnitude entries blow the slack up; the filter must
-  // degrade to "may exceed" (true) for reachable thresholds, never to a
-  // wrong prune.
-  for (Isa isa : SupportedIsas()) {
-    const Isa previous = SetIsaForTest(isa);
-    std::vector<double> a = {0.5, -1e18, 2.5, 1.25, -0.5, 0.75, 1.0, -2.0, 3.0};
-    const double best = ExactKadane(a);  // 2.5+1.25-0.5+0.75+1-2+3 = 6.0
-    EXPECT_EQ(best, 6.0);
-    EXPECT_TRUE(MaxSubarrayMayExceed(a.data(), a.size(), 4.0)) << IsaName(isa);
-    SetIsaForTest(previous);
   }
 }
 
