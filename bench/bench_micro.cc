@@ -984,8 +984,7 @@ int Run() {
 
   // Retention-complete serving: the search index following a sliding window
   // in place (Reopen -> EvictBefore -> append -> Finalize) versus the full
-  // rebuild it replaces, and a windowed regional watchlist's steady-state
-  // tick (push one snapshot + rebase to the window).
+  // rebuild it replaces.
   {
     // A search-shaped index in steady state: W ticks of docs live, each doc
     // scoring on a handful of Zipf-ish terms.
@@ -1058,49 +1057,6 @@ int Run() {
     std::printf("  -> eviction-aware refreeze: %.2f ms/tick vs %.2f ms "
                 "rebuild (%.1fx)\n",
                 evict_ns / 1e6, rebuild_ns / 1e6, rebuild_ns / evict_ns);
-
-    // Windowed regional watchlist at corpus scale (181 streams): one
-    // steady-state tick = push the next snapshot + EvictBefore back to a
-    // 48-snapshot window (fresh models re-observe the window, per-region
-    // sequences replay from the rebased burstiness).
-    std::vector<Point2D> positions = corpus.StreamPositions();
-    const size_t n = positions.size();
-    constexpr Timestamp kWatchWindow = 48;
-    constexpr size_t kWatchTicks = 96;
-    Rng wrng(998);
-    std::vector<std::vector<double>> snaps;
-    for (size_t t = 0; t < kWatchWindow + kWatchTicks; ++t) {
-      std::vector<double> snap(n);
-      for (size_t s = 0; s < n; ++s) snap[s] = wrng.Exponential(1.0);
-      if ((t / 8) % 3 == 0) {
-        for (size_t s = 0; s < n / 6; ++s) snap[s] += 4.0;  // regional burst
-      }
-      snaps.push_back(std::move(snap));
-    }
-    OnlineRegionalMiner watch(positions, bench::MeanFactory());
-    for (size_t t = 0; t < kWatchWindow; ++t) {
-      if (!watch.Push(snaps[t]).ok()) return 1;
-    }
-    // Min of three windows over the steady-state ticks, as above.
-    constexpr size_t kWatchTicksPerWindow = kWatchTicks / 3;
-    double watch_s = std::numeric_limits<double>::infinity();
-    size_t consumed = 0;
-    for (int window = 0; window < 3; ++window) {
-      Timer t_watch;
-      for (size_t tick = 0; tick < kWatchTicksPerWindow; ++tick) {
-        if (!watch.Push(snaps[kWatchWindow + consumed++]).ok()) return 1;
-        if (!watch.EvictBefore(watch.current_time() - kWatchWindow).ok()) {
-          return 1;
-        }
-      }
-      watch_s = std::min(watch_s, t_watch.ElapsedSeconds());
-    }
-    report("watchlist_evict_tick",
-           watch_s * 1e9 / static_cast<double>(kWatchTicksPerWindow), n);
-    std::printf("  -> windowed regional watchlist: %.2f ms/tick "
-                "(%d-snapshot window, %zu streams)\n",
-                watch_s * 1e3 / static_cast<double>(kWatchTicksPerWindow),
-                kWatchWindow, n);
   }
 
   perf.Write("BENCH_micro.json");

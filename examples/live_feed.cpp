@@ -11,15 +11,14 @@
 //     background refresh sweep that re-mines the stalest quiet terms
 //     (mass x staleness, 16 terms/tick), and the atomic publication of a
 //     freshly built search-index snapshot (readers keep serving the old
-//     one). Two watchlists follow the same index, evicted in lockstep:
-//     an OnlineStComb (combinatorial) and an OnlineRegionalMiner
-//     (regional, bounded to the window by EvictBefore).
+//     one). After each tick the watched term is re-mined on the runtime's
+//     windowed index with StageRemineTerms (combinatorial and regional),
+//     the same call the runtime makes for every dirty term.
 //  4. Verify: the runtime's windowed index matches a from-scratch rebuild
-//     of the evicted collection; the combinatorial watchlist matches batch
-//     STComb over the retained window; the regional watchlist matches
-//     MineRegionalPatterns over the same window; and the maintained search
-//     index matches a full BurstySearchEngine rebuild from the standing
-//     patterns.
+//     of the evicted collection; the watched term's staged slot matches
+//     batch STComb (scores within 1e-9) and MineRegionalPatterns (scores
+//     bit-equal) over the retained window; and the maintained search index
+//     matches a full BurstySearchEngine rebuild from the standing patterns.
 //
 // A burst of the watched term "storm" is injected into the clustered
 // streams during live weeks 36-40, so the weekly log shows the pattern
@@ -36,6 +35,7 @@
 // same snapshot — so the end-of-run parity checks double as the recovery
 // proof. This is the CI fault-recovery smoke.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -47,8 +47,9 @@
 #endif
 
 #include "stburst/common/random.h"
+#include "stburst/core/batch_miner.h"
 #include "stburst/core/expected.h"
-#include "stburst/core/online_stcomb.h"
+#include "stburst/core/stcomb.h"
 #include "stburst/core/stlocal.h"
 #include "stburst/index/search_engine.h"
 #include "stburst/stream/feed_runtime.h"
@@ -126,19 +127,19 @@ int main() {
               runtime->collection().timeline_length(),
               runtime->result().terms_mined, runtime->result().terms_skipped);
 
-  // Watchlist miners on the same index, replaying the retained history: a
-  // combinatorial OnlineStComb and a windowed regional OnlineRegionalMiner.
-  OnlineStComb watch(runtime->collection().num_streams(), opts.miner.stcomb);
+  // The watched term is staged on the runtime's index after every tick:
+  // the runtime's own miner options plus regional mining, serial.
   const std::vector<Point2D> positions =
       runtime->collection().StreamPositions();
   const ExpectedModelFactory mean_model = [] {
     return std::make_unique<GlobalMeanModel>();
   };
-  OnlineRegionalMiner regional_watch(positions, mean_model);
-  while (watch.current_time() < runtime->index().timeline_length()) {
-    if (!watch.PushFromIndex(runtime->index(), storm).ok()) return 1;
-    if (!regional_watch.PushFromIndex(runtime->index(), storm).ok()) return 1;
-  }
+  BatchMinerOptions watch_opts = opts.miner;
+  watch_opts.mine_regional = true;
+  watch_opts.positions = positions;
+  watch_opts.model_factory = mean_model;
+  watch_opts.num_threads = 1;
+  std::vector<TermPatterns> watched;
 
   // --- 3. Go live ---------------------------------------------------------
 #ifdef STBURST_FAULT_INJECTION
@@ -221,15 +222,13 @@ int main() {
       std::fprintf(stderr, "Tick: %s\n", stats.status().ToString().c_str());
       return 1;
     }
-    // The watchlists follow the index and its sliding window in lockstep;
-    // the regional miner's EvictBefore rebases its expected models and
-    // per-region sequences to the window, keeping it bounded-memory.
-    if (!watch.PushFromIndex(runtime->index(), storm).ok()) return 1;
-    if (!watch.EvictBefore(runtime->window_start()).ok()) return 1;
-    if (!regional_watch.PushFromIndex(runtime->index(), storm).ok()) return 1;
-    if (!regional_watch.EvictBefore(runtime->window_start()).ok()) return 1;
+    // Re-mine the watched term over the window the tick just left.
+    if (!StageRemineTerms(runtime->index(), {storm}, watch_opts, &watched)
+             .ok()) {
+      return 1;
+    }
 
-    auto patterns = watch.CurrentPatterns();
+    const auto& patterns = watched[0].combinatorial;
     std::string state = "-";
     if (!patterns.empty()) {
       state = "score " + std::to_string(patterns[0].score).substr(0, 5) +
@@ -259,41 +258,42 @@ int main() {
   std::printf("\nwindowed live index vs rebuild of evicted collection: %s\n",
               identical ? "bit-identical" : "MISMATCH");
 
-  // The watchlist miner over the window vs batch STComb over the windowed
-  // dense series (batch timeframes are window-relative; shift to absolute).
-  StComb batch(opts.miner.stcomb);
-  auto batch_patterns = batch.MinePatterns(live_index.DenseSeries(storm));
+  // The watched slot vs batch STComb and MineRegionalPatterns over the
+  // windowed dense series (batch timeframes are window-relative; shift to
+  // absolute).
+  const TermSeries window_series = live_index.DenseSeries(storm);
   const Timestamp origin = live_index.window_start();
-  auto online_patterns = watch.CurrentPatterns();
-  bool same = batch_patterns.size() == online_patterns.size();
+  StComb batch(opts.miner.stcomb);
+  auto batch_patterns = batch.MinePatterns(window_series);
+  const auto& watched_patterns = watched[0].combinatorial;
+  bool same = batch_patterns.size() == watched_patterns.size();
   for (size_t i = 0; same && i < batch_patterns.size(); ++i) {
-    same = batch_patterns[i].streams == online_patterns[i].streams &&
+    same = batch_patterns[i].streams == watched_patterns[i].streams &&
            batch_patterns[i].timeframe.start + origin ==
-               online_patterns[i].timeframe.start &&
+               watched_patterns[i].timeframe.start &&
            batch_patterns[i].timeframe.end + origin ==
-               online_patterns[i].timeframe.end;
+               watched_patterns[i].timeframe.end &&
+           std::fabs(batch_patterns[i].score - watched_patterns[i].score) <=
+               1e-9;
   }
-  std::printf("online watchlist vs batch STComb over the window: %s\n",
+  std::printf("watched slot vs batch STComb over the window: %s\n",
               same ? "identical patterns" : "MISMATCH");
 
-  // The regional watchlist, evicted in lockstep, vs batch regional mining
-  // over the windowed dense series (same shift to absolute timestamps).
   auto batch_regional =
-      MineRegionalPatterns(live_index.DenseSeries(storm), positions, mean_model);
-  bool regional_same = batch_regional.ok();
-  if (regional_same) {
-    auto online_windows = regional_watch.Finish();
-    regional_same = batch_regional->size() == online_windows.size();
-    for (size_t i = 0; regional_same && i < online_windows.size(); ++i) {
-      regional_same =
-          (*batch_regional)[i].streams == online_windows[i].streams &&
-          (*batch_regional)[i].timeframe.start + origin ==
-              online_windows[i].timeframe.start &&
-          (*batch_regional)[i].timeframe.end + origin ==
-              online_windows[i].timeframe.end;
-    }
+      MineRegionalPatterns(window_series, positions, mean_model);
+  const auto& watched_windows = watched[0].regional;
+  bool regional_same =
+      batch_regional.ok() && batch_regional->size() == watched_windows.size();
+  for (size_t i = 0; regional_same && i < watched_windows.size(); ++i) {
+    regional_same =
+        (*batch_regional)[i].streams == watched_windows[i].streams &&
+        (*batch_regional)[i].timeframe.start + origin ==
+            watched_windows[i].timeframe.start &&
+        (*batch_regional)[i].timeframe.end + origin ==
+            watched_windows[i].timeframe.end &&
+        (*batch_regional)[i].score == watched_windows[i].score;
   }
-  std::printf("regional watchlist vs batch STLocal over the window: %s\n",
+  std::printf("watched slot vs batch STLocal over the window: %s\n",
               regional_same ? "identical windows" : "MISMATCH");
 
   // The maintained search index vs a full engine rebuild from the standing

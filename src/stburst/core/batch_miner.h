@@ -131,8 +131,9 @@ StatusOr<BatchMineResult> MineAllTerms(const FrequencyIndex& index,
 /// so a term with no new postings still drifts slightly as the timeline
 /// grows; unlisted slots deliberately keep the patterns of their last mine
 /// ("current as of the term's last activity" — the incremental-maintenance
-/// trade, discussed in docs/ARCHITECTURE.md). Use OnlineStComb for watched
-/// terms that need exact per-snapshot semantics.
+/// trade, discussed in docs/ARCHITECTURE.md). A watched term that needs
+/// exact per-snapshot semantics is staged after every tick with
+/// StageRemineTerms on the runtime's index (examples/live_feed.cpp).
 ///
 /// `result` must come from MineAllTerms (or a prior RemineTerms) over an
 /// earlier state of the same index, with the same options. Duplicate ids in

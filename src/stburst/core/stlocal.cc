@@ -36,18 +36,10 @@ Status StLocal::EnsureBinning() {
 }
 
 Status StLocal::ProcessSnapshot(std::span<const double> burstiness) {
-  return ProcessSnapshotImpl(burstiness, /*record=*/true);
-}
-
-Status StLocal::ProcessSnapshotImpl(std::span<const double> burstiness,
-                                    bool record) {
   if (burstiness.size() != num_streams_) {
     return Status::InvalidArgument("burstiness size does not match stream count");
   }
   STB_RETURN_NOT_OK(EnsureBinning());
-  if (record && options_.track_history) {
-    history_.insert(history_.end(), burstiness.begin(), burstiness.end());
-  }
 
   // Line 6: bursty rectangles of this snapshot, against the standing
   // binning (built once per miner, or shared across a whole vocabulary).
@@ -97,63 +89,6 @@ void StLocal::Retire(const std::vector<StreamId>& streams, const Sequence& seq) 
   }
 }
 
-Status StLocal::ReplayWindow(Timestamp cutoff,
-                             std::span<const double> burstiness) {
-  live_.clear();
-  finished_.clear();
-  time_ = cutoff;
-  origin_ = cutoff;
-  const size_t count = num_streams_ == 0 ? 0 : burstiness.size() / num_streams_;
-  for (size_t i = 0; i < count; ++i) {
-    STB_RETURN_NOT_OK(ProcessSnapshotImpl(
-        burstiness.subspan(i * num_streams_, num_streams_), /*record=*/false));
-  }
-  return Status::OK();
-}
-
-Status StLocal::EvictBefore(Timestamp cutoff) {
-  if (cutoff <= origin_) return Status::OK();
-  if (cutoff > time_) {
-    return Status::OutOfRange("eviction cutoff beyond consumed history");
-  }
-  if (!options_.track_history) {
-    return Status::FailedPrecondition(
-        "EvictBefore(cutoff) replays the burstiness history; construct the "
-        "miner with options.track_history (or supply rebased values)");
-  }
-  // Move the history aside so the replay (which records nothing) cannot
-  // touch it, then keep exactly the retained suffix as the new history.
-  std::vector<double> history = std::move(history_);
-  history_.clear();
-  history.erase(history.begin(),
-                history.begin() + static_cast<ptrdiff_t>(
-                                      (cutoff - origin_) * num_streams_));
-  const Status replayed = ReplayWindow(cutoff, history);
-  history_ = std::move(history);
-  return replayed;
-}
-
-Status StLocal::EvictBefore(Timestamp cutoff,
-                            std::span<const double> rebased) {
-  if (cutoff < origin_) {
-    return Status::InvalidArgument(
-        "rebase cutoff precedes the retained window");
-  }
-  if (cutoff > time_) {
-    return Status::OutOfRange("eviction cutoff beyond consumed history");
-  }
-  if (rebased.size() !=
-      static_cast<size_t>(time_ - cutoff) * num_streams_) {
-    return Status::InvalidArgument(
-        "rebased burstiness does not cover the retained window");
-  }
-  STB_RETURN_NOT_OK(ReplayWindow(cutoff, rebased));
-  if (options_.track_history) {
-    history_.assign(rebased.begin(), rebased.end());
-  }
-  return Status::OK();
-}
-
 std::vector<SpatiotemporalWindow> StLocal::Finish() {
   for (const auto& [streams, seq] : live_) Retire(streams, seq);
   live_.clear();
@@ -171,93 +106,6 @@ size_t StLocal::num_open_windows() const {
   return total;
 }
 
-namespace {
-
-// The miner owns the raw history itself and rebases its inner StLocal with
-// recomputed burstiness, so the inner history tracking would only duplicate
-// O(n) memory per snapshot (the header documents the flag as ignored here).
-StLocalOptions WithoutHistoryTracking(StLocalOptions options) {
-  options.track_history = false;
-  return options;
-}
-
-}  // namespace
-
-OnlineRegionalMiner::OnlineRegionalMiner(std::vector<Point2D> positions,
-                                         const ExpectedModelFactory& model_factory,
-                                         StLocalOptions options,
-                                         const SpatialBinning* shared_binning)
-    : model_factory_(model_factory),
-      miner_(std::move(positions), WithoutHistoryTracking(options),
-             shared_binning) {
-  models_.reserve(miner_.num_streams());
-  for (size_t s = 0; s < miner_.num_streams(); ++s) {
-    models_.push_back(model_factory());
-  }
-  burstiness_.resize(models_.size());
-}
-
-Status OnlineRegionalMiner::Push(std::span<const double> frequencies) {
-  if (frequencies.size() != models_.size()) {
-    return Status::InvalidArgument("snapshot size does not match stream count");
-  }
-  raw_.insert(raw_.end(), frequencies.begin(), frequencies.end());
-  for (size_t s = 0; s < models_.size(); ++s) {
-    const double y = frequencies[s];
-    burstiness_[s] = models_[s]->HasHistory() ? y - models_[s]->Expected() : 0.0;
-    models_[s]->Observe(y);
-  }
-  return miner_.ProcessSnapshot(burstiness_);
-}
-
-Status OnlineRegionalMiner::EvictBefore(Timestamp cutoff) {
-  const size_t n = models_.size();
-  if (cutoff <= origin_) return Status::OK();
-  if (cutoff > current_time()) {
-    return Status::OutOfRange("eviction cutoff beyond consumed history");
-  }
-  raw_.erase(raw_.begin(),
-             raw_.begin() + static_cast<ptrdiff_t>(
-                                static_cast<size_t>(cutoff - origin_) * n));
-  origin_ = cutoff;
-
-  // Rebase the causal baselines: fresh models re-observe the retained raw
-  // frequencies in order, and every retained snapshot's burstiness is
-  // recomputed against them — exactly the values a batch mine over the
-  // windowed series derives. The replay below then rebuilds the per-region
-  // sequences from those values.
-  for (size_t s = 0; s < n; ++s) models_[s] = model_factory_();
-  std::vector<double> rebased(raw_.size());
-  const size_t window = n == 0 ? 0 : raw_.size() / n;
-  for (size_t t = 0; t < window; ++t) {
-    for (size_t s = 0; s < n; ++s) {
-      const double y = raw_[t * n + s];
-      rebased[t * n + s] =
-          models_[s]->HasHistory() ? y - models_[s]->Expected() : 0.0;
-      models_[s]->Observe(y);
-    }
-  }
-  return miner_.EvictBefore(cutoff, rebased);
-}
-
-Status OnlineRegionalMiner::PushFromIndex(const FrequencyIndex& index,
-                                          TermId term) {
-  if (index.num_streams() != models_.size()) {
-    return Status::InvalidArgument("index stream count does not match miner");
-  }
-  if (current_time() >= index.timeline_length()) {
-    return Status::FailedPrecondition(
-        "online miner is already caught up with the index");
-  }
-  if (current_time() < index.window_start()) {
-    // SnapshotColumn would silently return zeros for an evicted timestamp;
-    // attach watchlists before the index evicts past them.
-    return Status::FailedPrecondition(
-        "index evicted the timestamp the miner needs next");
-  }
-  return Push(index.SnapshotColumn(term, current_time()));
-}
-
 StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
     const TermSeries& series, const std::vector<Point2D>& positions,
     const ExpectedModelFactory& model_factory, const StLocalOptions& options,
@@ -271,9 +119,9 @@ StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
   // Burstiness for the whole term, laid out time-major (snapshot t at
   // [t*n, (t+1)*n)): each stream's causal model walks its row through a
   // zero-copy span, and each snapshot is then a contiguous span — no
-  // per-snapshot strided column gather, no per-push allocation. Values are
-  // identical to pushing columns through OnlineRegionalMiner (same models,
-  // same observation order per stream).
+  // per-snapshot strided column gather, no per-push allocation. Each model
+  // observes its stream in time order, so the values are the causal
+  // baselines of Eq. 7 whatever the layout.
   //
   // With a scratch, the models come from its arena — Reset() between terms
   // stands in for fresh construction (the ExpectedFrequencyModel contract)

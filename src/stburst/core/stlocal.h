@@ -30,13 +30,6 @@ struct StLocalOptions {
   RBurstyOptions rbursty;
   /// Finished windows scoring at or below this are dropped.
   double min_window_score = 0.0;
-  /// Keep the per-snapshot burstiness history that the history-replaying
-  /// EvictBefore(cutoff) needs — O(num_streams) memory per retained
-  /// snapshot, trimmed by each eviction. Off by default: batch sweeps
-  /// (MineAllTerms) never evict and should not pay the copy, and
-  /// OnlineRegionalMiner supplies rebased values itself (it owns the raw
-  /// history), so its inner miner does not track either.
-  bool track_history = false;
 };
 
 /// Per-term online miner. Feed one snapshot of per-stream burstiness values
@@ -76,36 +69,6 @@ class StLocal {
   /// Finish() is idempotent on a closed stream.
   std::vector<SpatiotemporalWindow> Finish();
 
-  /// Rebases the miner to the retained window [cutoff, current_time()):
-  /// afterwards its whole state — live sequences (births, r-score
-  /// histories), open candidates, and finished windows — is identical to a
-  /// fresh miner fed only the retained snapshots, with every timestamp kept
-  /// absolute (a fresh miner's window-relative output shifted by cutoff).
-  /// Sequences whose span precedes the cutoff are gone; a sequence
-  /// straddling it is reborn at its first bursty report inside the window;
-  /// a region that re-emerges after the cutoff starts a clean sequence —
-  /// exactly the retirement/rebirth a windowed batch re-mine produces.
-  /// Implemented as a replay of the retained burstiness history, so it
-  /// requires options.track_history (FailedPrecondition otherwise).
-  /// cutoff <= window_start() is a no-op; cutoff beyond current_time() is
-  /// OutOfRange. O(window × ProcessSnapshot).
-  Status EvictBefore(Timestamp cutoff);
-
-  /// Rebasing variant for drivers that own the raw history and must
-  /// *recompute* the window's burstiness rather than replay it (an
-  /// expected-frequency model's baseline covers evicted snapshots, so
-  /// every retained value changes when the models rebase —
-  /// OnlineRegionalMiner::EvictBefore). `rebased` holds the retained
-  /// window's burstiness, time-major: snapshot cutoff + j at
-  /// [j·num_streams(), (j+1)·num_streams()); its size must be
-  /// (current_time() - cutoff) · num_streams(). Works with or without
-  /// track_history (the tracked history, if any, is replaced by `rebased`).
-  /// cutoff must be in [window_start(), current_time()].
-  Status EvictBefore(Timestamp cutoff, std::span<const double> rebased);
-
-  /// First retained timestamp: 0 until EvictBefore advances it.
-  Timestamp window_start() const { return origin_; }
-
   /// Timestamps processed so far.
   Timestamp current_time() const { return time_; }
 
@@ -134,22 +97,10 @@ class StLocal {
   /// region identity — the sequence's key in live_.
   void Retire(const std::vector<StreamId>& streams, const Sequence& seq);
 
-  /// ProcessSnapshot body; `record` gates the history append so the
-  /// eviction replay does not re-record what it is replaying.
-  Status ProcessSnapshotImpl(std::span<const double> burstiness, bool record);
-
-  /// Resets the mining state to an empty window starting at `cutoff` and
-  /// re-processes `burstiness` (time-major window snapshots) through it.
-  Status ReplayWindow(Timestamp cutoff, std::span<const double> burstiness);
-
   std::vector<Point2D> positions_;  // empty in the positions-free variant
   size_t num_streams_ = 0;
   StLocalOptions options_;
   Timestamp time_ = 0;
-  Timestamp origin_ = 0;  // first retained timestamp
-  // Time-major burstiness of the retained snapshots (track_history only):
-  // what EvictBefore(cutoff) replays.
-  std::vector<double> history_;
   const SpatialBinning* binning_ = nullptr;  // shared_binning or own_binning_
   std::unique_ptr<SpatialBinning> own_binning_;  // stable across moves
   // Keyed by the region's canonical stream set so a region re-reported on a
@@ -157,76 +108,6 @@ class StLocal {
   // identity; sequences do not duplicate it.
   std::map<std::vector<StreamId>, Sequence> live_;
   std::vector<SpatiotemporalWindow> finished_;
-};
-
-/// Streaming regional miner for one term: owns the per-stream expected-
-/// frequency models and an StLocal instance, converting raw frequency
-/// snapshots into burstiness values (Eq. 7) as they arrive. Push columns by
-/// hand or straight from a live-fed FrequencyIndex (PushFromIndex); the
-/// windows Finish() returns are identical to running MineRegionalPatterns
-/// over the same prefix (tested). Single-threaded; one instance per
-/// (term, feed).
-///
-/// Retention: the miner keeps the raw frequency history of the retained
-/// window (like OnlineStComb keeps each stream's raw prefix), and
-/// EvictBefore(cutoff) rebases everything to the window — the
-/// expected-frequency models are rebuilt over the retained raws and the
-/// per-region sequences are replayed from the recomputed burstiness — so a
-/// watchlist evicted in lockstep with its FrequencyIndex holds O(n ·
-/// window) memory and stays exactly equal to a batch re-mine over the
-/// window. Without evictions the raw history grows with the feed (the
-/// OnlineStComb trade).
-class OnlineRegionalMiner {
- public:
-  /// `shared_binning`: see StLocal — optional, not owned, must match the
-  /// positions and options.rbursty.rect. `options.track_history` is
-  /// ignored: the miner owns the raw history itself and hands its inner
-  /// StLocal rebased burstiness on eviction.
-  OnlineRegionalMiner(std::vector<Point2D> positions,
-                      const ExpectedModelFactory& model_factory,
-                      StLocalOptions options = {},
-                      const SpatialBinning* shared_binning = nullptr);
-
-  /// Consumes the per-stream raw frequencies of the next timestamp. Must
-  /// match the stream count. O(RBursty) per snapshot.
-  Status Push(std::span<const double> frequencies);
-
-  /// Pushes the snapshot at the miner's current time for `term` straight
-  /// from a shared index — the live-feed glue (the index must already hold
-  /// that timestamp, i.e. AppendSnapshot ran first, and must not have
-  /// evicted it — FailedPrecondition otherwise). O(n log postings(term)).
-  Status PushFromIndex(const FrequencyIndex& index, TermId term);
-
-  /// Drops the consumed history older than `cutoff` and rebases the miner
-  /// to the retained window: fresh expected-frequency models re-observe the
-  /// retained raw frequencies (their baselines covered evicted snapshots,
-  /// so every retained burstiness value is recomputed — the regional
-  /// counterpart of OnlineStComb re-summing its mass), and the per-region
-  /// sequences are replayed from the rebased values via
-  /// StLocal::EvictBefore. Afterwards the miner's windows — current and
-  /// future — are identical to a fresh miner (or MineRegionalPatterns) over
-  /// the windowed series, with timeframes absolute. Evict in lockstep with
-  /// the FrequencyIndex the watchlist follows (see examples/live_feed.cpp).
-  /// cutoff <= window_start() is a no-op; cutoff beyond current_time() is
-  /// OutOfRange. O(window × (models + RBursty)) per call.
-  Status EvictBefore(Timestamp cutoff);
-
-  /// First retained timestamp (0 until EvictBefore advances it).
-  Timestamp window_start() const { return origin_; }
-
-  /// Timestamps consumed so far.
-  Timestamp current_time() const { return miner_.current_time(); }
-
-  /// See StLocal::Finish().
-  std::vector<SpatiotemporalWindow> Finish() { return miner_.Finish(); }
-
- private:
-  ExpectedModelFactory model_factory_;
-  std::vector<std::unique_ptr<ExpectedFrequencyModel>> models_;
-  StLocal miner_;
-  std::vector<double> burstiness_;
-  Timestamp origin_ = 0;      // absolute timestamp of raw_'s first snapshot
-  std::vector<double> raw_;   // time-major raw frequencies of the window
 };
 
 /// Reusable state for repeated MineRegionalPatterns calls — the batch
@@ -248,10 +129,12 @@ struct RegionalMiningScratch {
 /// the frequency matrix with a fresh expected-frequency model per stream
 /// (walking each stream's row through a zero-copy span, no per-snapshot
 /// column gather), replays the timeline through StLocal, and returns the
-/// maximal windows. Output is identical to pushing the columns through an
-/// OnlineRegionalMiner (tested). `shared_binning`: see StLocal. `scratch`,
-/// when non-null, reuses models and buffers across calls (see
-/// RegionalMiningScratch) without changing the output.
+/// maximal windows. Timeframes are relative to the series' first column:
+/// over a windowed index's DenseSeries they count from the window's first
+/// timestamp, and the batch miner shifts them back to absolute time.
+/// `shared_binning`: see StLocal. `scratch`, when non-null, reuses models
+/// and buffers across calls (see RegionalMiningScratch) without changing
+/// the output.
 StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
     const TermSeries& series, const std::vector<Point2D>& positions,
     const ExpectedModelFactory& model_factory, const StLocalOptions& options = {},

@@ -1,7 +1,7 @@
 // ColdTier: the persistent half of the tiered history subsystem.
 //
 // Eviction has dropped snapshots past the retention window since the feed
-// runtime gained a window (retention rules 1-8, docs/ARCHITECTURE.md), which
+// runtime gained a window (retention rules 1-7, docs/ARCHITECTURE.md), which
 // caps every expected-model baseline at the window length. The cold tier
 // closes that gap: when `FeedRuntime::Tick` evicts postings, they are folded
 // into per-(term, stream, bucket) coarse aggregates — bucket width is

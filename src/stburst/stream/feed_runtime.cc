@@ -398,7 +398,7 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
           index_.EvictBefore(cutoff, pool_.get(), &undo->freq_undo));
       stats->evicted = true;
 
-      // Tiered history (retention rule 9): the postings the eviction just
+      // Tiered history (retention rule 8): the postings the eviction just
       // removed — captured verbatim in the undo log, so the fold costs no
       // extra posting walk — aggregate into the cold tier before they are
       // forgotten. In-memory only here; the kMmap generation publishes in

@@ -119,7 +119,7 @@ struct FeedRuntimeOptions {
   Timestamp retention_window = 0;
 
   /// Tiered history (docs/ARCHITECTURE.md "Tiered history", retention rule
-  /// 9): what eviction does with the snapshots it drops. kOff discards them
+  /// 8): what eviction does with the snapshots it drops. kOff discards them
   /// (the pre-tier behavior); kInMemory folds them into a process-local
   /// ColdTier of per-(term, stream, bucket) aggregates; kMmap additionally
   /// publishes each folded generation to `history_path` (atomic

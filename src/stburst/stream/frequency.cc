@@ -26,14 +26,6 @@ size_t TermSeries::Index(StreamId stream, Timestamp time) const {
          static_cast<size_t>(time);
 }
 
-std::vector<double> TermSeries::SnapshotColumn(Timestamp time) const {
-  std::vector<double> col(num_streams_);
-  const size_t L = static_cast<size_t>(timeline_length_);
-  const double* p = data_.data() + Index(0, time);
-  for (size_t s = 0; s < num_streams_; ++s, p += L) col[s] = *p;
-  return col;
-}
-
 std::vector<double> TermSeries::AggregateOverStreams() const {
   const size_t L = static_cast<size_t>(timeline_length_);
   std::vector<double> agg(L, 0.0);
@@ -502,26 +494,6 @@ void FrequencyIndex::FillSeries(TermId term, TermSeries* series) const {
   for (const TermPosting& p : postings(term)) {
     series->add(p.stream, p.time - window_start_, p.count);
   }
-}
-
-std::vector<double> FrequencyIndex::SnapshotColumn(TermId term,
-                                                   Timestamp time) const {
-  std::vector<double> col(num_streams_, 0.0);
-  const std::vector<TermPosting>& plist = postings(term);
-  // Postings are (stream, time)-sorted with one entry per cell: binary
-  // search each stream's cell instead of scanning the whole history, so a
-  // per-tick pull over a hot term stays O(n log P) as the feed grows.
-  auto it = plist.begin();
-  for (StreamId s = 0; s < num_streams_; ++s) {
-    it = std::lower_bound(it, plist.end(), TermPosting{s, time, 0.0},
-                          PostingLess);
-    if (it == plist.end()) break;
-    if (it->stream == s && it->time == time) {
-      col[s] = it->count;
-      ++it;
-    }
-  }
-  return col;
 }
 
 double FrequencyIndex::TotalCount(TermId term) const {

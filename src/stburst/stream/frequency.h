@@ -63,11 +63,6 @@ class TermSeries {
     return {data_.data() + Index(stream, 0), static_cast<size_t>(timeline_length_)};
   }
 
-  /// Frequencies of all streams at one timestamp (length n) — the snapshot
-  /// D[i] restricted to this term. Columns are strided in memory, so this
-  /// one copies.
-  std::vector<double> SnapshotColumn(Timestamp time) const;
-
   /// Element-wise sum across streams (length L): the single merged stream
   /// the TB baseline operates on (§6.3).
   std::vector<double> AggregateOverStreams() const;
@@ -281,12 +276,6 @@ class FrequencyIndex {
   /// num_streams() x window_length()) with the term's dense frequencies.
   /// Allocation-free; the batch miner calls this once per term per worker.
   void FillSeries(TermId term, TermSeries* series) const;
-
-  /// Per-stream frequencies of `term` at one timestamp (length
-  /// num_streams()): the snapshot column the online miners consume
-  /// (OnlineStComb::PushFromIndex). O(n log postings(term)) — per-stream
-  /// binary search, so per-tick pulls stay cheap as the feed grows.
-  std::vector<double> SnapshotColumn(TermId term, Timestamp time) const;
 
   /// Total corpus frequency of a term. O(postings(term)).
   double TotalCount(TermId term) const;

@@ -52,23 +52,29 @@ ExpectedModelFactory TestFactory() {
                         0.2);
 }
 
+// `shift` moves b's timeframes to absolute time: a per-term miner over a
+// windowed index's DenseSeries reports window-relative timestamps.
 void ExpectSamePatterns(const std::vector<CombinatorialPattern>& a,
-                        const std::vector<CombinatorialPattern>& b) {
+                        const std::vector<CombinatorialPattern>& b,
+                        Timestamp shift = 0) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].streams, b[i].streams);
-    EXPECT_EQ(a[i].timeframe, b[i].timeframe);
+    EXPECT_EQ(a[i].timeframe.start, b[i].timeframe.start + shift);
+    EXPECT_EQ(a[i].timeframe.end, b[i].timeframe.end + shift);
     EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
   }
 }
 
 void ExpectSameWindows(const std::vector<SpatiotemporalWindow>& a,
-                       const std::vector<SpatiotemporalWindow>& b) {
+                       const std::vector<SpatiotemporalWindow>& b,
+                       Timestamp shift = 0) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].region, b[i].region);
     EXPECT_EQ(a[i].streams, b[i].streams);
-    EXPECT_EQ(a[i].timeframe, b[i].timeframe);
+    EXPECT_EQ(a[i].timeframe.start, b[i].timeframe.start + shift);
+    EXPECT_EQ(a[i].timeframe.end, b[i].timeframe.end + shift);
     EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
   }
 }
@@ -96,8 +102,13 @@ TEST(MineAllTerms, EmptyVocabulary) {
 
 TEST(MineAllTerms, MatchesSerialPerTermPipeline) {
   Collection c = MakeRandomCollection(7, 10, 30, 40, 400);
-  FrequencyIndex freq = FrequencyIndex::Build(c);
   const std::vector<Point2D> positions = c.StreamPositions();
+  // The whole timeline, and an evicted (windowed) index: there mining runs
+  // over the retained window and reports absolute timeframes.
+  FrequencyIndex full = FrequencyIndex::Build(c);
+  FrequencyIndex windowed = FrequencyIndex::Build(c);
+  ASSERT_TRUE(windowed.EvictBefore(11).ok());
+  ASSERT_EQ(windowed.window_start(), 11);
 
   BatchMinerOptions opts;
   opts.stcomb.min_interval_burstiness = 0.05;
@@ -105,22 +116,26 @@ TEST(MineAllTerms, MatchesSerialPerTermPipeline) {
   opts.positions = positions;
   opts.model_factory = TestFactory();
   opts.num_threads = 4;
-  auto batch = MineAllTerms(freq, opts);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->terms.size(), freq.num_terms());
-  EXPECT_EQ(batch->threads_used, 4u);
-
-  // Reference: the seed's serial loop — dense per-term series through the
-  // standalone miners.
   StComb stcomb(opts.stcomb);
-  for (TermId term = 0; term < freq.num_terms(); ++term) {
-    TermSeries series = freq.DenseSeries(term);
-    ExpectSamePatterns(batch->terms[term].combinatorial,
-                       stcomb.MinePatterns(series));
-    auto windows =
-        MineRegionalPatterns(series, positions, opts.model_factory, opts.stlocal);
-    ASSERT_TRUE(windows.ok());
-    ExpectSameWindows(batch->terms[term].regional, *windows);
+  for (const FrequencyIndex* freq : {&full, &windowed}) {
+    SCOPED_TRACE(testing::Message() << "window_start " << freq->window_start());
+    auto batch = MineAllTerms(*freq, opts);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->terms.size(), freq->num_terms());
+    EXPECT_EQ(batch->threads_used, 4u);
+
+    // Reference: the seed's serial loop — dense per-term series through the
+    // standalone miners, shifted to absolute time.
+    for (TermId term = 0; term < freq->num_terms(); ++term) {
+      TermSeries series = freq->DenseSeries(term);
+      ExpectSamePatterns(batch->terms[term].combinatorial,
+                         stcomb.MinePatterns(series), freq->window_start());
+      auto windows = MineRegionalPatterns(series, positions, opts.model_factory,
+                                          opts.stlocal);
+      ASSERT_TRUE(windows.ok());
+      ExpectSameWindows(batch->terms[term].regional, *windows,
+                        freq->window_start());
+    }
   }
 }
 

@@ -39,8 +39,6 @@ TEST(TermSeries, RowColumnAndAggregateViews) {
   std::span<const double> row = s.StreamRow(0);
   EXPECT_EQ(std::vector<double>(row.begin(), row.end()),
             (std::vector<double>{1, 2, 3}));
-  EXPECT_EQ(s.SnapshotColumn(0), (std::vector<double>{1, 10}));
-  EXPECT_EQ(s.SnapshotColumn(1), (std::vector<double>{2, 0}));
   EXPECT_EQ(s.AggregateOverStreams(), (std::vector<double>{11, 2, 33}));
 }
 
@@ -246,18 +244,6 @@ TEST(FrequencyIndexAppend, RejectsForeignCollections) {
   ASSERT_TRUE(no_vocab.ok());
   no_vocab->AddStream("A", {}, {});
   EXPECT_TRUE(idx.AppendSnapshot(*no_vocab).IsInvalidArgument());
-}
-
-TEST(FrequencyIndex, SnapshotColumnMatchesDenseSeries) {
-  Collection c = MakeRandomCorpus(61, 6, 12, 40, 300);
-  FrequencyIndex idx = FrequencyIndex::Build(c);
-  for (TermId t : {TermId{0}, TermId{3}, TermId{17}}) {
-    TermSeries dense = idx.DenseSeries(t);
-    for (Timestamp i = 0; i < idx.timeline_length(); ++i) {
-      EXPECT_EQ(idx.SnapshotColumn(t, i), dense.SnapshotColumn(i))
-          << "term " << t << " time " << i;
-    }
-  }
 }
 
 TEST(FrequencyIndexRetention, EvictBeforeDropsOldPostingsAndMarksDirty) {

@@ -133,5 +133,96 @@ TEST(MaxWeightClique, SameTagKeepsHeaviest) {
               clique.members.end());
 }
 
+// ---- EnumerateMaximalCliques --------------------------------------------
+
+TEST(EnumerateMaximalCliques, EmptyAndSingle) {
+  EXPECT_TRUE(EnumerateMaximalCliques({}).empty());
+  auto cliques = EnumerateMaximalCliques({WI(0, 5, 1.0, 0)});
+  ASSERT_EQ(cliques.size(), 1u);
+  EXPECT_EQ(cliques[0].members, (std::vector<size_t>{0}));
+}
+
+TEST(EnumerateMaximalCliques, ChainOfOverlaps) {
+  // [0,4], [3,8], [7,12]: maximal cliques {0,1} and {1,2}.
+  auto cliques = EnumerateMaximalCliques(
+      {WI(0, 4, 1.0, 0), WI(3, 8, 1.0, 1), WI(7, 12, 1.0, 2)});
+  ASSERT_EQ(cliques.size(), 2u);
+  EXPECT_EQ(cliques[0].members, (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(cliques[1].members, (std::vector<size_t>{1, 2}));
+}
+
+TEST(EnumerateMaximalCliques, NestedIntervalsSingleClique) {
+  auto cliques = EnumerateMaximalCliques(
+      {WI(0, 10, 1.0, 0), WI(2, 8, 1.0, 1), WI(4, 6, 1.0, 2)});
+  ASSERT_EQ(cliques.size(), 1u);
+  EXPECT_EQ(cliques[0].members, (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(EnumerateMaximalCliques, DisjointIntervals) {
+  auto cliques = EnumerateMaximalCliques(
+      {WI(0, 2, 1.0, 0), WI(5, 7, 1.0, 1), WI(10, 12, 1.0, 2)});
+  ASSERT_EQ(cliques.size(), 3u);
+}
+
+TEST(EnumerateMaximalCliques, CoversMaxWeightClique) {
+  // The maximum-weight clique must appear among (or be contained in) the
+  // enumerated maximal cliques, with at least its weight.
+  Rng rng(77);
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<WeightedInterval> ivs;
+    size_t m = 1 + rng.NextUint64(15);
+    for (size_t i = 0; i < m; ++i) {
+      Timestamp a = static_cast<Timestamp>(rng.UniformInt(0, 30));
+      Timestamp b = static_cast<Timestamp>(rng.UniformInt(a, 30));
+      ivs.push_back(WI(a, b, rng.Uniform(0.1, 1.0), static_cast<int64_t>(i)));
+    }
+    CliqueResult best = MaxWeightClique(ivs);
+    auto all = EnumerateMaximalCliques(ivs);
+
+    // Every enumerated clique is a real clique (pairwise intersecting).
+    for (const CliqueResult& c : all) {
+      for (size_t x : c.members) {
+        for (size_t y : c.members) {
+          EXPECT_TRUE(ivs[x].interval.Intersects(ivs[y].interval));
+        }
+      }
+    }
+    // And the best weight over the enumeration matches MaxWeightClique.
+    double best_enumerated = 0.0;
+    for (const CliqueResult& c : all) {
+      double positive = 0.0;
+      for (size_t idx : c.members) {
+        if (ivs[idx].weight > 0.0) positive += ivs[idx].weight;
+      }
+      best_enumerated = std::max(best_enumerated, positive);
+    }
+    EXPECT_NEAR(best_enumerated, best.weight, 1e-9) << "trial " << trial;
+  }
+}
+
+TEST(EnumerateMaximalCliques, NoCliqueContainsAnother) {
+  Rng rng(91);
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<WeightedInterval> ivs;
+    size_t m = 2 + rng.NextUint64(12);
+    for (size_t i = 0; i < m; ++i) {
+      Timestamp a = static_cast<Timestamp>(rng.UniformInt(0, 20));
+      Timestamp b = static_cast<Timestamp>(rng.UniformInt(a, 20));
+      ivs.push_back(WI(a, b, 1.0, static_cast<int64_t>(i)));
+    }
+    auto all = EnumerateMaximalCliques(ivs);
+    for (size_t i = 0; i < all.size(); ++i) {
+      for (size_t j = 0; j < all.size(); ++j) {
+        if (i == j) continue;
+        EXPECT_FALSE(std::includes(all[i].members.begin(),
+                                   all[i].members.end(),
+                                   all[j].members.begin(),
+                                   all[j].members.end()))
+            << "clique " << j << " inside clique " << i << ", trial " << trial;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace stburst

@@ -169,121 +169,6 @@ TEST(StLocal, RejectsSharedBinningOfWrongSize) {
   EXPECT_TRUE(miner.ProcessSnapshot({0.1, 0.2, 0.3}).IsInvalidArgument());
 }
 
-void ExpectSameWindows(const std::vector<SpatiotemporalWindow>& got,
-                       const std::vector<SpatiotemporalWindow>& want,
-                       Timestamp shift) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].region, want[i].region) << "window " << i;
-    EXPECT_EQ(got[i].streams, want[i].streams) << "window " << i;
-    EXPECT_EQ(got[i].timeframe.start, want[i].timeframe.start + shift);
-    EXPECT_EQ(got[i].timeframe.end, want[i].timeframe.end + shift);
-    EXPECT_DOUBLE_EQ(got[i].score, want[i].score) << "window " << i;
-  }
-}
-
-TEST(StLocalEviction, MatchesFreshMinerOverTheWindow) {
-  // Randomized burstiness; after EvictBefore(cutoff) and more snapshots,
-  // the evicted miner must be indistinguishable from a fresh miner fed only
-  // the retained snapshots (its output shifted to absolute time).
-  Rng rng(31);
-  const size_t n = 8;
-  const Timestamp cutoff = 17;
-  auto positions = LinePositions(n, 2.0);
-  StLocalOptions opts;
-  opts.track_history = true;
-  StLocal evicted(positions, opts);
-
-  std::vector<std::vector<double>> snapshots;
-  for (int t = 0; t < 40; ++t) {
-    std::vector<double> b(n);
-    for (auto& v : b) v = rng.Uniform(-1.0, 1.2);
-    snapshots.push_back(b);
-    if (t < 25) ASSERT_TRUE(evicted.ProcessSnapshot(b).ok());
-  }
-  ASSERT_TRUE(evicted.EvictBefore(cutoff).ok());
-  EXPECT_EQ(evicted.window_start(), cutoff);
-  EXPECT_EQ(evicted.current_time(), 25);
-  for (int t = 25; t < 40; ++t) {
-    ASSERT_TRUE(evicted.ProcessSnapshot(snapshots[t]).ok());
-  }
-
-  StLocal fresh(positions);  // no history tracking needed for the reference
-  for (int t = cutoff; t < 40; ++t) {
-    ASSERT_TRUE(fresh.ProcessSnapshot(snapshots[t]).ok());
-  }
-  EXPECT_EQ(evicted.num_live_sequences(), fresh.num_live_sequences());
-  EXPECT_EQ(evicted.num_open_windows(), fresh.num_open_windows());
-  ExpectSameWindows(evicted.Finish(), fresh.Finish(), cutoff);
-}
-
-TEST(StLocalEviction, SequenceStraddlingTheCutoffIsRebornInsideTheWindow) {
-  // One region bursts over [2, 8]; evicting at 5 must truncate its sequence
-  // to the retained span: the window is reborn at t=5, scored only from the
-  // retained snapshots — exactly what a windowed batch re-mine reports.
-  StLocalOptions opts;
-  opts.track_history = true;
-  StLocal miner(LinePositions(2, 1.0), opts);
-  for (int t = 0; t < 12; ++t) {
-    const double hot = (t >= 2 && t <= 8) ? 2.0 : -0.5;
-    ASSERT_TRUE(miner.ProcessSnapshot({hot, hot}).ok());
-  }
-  ASSERT_TRUE(miner.EvictBefore(5).ok());
-  auto windows = miner.Finish();
-  ASSERT_GE(windows.size(), 1u);
-  EXPECT_EQ(windows[0].streams, (std::vector<StreamId>{0, 1}));
-  EXPECT_EQ(windows[0].timeframe, (Interval{5, 8}));
-  // 2 streams × 2.0 × the 4 retained burst steps — the evicted prefix's
-  // contribution is gone from the accumulated score.
-  EXPECT_NEAR(windows[0].score, 2.0 * 2.0 * 4, 1e-9);
-}
-
-TEST(StLocalEviction, EvictedRegionReEmergesAsAFreshSequence) {
-  // A region bursts, leaves the window entirely, then re-emerges: the
-  // pre-cutoff life must not leak into the re-emerged sequence.
-  StLocalOptions opts;
-  opts.track_history = true;
-  StLocal miner(LinePositions(2, 1.0), opts);
-  auto feed = [&](double v, int times) {
-    for (int i = 0; i < times; ++i) {
-      ASSERT_TRUE(miner.ProcessSnapshot({v, v}).ok());
-    }
-  };
-  feed(3.0, 3);    // burst [0, 2]
-  feed(-0.1, 4);   // quiet [3, 6]
-  ASSERT_TRUE(miner.EvictBefore(4).ok());
-  EXPECT_EQ(miner.num_live_sequences(), 0u);  // old life fully evicted
-  feed(1.0, 3);    // re-emerges [7, 9]
-  EXPECT_EQ(miner.num_live_sequences(), 1u);
-  auto windows = miner.Finish();
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows[0].timeframe, (Interval{7, 9}));
-  EXPECT_NEAR(windows[0].score, 2.0 * 1.0 * 3, 1e-9);
-}
-
-TEST(StLocalEviction, ValidatesCutoffAndHistoryTracking) {
-  StLocal no_history(LinePositions(2, 1.0));
-  ASSERT_TRUE(no_history.ProcessSnapshot({1.0, 1.0}).ok());
-  EXPECT_TRUE(no_history.EvictBefore(0).ok());  // no-op needs no history
-  EXPECT_TRUE(no_history.EvictBefore(1).IsFailedPrecondition());
-
-  StLocalOptions opts;
-  opts.track_history = true;
-  StLocal tracked(LinePositions(2, 1.0), opts);
-  ASSERT_TRUE(tracked.ProcessSnapshot({1.0, 1.0}).ok());
-  EXPECT_TRUE(tracked.EvictBefore(2).IsOutOfRange());
-  ASSERT_TRUE(tracked.EvictBefore(1).ok());  // evict everything consumed
-  EXPECT_EQ(tracked.num_live_sequences(), 0u);
-  EXPECT_EQ(tracked.window_start(), 1);
-  EXPECT_EQ(tracked.current_time(), 1);
-
-  // The rebased overload validates its span against the retained width.
-  std::vector<double> wrong(3, 0.0);
-  EXPECT_TRUE(tracked.EvictBefore(1, wrong).IsInvalidArgument());
-  EXPECT_TRUE(
-      tracked.EvictBefore(0, std::span<const double>{}).IsInvalidArgument());
-}
-
 TEST(MineRegionalPatterns, EndToEndWithExpectedModel) {
   // 5 streams on a line; streams 1-2 burst on [30, 39] over noisy background.
   Rng rng(9);
@@ -307,190 +192,6 @@ TEST(MineRegionalPatterns, EndToEndWithExpectedModel) {
     EXPECT_TRUE(std::binary_search(top.streams.begin(), top.streams.end(), s));
   }
   EXPECT_TRUE(top.timeframe.Intersects(Interval{30, 39}));
-}
-
-TEST(OnlineRegionalMiner, PushParityWithBatchDriver) {
-  // Pushing the columns one at a time must reproduce MineRegionalPatterns
-  // exactly (the batch driver is now a replay through the online miner, but
-  // this pins the equivalence down as a contract).
-  Rng rng(13);
-  TermSeries series(6, 50);
-  for (StreamId s = 0; s < 6; ++s) {
-    for (Timestamp t = 0; t < 50; ++t) {
-      series.set(s, t, rng.Exponential(1.5));
-    }
-  }
-  for (StreamId s = 2; s <= 3; ++s) {
-    for (Timestamp t = 20; t < 28; ++t) series.add(s, t, 6.0);
-  }
-  auto positions = LinePositions(6, 1.0);
-  auto factory = [] { return std::make_unique<GlobalMeanModel>(); };
-
-  auto batch = MineRegionalPatterns(series, positions, factory);
-  ASSERT_TRUE(batch.ok());
-
-  OnlineRegionalMiner online(positions, factory);
-  for (Timestamp t = 0; t < series.timeline_length(); ++t) {
-    ASSERT_TRUE(online.Push(series.SnapshotColumn(t)).ok());
-  }
-  EXPECT_EQ(online.current_time(), series.timeline_length());
-  auto windows = online.Finish();
-
-  ASSERT_EQ(windows.size(), batch->size());
-  for (size_t i = 0; i < windows.size(); ++i) {
-    EXPECT_EQ(windows[i].region, (*batch)[i].region);
-    EXPECT_EQ(windows[i].streams, (*batch)[i].streams);
-    EXPECT_EQ(windows[i].timeframe, (*batch)[i].timeframe);
-    EXPECT_DOUBLE_EQ(windows[i].score, (*batch)[i].score);
-  }
-}
-
-TEST(OnlineRegionalMiner, PushFromIndexRejectsEvictedTimestamps) {
-  // A lagging regional miner must fail loudly rather than silently ingest
-  // zeros for timestamps the index has evicted.
-  auto c = Collection::Create(3);
-  ASSERT_TRUE(c.ok());
-  c->AddStream("s", {}, {});
-  TermId quake = c->mutable_vocabulary()->Intern("quake");
-  for (Timestamp t = 0; t < 3; ++t) (void)c->AddDocument(0, t, {quake});
-  FrequencyIndex freq = FrequencyIndex::Build(*c);
-  ASSERT_TRUE(freq.EvictBefore(2).ok());
-
-  auto factory = [] { return std::make_unique<GlobalMeanModel>(); };
-  OnlineRegionalMiner lagging(c->StreamPositions(), factory);
-  EXPECT_TRUE(lagging.PushFromIndex(freq, quake).IsFailedPrecondition());
-}
-
-TEST(OnlineRegionalMiner, PushFromIndexFollowsAppends) {
-  auto c = Collection::Create(4);
-  ASSERT_TRUE(c.ok());
-  for (int s = 0; s < 3; ++s) c->AddStream("s", {}, {});
-  TermId quake = c->mutable_vocabulary()->Intern("quake");
-  for (Timestamp t = 0; t < 4; ++t) {
-    (void)c->AddDocument(0, t, {quake});
-  }
-  FrequencyIndex freq = FrequencyIndex::Build(*c);
-
-  auto factory = [] { return std::make_unique<GlobalMeanModel>(); };
-  OnlineRegionalMiner online(c->StreamPositions(), factory);
-  while (online.current_time() < freq.timeline_length()) {
-    ASSERT_TRUE(online.PushFromIndex(freq, quake).ok());
-  }
-  EXPECT_TRUE(online.PushFromIndex(freq, quake).IsFailedPrecondition());
-
-  for (int round = 0; round < 6; ++round) {
-    Snapshot snap;
-    snap.push_back(SnapshotDocument{0, {quake, quake}});
-    snap.push_back(SnapshotDocument{1, {quake, quake}});
-    ASSERT_TRUE(c->Append(std::move(snap)).ok());
-    ASSERT_TRUE(freq.AppendSnapshot(*c).ok());
-    ASSERT_TRUE(online.PushFromIndex(freq, quake).ok());
-  }
-
-  auto streamed = online.Finish();
-  auto batch = MineRegionalPatterns(freq.DenseSeries(quake),
-                                    c->StreamPositions(), factory);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(streamed.size(), batch->size());
-  for (size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(streamed[i].streams, (*batch)[i].streams);
-    EXPECT_EQ(streamed[i].timeframe, (*batch)[i].timeframe);
-    EXPECT_DOUBLE_EQ(streamed[i].score, (*batch)[i].score);
-  }
-}
-
-TEST(OnlineRegionalMiner, EvictBeforeMatchesBatchMineOverTheWindow) {
-  // The windowed-watchlist contract: after EvictBefore(cutoff) — and after
-  // further pushes — the online miner equals MineRegionalPatterns over the
-  // windowed series, with timeframes absolute. The expected models must
-  // rebase (their baselines covered the evicted prefix), which is what
-  // makes this strictly stronger than sequence truncation.
-  Rng rng(77);
-  const size_t n = 6;
-  const Timestamp timeline = 36;
-  const Timestamp cutoff = 14;
-  TermSeries series(n, timeline);
-  for (StreamId s = 0; s < n; ++s) {
-    for (Timestamp t = 0; t < timeline; ++t) {
-      series.set(s, t, rng.Exponential(1.2));
-    }
-  }
-  for (StreamId s = 1; s <= 2; ++s) {
-    for (Timestamp t = 10; t < 18; ++t) series.add(s, t, 5.0);  // straddles
-    for (Timestamp t = 26; t < 31; ++t) series.add(s, t, 4.0);  // re-emerges
-  }
-  auto positions = LinePositions(n, 1.0);
-  auto factory = [] { return std::make_unique<GlobalMeanModel>(); };
-
-  OnlineRegionalMiner online(positions, factory);
-  for (Timestamp t = 0; t < 22; ++t) {
-    ASSERT_TRUE(online.Push(series.SnapshotColumn(t)).ok());
-  }
-  ASSERT_TRUE(online.EvictBefore(cutoff).ok());
-  EXPECT_EQ(online.window_start(), cutoff);
-  EXPECT_EQ(online.current_time(), 22);
-  for (Timestamp t = 22; t < timeline; ++t) {
-    ASSERT_TRUE(online.Push(series.SnapshotColumn(t)).ok());
-  }
-
-  // Reference: batch mining over exactly the retained window.
-  TermSeries windowed(n, timeline - cutoff);
-  for (StreamId s = 0; s < n; ++s) {
-    for (Timestamp t = cutoff; t < timeline; ++t) {
-      windowed.set(s, t - cutoff, series.at(s, t));
-    }
-  }
-  auto batch = MineRegionalPatterns(windowed, positions, factory);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_FALSE(batch->empty());  // the scenario must actually mine windows
-  ExpectSameWindows(online.Finish(), *batch, cutoff);
-}
-
-TEST(OnlineRegionalMiner, LockstepEvictionWithFrequencyIndex) {
-  // The live-feed wiring end to end: a watchlist following a windowed
-  // FrequencyIndex through PushFromIndex, evicted in lockstep with it, must
-  // keep matching batch mining over the index's own retained window.
-  auto c = Collection::Create(1);
-  ASSERT_TRUE(c.ok());
-  const size_t n = 4;
-  for (size_t s = 0; s < n; ++s) {
-    c->AddStream("s", {}, Point2D{static_cast<double>(s), 0.0});
-  }
-  TermId quake = c->mutable_vocabulary()->Intern("quake");
-  ASSERT_TRUE(c->AddDocument(0, 0, {quake}).ok());
-  FrequencyIndex freq = FrequencyIndex::Build(*c);
-
-  auto factory = [] { return std::make_unique<GlobalMeanModel>(); };
-  auto positions = c->StreamPositions();
-  OnlineRegionalMiner watch(positions, factory);
-  ASSERT_TRUE(watch.PushFromIndex(freq, quake).ok());
-
-  Rng rng(5);
-  const Timestamp window = 8;
-  for (int round = 0; round < 24; ++round) {
-    Snapshot snap;
-    for (StreamId s = 0; s < n; ++s) {
-      size_t copies = rng.NextUint64(3);
-      if (round >= 10 && round < 15 && s < 2) copies += 4;  // a burst
-      for (size_t i = 0; i < copies; ++i) {
-        snap.push_back(SnapshotDocument{s, {quake}});
-      }
-    }
-    ASSERT_TRUE(c->Append(std::move(snap)).ok());
-    ASSERT_TRUE(freq.AppendSnapshot(*c).ok());
-    ASSERT_TRUE(watch.PushFromIndex(freq, quake).ok());
-    if (c->timeline_length() > window) {
-      const Timestamp cutoff = c->timeline_length() - window;
-      ASSERT_TRUE(c->EvictBefore(cutoff).ok());
-      ASSERT_TRUE(freq.EvictBefore(cutoff).ok());
-      ASSERT_TRUE(watch.EvictBefore(freq.window_start()).ok());
-    }
-  }
-  ASSERT_EQ(watch.window_start(), freq.window_start());
-
-  auto batch = MineRegionalPatterns(freq.DenseSeries(quake), positions, factory);
-  ASSERT_TRUE(batch.ok());
-  ExpectSameWindows(watch.Finish(), *batch, freq.window_start());
 }
 
 TEST(MineRegionalPatterns, ScratchReusesModelsAndStaysBitIdentical) {
