@@ -36,8 +36,9 @@ SiteState g_sites[] = {
     {"batch_miner.mine_term"},    // per-term mining worker (MineAllTerms /
                                   // RemineTerms / staged re-mines)
     {"runtime.remine"},           // FeedRuntime staging, before the re-mine
-    {"runtime.search_update"},    // per-term search-posting staging (pool
-                                  // workers in StageSearchPostings)
+    {"runtime.search_update"},    // per-term pattern staging of the search
+                                  // re-score (pool workers, phase 1 of
+                                  // ScoreTermsByCell)
     {"index.evict"},              // InvertedIndex::EvictBefore, before any
                                   // mutation
     {"runtime.publish"},          // after the next search snapshot is fully

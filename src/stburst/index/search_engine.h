@@ -10,15 +10,23 @@
 // The engine is pattern-type agnostic: build it with STComb patterns for a
 // combinatorial instance, STLocal windows for a regional instance, or
 // temporal-only intervals for the TB baseline (tb_engine.h).
+//
+// Two derivations produce the same postings: BurstySearchEngine::Build reads
+// every document once (doc-major; the batch path and the tests' oracle), and
+// ScoreTermsByCell re-derives a subset of terms, reading only the documents
+// of the (stream, time) cells their patterns overlap (the live runtime's
+// per-tick path).
 
 #ifndef STBURST_INDEX_SEARCH_ENGINE_H_
 #define STBURST_INDEX_SEARCH_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "stburst/common/parallel.h"
 #include "stburst/index/inverted_index.h"
 #include "stburst/index/pattern_index.h"
 #include "stburst/index/threshold_algorithm.h"
@@ -66,32 +74,38 @@ class BurstySearchEngine {
 /// relevance(d, t) of Eq. 10 for a raw term frequency.
 double Relevance(double term_frequency);
 
-/// Recomputes the search postings of one term, term-major: every retained
-/// document containing `term` — found through the frequency index's sparse
-/// postings and the collection's per-(stream, timestamp) document lists —
-/// is scored relevance × max pattern overlap, and positive entries are
-/// Add()ed to `index`. The index must be open and hold no postings for the
-/// term (ClearTerm first when replacing). This is the incremental path a
-/// live maintainer (FeedRuntime's search serving) takes when a term's
-/// patterns change: postings produced this way are identical to the ones
-/// BurstySearchEngine::Build derives doc-major from the same pattern state
-/// (tested). `freq` must be in sync with `collection` (same windowed feed).
-/// O(Σ docs at the term's nonzero cells × tokens per doc).
-void IndexTermDocuments(const Collection& collection,
-                        const FrequencyIndex& freq, TermId term,
-                        std::span<const TermPattern> patterns,
-                        InvertedIndex* index);
+/// Fills `*out` (handed over empty) with the patterns of the i-th score
+/// term; stream lists may come unsorted. ScoreTermsByCell calls it once per
+/// term, concurrently from pool workers, each call with its worker's own
+/// `out`.
+using SearchPatternSource =
+    std::function<void(size_t i, std::vector<TermPattern>* out)>;
 
-/// The scoring half of IndexTermDocuments, decoupled from the index: appends
-/// the term's positive (doc, score) entries to `out` in the same order
-/// IndexTermDocuments would Add() them. A transactional maintainer
-/// (FeedRuntime) scores every touched term into staging vectors first and
-/// commits each with one InvertedIndex::ReplaceTerm only after the whole
-/// tick succeeded. Same sync requirements as IndexTermDocuments.
-void ScoreTermDocuments(const Collection& collection,
-                        const FrequencyIndex& freq, TermId term,
-                        std::span<const TermPattern> patterns,
-                        std::vector<Posting>* out);
+/// Re-derives the search postings of `terms` (distinct) from the retained
+/// documents: for each term, every document holding it at a (stream, time)
+/// cell its patterns overlap gets relevance × max pattern overlap, and
+/// positive entries are kept. This is the incremental path a live
+/// maintainer (FeedRuntime's search serving) takes when terms' patterns
+/// change. Returns one posting list per term, index-addressed (list i is
+/// terms[i]'s), in unspecified order; committed with
+/// InvertedIndex::ReplaceTerm and Finalize()d, they equal the postings
+/// BurstySearchEngine::Build derives doc-major from the same patterns
+/// (tested). `freq` must be in sync with `collection` (same windowed feed).
+///
+/// Two phases, transposed so no document is read twice:
+///  1. per term, across `pool`: the term's frequency postings name the
+///     cells holding it; each cell its patterns overlap becomes a
+///     (cell, term, burstiness) hit. No document is touched.
+///  2. serially, per touched cell: the cell's score terms are stamped into
+///     a TermId-indexed table, then each document of the cell is read once,
+///     counting only stamped tokens.
+/// O(Σ postings of `terms` × patterns per term + window cells + tokens of
+/// the touched cells' documents). `*tokens_scanned`, when non-null,
+/// receives that last term exactly: the document tokens phase 2 read.
+std::vector<std::vector<Posting>> ScoreTermsByCell(
+    const Collection& collection, const FrequencyIndex& freq,
+    std::span<const TermId> terms, const SearchPatternSource& patterns_for,
+    ThreadPool* pool, size_t* tokens_scanned);
 
 }  // namespace stburst
 

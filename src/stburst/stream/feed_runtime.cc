@@ -210,7 +210,10 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
     for (size_t t = 0; t < all.size(); ++t) all[t] = static_cast<TermId>(t);
     std::vector<std::vector<Posting>> staged = runtime.StageSearchPostings(
         all,
-        [&](TermId term) -> const TermPatterns& { return runtime.patterns(term); });
+        [&](TermId term) -> const TermPatterns& {
+          return runtime.patterns(term);
+        },
+        nullptr);
     auto first = std::make_shared<IndexSnapshot>();
     for (size_t i = 0; i < all.size(); ++i) {
       first->index.ReplaceTerm(all[i], std::move(staged[i]));
@@ -497,7 +500,8 @@ Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
         return kEmptyPatterns;
       };
       tx->score_terms = std::move(want);
-      tx->staged_postings = StageSearchPostings(tx->score_terms, slot_for);
+      tx->staged_postings = StageSearchPostings(
+          tx->score_terms, slot_for, &stats->search_tokens_scanned);
     }
   }
 
@@ -708,45 +712,30 @@ std::vector<TermId> FeedRuntime::SelectRefreshTargets(
   return targets;
 }
 
-void FeedRuntime::ScoreSearchTerm(TermId term, const TermPatterns& slot,
-                                  std::vector<TermPattern>* scratch,
-                                  std::vector<Posting>* out) const {
-  scratch->clear();
-  if (options_.search_serving == SearchServing::kCombinatorial) {
-    for (const CombinatorialPattern& p : slot.combinatorial) {
-      scratch->push_back(TermPattern{p.streams, p.timeframe, p.score});
-    }
-  } else {
-    for (const SpatiotemporalWindow& w : slot.regional) {
-      scratch->push_back(TermPattern{w.streams, w.timeframe, w.score});
-    }
-  }
-  // TermPattern's overlap test binary-searches the stream list; the
-  // miners already emit sorted stream sets, but sort defensively — the
-  // lists are tiny and Build (via PatternIndex::Add) does the same.
-  for (TermPattern& p : *scratch) {
-    std::sort(p.streams.begin(), p.streams.end());
-  }
-  ScoreTermDocuments(collection_, index_, term, *scratch, out);
-}
-
 std::vector<std::vector<Posting>> FeedRuntime::StageSearchPostings(
     const std::vector<TermId>& terms,
-    const std::function<const TermPatterns&(TermId)>& slot_for) const {
-  // Sharded across the standing pool: per-worker pattern scratch (the
-  // calling thread takes the highest worker id), results into
-  // index-addressed slots — schedule-independent output at any thread
-  // count. Reads only frozen state (collection, frequency index, standing
-  // + staged slots), so workers share it without synchronization.
-  std::vector<std::vector<Posting>> staged(terms.size());
-  const size_t workers = pool_ != nullptr ? pool_->num_threads() + 1 : 1;
-  std::vector<std::vector<TermPattern>> scratch(workers);
-  ParallelFor(pool_.get(), 0, terms.size(), [&](size_t worker, size_t i) {
-    STBURST_FAULT_POINT_THROW("runtime.search_update");
-    ScoreSearchTerm(terms[i], slot_for(terms[i]), &scratch[worker],
-                    &staged[i]);
-  });
-  return staged;
+    const std::function<const TermPatterns&(TermId)>& slot_for,
+    size_t* tokens_scanned) const {
+  // Reads only frozen state (collection, frequency index, standing + staged
+  // slots), so the kernel's pool workers share it without synchronization.
+  const bool combinatorial =
+      options_.search_serving == SearchServing::kCombinatorial;
+  return ScoreTermsByCell(
+      collection_, index_, terms,
+      [&](size_t i, std::vector<TermPattern>* out) {
+        STBURST_FAULT_POINT_THROW("runtime.search_update");
+        const TermPatterns& slot = slot_for(terms[i]);
+        if (combinatorial) {
+          for (const CombinatorialPattern& p : slot.combinatorial) {
+            out->push_back(TermPattern{p.streams, p.timeframe, p.score});
+          }
+        } else {
+          for (const SpatiotemporalWindow& w : slot.regional) {
+            out->push_back(TermPattern{w.streams, w.timeframe, w.score});
+          }
+        }
+      },
+      pool_.get(), tokens_scanned);
 }
 
 TopKResult FeedRuntime::Search(const std::string& query, size_t k) const {

@@ -22,8 +22,10 @@
 //     6. search snapshot build + publish  [optional] the next read-plane
 //                                         generation, built off to the side
 //                                         on a private copy of the current
-//                                         index (per-term re-scoring fanned
-//                                         across the pool) and published to
+//                                         index (re-scored terms' pattern
+//                                         cells found across the pool, then
+//                                         each touched cell's documents
+//                                         read once) and published to
 //                                         readers with one atomic swap
 //
 // Every tick is transactional (the failure and recovery contract in
@@ -205,6 +207,8 @@ struct FeedTickStats {
   size_t dirty_terms = 0;      ///< terms re-mined for new/evicted postings
   size_t refreshed_terms = 0;  ///< quiet terms re-mined by the sweep
   size_t search_terms = 0;     ///< terms whose search postings were re-derived
+  size_t search_tokens_scanned = 0;  ///< document tokens the re-derivation
+                                     ///< read (ScoreTermsByCell)
   size_t folded_terms = 0;     ///< terms whose evicted postings the cold
                                ///< tier folded this tick (history on only)
   bool evicted = false;        ///< whether retention advanced the window
@@ -430,20 +434,17 @@ class FeedRuntime {
   /// the tick's mutations). No-throw.
   void RollbackTick(FeedTickUndo* undo);
 
-  /// Scores `term`'s retained documents against `slot`, appending the
-  /// positive search postings to `out`. Const and scratch-parameterized so
-  /// StageSearchPostings can run it on pool workers.
-  void ScoreSearchTerm(TermId term, const TermPatterns& slot,
-                       std::vector<TermPattern>* scratch,
-                       std::vector<Posting>* out) const;
-
-  /// Scores every term in `terms` (slot via `slot_for`) across the
-  /// standing pool into index-addressed result slots — deterministic at
-  /// any thread count. The staging half of the search update; the builder
-  /// commits each list with InvertedIndex::ReplaceTerm.
+  /// Re-derives the search postings of every term in `terms` (distinct;
+  /// slot via `slot_for`) with ScoreTermsByCell: the terms' pattern lists
+  /// are built across the standing pool, then each touched cell's
+  /// documents are read once. Returns index-addressed lists,
+  /// deterministic at any thread count; `*tokens_scanned` (when non-null)
+  /// receives the document tokens read. The staging half of the search
+  /// update; the builder commits each list with InvertedIndex::ReplaceTerm.
   std::vector<std::vector<Posting>> StageSearchPostings(
       const std::vector<TermId>& terms,
-      const std::function<const TermPatterns&(TermId)>& slot_for) const;
+      const std::function<const TermPatterns&(TermId)>& slot_for,
+      size_t* tokens_scanned) const;
 
   FeedRuntimeOptions options_;
   Collection collection_;

@@ -86,40 +86,52 @@ TEST(FeedRuntime, TickOutputBitIdenticalAt1248Threads) {
   constexpr size_t kVocab = 120;
   constexpr int kTicks = 40;
 
-  std::unique_ptr<FeedRuntime> reference;
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    FeedRuntimeOptions opts = BaseOptions(threads);
-    opts.retention_window = 16;
-    opts.refresh_budget = 6;
-    opts.miner.mine_regional = true;
-    opts.miner.positions.resize(kStreams);
-    for (size_t s = 0; s < kStreams; ++s) {
-      opts.miner.positions[s] =
-          Point2D{static_cast<double>(s % 4), static_cast<double>(s / 4)};
-    }
-    opts.miner.model_factory = WithPriorFloor(
-        [] { return std::make_unique<GlobalMeanModel>(); }, 0.2);
+  for (SearchServing serving :
+       {SearchServing::kRegional, SearchServing::kCombinatorial}) {
+    SCOPED_TRACE(serving == SearchServing::kRegional ? "regional"
+                                                     : "combinatorial");
+    std::unique_ptr<FeedRuntime> reference;
+    std::vector<size_t> reference_scanned;
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      FeedRuntimeOptions opts = BaseOptions(threads);
+      opts.retention_window = 16;
+      opts.refresh_budget = 6;
+      opts.miner.mine_regional = true;
+      opts.miner.positions.resize(kStreams);
+      for (size_t s = 0; s < kStreams; ++s) {
+        opts.miner.positions[s] =
+            Point2D{static_cast<double>(s % 4), static_cast<double>(s / 4)};
+      }
+      opts.miner.model_factory = WithPriorFloor(
+          [] { return std::make_unique<GlobalMeanModel>(); }, 0.2);
 
-    opts.search_serving = SearchServing::kRegional;
+      opts.search_serving = serving;
 
-    auto runtime = FeedRuntime::Create(MakeSeedCollection(kStreams, 4, kVocab),
-                                       std::move(opts));
-    ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+      auto runtime = FeedRuntime::Create(
+          MakeSeedCollection(kStreams, 4, kVocab), std::move(opts));
+      ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
 
-    Rng rng(777);  // same seed per thread count -> same snapshot sequence
-    for (int tick = 0; tick < kTicks; ++tick) {
-      auto stats = runtime->Tick(MakeSnapshot(rng, kStreams, kVocab));
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    }
-    if (reference == nullptr) {
-      reference = std::make_unique<FeedRuntime>(std::move(*runtime));
-    } else {
-      ExpectIdenticalPostings(reference->index(), runtime->index());
-      ExpectIdenticalResults(reference->result(), runtime->result());
-      // The maintained search index is part of the bit-identical surface.
-      ASSERT_NE(runtime->search_index(), nullptr);
-      ExpectIdenticalIndexes(*reference->search_index(),
-                             *runtime->search_index());
+      Rng rng(777);  // same seed per thread count -> same snapshot sequence
+      std::vector<size_t> scanned;
+      for (int tick = 0; tick < kTicks; ++tick) {
+        auto stats = runtime->Tick(MakeSnapshot(rng, kStreams, kVocab));
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+        scanned.push_back(stats->search_tokens_scanned);
+      }
+      if (reference == nullptr) {
+        ASSERT_GT(*std::max_element(scanned.begin(), scanned.end()), 0u);
+        reference = std::make_unique<FeedRuntime>(std::move(*runtime));
+        reference_scanned = std::move(scanned);
+      } else {
+        ExpectIdenticalPostings(reference->index(), runtime->index());
+        ExpectIdenticalResults(reference->result(), runtime->result());
+        // The maintained search index is part of the bit-identical surface,
+        // and so is the re-score's work counter.
+        ASSERT_NE(runtime->search_index(), nullptr);
+        ExpectIdenticalIndexes(*reference->search_index(),
+                               *runtime->search_index());
+        EXPECT_EQ(reference_scanned, scanned) << threads << " threads";
+      }
     }
   }
 }
@@ -733,6 +745,7 @@ void ExpectSameStats(const FeedTickStats& a, const FeedTickStats& b) {
   EXPECT_EQ(a.dirty_terms, b.dirty_terms);
   EXPECT_EQ(a.refreshed_terms, b.refreshed_terms);
   EXPECT_EQ(a.search_terms, b.search_terms);
+  EXPECT_EQ(a.search_tokens_scanned, b.search_tokens_scanned);
   EXPECT_EQ(a.folded_terms, b.folded_terms);
   EXPECT_EQ(a.evicted, b.evicted);
   EXPECT_EQ(a.degraded, b.degraded);

@@ -14,10 +14,11 @@
 
 namespace stburst {
 
-// Posting-for-posting equality (docs, scores, order, totals); terms past
-// either index's id space compare as empty (a term whose postings were
-// wholly evicted keeps its empty slot in an incrementally maintained index
-// but never appears in a rebuilt one).
+// Posting-for-posting equality (docs, scores, order, totals), and each
+// index's random-access map answering every posted doc with its posting's
+// score; terms past either index's id space compare as empty (a term whose
+// postings were wholly evicted keeps its empty slot in an incrementally
+// maintained index but never appears in a rebuilt one).
 inline void ExpectIdenticalIndexes(const InvertedIndex& a,
                                    const InvertedIndex& b) {
   EXPECT_EQ(a.total_postings(), b.total_postings());
@@ -29,6 +30,11 @@ inline void ExpectIdenticalIndexes(const InvertedIndex& a,
     for (size_t i = 0; i < pa.size(); ++i) {
       EXPECT_EQ(pa[i].doc, pb[i].doc) << "term " << t << " rank " << i;
       EXPECT_EQ(pa[i].score, pb[i].score) << "term " << t << " rank " << i;
+      double sa = 0.0, sb = 0.0;
+      EXPECT_TRUE(a.Score(t, pa[i].doc, &sa) && sa == pa[i].score)
+          << "term " << t << " rank " << i;
+      EXPECT_TRUE(b.Score(t, pb[i].doc, &sb) && sb == pb[i].score)
+          << "term " << t << " rank " << i;
     }
   }
 }

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -111,56 +114,205 @@ TEST(BurstySearchEngine, ThresholdAndExhaustiveAgree) {
   }
 }
 
-TEST(IndexTermDocuments, TermMajorRefreshMatchesDocMajorBuild) {
-  // The incremental path FeedRuntime's search serving takes — per-term
-  // re-derivation through the frequency index — must produce postings
-  // identical to the doc-major BurstySearchEngine::Build from the same
-  // pattern state, on a randomized corpus.
-  Rng rng(17);
-  auto c = Collection::Create(12);
-  const size_t n = 3, vocab = 10;
-  for (size_t s = 0; s < n; ++s) {
+// The reference for ScoreTermsByCell: the per-term scorer it replaced. For
+// each cell holding `term` that a pattern overlaps, every document of the
+// cell is visited and its tokens are scanned for the term.
+void ReferenceScoreTerm(const Collection& collection,
+                        const FrequencyIndex& freq, TermId term,
+                        std::span<const TermPattern> patterns,
+                        std::vector<Posting>* out) {
+  if (patterns.empty()) return;
+  for (const TermPosting& cell : freq.postings(term)) {
+    double burst_score;
+    if (!MaxOverlapScore(patterns, cell.stream, cell.time, &burst_score)) {
+      continue;
+    }
+    for (DocId id : collection.DocumentsAt(cell.stream, cell.time)) {
+      const Document& doc = collection.document(id);
+      size_t count = 0;
+      for (TermId token : doc.tokens) count += token == term ? 1 : 0;
+      if (count == 0) continue;
+      const double entry =
+          Relevance(static_cast<double>(count)) * burst_score;
+      if (entry > 0.0) out->push_back(Posting{id, entry});
+    }
+  }
+}
+
+// One seeded adversarial pack: a windowed corpus (window_start > 0) with
+// repeated tokens, empty documents and one cell carrying every term, plus
+// per-term raw pattern lists (unsorted streams; empty lists; scores <= 0;
+// overlapping patterns of different scores) over a vocabulary that grew
+// past the frequency index's term count after it was built.
+struct ScorePack {
+  Collection collection;
+  FrequencyIndex freq;
+  std::vector<std::vector<TermPattern>> raw;  // by TermId, unsorted streams
+  PatternIndex patterns;                      // the same, sorted on Add
+};
+
+ScorePack MakeScorePack(uint64_t seed) {
+  Rng rng(seed);
+  constexpr Timestamp kTimeline = 14;
+  constexpr Timestamp kEvictBefore = 5;
+  const size_t num_streams = 2 + rng.NextUint64(5);
+  const size_t vocab = 6 + rng.NextUint64(20);
+  const size_t extra_terms = 1 + rng.NextUint64(4);
+
+  auto c = Collection::Create(kTimeline);
+  for (size_t s = 0; s < num_streams; ++s) {
     c->AddStream("s", {}, Point2D{static_cast<double>(s), 0.0});
   }
   Vocabulary* v = c->mutable_vocabulary();
   for (size_t t = 0; t < vocab; ++t) v->Intern("t" + std::to_string(t));
-  for (Timestamp t = 0; t < 12; ++t) {
-    for (StreamId s = 0; s < n; ++s) {
-      const size_t docs = rng.NextUint64(3);
+  const StreamId hot_stream =
+      static_cast<StreamId>(rng.NextUint64(num_streams));
+  const Timestamp hot_time = static_cast<Timestamp>(
+      kEvictBefore + rng.NextUint64(kTimeline - kEvictBefore));
+  for (Timestamp t = 0; t < kTimeline; ++t) {
+    for (StreamId s = 0; s < num_streams; ++s) {
+      const size_t docs = rng.NextUint64(4);
       for (size_t d = 0; d < docs; ++d) {
         std::vector<TermId> tokens;
-        const size_t len = 1 + rng.NextUint64(5);
+        const size_t len = rng.Bernoulli(0.15) ? 0 : 1 + rng.NextUint64(6);
         for (size_t i = 0; i < len; ++i) {
           tokens.push_back(static_cast<TermId>(rng.NextUint64(vocab)));
         }
-        ASSERT_TRUE(c->AddDocument(s, t, std::move(tokens)).ok());
+        if (!tokens.empty() && rng.Bernoulli(0.3)) {
+          tokens.insert(tokens.end(), 2 + rng.NextUint64(3), tokens[0]);
+        }
+        EXPECT_TRUE(c->AddDocument(s, t, std::move(tokens)).ok());
+      }
+      if (s == hot_stream && t == hot_time) {
+        std::vector<TermId> every;
+        for (size_t k = 0; k < vocab; ++k) {
+          every.insert(every.end(), 1 + rng.NextUint64(2),
+                       static_cast<TermId>(k));
+        }
+        rng.Shuffle(&every);
+        EXPECT_TRUE(c->AddDocument(s, t, std::move(every)).ok());
       }
     }
   }
-  PatternIndex patterns;
-  for (TermId t = 0; t < vocab; ++t) {
-    const size_t count = rng.NextUint64(3);
-    for (size_t i = 0; i < count; ++i) {
-      const Timestamp start = static_cast<Timestamp>(rng.NextUint64(10));
-      std::vector<StreamId> streams;
-      for (StreamId s = 0; s < n; ++s) {
-        if (rng.Bernoulli(0.6)) streams.push_back(s);
-      }
-      if (streams.empty()) streams.push_back(0);
-      patterns.Add(t, TermPattern{std::move(streams),
-                                  Interval{start, start + 3},
-                                  rng.Uniform(0.5, 3.0)});
-    }
-  }
-
-  auto engine = BurstySearchEngine::Build(*c, patterns);
+  EXPECT_TRUE(c->EvictBefore(kEvictBefore).ok());
   FrequencyIndex freq = FrequencyIndex::Build(*c);
-  InvertedIndex term_major;
-  for (TermId t = 0; t < vocab; ++t) {
-    IndexTermDocuments(*c, freq, t, patterns.PatternsFor(t), &term_major);
+  for (size_t t = 0; t < extra_terms; ++t) v->Intern("x" + std::to_string(t));
+
+  ScorePack pack{std::move(*c), std::move(freq), {}, {}};
+  const size_t total_terms = vocab + extra_terms;
+  pack.raw.resize(total_terms);
+  for (TermId t = 0; t < total_terms; ++t) {
+    if (rng.Bernoulli(0.2)) continue;  // a term with no patterns
+    const size_t count = 1 + rng.NextUint64(4);
+    for (size_t i = 0; i < count; ++i) {
+      std::vector<StreamId> streams;
+      for (StreamId s = 0; s < num_streams; ++s) {
+        if (rng.Bernoulli(0.5)) streams.push_back(s);
+      }
+      if (streams.empty()) streams.push_back(hot_stream);
+      rng.Shuffle(&streams);
+      const Timestamp start =
+          static_cast<Timestamp>(rng.NextUint64(kTimeline));
+      const Timestamp end = std::min<Timestamp>(
+          kTimeline - 1, start + static_cast<Timestamp>(rng.NextUint64(6)));
+      double score = rng.Uniform(0.2, 3.0);
+      if (rng.Bernoulli(0.15)) score = 0.0;
+      if (rng.Bernoulli(0.15)) score = -rng.Uniform(0.1, 2.0);
+      pack.raw[t].push_back(
+          TermPattern{std::move(streams), Interval{start, end}, score});
+    }
+    // Every patterned term also overlaps the hot cell, so that cell holds
+    // many score terms at once.
+    pack.raw[t].push_back(TermPattern{{hot_stream},
+                                      Interval{hot_time, hot_time},
+                                      rng.Uniform(-0.5, 3.0)});
   }
-  term_major.Finalize();
-  ExpectIdenticalIndexes(term_major, engine.index());
+  for (TermId t = 0; t < total_terms; ++t) {
+    for (const TermPattern& p : pack.raw[t]) pack.patterns.Add(t, p);
+  }
+  return pack;
+}
+
+TEST(ScoreTermsByCell, MatchesPerTermOracleAndDocMajorBuild) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ScorePack pack = MakeScorePack(seed);
+    ASSERT_GT(pack.freq.window_start(), 0);
+    ASSERT_GT(pack.raw.size(), pack.freq.num_terms());
+
+    // Score terms in shuffled order: the result is index-addressed.
+    std::vector<TermId> terms(pack.raw.size());
+    for (size_t t = 0; t < terms.size(); ++t) terms[t] = static_cast<TermId>(t);
+    Rng order(seed * 7919);
+    order.Shuffle(&terms);
+
+    for (size_t threads : {0u, 3u}) {
+      std::unique_ptr<ThreadPool> pool =
+          threads == 0 ? nullptr : std::make_unique<ThreadPool>(threads);
+      size_t scanned = 0;
+      std::vector<std::vector<Posting>> staged = ScoreTermsByCell(
+          pack.collection, pack.freq, terms,
+          [&](size_t i, std::vector<TermPattern>* out) {
+            *out = pack.raw[terms[i]];
+          },
+          pool.get(), &scanned);
+      ASSERT_EQ(staged.size(), terms.size());
+
+      InvertedIndex kernel;
+      for (size_t i = 0; i < terms.size(); ++i) {
+        kernel.ReplaceTerm(terms[i], std::move(staged[i]));
+      }
+      kernel.Finalize();
+
+      InvertedIndex oracle;
+      for (TermId t = 0; t < pack.raw.size(); ++t) {
+        std::vector<Posting> scored;
+        ReferenceScoreTerm(pack.collection, pack.freq, t,
+                           pack.patterns.PatternsFor(t), &scored);
+        oracle.ReplaceTerm(t, std::move(scored));
+      }
+      oracle.Finalize();
+
+      auto engine = BurstySearchEngine::Build(pack.collection, pack.patterns);
+      ExpectIdenticalIndexes(kernel, oracle);
+      ExpectIdenticalIndexes(kernel, engine.index());
+
+      // The counter is exact: the tokens of every document in a cell where
+      // some term's patterns overlap one of its postings, each read once.
+      size_t expected = 0;
+      for (StreamId s = 0; s < pack.freq.num_streams(); ++s) {
+        for (Timestamp time = pack.freq.window_start();
+             time < pack.collection.timeline_length(); ++time) {
+          bool touched = false;
+          for (TermId t = 0; t < pack.freq.num_terms() && !touched; ++t) {
+            double burst;
+            for (const TermPosting& p : pack.freq.postings(t)) {
+              if (p.stream == s && p.time == time &&
+                  pack.patterns.MaxOverlapScore(t, s, time, &burst)) {
+                touched = true;
+              }
+            }
+          }
+          if (!touched) continue;
+          for (DocId id : pack.collection.DocumentsAt(s, time)) {
+            expected += pack.collection.document(id).tokens.size();
+          }
+        }
+      }
+      EXPECT_EQ(scanned, expected);
+    }
+  }
+}
+
+TEST(ScoreTermsByCell, EmptyTermListScoresNothing) {
+  ScorePack pack = MakeScorePack(3);
+  size_t scanned = 1;
+  std::vector<std::vector<Posting>> staged = ScoreTermsByCell(
+      pack.collection, pack.freq, {},
+      [](size_t, std::vector<TermPattern>*) { FAIL() << "no term to source"; },
+      nullptr, &scanned);
+  EXPECT_TRUE(staged.empty());
+  EXPECT_EQ(scanned, 0u);
 }
 
 TEST(Relevance, LogOfFrequencyPlusOne) {
