@@ -34,9 +34,9 @@ void InvertedIndex::Finalize() {
     std::sort(plist.begin(), plist.end(), ScoreOrder);
     auto& map = lookup_[t];
     // The map is maintained, not rebuilt: postings only ever leave through
-    // EvictBefore (which erases their keys) and ClearTerm (which clears the
-    // map), so at refreeze time every mapped doc is still in the list and
-    // only docs added since the last freeze need nodes. emplace keeps the
+    // EvictBefore (which erases their keys) and ReplaceTerm (which clears
+    // the map), so at refreeze time every mapped doc is still in the list
+    // and only docs added since the last freeze need nodes. emplace keeps the
     // existing node for mapped docs — a failed find instead of a
     // free+malloc pair, which is what makes the eviction-aware refreeze
     // cheaper than a rebuild (bench: inverted_reopen_evict).
@@ -61,12 +61,6 @@ void InvertedIndex::Finalize() {
 }
 
 void InvertedIndex::Reopen() { finalized_ = false; }
-
-void InvertedIndex::AbortReopen() {
-  STB_CHECK(ever_finalized_) << "AbortReopen on a never-finalized index";
-  STB_CHECK(dirty_.empty()) << "AbortReopen with pending edits";
-  finalized_ = true;
-}
 
 void InvertedIndex::EvictBefore(DocId min_live_doc) {
   STB_CHECK(!finalized_) << "EvictBefore on a frozen index (call Reopen first)";
@@ -97,15 +91,6 @@ void InvertedIndex::EvictBefore(DocId min_live_doc) {
     }
     plist.erase(out, plist.end());
   }
-}
-
-void InvertedIndex::ClearTerm(TermId term) {
-  STB_CHECK(!finalized_) << "ClearTerm on a frozen index (call Reopen first)";
-  if (term >= postings_.size()) return;
-  total_postings_ -= postings_[term].size();
-  postings_[term].clear();
-  if (term < lookup_.size()) lookup_[term].clear();
-  if (ever_finalized_) dirty_.push_back(term);
 }
 
 void InvertedIndex::ReplaceTerm(TermId term, std::vector<Posting> postings) {

@@ -34,7 +34,7 @@ class InvertedIndex {
   /// Records that `doc` scores `score` for `term`. Must precede Finalize()
   /// (or follow a Reopen()). Each (term, doc) pair must be added at most
   /// once per lifetime of the term's postings — to change a frozen term's
-  /// scores, ClearTerm() it and re-Add (re-adding a still-listed pair keeps
+  /// scores, ReplaceTerm() its list (re-adding a still-listed pair keeps
   /// the first-frozen score in the random-access map). Amortized O(1).
   void Add(TermId term, DocId doc, double score);
 
@@ -48,19 +48,10 @@ class InvertedIndex {
   /// rejected until the next Finalize(). No-op when already open.
   void Reopen();
 
-  /// Reverts a Reopen() that made no edits: re-freezes without bumping
-  /// generation(), so consumers holding cached query results keep them —
-  /// the index is exactly what they cached. The caller guarantees nothing
-  /// was Added/Cleared/Evicted since the Reopen(); a transactional owner
-  /// (FeedRuntime) uses this when a tick fails after Reopen() but before
-  /// its first index edit. Checked error if edits are pending or the index
-  /// was never finalized.
-  void AbortReopen();
-
   /// Eviction-aware edit: removes every posting whose doc precedes
-  /// `min_live_doc` — the in-place follow-up to a prefix eviction
-  /// (Collection::EvictBefore with EvictionReport::ids_preserved, where
-  /// surviving documents keep their ids). Erasure preserves each term's
+  /// `min_live_doc` — the in-place follow-up to Collection::EvictBefore,
+  /// whose prefix erase keeps every surviving document's id (pass the
+  /// collection's new doc_id_base()). Erasure preserves each term's
   /// score order, so nothing is re-sorted, and the evicted docs are known
   /// exactly, so the random-access maps pay O(evicted) targeted erases —
   /// no per-term rebuild. Requires the index to be open (Reopen() first);
@@ -71,18 +62,11 @@ class InvertedIndex {
   /// inverted_reopen_evict).
   void EvictBefore(DocId min_live_doc);
 
-  /// Drops all postings of `term` (marking it dirty for the next
-  /// Finalize()) so a consumer can re-derive them from fresh pattern state
-  /// — the per-term replacement path FeedRuntime's search serving takes
-  /// when a term is re-mined. Requires the index to be open. O(postings of
-  /// the term).
-  void ClearTerm(TermId term);
-
-  /// ClearTerm + bulk re-Add in one move: replaces `term`'s postings with
-  /// `postings` (scores need not be sorted — the next Finalize() sorts) and
-  /// marks the term dirty. The move-in makes this the no-allocation commit
-  /// step for staged per-term updates (FeedRuntime stages scored postings
-  /// off to the side, then commits each term with one ReplaceTerm).
+  /// Replaces `term`'s postings with `postings` (scores need not be sorted
+  /// — the next Finalize() sorts) and marks the term dirty; an empty list
+  /// clears the term. The move-in makes this the no-allocation commit step
+  /// for staged per-term updates (FeedRuntime stages scored postings off
+  /// to the side, then commits each re-mined term with one ReplaceTerm).
   /// Requires the index to be open. O(postings of the term).
   void ReplaceTerm(TermId term, std::vector<Posting> postings);
 

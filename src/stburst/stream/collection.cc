@@ -107,15 +107,32 @@ void Collection::RollbackAppend(Timestamp old_timeline_length,
   // have restored it, so docs_time_ordered_ is left as-is.
 }
 
-Status Collection::EvictBefore(Timestamp cutoff, EvictionReport* report,
-                               CollectionEvictUndo* undo) {
-  if (report != nullptr) {
-    // Filled for the no-op and error paths too, so a caller can always read
-    // a coherent "nothing moved" report.
-    report->cutoff = window_start_;
-    report->evicted_documents = 0;
-    report->doc_id_base = doc_id_base_;
-    report->ids_preserved = true;
+void Collection::SortByTime() {
+  if (docs_time_ordered_) return;
+  // Stable, so documents sharing a timestamp — in particular each
+  // (stream, time) cell — keep their filing order, which is what keeps
+  // FrequencyIndex::Build and every DocumentsAt() scan over the sorted
+  // collection deterministic.
+  std::stable_sort(documents_.begin(), documents_.end(),
+                   [](const Document& a, const Document& b) {
+                     return a.time < b.time;
+                   });
+  for (auto& per_stream : docs_at_) {
+    for (auto& cell : per_stream) cell.clear();
+  }
+  for (size_t i = 0; i < documents_.size(); ++i) {
+    Document& doc = documents_[i];
+    doc.id = doc_id_base_ + static_cast<DocId>(i);
+    docs_at_[doc.stream][static_cast<size_t>(doc.time - window_start_)]
+        .push_back(doc.id);
+  }
+  docs_time_ordered_ = true;
+}
+
+Status Collection::EvictBefore(Timestamp cutoff, CollectionEvictUndo* undo) {
+  if (!docs_time_ordered_) {
+    return Status::FailedPrecondition(
+        "documents out of time order; call SortByTime before evicting");
   }
   if (cutoff <= window_start_) return Status::OK();
   if (cutoff > timeline_length_) {
@@ -123,23 +140,17 @@ Status Collection::EvictBefore(Timestamp cutoff, EvictionReport* report,
         StringPrintf("eviction cutoff %d beyond timeline %d", cutoff,
                      timeline_length_));
   }
-  const size_t docs_before = documents_.size();
   const size_t drop = static_cast<size_t>(cutoff - window_start_);
-  const bool prefix_evictable = docs_time_ordered_;
-  // Fast path: the evicted documents are exactly the time-ordered prefix.
-  const auto split =
-      prefix_evictable
-          ? std::partition_point(
-                documents_.begin(), documents_.end(),
-                [cutoff](const Document& d) { return d.time < cutoff; })
-          : documents_.begin();
+  // The evicted documents are exactly the time-ordered prefix.
+  const auto split = std::partition_point(
+      documents_.begin(), documents_.end(),
+      [cutoff](const Document& d) { return d.time < cutoff; });
   if (undo != nullptr) {
     // Populate the restore header before anything can fail (including the
     // fault point below), so RollbackEvict of a never-started eviction is a
     // clean no-op rather than a restore from a default-constructed undo.
     undo->window_start = window_start_;
     undo->doc_id_base = doc_id_base_;
-    undo->full_copy = !prefix_evictable;
     undo->applied = false;
     undo->documents.clear();
     undo->docs_at.clear();
@@ -150,91 +161,41 @@ Status Collection::EvictBefore(Timestamp cutoff, EvictionReport* report,
     // happens here, so an allocation failure during capture leaves the
     // collection untouched (and the undo unapplied). Copies, not moves —
     // a half-taken move would be a mutation.
-    if (prefix_evictable) {
-      undo->documents.assign(documents_.begin(), split);
-      undo->docs_at.reserve(docs_at_.size());
-      for (const auto& per_stream : docs_at_) {
-        undo->docs_at.emplace_back(
-            per_stream.begin(),
-            per_stream.begin() + static_cast<ptrdiff_t>(drop));
-      }
-    } else {
-      // Renumbering rewrites every surviving document and re-files every
-      // docs_at_ cell, so the only exact undo is a full pre-eviction copy.
-      undo->documents = documents_;
-      undo->docs_at = docs_at_;
+    undo->documents.assign(documents_.begin(), split);
+    undo->docs_at.reserve(docs_at_.size());
+    for (const auto& per_stream : docs_at_) {
+      undo->docs_at.emplace_back(
+          per_stream.begin(),
+          per_stream.begin() + static_cast<ptrdiff_t>(drop));
     }
     undo->applied = true;
   }
-  if (prefix_evictable) {
-    // Fast path for the steady-state feed (documents filed in nondecreasing
-    // time order): a prefix erase keeps every surviving id satisfying
-    // id == doc_id_base_ + position with no renumbering and no docs_at_
-    // re-filing — O(evicted + log docs) document work per tick instead of
-    // O(retained).
-    doc_id_base_ += static_cast<DocId>(split - documents_.begin());
-    documents_.erase(documents_.begin(), split);
-  } else {
-    // General path (historical AddDocument calls out of time order): keep
-    // survivors in their original relative order and renumber them densely
-    // from the advanced base. Iterating documents_ in order during the
-    // re-file below preserves each cell's original filing order, which is
-    // what keeps FrequencyIndex::Build over an evicted collection
-    // deterministic.
-    std::vector<Document> kept;
-    kept.reserve(documents_.size());
-    for (Document& doc : documents_) {
-      if (doc.time >= cutoff) kept.push_back(std::move(doc));
-    }
-    doc_id_base_ += static_cast<DocId>(documents_.size() - kept.size());
-    documents_ = std::move(kept);
-    for (size_t i = 0; i < documents_.size(); ++i) {
-      documents_[i].id = doc_id_base_ + static_cast<DocId>(i);
-    }
-  }
-
+  // A prefix erase keeps id == doc_id_base_ + position for every survivor,
+  // so nothing is renumbered or re-filed.
+  doc_id_base_ += static_cast<DocId>(split - documents_.begin());
+  documents_.erase(documents_.begin(), split);
   for (auto& per_stream : docs_at_) {
     per_stream.erase(per_stream.begin(),
                      per_stream.begin() + static_cast<ptrdiff_t>(drop));
-    if (!prefix_evictable) {
-      for (auto& cell : per_stream) cell.clear();
-    }
   }
   window_start_ = cutoff;
-  if (!prefix_evictable) {
-    for (const Document& doc : documents_) {
-      docs_at_[doc.stream][static_cast<size_t>(doc.time - window_start_)]
-          .push_back(doc.id);
-    }
-  }
-  if (report != nullptr) {
-    report->cutoff = window_start_;
-    report->evicted_documents = docs_before - documents_.size();
-    report->doc_id_base = doc_id_base_;
-    report->ids_preserved = prefix_evictable;
-  }
   return Status::OK();
 }
 
 void Collection::RollbackEvict(CollectionEvictUndo&& undo) {
   if (!undo.applied) return;  // the eviction never mutated anything
-  if (undo.full_copy) {
-    documents_ = std::move(undo.documents);
-    docs_at_ = std::move(undo.docs_at);
-  } else {
-    // Re-prepend the evicted prefix. The post-eviction vectors kept their
-    // pre-eviction capacity (erase never shrinks), so these inserts stay
-    // within capacity and only move elements — no allocation, no throw.
-    documents_.insert(documents_.begin(),
-                      std::make_move_iterator(undo.documents.begin()),
-                      std::make_move_iterator(undo.documents.end()));
-    STB_CHECK(undo.docs_at.size() == docs_at_.size())
-        << "eviction undo captured a different stream set";
-    for (size_t s = 0; s < docs_at_.size(); ++s) {
-      docs_at_[s].insert(docs_at_[s].begin(),
-                         std::make_move_iterator(undo.docs_at[s].begin()),
-                         std::make_move_iterator(undo.docs_at[s].end()));
-    }
+  // Re-prepend the evicted prefix. The post-eviction vectors kept their
+  // pre-eviction capacity (erase never shrinks), so these inserts stay
+  // within capacity and only move elements — no allocation, no throw.
+  documents_.insert(documents_.begin(),
+                    std::make_move_iterator(undo.documents.begin()),
+                    std::make_move_iterator(undo.documents.end()));
+  STB_CHECK(undo.docs_at.size() == docs_at_.size())
+      << "eviction undo captured a different stream set";
+  for (size_t s = 0; s < docs_at_.size(); ++s) {
+    docs_at_[s].insert(docs_at_[s].begin(),
+                       std::make_move_iterator(undo.docs_at[s].begin()),
+                       std::make_move_iterator(undo.docs_at[s].end()));
   }
   window_start_ = undo.window_start;
   doc_id_base_ = undo.doc_id_base;

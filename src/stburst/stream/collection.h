@@ -41,48 +41,20 @@ using Snapshot = std::vector<SnapshotDocument>;
 
 /// Captured pre-eviction state that RollbackEvict uses to undo one
 /// EvictBefore exactly — the collection-level half of FeedRuntime's
-/// transactional tick (docs/ARCHITECTURE.md, failure contract). On the
-/// time-ordered fast path this holds just the copied evicted prefix
-/// (O(evicted) capture); on the renumbering path it holds a full deep copy
-/// of the pre-eviction document state (O(retained) — never reached by an
-/// Append-driven feed). Capture strictly precedes mutation, so an
-/// EvictBefore that throws mid-capture leaves the collection untouched and
-/// `applied` false. Restore consumes the undo.
+/// transactional tick (docs/ARCHITECTURE.md, failure contract): a copy of
+/// the evicted prefix, O(evicted) to capture. Capture strictly precedes
+/// mutation, so an EvictBefore that throws mid-capture leaves the
+/// collection untouched and `applied` false. Restore consumes the undo.
 struct CollectionEvictUndo {
   Timestamp window_start = 0;
   DocId doc_id_base = 0;
-  bool full_copy = false;
   /// False until the eviction actually started mutating the collection;
   /// RollbackEvict of an unapplied undo is a no-op.
   bool applied = false;
-  /// Fast path: the evicted documents, in their original order. Full-copy
-  /// path: every pre-eviction document.
+  /// The evicted documents, in their original order.
   std::vector<Document> documents;
-  /// The evicted docs_at_ prefix cells per stream (fast path), or the full
-  /// pre-eviction per-stream tables (full-copy path).
+  /// The evicted docs_at_ prefix cells, per stream.
   std::vector<std::vector<std::vector<DocId>>> docs_at;
-};
-
-/// How one Collection::EvictBefore changed the DocId space — the contract
-/// DocId-keyed consumers (search indexes) use to follow an eviction
-/// incrementally instead of rebuilding (see docs/ARCHITECTURE.md, retention
-/// rule 4).
-struct EvictionReport {
-  /// The new window_start(): first retained timestamp.
-  Timestamp cutoff = 0;
-  /// Documents dropped by this eviction (0 for a no-op cutoff).
-  size_t evicted_documents = 0;
-  /// The new doc_id_base(): live ids are [doc_id_base, doc_id_base +
-  /// num_documents()).
-  DocId doc_id_base = 0;
-  /// True when the evicted documents were exactly the id-prefix
-  /// [old base, new base) and every surviving document kept its id — the
-  /// time-ordered fast path every Append-driven feed takes. A DocId-keyed
-  /// index then only drops entries with doc < doc_id_base, in place
-  /// (InvertedIndex::EvictBefore). False means survivors were renumbered
-  /// densely (out-of-order historical ingest): previously handed-out ids
-  /// are meaningless and DocId-keyed state must rebuild.
-  bool ids_preserved = false;
 };
 
 /// A spatiotemporal collection: streams, an interned vocabulary, and the
@@ -93,15 +65,18 @@ struct EvictionReport {
 /// Retention: a long-running feed bounds its memory by evicting timestamps
 /// older than a retention window (EvictBefore). The retained range is
 /// [window_start(), timeline_length()); timestamps stay absolute, so
-/// evicting never renumbers the timeline, but DocIds of evicted documents
-/// become invalid and surviving documents are renumbered densely — eviction
-/// invalidates any external DocId-keyed state (see docs/ARCHITECTURE.md,
-/// retention/eviction contract).
+/// evicting never renumbers the timeline. Eviction requires the documents
+/// in time order (Append keeps them so; SortByTime restores it after
+/// out-of-order AddDocument calls) and drops exactly the DocId prefix
+/// [old doc_id_base(), new doc_id_base()): surviving documents keep their
+/// ids, so DocId-keyed state follows an eviction by dropping ids below
+/// doc_id_base() (see docs/ARCHITECTURE.md, retention/eviction contract).
 ///
 /// Thread-safety: none. All mutators (AddStream, AddDocument, Append,
-/// EvictBefore, vocabulary interning) require external exclusion against
-/// readers; the sharded FrequencyIndex::Build reads concurrently from worker
-/// threads and relies on the collection being quiescent during the scan.
+/// SortByTime, EvictBefore, vocabulary interning) require external
+/// exclusion against readers; the sharded FrequencyIndex::Build reads
+/// concurrently from worker threads and relies on the collection being
+/// quiescent during the scan.
 class Collection {
  public:
   /// Creates a collection over `timeline_length` timestamps (must be > 0).
@@ -138,30 +113,33 @@ class Collection {
   /// No-throw; O(dropped documents + streams · dropped timestamps).
   void RollbackAppend(Timestamp old_timeline_length, size_t old_num_documents);
 
+  /// Puts the documents in time order: a stable sort by timestamp (each
+  /// (stream, time) cell keeps its filing order), renumbered densely from
+  /// doc_id_base(), with DocumentsAt() re-filed to match. A no-op on a
+  /// collection already in time order — every Append-driven feed and every
+  /// in-order history — which is the only case that keeps handed-out
+  /// DocIds valid. FeedRuntime::Create calls it once, so a runtime's
+  /// collection stays in time order for its whole life. O(documents) when
+  /// ordered, O(documents · log documents + streams · window) otherwise.
+  void SortByTime();
+
   /// Drops every document (and per-stream slot) of timestamps before
-  /// `cutoff`, advancing window_start(). On the time-ordered fast path
-  /// (Append-driven feeds) surviving documents keep their ids; otherwise
-  /// survivors are renumbered densely starting at doc_id_base() — their
-  /// relative order is preserved, but previously handed-out DocIds are
-  /// invalidated. `report`, when non-null, receives which of the two
-  /// happened so DocId-keyed consumers (search indexes) can follow the
-  /// eviction in place instead of rebuilding. The vocabulary and streams
-  /// are never evicted. cutoff <= window_start() is a no-op (reported as
-  /// zero evictions with ids preserved); cutoff beyond the timeline is
-  /// OutOfRange with the collection untouched and the report still coherent
-  /// (a defined no-op, not caller-discipline UB). Both paths move
-  /// O(retained documents + streams · window) elements; the fast path
-  /// additionally skips the renumbering pass and the per-document docs_at_
-  /// re-filing.
+  /// `cutoff`, advancing window_start() and doc_id_base(). The documents
+  /// must be in time order, so the evicted ones are exactly the DocId
+  /// prefix and every survivor keeps its id: a DocId-keyed index follows
+  /// with InvertedIndex::EvictBefore(doc_id_base()). A collection out of
+  /// time order (an out-of-order AddDocument since the last SortByTime) is
+  /// FailedPrecondition, and a cutoff beyond the timeline is OutOfRange,
+  /// both with the collection untouched; cutoff <= window_start() is a
+  /// no-op. The vocabulary and streams are never evicted. O(retained
+  /// documents + streams · window) element moves.
   ///
-  /// `undo`, when non-null, captures everything RollbackEvict needs to
-  /// restore the pre-eviction state exactly — an O(evicted) copy of the
-  /// evicted prefix on the fast path, a full pre-eviction copy on the
-  /// renumbering path. Capture completes before any mutation, so a failure
-  /// at any point leaves either an untouched collection (undo unapplied) or
-  /// a restorable one.
-  Status EvictBefore(Timestamp cutoff, EvictionReport* report = nullptr,
-                     CollectionEvictUndo* undo = nullptr);
+  /// `undo`, when non-null, captures the evicted prefix — everything
+  /// RollbackEvict needs to restore the pre-eviction state exactly.
+  /// Capture completes before any mutation, so a failure at any point
+  /// leaves either an untouched collection (undo unapplied) or a
+  /// restorable one.
+  Status EvictBefore(Timestamp cutoff, CollectionEvictUndo* undo = nullptr);
 
   /// Restores the state captured by the matching EvictBefore, consuming the
   /// undo. Must be applied to the collection exactly as that eviction (or
@@ -208,8 +186,8 @@ class Collection {
   Timestamp window_start_ = 0;  // first retained timestamp
   DocId doc_id_base_ = 0;       // id of documents_[0]
   // documents_ is in nondecreasing time order (true for Append-driven feeds
-  // and in-order historical ingest) — enables the O(evicted) prefix-erase
-  // eviction fast path; cleared by an out-of-order AddDocument.
+  // and in-order historical ingest) — what EvictBefore's prefix erase
+  // requires; cleared by an out-of-order AddDocument, set by SortByTime.
   bool docs_time_ordered_ = true;
   Vocabulary vocabulary_;
   std::vector<StreamInfo> streams_;

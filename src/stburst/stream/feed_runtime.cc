@@ -56,7 +56,6 @@ struct FeedRuntime::TickTransaction::Impl {
   FeedTickStats stats;
   Timer timer;                 // starts at PrepareTickIngest
   double clock_start = 0.0;    // options_.clock() at PrepareTickIngest
-  EvictionReport eviction;
   std::vector<TermId> dirty_todo;
   std::vector<TermPatterns> staged_dirty;
   std::vector<TermId> refresh_todo;
@@ -149,6 +148,11 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
         "history_mode = kMmap requires history_path");
   }
   FeedRuntime runtime(std::move(collection), std::move(options));
+
+  // Time-order the history once (a no-op for in-order and Append-built
+  // histories): Append keeps it so from here on, so every eviction of this
+  // runtime's life is a prefix erase that keeps surviving DocIds.
+  runtime.collection_.SortByTime();
 
   // Apply retention to the history before the initial sweep, so the sweep
   // mines exactly the retained window (and pays only for it).
@@ -394,8 +398,8 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
     const Timestamp cutoff = collection_.timeline_length() - window;
     if (cutoff > index_.window_start()) {
       undo->collection_evicted = true;
-      STB_RETURN_NOT_OK(collection_.EvictBefore(cutoff, &tx->eviction,
-                                                &undo->collection_undo));
+      STB_RETURN_NOT_OK(
+          collection_.EvictBefore(cutoff, &undo->collection_undo));
       undo->freq_evicted = true;
       STB_RETURN_NOT_OK(
           index_.EvictBefore(cutoff, pool_.get(), &undo->freq_undo));
@@ -449,35 +453,23 @@ Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
   const std::vector<TermId>& dirty_todo = tx->dirty_todo;
   const std::vector<TermId>& refresh_todo = tx->refresh_todo;
   const bool search = options_.search_serving != SearchServing::kNone;
-  const bool rebuild_all =
-      search && stats->evicted && !tx->eviction.ids_preserved;
   if (search) {
     // The score set: this tick's re-mined terms, plus any scoring a
-    // previous degraded tick deferred — or every term after a renumbering
-    // eviction (out-of-order historical ingest; never an Append-driven
-    // feed), when every standing DocId went stale at once.
+    // previous degraded tick deferred.
     std::vector<TermId> want;
-    if (rebuild_all) {
-      want.resize(index_.num_terms());
-      for (size_t t = 0; t < want.size(); ++t) {
-        want[t] = static_cast<TermId>(t);
-      }
-    } else {
-      want.reserve(dirty_todo.size() + refresh_todo.size() +
-                   deferred_search_terms_.size());
-      want.insert(want.end(), dirty_todo.begin(), dirty_todo.end());
-      want.insert(want.end(), refresh_todo.begin(), refresh_todo.end());
-      want.insert(want.end(), deferred_search_terms_.begin(),
-                  deferred_search_terms_.end());
-      std::sort(want.begin(), want.end());
-      want.erase(std::unique(want.begin(), want.end()), want.end());
-    }
-    if (!rebuild_all && !want.empty() && TickOverDeadline(*tx)) {
+    want.reserve(dirty_todo.size() + refresh_todo.size() +
+                 deferred_search_terms_.size());
+    want.insert(want.end(), dirty_todo.begin(), dirty_todo.end());
+    want.insert(want.end(), refresh_todo.begin(), refresh_todo.end());
+    want.insert(want.end(), deferred_search_terms_.begin(),
+                deferred_search_terms_.end());
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    if (!want.empty() && TickOverDeadline(*tx)) {
       // Degradation ladder, step 2: defer search re-scoring — the terms
       // carry over and the next tick with headroom scores them. Search
       // *eviction* still publishes below (a deferred drop would serve dead
-      // DocIds), and a renumbering rebuild is never deferred for the same
-      // reason.
+      // DocIds).
       stats->degraded = true;
       tx->deferred_next = std::move(want);
     } else {
@@ -519,8 +511,8 @@ Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
     tx->next_snapshot = std::make_shared<IndexSnapshot>();
     tx->next_snapshot->index = current->index;
     tx->next_snapshot->index.Reopen();
-    if (stats->evicted && tx->eviction.ids_preserved) {
-      tx->next_snapshot->index.EvictBefore(tx->eviction.doc_id_base);
+    if (stats->evicted) {
+      tx->next_snapshot->index.EvictBefore(collection_.doc_id_base());
     }
     for (size_t i = 0; i < tx->score_terms.size(); ++i) {
       tx->next_snapshot->index.ReplaceTerm(tx->score_terms[i],

@@ -247,10 +247,11 @@ Status ValidateSnapshotDocuments(size_t num_streams, size_t vocabulary_size,
 /// must not overlap a mutable_vocabulary()->Intern burst.)
 class FeedRuntime {
  public:
-  /// Takes ownership of the historical collection, builds the sharded
-  /// index, runs the initial whole-vocabulary sweep, and applies the
-  /// retention window to the history. The collection may be empty of
-  /// documents (a cold start).
+  /// Takes ownership of the historical collection, puts it in time order
+  /// (Collection::SortByTime — renumbering the documents of a history filed
+  /// out of time order, a no-op otherwise), applies the retention window to
+  /// it, builds the sharded index, and runs the initial whole-vocabulary
+  /// sweep. The collection may be empty of documents (a cold start).
   static StatusOr<FeedRuntime> Create(Collection collection,
                                       FeedRuntimeOptions options);
 
@@ -352,10 +353,6 @@ class FeedRuntime {
   /// Interning point for tokenizing snapshots before Tick. New terms are
   /// absorbed by the next tick; do not mutate anything else mid-cycle.
   Vocabulary* mutable_vocabulary() { return collection_.mutable_vocabulary(); }
-
-  /// The standing pool, usable by callers between ticks (e.g. to fan a
-  /// search-index rebuild); nullptr when the runtime is serial.
-  ThreadPool* pool() { return pool_.get(); }
 
   /// The currently published search snapshot — one atomic acquire load, no
   /// locks. Hold it as long as you like: it stays bit-identical while

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "runtime_test_util.h"
+#include "stburst/common/random.h"
+#include "stburst/stream/frequency.h"
+
 namespace stburst {
 namespace {
 
@@ -132,7 +139,7 @@ TEST(Collection, AppendThenAddStreamCoversTheWholeTimeline) {
   EXPECT_EQ(c->DocumentsAt(late, 2).size(), 1u);
 }
 
-TEST(CollectionRetention, EvictBeforeDropsDocsAndRenumbers) {
+TEST(CollectionRetention, EvictBeforeDropsDocsAndKeepsSurvivorIds) {
   auto c = Collection::Create(4);
   ASSERT_TRUE(c.ok());
   StreamId s0 = c->AddStream("A", {}, {});
@@ -149,7 +156,7 @@ TEST(CollectionRetention, EvictBeforeDropsDocsAndRenumbers) {
   EXPECT_EQ(c->num_documents(), 2u);
   EXPECT_EQ(c->doc_id_base(), 2u);
 
-  // Survivors are renumbered densely from the base, in original order.
+  // The evicted documents were the id prefix: survivors keep their ids.
   EXPECT_EQ(c->documents()[0].time, 2);
   EXPECT_EQ(c->documents()[0].id, 2u);
   EXPECT_EQ(c->documents()[1].id, 3u);
@@ -173,80 +180,146 @@ TEST(CollectionRetention, EvictBeforeDropsDocsAndRenumbers) {
   EXPECT_TRUE(c->EvictBefore(99).IsOutOfRange());
 }
 
-TEST(CollectionRetention, EvictBeforeHandlesOutOfOrderHistory) {
-  // Documents ingested out of time order force the general eviction path
-  // (survivor renumbering + docs_at_ re-filing) instead of the prefix
-  // erase; the observable contract is identical.
+TEST(CollectionRetention, EvictBeforeAdvancesTheDocIdBase) {
   auto c = Collection::Create(4);
   ASSERT_TRUE(c.ok());
-  StreamId s0 = c->AddStream("A", {}, {});
-  StreamId s1 = c->AddStream("B", {}, {});
+  StreamId s = c->AddStream("A", {}, {});
   TermId w = c->mutable_vocabulary()->Intern("w");
-  ASSERT_TRUE(c->AddDocument(s0, 3, {w}).ok());        // id 0
-  ASSERT_TRUE(c->AddDocument(s1, 0, {w}).ok());        // id 1 (evicted)
-  ASSERT_TRUE(c->AddDocument(s0, 2, {w, w}).ok());     // id 2
-  ASSERT_TRUE(c->AddDocument(s1, 1, {w}).ok());        // id 3 (evicted)
-  ASSERT_TRUE(c->AddDocument(s0, 3, {w}).ok());        // id 4
+  for (Timestamp t = 0; t < 4; ++t) {
+    ASSERT_TRUE(c->AddDocument(s, t, {w}).ok());
+  }
+  ASSERT_TRUE(c->EvictBefore(3).ok());
+  EXPECT_EQ(c->window_start(), 3);
+  EXPECT_EQ(c->num_documents(), 1u);
+  EXPECT_EQ(c->doc_id_base(), 3u);
+  // The surviving document really did keep its pre-eviction id.
+  EXPECT_EQ(c->document(3).time, 3);
 
-  ASSERT_TRUE(c->EvictBefore(2).ok());
-  EXPECT_EQ(c->num_documents(), 3u);
-  EXPECT_EQ(c->doc_id_base(), 2u);
-  // Survivors keep their relative order (times 3, 2, 3) and dense ids.
-  EXPECT_EQ(c->documents()[0].time, 3);
-  EXPECT_EQ(c->documents()[1].time, 2);
-  EXPECT_EQ(c->documents()[2].time, 3);
-  EXPECT_EQ(c->documents()[0].id, 2u);
-  EXPECT_EQ(c->documents()[2].id, 4u);
-  // docs_at_ was re-filed consistently: both s0 docs at t=3, in order.
-  ASSERT_EQ(c->DocumentsAt(s0, 3).size(), 2u);
-  EXPECT_EQ(c->DocumentsAt(s0, 3)[0], 2u);
-  EXPECT_EQ(c->DocumentsAt(s0, 3)[1], 4u);
-  ASSERT_EQ(c->DocumentsAt(s0, 2).size(), 1u);
-  EXPECT_EQ(c->document(c->DocumentsAt(s0, 2)[0]).TermFrequency(w), 2);
-  EXPECT_EQ(c->DocumentsAt(s1, 2).size(), 0u);
-  EXPECT_EQ(c->DocumentsAt(s1, 3).size(), 0u);
+  // A no-op cutoff moves nothing.
+  ASSERT_TRUE(c->EvictBefore(1).ok());
+  EXPECT_EQ(c->num_documents(), 1u);
+  EXPECT_EQ(c->doc_id_base(), 3u);
 }
 
-TEST(CollectionRetention, EvictionReportDistinguishesPrefixFromRenumber) {
-  // Time-ordered ingest: the report must say ids were preserved, so
-  // DocId-keyed consumers can follow the eviction in place.
-  auto ordered = Collection::Create(4);
-  ASSERT_TRUE(ordered.ok());
-  StreamId s = ordered->AddStream("A", {}, {});
-  TermId w = ordered->mutable_vocabulary()->Intern("w");
-  for (Timestamp t = 0; t < 4; ++t) {
-    ASSERT_TRUE(ordered->AddDocument(s, t, {w}).ok());
+// A history whose documents are filed in random time order on top of an
+// already-evicted window (doc_id_base() > 0). Each document's event id is
+// its filing rank, so a test can recover the filing order after a sort.
+Collection MakeShuffledCollection(uint64_t seed) {
+  constexpr size_t kStreams = 3;
+  constexpr Timestamp kTimeline = 7;
+  auto c = Collection::Create(kTimeline);
+  EXPECT_TRUE(c.ok());
+  for (size_t s = 0; s < kStreams; ++s) c->AddStream("s", {}, {});
+  Vocabulary* v = c->mutable_vocabulary();
+  for (int t = 0; t < 5; ++t) v->Intern("t" + std::to_string(t));
+  for (StreamId s = 0; s < kStreams; ++s) {
+    EXPECT_TRUE(c->AddDocument(s, 0, {0}).ok());
   }
-  EvictionReport report;
-  ASSERT_TRUE(ordered->EvictBefore(3, &report).ok());
-  EXPECT_EQ(report.cutoff, 3);
-  EXPECT_EQ(report.evicted_documents, 3u);
-  EXPECT_EQ(report.doc_id_base, 3u);
-  EXPECT_TRUE(report.ids_preserved);
-  // The surviving document really did keep its pre-eviction id.
-  EXPECT_EQ(ordered->document(3).time, 3);
+  EXPECT_TRUE(c->EvictBefore(1).ok());
 
-  // A no-op cutoff reports zero evictions coherently.
-  EvictionReport noop;
-  ASSERT_TRUE(ordered->EvictBefore(1, &noop).ok());
-  EXPECT_EQ(noop.evicted_documents, 0u);
-  EXPECT_EQ(noop.doc_id_base, 3u);
-  EXPECT_TRUE(noop.ids_preserved);
+  Rng rng(seed);
+  struct Pending {
+    StreamId stream;
+    Timestamp time;
+  };
+  std::vector<Pending> pending;
+  for (StreamId s = 0; s < kStreams; ++s) {
+    for (Timestamp t = 1; t < kTimeline; ++t) {
+      const size_t docs = rng.NextUint64(4);
+      for (size_t d = 0; d < docs; ++d) pending.push_back({s, t});
+    }
+  }
+  rng.Shuffle(&pending);
+  for (size_t i = 0; i < pending.size(); ++i) {
+    std::vector<TermId> tokens;
+    const size_t len = 1 + rng.NextUint64(4);
+    for (size_t k = 0; k < len; ++k) {
+      tokens.push_back(static_cast<TermId>(rng.NextUint64(5)));
+    }
+    EXPECT_TRUE(c->AddDocument(pending[i].stream, pending[i].time,
+                               std::move(tokens), static_cast<int32_t>(i))
+                    .ok());
+  }
+  return std::move(*c);
+}
 
-  // Out-of-order ingest forces the renumbering path; the report must warn
-  // consumers their DocIds are meaningless.
-  auto shuffled = Collection::Create(4);
-  ASSERT_TRUE(shuffled.ok());
-  StreamId z = shuffled->AddStream("A", {}, {});
-  ASSERT_TRUE(shuffled->AddDocument(z, 3, {w}).ok());
-  ASSERT_TRUE(shuffled->AddDocument(z, 0, {w}).ok());
-  ASSERT_TRUE(shuffled->AddDocument(z, 2, {w}).ok());
-  EvictionReport renumbered;
-  ASSERT_TRUE(shuffled->EvictBefore(2, &renumbered).ok());
-  EXPECT_EQ(renumbered.cutoff, 2);
-  EXPECT_EQ(renumbered.evicted_documents, 1u);
-  EXPECT_EQ(renumbered.doc_id_base, 1u);
-  EXPECT_FALSE(renumbered.ids_preserved);
+// The event ids (filing ranks) of one cell's documents, in cell order.
+std::vector<int32_t> CellEvents(const Collection& c, StreamId s,
+                                Timestamp t) {
+  std::vector<int32_t> events;
+  for (DocId id : c.DocumentsAt(s, t)) {
+    events.push_back(c.document(id).event_id);
+  }
+  return events;
+}
+
+TEST(CollectionRetention, SortByTimeIsStableDenseAndRefiles) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Collection c = MakeShuffledCollection(seed);
+    const DocId base = c.doc_id_base();
+    ASSERT_GT(base, 0u);
+    const FrequencyIndex before_index = FrequencyIndex::Build(c);
+    std::vector<std::vector<std::vector<int32_t>>> before_cells(
+        c.num_streams());
+    for (StreamId s = 0; s < c.num_streams(); ++s) {
+      for (Timestamp t = c.window_start(); t < c.timeline_length(); ++t) {
+        before_cells[s].push_back(CellEvents(c, s, t));
+      }
+    }
+    const size_t num_documents = c.num_documents();
+
+    c.SortByTime();
+    ASSERT_EQ(c.doc_id_base(), base);
+    ASSERT_EQ(c.num_documents(), num_documents);
+    for (size_t i = 0; i < c.num_documents(); ++i) {
+      const Document& doc = c.documents()[i];
+      EXPECT_EQ(doc.id, base + static_cast<DocId>(i));  // dense from base
+      if (i > 0) {
+        const Document& prev = c.documents()[i - 1];
+        ASSERT_LE(prev.time, doc.time);
+        // Stable: same-time documents keep their filing order.
+        if (prev.time == doc.time) EXPECT_LT(prev.event_id, doc.event_id);
+      }
+    }
+    // DocumentsAt is re-filed onto the new ids, each cell in filing order.
+    for (StreamId s = 0; s < c.num_streams(); ++s) {
+      for (Timestamp t = c.window_start(); t < c.timeline_length(); ++t) {
+        for (DocId id : c.DocumentsAt(s, t)) {
+          EXPECT_EQ(c.document(id).stream, s);
+          EXPECT_EQ(c.document(id).time, t);
+        }
+        EXPECT_EQ(CellEvents(c, s, t),
+                  before_cells[s][static_cast<size_t>(t - c.window_start())]);
+      }
+    }
+    ExpectIdenticalPostings(FrequencyIndex::Build(c), before_index);
+
+    // Sorting a sorted collection is a no-op.
+    const Collection sorted = c;
+    c.SortByTime();
+    ExpectIdenticalCollections(c, sorted);
+  }
+}
+
+TEST(CollectionRetention, EvictBeforeRequiresTimeOrder) {
+  Collection c = MakeShuffledCollection(7);
+  const Collection before = c;
+  CollectionEvictUndo undo;
+  EXPECT_TRUE(c.EvictBefore(3, &undo).IsFailedPrecondition());
+  EXPECT_FALSE(undo.applied);
+  ExpectIdenticalCollections(c, before);
+
+  // Once sorted, the same eviction is a prefix erase.
+  c.SortByTime();
+  const DocId base = c.doc_id_base();
+  size_t evicted = 0;
+  while (evicted < c.num_documents() && c.documents()[evicted].time < 3) {
+    ++evicted;
+  }
+  ASSERT_TRUE(c.EvictBefore(3).ok());
+  EXPECT_EQ(c.doc_id_base(), base + static_cast<DocId>(evicted));
+  EXPECT_EQ(c.num_documents(), before.num_documents() - evicted);
 }
 
 TEST(CollectionRetention, AddStreamAfterEvictionCoversTheWindow) {
@@ -261,27 +334,6 @@ TEST(CollectionRetention, AddStreamAfterEvictionCoversTheWindow) {
   TermId w = c->mutable_vocabulary()->Intern("w");
   ASSERT_TRUE(c->AddDocument(late, 5, {w}).ok());
   EXPECT_EQ(c->DocumentsAt(late, 5).size(), 1u);
-}
-
-// Checks every observable field two collections share.
-void ExpectSameState(const Collection& a, const Collection& b) {
-  ASSERT_EQ(a.timeline_length(), b.timeline_length());
-  ASSERT_EQ(a.window_start(), b.window_start());
-  ASSERT_EQ(a.doc_id_base(), b.doc_id_base());
-  ASSERT_EQ(a.num_documents(), b.num_documents());
-  for (size_t i = 0; i < a.documents().size(); ++i) {
-    const Document& da = a.documents()[i];
-    const Document& db = b.documents()[i];
-    EXPECT_EQ(da.id, db.id);
-    EXPECT_EQ(da.stream, db.stream);
-    EXPECT_EQ(da.time, db.time);
-    EXPECT_EQ(da.tokens, db.tokens);
-  }
-  for (StreamId s = 0; s < a.num_streams(); ++s) {
-    for (Timestamp t = a.window_start(); t < a.timeline_length(); ++t) {
-      EXPECT_EQ(a.DocumentsAt(s, t), b.DocumentsAt(s, t));
-    }
-  }
 }
 
 Collection MakeRollbackFixture() {
@@ -312,7 +364,7 @@ TEST(CollectionRollback, AppendRoundTripRestoresEverything) {
   ASSERT_TRUE(c.Append({}).ok());  // rollback spans multiple appends too
 
   c.RollbackAppend(old_timeline, old_docs);
-  ExpectSameState(c, before);
+  ExpectIdenticalCollections(c, before);
 }
 
 TEST(CollectionRollback, EvictRoundTripFastPath) {
@@ -320,36 +372,12 @@ TEST(CollectionRollback, EvictRoundTripFastPath) {
   const Collection before = c;
 
   CollectionEvictUndo undo;
-  EvictionReport report;
-  ASSERT_TRUE(c.EvictBefore(2, &report, &undo).ok());
-  ASSERT_TRUE(report.ids_preserved);
+  ASSERT_TRUE(c.EvictBefore(2, &undo).ok());
   ASSERT_EQ(c.num_documents(), 1u);
   ASSERT_TRUE(undo.applied);
 
   c.RollbackEvict(std::move(undo));
-  ExpectSameState(c, before);
-}
-
-TEST(CollectionRollback, EvictRoundTripRenumberingPath) {
-  auto created = Collection::Create(4);
-  ASSERT_TRUE(created.ok());
-  Collection c = std::move(*created);
-  StreamId s = c.AddStream("A", {}, {});
-  TermId w = c.mutable_vocabulary()->Intern("w");
-  // Out-of-order history forces the full-copy undo.
-  ASSERT_TRUE(c.AddDocument(s, 3, {w}).ok());
-  ASSERT_TRUE(c.AddDocument(s, 0, {w, w}).ok());
-  ASSERT_TRUE(c.AddDocument(s, 2, {w}).ok());
-  const Collection before = c;
-
-  CollectionEvictUndo undo;
-  EvictionReport report;
-  ASSERT_TRUE(c.EvictBefore(2, &report, &undo).ok());
-  ASSERT_FALSE(report.ids_preserved);
-  ASSERT_TRUE(undo.full_copy);
-
-  c.RollbackEvict(std::move(undo));
-  ExpectSameState(c, before);
+  ExpectIdenticalCollections(c, before);
 }
 
 TEST(CollectionRollback, UnappliedUndoIsANoOp) {
@@ -357,22 +385,17 @@ TEST(CollectionRollback, UnappliedUndoIsANoOp) {
   const Collection before = c;
   CollectionEvictUndo undo;  // never handed to an eviction
   c.RollbackEvict(std::move(undo));
-  ExpectSameState(c, before);
+  ExpectIdenticalCollections(c, before);
 }
 
 TEST(CollectionRetention, OutOfRangeCutoffLeavesStateUntouched) {
   Collection c = MakeRollbackFixture();
   const Collection before = c;
   CollectionEvictUndo undo;
-  EvictionReport report;
-  ASSERT_TRUE(c.EvictBefore(c.timeline_length() + 1, &report, &undo)
-                  .IsOutOfRange());
-  // A defined no-op: coherent "nothing moved" report, unapplied undo, and
-  // bitwise-unchanged state.
-  EXPECT_EQ(report.evicted_documents, 0u);
-  EXPECT_TRUE(report.ids_preserved);
+  ASSERT_TRUE(c.EvictBefore(c.timeline_length() + 1, &undo).IsOutOfRange());
+  // A defined no-op: unapplied undo and bitwise-unchanged state.
   EXPECT_FALSE(undo.applied);
-  ExpectSameState(c, before);
+  ExpectIdenticalCollections(c, before);
 }
 
 TEST(Collection, MdsProjectionRequiresStreams) {

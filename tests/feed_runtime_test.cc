@@ -352,6 +352,75 @@ TEST(FeedRuntime, SearchServingMatchesFullRebuildEveryTick) {
   EXPECT_GT(runtime->window_start(), 0);
 }
 
+// A history filed stream-major (each stream's whole timeline in turn, so
+// out of time order) is time-ordered once at Create. From then on the
+// runtime must be indistinguishable from one created from the same history
+// filed in that order — through evicting ticks too — and its search
+// snapshot must match a from-scratch engine build after every tick.
+TEST(FeedRuntime, StreamMajorHistoryMatchesPresortedHistory) {
+  constexpr size_t kStreams = 5;
+  constexpr size_t kVocab = 50;
+  constexpr Timestamp kHistory = 8;
+
+  Rng history_rng(2024);
+  std::vector<Snapshot> history;
+  for (Timestamp t = 0; t < kHistory; ++t) {
+    history.push_back(MakeSnapshot(history_rng, kStreams, kVocab));
+  }
+  // Files `history` stream-major, or time-major with each timestamp's
+  // documents by stream — the order a stable sort by time gives the former.
+  const auto make_history = [&](bool stream_major) {
+    Collection c = MakeSeedCollection(kStreams, kHistory, kVocab);
+    const auto file = [&](StreamId s, Timestamp t) {
+      for (const SnapshotDocument& doc : history[static_cast<size_t>(t)]) {
+        if (doc.stream == s) {
+          EXPECT_TRUE(c.AddDocument(s, t, doc.tokens).ok());
+        }
+      }
+    };
+    if (stream_major) {
+      for (StreamId s = 0; s < kStreams; ++s) {
+        for (Timestamp t = 0; t < kHistory; ++t) file(s, t);
+      }
+    } else {
+      for (Timestamp t = 0; t < kHistory; ++t) {
+        for (StreamId s = 0; s < kStreams; ++s) file(s, t);
+      }
+    }
+    return c;
+  };
+
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    FeedRuntimeOptions opts = BaseOptions(threads);
+    opts.retention_window = 6;
+    opts.refresh_budget = 4;
+    opts.search_serving = SearchServing::kCombinatorial;
+    auto subject = FeedRuntime::Create(make_history(true), opts);
+    auto control = FeedRuntime::Create(make_history(false), opts);
+    ASSERT_TRUE(subject.ok()) << subject.status().ToString();
+    ASSERT_TRUE(control.ok()) << control.status().ToString();
+    ASSERT_GT(subject->window_start(), 0);
+    ExpectIdenticalRuntimes(*subject, *control);
+
+    Rng rng(555);
+    for (int tick = 0; tick < 12; ++tick) {
+      SCOPED_TRACE("tick " + std::to_string(tick));
+      Snapshot snapshot = MakeSnapshot(rng, kStreams, kVocab);
+      auto subject_stats = subject->Tick(snapshot);
+      auto control_stats = control->Tick(std::move(snapshot));
+      ASSERT_TRUE(subject_stats.ok()) << subject_stats.status().ToString();
+      ASSERT_TRUE(control_stats.ok()) << control_stats.status().ToString();
+      ASSERT_TRUE(subject_stats->evicted);
+      ExpectIdenticalRuntimes(*subject, *control);
+      ExpectIdenticalIndexes(
+          *subject->search_index(),
+          RebuildReferenceSearchIndex(*subject,
+                                      SearchServing::kCombinatorial));
+    }
+  }
+}
+
 TEST(FeedRuntime, SearchGenerationStaysPutOnEditFreeTicks) {
   // A tick with no eviction, no dirty terms, and no refresh targets leaves
   // the search index bit-identical, so its generation must not move —

@@ -165,7 +165,7 @@ TEST(InvertedIndex, ClearTermReplacesPostings) {
 
   // The live maintainer's per-term refresh: drop and re-derive one term.
   idx.Reopen();
-  idx.ClearTerm(0);
+  idx.ReplaceTerm(0, {});
   idx.Add(0, 3, 7.0);
   idx.Finalize();
 
@@ -179,7 +179,7 @@ TEST(InvertedIndex, ClearTermReplacesPostings) {
 
   // Clearing a term to empty (no re-adds) leaves a clean empty slot.
   idx.Reopen();
-  idx.ClearTerm(1);
+  idx.ReplaceTerm(1, {});
   idx.Finalize();
   EXPECT_TRUE(idx.postings(1).empty());
   EXPECT_FALSE(idx.Score(1, 1, &score));
