@@ -112,7 +112,7 @@ inline StatusOr<BatchMineResult> MineVocabulary(const FrequencyIndex& freq,
 /// entries and writes one BENCH_<name>.json so the perf trajectory is
 /// trackable across PRs. Schema:
 ///   {"benchmark": "...",
-///    "isa": "avx512" | "avx2" | "scalar",
+///    "isa": "avx2" | "scalar",
 ///    "corpus": {"documents": D, "streams": n, "terms": V, "timeline": L},
 ///    "results": [{"op": "...", "ns_per_op": X, "items": N}, ...]}
 ///

@@ -5,7 +5,7 @@ The stburst bench harnesses (bench_micro, bench_fig7, bench_fig8) write
 machine-readable perf JSON with the schema
 
     {"benchmark": "bench_micro",
-     "isa": "avx512",
+     "isa": "avx2",
      "corpus": {"documents": D, "streams": n, "terms": V, "timeline": L},
      "results": [{"op": "frequency_build", "ns_per_op": 81.3e6, "items": N},
                  ...]}
@@ -124,10 +124,10 @@ def self_test():
 
     # ISA guard: gating is refused only when both runs recorded a level and
     # they differ; legacy files without "isa" keep comparing normally.
-    assert isa_mismatch("avx512", "scalar")
-    assert not isa_mismatch("avx512", "avx512")
-    assert not isa_mismatch(None, "avx512")           # pre-dispatch baseline
-    assert not isa_mismatch("avx512", None)
+    assert isa_mismatch("avx2", "scalar")
+    assert not isa_mismatch("avx2", "avx2")
+    assert not isa_mismatch(None, "avx2")             # pre-dispatch baseline
+    assert not isa_mismatch("avx2", None)
     assert not isa_mismatch(None, None)
 
     print("diff_bench.py self-test OK")
@@ -173,8 +173,8 @@ def main():
         # above stay printed for reference, but nothing gates.
         print("WARNING: baseline recorded isa=%s but candidate recorded "
               "isa=%s — refusing to gate across dispatch levels. Re-record "
-              "both runs under the same level (see STBURST_NO_AVX512 / "
-              "STBURST_NO_AVX2 in the README) to compare them."
+              "both runs under the same level (see STBURST_NO_AVX2 in the "
+              "README) to compare them."
               % (baseline_isa, candidate_isa))
         return 0
     if regressions:

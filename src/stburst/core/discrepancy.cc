@@ -21,6 +21,10 @@ namespace {
 // (coincident points share a cell) and distinguishes "first write" (store)
 // from "accumulate" (add).
 //
+// LocalScratch sizes every buffer before the scatter, so nothing between the
+// first weight landing in `cells` and the reset that clears it allocates: no
+// std::bad_alloc can leave weights behind for the thread's next solve.
+//
 // Buffers stabilize at the largest binning each thread sees: R-Bursty and
 // STLocal solve once per snapshot per term against a fixed binning, and the
 // batch miner's workers share one binning across the whole vocabulary.
@@ -35,12 +39,18 @@ struct SolveScratch {
   std::vector<size_t> positive_rows;
 };
 
-SolveScratch& LocalScratch(size_t ncells) {
+SolveScratch& LocalScratch(size_t rows, size_t cols, size_t num_points) {
   thread_local SolveScratch scratch;
-  if (scratch.cells.size() < ncells) {
-    scratch.cells.resize(ncells, 0.0);
-    scratch.cell_epoch.resize(ncells, 0);
-  }
+  const size_t ncells = rows * cols;
+  // Grown one at a time, so a throw between the two never leaves `cells`
+  // larger than the stamps that guard it.
+  if (scratch.cell_epoch.size() < ncells) scratch.cell_epoch.resize(ncells, 0);
+  if (scratch.cells.size() < ncells) scratch.cells.resize(ncells, 0.0);
+  scratch.touched.reserve(std::min(num_points, ncells));
+  scratch.col_sums.reserve(cols);
+  scratch.row_pos_mass.reserve(rows);
+  scratch.suffix_pos_mass.reserve(rows + 1);
+  scratch.positive_rows.reserve(rows);
   if (++scratch.epoch == 0) {  // stamp wrapped: invalidate every old stamp
     std::fill(scratch.cell_epoch.begin(), scratch.cell_epoch.end(), 0u);
     scratch.epoch = 1;
@@ -49,26 +59,36 @@ SolveScratch& LocalScratch(size_t ncells) {
   return scratch;
 }
 
+// The winning rectangle in cell coordinates: rows [r1, r2], columns
+// [c1, c2]. `found` is false when no rectangle has positive weight.
+struct BestBand {
+  double score = 0.0;
+  size_t r1 = 0, r2 = 0, c1 = 0, c2 = 0;
+  bool found = false;
+};
+
 // Kadane sweep over row bands with two admissible-pruning levels:
 //  - anchor level: the positive mass in rows >= r1 bounds every rectangle
 //    anchored at r1; suffix mass is non-increasing in r1, so once it cannot
 //    beat the incumbent no later anchor can either and the sweep stops.
 //  - band level: the positive mass inside [r1, r2] bounds the band's Kadane
 //    score; bands that cannot beat the incumbent only accumulate column
-//    sums (one vectorized pass) and skip the max-subarray bookkeeping.
+//    sums (one simd::AddInto pass) and skip the max-subarray bookkeeping.
 // Tie-breaking (strict improvement only) keeps the pruned solver's output
 // independent of how many bands the bounds let it skip.
 //
-// The across-column passes (band accumulation, and the col_sums + row
-// update ahead of the Kadane recurrence) go through simd::AddInto — lanes
-// are independent columns, no fold is reassociated, so the SIMD and scalar
-// paths are bit-identical (tested). The Kadane recurrence itself is a
-// loop-carried dependency and stays scalar.
-MaxRectResult SolveCells(const SpatialBinning& b, SolveScratch& scratch) {
-  MaxRectResult result;
+// The across-column pass (the col_sums + row update of every band row) goes
+// through simd::AddInto — lanes are independent columns, no fold is
+// reassociated, so the AVX2 and scalar paths are bit-identical (tested).
+// The Kadane recurrence itself is a loop-carried dependency and stays
+// scalar.
+//
+// Works in LocalScratch's pre-sized buffers only, so it cannot throw.
+BestBand SolveCells(const SpatialBinning& b, SolveScratch& scratch) noexcept {
+  BestBand best;
   const size_t rows = b.rows();
   const size_t cols = b.cols();
-  if (rows == 0 || cols == 0) return result;
+  if (rows == 0 || cols == 0) return best;
   const double* cells = scratch.cells.data();
 
   // Positive mass per row, from the touched cells alone: untouched cells
@@ -89,7 +109,7 @@ MaxRectResult SolveCells(const SpatialBinning& b, SolveScratch& scratch) {
   for (size_t r = 0; r < rows; ++r) {
     if (row_pos_mass[r] > 0.0) positive_rows.push_back(r);
   }
-  if (positive_rows.empty()) return result;
+  if (positive_rows.empty()) return best;
   const size_t last_positive_row = positive_rows.back();
 
   std::vector<double>& suffix_pos_mass = scratch.suffix_pos_mass;
@@ -98,15 +118,11 @@ MaxRectResult SolveCells(const SpatialBinning& b, SolveScratch& scratch) {
     suffix_pos_mass[r] = suffix_pos_mass[r + 1] + row_pos_mass[r];
   }
 
-  double best_score = 0.0;
-  size_t best_r1 = 0, best_r2 = 0, best_c1 = 0, best_c2 = 0;
-  bool found = false;
-
   std::vector<double>& col_sums = scratch.col_sums;
   col_sums.resize(cols);
   for (size_t anchor = 0; anchor < positive_rows.size(); ++anchor) {
     const size_t r1 = positive_rows[anchor];
-    if (suffix_pos_mass[r1] <= best_score) break;  // nor can any later anchor
+    if (suffix_pos_mass[r1] <= best.score) break;  // nor can any later anchor
 
     std::fill(col_sums.begin(), col_sums.end(), 0.0);
     double band_pos_mass = 0.0;
@@ -118,7 +134,7 @@ MaxRectResult SolveCells(const SpatialBinning& b, SolveScratch& scratch) {
       const double* row = cells + r2 * cols;
       band_pos_mass += row_pos_mass[r2];
       const bool evaluate =
-          positive_rows[next_positive] == r2 && band_pos_mass > best_score;
+          positive_rows[next_positive] == r2 && band_pos_mass > best.score;
       if (positive_rows[next_positive] == r2) ++next_positive;
 
       simd::AddInto(col_sums.data(), row, cols);
@@ -134,36 +150,15 @@ MaxRectResult SolveCells(const SpatialBinning& b, SolveScratch& scratch) {
           } else {
             run += v;
           }
-          if (run > best_score) {
-            best_score = run;
-            best_r1 = r1;
-            best_r2 = r2;
-            best_c1 = run_start;
-            best_c2 = c;
-            found = true;
+          if (run > best.score) {
+            best = {run, r1, r2, run_start, c, true};
           }
         }
       }
       if (next_positive >= positive_rows.size()) break;
     }
   }
-  if (!found) return result;
-
-  result.score = best_score;
-  result.rect = Rect(b.col_lo()[best_c1], b.row_lo()[best_r1],
-                     b.col_hi()[best_c2], b.row_hi()[best_r2]);
-  // Members come from the binned indices: exactly the points whose mass the
-  // winning cells aggregated — no geometric rescan.
-  const std::span<const uint32_t> point_rows = b.point_rows();
-  const std::span<const uint32_t> point_cols = b.point_cols();
-  const size_t n = b.num_points();
-  for (size_t i = 0; i < n; ++i) {
-    if (point_rows[i] >= best_r1 && point_rows[i] <= best_r2 &&
-        point_cols[i] >= best_c1 && point_cols[i] <= best_c2) {
-      result.points_inside.push_back(i);
-    }
-  }
-  return result;
+  return best;
 }
 
 }  // namespace
@@ -249,15 +244,15 @@ StatusOr<MaxRectResult> MaxWeightRectangle(const SpatialBinning& binning,
   if (weights.size() != binning.num_points()) {
     return Status::InvalidArgument("weights length does not match binning");
   }
-  const size_t ncells = binning.rows() * binning.cols();
-  if (ncells == 0) return MaxRectResult{};
+  const size_t rows = binning.rows();
+  const size_t cols = binning.cols();
+  if (rows == 0 || cols == 0) return MaxRectResult{};
 
-  SolveScratch& scratch = LocalScratch(ncells);
+  const size_t n = weights.size();
+  SolveScratch& scratch = LocalScratch(rows, cols, n);
   // O(points) weight scatter: first touch of a cell stores, later touches
   // accumulate — the fold over a cell's coincident points runs in point
   // order, matching a scatter into a zeroed matrix.
-  const size_t n = weights.size();
-  const size_t cols = binning.cols();
   const std::span<const uint32_t> point_rows = binning.point_rows();
   const std::span<const uint32_t> point_cols = binning.point_cols();
   for (size_t i = 0; i < n; ++i) {
@@ -273,12 +268,25 @@ StatusOr<MaxRectResult> MaxWeightRectangle(const SpatialBinning& binning,
     }
   }
 
-  MaxRectResult result = SolveCells(binning, scratch);
+  const BestBand best = SolveCells(binning, scratch);
 
-  // Touched-cell reset: restore the all-zero invariant at O(points) — a
-  // masked scatter of zeros over the epoch-stamped touched list.
-  simd::ScatterZero(scratch.cells.data(), scratch.touched.data(),
-                    scratch.touched.size());
+  // Touched-cell reset: restore the all-zero invariant at O(points). It
+  // runs before anything that can allocate (the member list below).
+  for (size_t idx : scratch.touched) scratch.cells[idx] = 0.0;
+
+  MaxRectResult result;
+  if (!best.found) return result;
+  result.score = best.score;
+  result.rect = Rect(binning.col_lo()[best.c1], binning.row_lo()[best.r1],
+                     binning.col_hi()[best.c2], binning.row_hi()[best.r2]);
+  // Members come from the binned indices: exactly the points whose mass the
+  // winning cells aggregated — no geometric rescan.
+  for (size_t i = 0; i < n; ++i) {
+    if (point_rows[i] >= best.r1 && point_rows[i] <= best.r2 &&
+        point_cols[i] >= best.c1 && point_cols[i] <= best.c2) {
+      result.points_inside.push_back(i);
+    }
+  }
   return result;
 }
 

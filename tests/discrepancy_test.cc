@@ -418,29 +418,23 @@ TEST(SpatialBinning, RejectsNonFinitePositions) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD dispatch: every vector SolveCells path (AVX2, AVX-512) must produce
-// rectangles, scores, and member lists bit-identical to scalar — the
-// kernels are element-wise, so no fold is reassociated.
+// SIMD dispatch: the AVX2 SolveCells path must produce rectangles, scores,
+// and member lists bit-identical to scalar — AddInto is element-wise, so no
+// fold is reassociated.
 // ---------------------------------------------------------------------------
 
-// Runs fn under scalar and under every wider supported ISA, asserting each
-// result matches the scalar one exactly; restores the active ISA afterwards.
+// Runs fn under scalar and under AVX2, asserting the results match
+// exactly; restores the active ISA afterwards.
 template <typename Fn>
 void ExpectIsaInvariant(const Fn& fn) {
   const simd::Isa previous = simd::SetIsaForTest(simd::Isa::kScalar);
   MaxRectResult scalar = fn();
-  std::vector<simd::Isa> wider;
-  if (simd::Avx2Supported()) wider.push_back(simd::Isa::kAvx2);
-  if (simd::Avx512Supported()) wider.push_back(simd::Isa::kAvx512);
-  for (simd::Isa isa : wider) {
-    simd::SetIsaForTest(isa);
-    MaxRectResult vectorized = fn();
-    EXPECT_EQ(scalar.score, vectorized.score) << simd::IsaName(isa);
-    EXPECT_EQ(scalar.rect, vectorized.rect) << simd::IsaName(isa);
-    EXPECT_EQ(scalar.points_inside, vectorized.points_inside)
-        << simd::IsaName(isa);
-  }
+  simd::SetIsaForTest(simd::Isa::kAvx2);
+  MaxRectResult vectorized = fn();
   simd::SetIsaForTest(previous);
+  EXPECT_EQ(scalar.score, vectorized.score);
+  EXPECT_EQ(scalar.rect, vectorized.rect);
+  EXPECT_EQ(scalar.points_inside, vectorized.points_inside);
 }
 
 TEST(SolveCellsSimd, AllIsaLevelsBitIdentical) {
@@ -483,17 +477,6 @@ TEST(SolveCellsSimd, AllIsaLevelsBitIdentical) {
       });
     }
   }
-}
-
-TEST(Simd, ActiveIsaHonorsForcing) {
-  const simd::Isa previous = simd::SetIsaForTest(simd::Isa::kScalar);
-  EXPECT_EQ(simd::ActiveIsa(), simd::Isa::kScalar);
-  if (simd::Avx2Supported()) {
-    simd::SetIsaForTest(simd::Isa::kAvx2);
-    EXPECT_EQ(simd::ActiveIsa(), simd::Isa::kAvx2);
-  }
-  simd::SetIsaForTest(previous);
-  EXPECT_EQ(simd::ActiveIsa(), previous);
 }
 
 }  // namespace
