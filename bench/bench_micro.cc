@@ -6,9 +6,9 @@
 //
 // Ops suffixed `_naive` are faithful re-implementations of the seed's
 // serial hot paths (allocation-heavy per-term loops, unfused Kadane with a
-// geometric membership rescan, multiset top-k, sort-merge index build) kept
-// here as a fixed baseline: the reported optimized/naive ratios are the
-// PR-over-seed speedups, measurable from one binary.
+// geometric membership rescan, sort-merge index build) kept here as a fixed
+// baseline: the reported optimized/naive ratios are the PR-over-seed
+// speedups, measurable from one binary.
 
 #include <algorithm>
 #include <atomic>
@@ -17,10 +17,8 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
-#include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -222,71 +220,6 @@ MaxRectResult MaxWeightRectangleGridNaive(const std::vector<Point2D>& points,
     m.row_hi[r] = rr.max_y();
   }
   return SolveCellsNaive(m, points);
-}
-
-// Seed ThresholdTopK: multiset top-k tracker, no reserved maps.
-TopKResult ThresholdTopKNaive(const InvertedIndex& index,
-                              const std::vector<TermId>& query, size_t k) {
-  TopKResult result;
-  if (k == 0) return result;
-  std::vector<TermId> terms = query;
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-  if (terms.empty()) return result;
-  std::vector<const std::vector<Posting>*> lists;
-  for (TermId t : terms) lists.push_back(&index.postings(t));
-  std::vector<size_t> pos(lists.size(), 0);
-  std::unordered_map<DocId, double> candidates;
-  std::multiset<double> best_k;
-  auto offer = [&](double score) {
-    if (best_k.size() < k) {
-      best_k.insert(score);
-    } else if (score > *best_k.begin()) {
-      best_k.erase(best_k.begin());
-      best_k.insert(score);
-    }
-  };
-  for (;;) {
-    bool advanced = false;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      if (pos[i] >= lists[i]->size()) continue;
-      const Posting& p = (*lists[i])[pos[i]];
-      ++pos[i];
-      ++result.sorted_accesses;
-      advanced = true;
-      if (candidates.find(p.doc) != candidates.end()) continue;
-      double total = 0.0;
-      for (size_t j = 0; j < lists.size(); ++j) {
-        double s = 0.0;
-        if (j == i) {
-          s = p.score;
-        } else {
-          ++result.random_accesses;
-          if (!index.Score(terms[j], p.doc, &s)) s = 0.0;
-        }
-        total += s;
-      }
-      candidates.emplace(p.doc, total);
-      offer(total);
-    }
-    if (!advanced) break;
-    double threshold = 0.0;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      if (pos[i] < lists[i]->size()) threshold += (*lists[i])[pos[i]].score;
-    }
-    if (best_k.size() == k && *best_k.begin() >= threshold) break;
-    if (threshold <= 0.0 && best_k.size() == k) break;
-  }
-  for (const auto& [doc, score] : candidates) {
-    if (score > 0.0) result.docs.push_back(ScoredDoc{doc, score});
-  }
-  std::sort(result.docs.begin(), result.docs.end(),
-            [](const ScoredDoc& a, const ScoredDoc& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.doc < b.doc;
-            });
-  if (result.docs.size() > k) result.docs.resize(k);
-  return result;
 }
 
 // Seed FrequencyIndex::Build: per-doc token sort, append everything, then a
@@ -516,10 +449,8 @@ int Run() {
   {
     InvertedIndex idx = RandomIndex(1 << 16, 7);
     std::vector<TermId> query = {0, 1, 2};
-    double naive = TimeNs([&] { ThresholdTopKNaive(idx, query, 10); });
     double opt = TimeNs([&] { ThresholdTopK(idx, query, 10); });
     double exhaustive = TimeNs([&] { ExhaustiveTopK(idx, query, 10); });
-    report("threshold_topk_64k_naive", naive, size_t{1} << 16);
     report("threshold_topk_64k", opt, size_t{1} << 16);
     report("exhaustive_topk_64k", exhaustive, size_t{1} << 16);
   }
@@ -983,8 +914,9 @@ int Run() {
   }
 
   // Retention-complete serving: the search index following a sliding window
-  // in place (Reopen -> EvictBefore -> append -> Finalize) versus the full
-  // rebuild it replaces.
+  // in place (Reopen -> EvictBefore -> append -> Finalize: a doc-order prefix
+  // erase per evicting term, then both orders re-sorted for the appended
+  // terms only) versus the full rebuild it replaces.
   {
     // A search-shaped index in steady state: W ticks of docs live, each doc
     // scoring on a handful of Zipf-ish terms.
@@ -1054,7 +986,7 @@ int Run() {
            live_index.total_postings());
     const double evict_ns =
         evict_s * 1e9 / static_cast<double>(kTicksPerWindow);
-    std::printf("  -> eviction-aware refreeze: %.2f ms/tick vs %.2f ms "
+    std::printf("  -> in-place evict + refreeze: %.2f ms/tick vs %.2f ms "
                 "rebuild (%.1fx)\n",
                 evict_ns / 1e6, rebuild_ns / 1e6, rebuild_ns / evict_ns);
   }

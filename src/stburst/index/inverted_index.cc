@@ -16,6 +16,10 @@ bool ScoreOrder(const Posting& a, const Posting& b) {
   return a.doc < b.doc;
 }
 
+bool DocOrder(const Posting& a, const Posting& b) { return a.doc < b.doc; }
+
+bool DocBefore(const Posting& p, DocId doc) { return p.doc < doc; }
+
 }  // namespace
 
 void InvertedIndex::Add(TermId term, DocId doc, double score) {
@@ -28,28 +32,20 @@ void InvertedIndex::Add(TermId term, DocId doc, double score) {
 
 void InvertedIndex::Finalize() {
   if (finalized_) return;
-  lookup_.resize(postings_.size());
+  by_doc_.resize(postings_.size());
   auto refreeze_term = [this](TermId t) {
     auto& plist = postings_[t];
+    by_doc_[t] = plist;
+    std::sort(by_doc_[t].begin(), by_doc_[t].end(), DocOrder);
     std::sort(plist.begin(), plist.end(), ScoreOrder);
-    auto& map = lookup_[t];
-    // The map is maintained, not rebuilt: postings only ever leave through
-    // EvictBefore (which erases their keys) and ReplaceTerm (which clears
-    // the map), so at refreeze time every mapped doc is still in the list
-    // and only docs added since the last freeze need nodes. emplace keeps the
-    // existing node for mapped docs — a failed find instead of a
-    // free+malloc pair, which is what makes the eviction-aware refreeze
-    // cheaper than a rebuild (bench: inverted_reopen_evict).
-    map.reserve(plist.size());
-    for (const Posting& p : plist) map.emplace(p.doc, p.score);
   };
   if (!ever_finalized_) {
     for (size_t t = 0; t < postings_.size(); ++t) {
       refreeze_term(static_cast<TermId>(t));
     }
   } else {
-    // Incremental re-freeze: only terms with postings added since the last
-    // Finalize() need their order and random-access map rebuilt.
+    // Incremental re-freeze: only terms edited since the last Finalize()
+    // need their two orders rebuilt.
     std::sort(dirty_.begin(), dirty_.end());
     dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
     for (TermId t : dirty_) refreeze_term(t);
@@ -64,32 +60,19 @@ void InvertedIndex::Reopen() { finalized_ = false; }
 
 void InvertedIndex::EvictBefore(DocId min_live_doc) {
   STB_CHECK(!finalized_) << "EvictBefore on a frozen index (call Reopen first)";
+  STB_CHECK(ever_finalized_ && dirty_.empty())
+      << "EvictBefore must precede this open period's Add/ReplaceTerm";
   STBURST_FAULT_POINT_THROW("index.evict");
-  for (size_t t = 0; t < postings_.size(); ++t) {
-    auto& plist = postings_[t];
-    const auto keep = [min_live_doc](const Posting& p) {
-      return p.doc >= min_live_doc;
-    };
-    const auto first_evicted =
-        std::find_if_not(plist.begin(), plist.end(), keep);
-    if (first_evicted == plist.end()) continue;
-    // Survivors keep their relative (score, doc) order, so no re-sort; and
-    // the evicted docs are known exactly, so the random-access map pays
-    // O(evicted) targeted erases, not an O(survivors) rebuild — that
-    // asymmetry is what lets the steady-state tick beat a rebuild even
-    // when an eviction touches most of the active vocabulary. One
-    // allocation-free compaction pass does both.
-    const bool mapped = t < lookup_.size();
-    auto out = first_evicted;
-    for (auto it = first_evicted; it != plist.end(); ++it) {
-      if (keep(*it)) {
-        *out++ = *it;
-      } else {
-        if (mapped) lookup_[t].erase(it->doc);
-        --total_postings_;
-      }
-    }
-    plist.erase(out, plist.end());
+  for (size_t t = 0; t < by_doc_.size(); ++t) {
+    auto& by_doc = by_doc_[t];
+    if (by_doc.empty() || by_doc.front().doc >= min_live_doc) continue;
+    const auto live =
+        std::lower_bound(by_doc.begin(), by_doc.end(), min_live_doc, DocBefore);
+    total_postings_ -= static_cast<size_t>(live - by_doc.begin());
+    by_doc.erase(by_doc.begin(), live);
+    std::erase_if(postings_[t], [min_live_doc](const Posting& p) {
+      return p.doc < min_live_doc;
+    });
   }
 }
 
@@ -99,7 +82,6 @@ void InvertedIndex::ReplaceTerm(TermId term, std::vector<Posting> postings) {
   total_postings_ -= postings_[term].size();
   total_postings_ += postings.size();
   postings_[term] = std::move(postings);
-  if (term < lookup_.size()) lookup_[term].clear();
   if (ever_finalized_) dirty_.push_back(term);
 }
 
@@ -111,10 +93,12 @@ const std::vector<Posting>& InvertedIndex::postings(TermId term) const {
 
 bool InvertedIndex::Score(TermId term, DocId doc, double* score) const {
   STB_CHECK(finalized_) << "Score before Finalize";
-  if (term >= lookup_.size()) return false;
-  auto it = lookup_[term].find(doc);
-  if (it == lookup_[term].end()) return false;
-  *score = it->second;
+  if (term >= by_doc_.size()) return false;
+  const auto& by_doc = by_doc_[term];
+  const auto it =
+      std::lower_bound(by_doc.begin(), by_doc.end(), doc, DocBefore);
+  if (it == by_doc.end() || it->doc != doc) return false;
+  *score = it->score;
   return true;
 }
 

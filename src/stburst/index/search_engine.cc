@@ -10,14 +10,12 @@ namespace stburst {
 
 double Relevance(double term_frequency) { return std::log(term_frequency + 1.0); }
 
-BurstySearchEngine::BurstySearchEngine(const Collection* collection,
-                                       SearchEngineOptions options)
-    : collection_(collection), options_(options) {}
+BurstySearchEngine::BurstySearchEngine(const Collection* collection)
+    : collection_(collection) {}
 
 BurstySearchEngine BurstySearchEngine::Build(const Collection& collection,
-                                             const PatternIndex& patterns,
-                                             SearchEngineOptions options) {
-  BurstySearchEngine engine(&collection, options);
+                                             const PatternIndex& patterns) {
+  BurstySearchEngine engine(&collection);
 
   std::vector<TermId> distinct;
   for (const Document& doc : collection.documents()) {
@@ -183,10 +181,7 @@ TopKResult BurstySearchEngine::Search(const std::string& query, size_t k) const 
 
 TopKResult BurstySearchEngine::Search(const std::vector<TermId>& query,
                                       size_t k) const {
-  if (options_.use_threshold_algorithm) {
-    return ThresholdTopK(index_, query, k);
-  }
-  return ExhaustiveTopK(index_, query, k);
+  return ThresholdTopK(index_, query, k);
 }
 
 }  // namespace stburst

@@ -36,22 +36,15 @@
 
 namespace stburst {
 
-struct SearchEngineOptions {
-  /// Use the Threshold Algorithm; otherwise exhaustively merge postings
-  /// (for differential testing and small corpora).
-  bool use_threshold_algorithm = true;
-};
-
 /// Immutable once built. Holds a score-sorted inverted index whose per-term
-/// entries are relevance * burstiness products, so top-k retrieval is a TA
-/// run away.
+/// entries are relevance * burstiness products; Search() is one Threshold
+/// Algorithm run over it.
 class BurstySearchEngine {
  public:
   /// Indexes every document of `collection` against `patterns`. Documents
   /// that overlap no pattern for a term get no posting for that term.
   static BurstySearchEngine Build(const Collection& collection,
-                                  const PatternIndex& patterns,
-                                  SearchEngineOptions options = {});
+                                  const PatternIndex& patterns);
 
   /// Top-k for a raw query string (tokenized against the collection's
   /// frozen vocabulary; unknown words are dropped).
@@ -63,10 +56,9 @@ class BurstySearchEngine {
   const InvertedIndex& index() const { return index_; }
 
  private:
-  BurstySearchEngine(const Collection* collection, SearchEngineOptions options);
+  explicit BurstySearchEngine(const Collection* collection);
 
   const Collection* collection_;  // not owned; must outlive the engine
-  SearchEngineOptions options_;
   Tokenizer tokenizer_;
   InvertedIndex index_;
 };

@@ -15,10 +15,10 @@
 namespace stburst {
 
 // Posting-for-posting equality (docs, scores, order, totals), and each
-// index's random-access map answering every posted doc with its posting's
-// score; terms past either index's id space compare as empty (a term whose
-// postings were wholly evicted keeps its empty slot in an incrementally
-// maintained index but never appears in a rebuilt one).
+// index's random access (Score) answering every posted doc with its
+// posting's score; terms past either index's id space compare as empty (a
+// term whose postings were wholly evicted keeps its empty slot in an
+// incrementally maintained index but never appears in a rebuilt one).
 inline void ExpectIdenticalIndexes(const InvertedIndex& a,
                                    const InvertedIndex& b) {
   EXPECT_EQ(a.total_postings(), b.total_postings());

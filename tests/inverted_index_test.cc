@@ -141,8 +141,8 @@ TEST(InvertedIndex, EvictBeforeDropsEvictedDocsInPlace) {
   idx.Finalize();
   EXPECT_EQ(idx.generation(), 2u);  // the edit batch is one new freeze
 
-  // Only docs >= 3 survive, still in descending-score order, and the
-  // random-access maps forgot the evicted docs.
+  // Only docs >= 3 survive, still in descending-score order, and random
+  // access forgot the evicted docs.
   ASSERT_EQ(idx.postings(0).size(), 1u);
   EXPECT_EQ(idx.postings(0)[0].doc, 5u);
   EXPECT_TRUE(idx.postings(1).empty());
@@ -173,7 +173,7 @@ TEST(InvertedIndex, ClearTermReplacesPostings) {
   EXPECT_EQ(idx.postings(0)[0].doc, 3u);
   EXPECT_EQ(idx.total_postings(), 2u);
   double score = 0.0;
-  EXPECT_FALSE(idx.Score(0, 1, &score));  // old map entries are gone
+  EXPECT_FALSE(idx.Score(0, 1, &score));  // replaced docs are gone
   EXPECT_TRUE(idx.Score(0, 3, &score));
   EXPECT_TRUE(idx.Score(1, 1, &score));   // untouched term unaffected
 
@@ -187,11 +187,13 @@ TEST(InvertedIndex, ClearTermReplacesPostings) {
 }
 
 TEST(InvertedIndex, RandomizedAppendEvictInterleavingsMatchRebuild) {
-  // The live-feed shape, randomized: rounds of "append postings for fresh
-  // docs, then evict an id prefix", the incremental index following each
-  // round in place (Reopen → EvictBefore → Add → Finalize). After every
-  // round it must be indistinguishable from an index rebuilt from scratch
-  // over the surviving postings, and every round must bump the generation
+  // The live-feed shape, randomized: rounds of "evict an id prefix, replace
+  // a few terms' lists, append postings for fresh docs", the incremental
+  // index following each round in place (Reopen → EvictBefore → ReplaceTerm
+  // → Add → Finalize). After every round it must be indistinguishable from
+  // an index rebuilt from scratch over the surviving postings, Score() must
+  // answer exactly the live (term, doc) pairs of every doc id issued so far
+  // with their posted scores, and every round must bump the generation
   // exactly once.
   constexpr size_t kTerms = 12;
   Rng rng(2024);
@@ -210,6 +212,30 @@ TEST(InvertedIndex, RandomizedAppendEvictInterleavingsMatchRebuild) {
       for (auto& plist : live) {
         std::erase_if(plist,
                       [&](const Posting& p) { return p.doc < min_live; });
+      }
+    }
+
+    // Replace: a few terms get a new list over live docs, either the same
+    // docs rescored (same length, so a stale doc order would still look
+    // plausible) or a random subset of the live id range.
+    if (round > 0) {
+      const size_t replaced = rng.NextUint64(3);
+      for (size_t r = 0; r < replaced; ++r) {
+        const TermId term = static_cast<TermId>(rng.NextUint64(kTerms));
+        std::vector<Posting> fresh;
+        if (rng.Bernoulli(0.5)) {
+          for (const Posting& p : live[term]) {
+            fresh.push_back(Posting{p.doc, rng.Uniform(0.1, 5.0)});
+          }
+        } else {
+          for (DocId doc = min_live; doc < next_doc; ++doc) {
+            if (rng.Bernoulli(0.3)) {
+              fresh.push_back(Posting{doc, rng.Uniform(0.1, 5.0)});
+            }
+          }
+        }
+        live[term] = fresh;
+        incremental.ReplaceTerm(term, std::move(fresh));
       }
     }
 
@@ -246,6 +272,21 @@ TEST(InvertedIndex, RandomizedAppendEvictInterleavingsMatchRebuild) {
     }
     rebuilt.Finalize();
     ExpectIdenticalIndexes(incremental, rebuilt);
+
+    for (TermId t = 0; t < kTerms; ++t) {
+      std::vector<double> posted(next_doc, -1.0);  // -1: not live in t
+      for (const Posting& p : live[t]) posted[p.doc] = p.score;
+      for (DocId doc = 0; doc < next_doc; ++doc) {
+        double score = -1.0;
+        const bool found = incremental.Score(t, doc, &score);
+        EXPECT_EQ(found, posted[doc] >= 0.0)
+            << "round " << round << " term " << t << " doc " << doc;
+        if (found) {
+          EXPECT_EQ(score, posted[doc])
+              << "round " << round << " term " << t << " doc " << doc;
+        }
+      }
+    }
   }
 }
 

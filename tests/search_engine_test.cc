@@ -100,14 +100,9 @@ TEST(BurstySearchEngine, MultiTermQuerySumsContributions) {
 
 TEST(BurstySearchEngine, ThresholdAndExhaustiveAgree) {
   Fixture f = Fixture::Make();
-  SearchEngineOptions ta;
-  ta.use_threshold_algorithm = true;
-  SearchEngineOptions ex;
-  ex.use_threshold_algorithm = false;
-  auto engine_ta = BurstySearchEngine::Build(f.collection, f.patterns, ta);
-  auto engine_ex = BurstySearchEngine::Build(f.collection, f.patterns, ex);
-  auto r1 = engine_ta.Search("earthquake", 5);
-  auto r2 = engine_ex.Search("earthquake", 5);
+  auto engine = BurstySearchEngine::Build(f.collection, f.patterns);
+  auto r1 = engine.Search("earthquake", 5);
+  auto r2 = ExhaustiveTopK(engine.index(), {f.quake}, 5);
   ASSERT_EQ(r1.docs.size(), r2.docs.size());
   for (size_t i = 0; i < r1.docs.size(); ++i) {
     EXPECT_EQ(r1.docs[i].doc, r2.docs[i].doc);
