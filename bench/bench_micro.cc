@@ -6,9 +6,9 @@
 //
 // Ops suffixed `_naive` are faithful re-implementations of the seed's
 // serial hot paths (allocation-heavy per-term loops, unfused Kadane with a
-// geometric membership rescan, sort-merge index build) kept here as a fixed
-// baseline: the reported optimized/naive ratios are the PR-over-seed
-// speedups, measurable from one binary.
+// geometric membership rescan) kept here as a fixed baseline: the reported
+// optimized/naive ratios are the PR-over-seed speedups, measurable from one
+// binary.
 
 #include <algorithm>
 #include <atomic>
@@ -222,46 +222,6 @@ MaxRectResult MaxWeightRectangleGridNaive(const std::vector<Point2D>& points,
   return SolveCellsNaive(m, points);
 }
 
-// Seed FrequencyIndex::Build: per-doc token sort, append everything, then a
-// global per-term sort-merge.
-std::vector<std::vector<TermPosting>> BuildFrequencyNaive(
-    const Collection& collection) {
-  std::vector<std::vector<TermPosting>> postings(
-      collection.vocabulary().size());
-  for (const Document& doc : collection.documents()) {
-    std::vector<TermId> toks = doc.tokens;
-    std::sort(toks.begin(), toks.end());
-    for (size_t i = 0; i < toks.size();) {
-      size_t j = i;
-      while (j < toks.size() && toks[j] == toks[i]) ++j;
-      postings[toks[i]].push_back(
-          TermPosting{doc.stream, doc.time, static_cast<double>(j - i)});
-      i = j;
-    }
-  }
-  for (auto& plist : postings) {
-    std::sort(plist.begin(), plist.end(),
-              [](const TermPosting& a, const TermPosting& b) {
-                if (a.stream != b.stream) return a.stream < b.stream;
-                return a.time < b.time;
-              });
-    size_t out = 0;
-    for (size_t i = 0; i < plist.size();) {
-      size_t j = i;
-      double count = 0.0;
-      while (j < plist.size() && plist[j].stream == plist[i].stream &&
-             plist[j].time == plist[i].time) {
-        count += plist[j].count;
-        ++j;
-      }
-      plist[out++] = TermPosting{plist[i].stream, plist[i].time, count};
-      i = j;
-    }
-    plist.resize(out);
-  }
-  return postings;
-}
-
 // Seed StComb::MineFromIntervals: rebuild the pool and re-run the full
 // MaxWeightClique (fresh event sort + hash maps) for every extracted
 // pattern.
@@ -465,17 +425,12 @@ int Run() {
                  corpus.vocabulary().size(), corpus.timeline_length());
 
   {
-    double naive = TimeNs([&] { BuildFrequencyNaive(corpus); });
     double opt = TimeNs([&] { FrequencyIndex::Build(corpus); });
     double t2 = TimeNs([&] { FrequencyIndex::Build(corpus, 2); });
     double t4 = TimeNs([&] { FrequencyIndex::Build(corpus, 4); });
-    report("frequency_build_naive", naive, corpus.num_documents());
     report("frequency_build", opt, corpus.num_documents());
     report("frequency_build_t2", t2, corpus.num_documents());
     report("frequency_build_t4", t4, corpus.num_documents());
-    std::printf("  -> index build speedup vs seed: %.2fx serial, %.2fx t2, "
-                "%.2fx t4 (sharded)\n",
-                naive / opt, naive / t2, naive / t4);
   }
 
   FrequencyIndex freq = FrequencyIndex::Build(corpus);

@@ -3,7 +3,7 @@
 // (docs/ARCHITECTURE.md describes the runtime and its retention contract).
 //
 //  1. Ingest a 30-week historical corpus.
-//  2. FeedRuntime::Create owns the stack: sharded index build, initial
+//  2. FeedRuntime::Create owns the stack: frequency index build, initial
 //     whole-vocabulary sweep, persistent thread pool, and (new) a
 //     maintained bursty-document search index over the standing patterns.
 //  3. Go live for 18 weeks. Every Tick: parallel append splice, retention

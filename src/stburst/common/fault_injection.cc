@@ -32,6 +32,8 @@ SiteState g_sites[] = {
     {"collection.append"},        // Collection::Append, before any mutation
     {"collection.evict"},         // Collection::EvictBefore, before any mutation
     {"frequency.append_splice"},  // per-term splice worker in AppendSnapshot
+                                  // (and so in Build, an append onto an
+                                  // empty index)
     {"frequency.evict"},          // per-term evict worker in EvictBefore
     {"batch_miner.mine_term"},    // per-term mining worker (MineAllTerms /
                                   // RemineTerms / staged re-mines)

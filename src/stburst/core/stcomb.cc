@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "stburst/common/logging.h"
-#include "stburst/core/max_clique.h"
 
 namespace stburst {
 

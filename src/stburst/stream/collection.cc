@@ -111,8 +111,8 @@ void Collection::SortByTime() {
   if (docs_time_ordered_) return;
   // Stable, so documents sharing a timestamp — in particular each
   // (stream, time) cell — keep their filing order, which is what keeps
-  // FrequencyIndex::Build and every DocumentsAt() scan over the sorted
-  // collection deterministic.
+  // every DocumentsAt() scan over the sorted collection, FrequencyIndex's
+  // gather included, deterministic.
   std::stable_sort(documents_.begin(), documents_.end(),
                    [](const Document& a, const Document& b) {
                      return a.time < b.time;

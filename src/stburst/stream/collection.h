@@ -74,9 +74,8 @@ struct CollectionEvictUndo {
 ///
 /// Thread-safety: none. All mutators (AddStream, AddDocument, Append,
 /// SortByTime, EvictBefore, vocabulary interning) require external
-/// exclusion against readers; the sharded FrequencyIndex::Build reads
-/// concurrently from worker threads and relies on the collection being
-/// quiescent during the scan.
+/// exclusion against readers; FrequencyIndex::Build and AppendSnapshot
+/// rely on the collection being quiescent while they scan it.
 class Collection {
  public:
   /// Creates a collection over `timeline_length` timestamps (must be > 0).

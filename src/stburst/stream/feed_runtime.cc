@@ -192,8 +192,7 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
     runtime.options_.miner.binning = runtime.binning_.get();
   }
 
-  runtime.index_ = FrequencyIndex::BuildWithPool(runtime.collection_,
-                                                 runtime.pool_.get());
+  runtime.index_ = FrequencyIndex::Build(runtime.collection_);
   STB_ASSIGN_OR_RETURN(runtime.result_,
                        MineAllTerms(runtime.index_, runtime.options_.miner));
 

@@ -250,7 +250,7 @@ class FeedRuntime {
   /// Takes ownership of the historical collection, puts it in time order
   /// (Collection::SortByTime — renumbering the documents of a history filed
   /// out of time order, a no-op otherwise), applies the retention window to
-  /// it, builds the sharded index, and runs the initial whole-vocabulary
+  /// it, builds the frequency index, and runs the initial whole-vocabulary
   /// sweep. The collection may be empty of documents (a cold start).
   static StatusOr<FeedRuntime> Create(Collection collection,
                                       FeedRuntimeOptions options);

@@ -56,215 +56,25 @@ bool PostingLess(const TermPosting& a, const TermPosting& b) {
   return a.time < b.time;
 }
 
-bool PostingCellEq(const TermPosting& a, const TermPosting& b) {
-  return a.stream == b.stream && a.time == b.time;
-}
-
-// Brings a bucket to canonical form: sorted by (stream, time), one entry per
-// cell. stable_sort keeps same-cell entries in the order they were appended
-// (document order), so the count of a cell is always the left-to-right float
-// fold over its documents — this is what makes the sharded build and the
-// append path bit-identical to the serial scan. The sort is skipped when the
-// bucket is already ordered (the common ingest-grouped case), leaving a
-// single merge pass.
-void CanonicalizeBucket(std::vector<TermPosting>* bucket) {
-  std::vector<TermPosting>& b = *bucket;
-  // Fast path: find the first violation of strict (stream, time) order. A
-  // bucket with none is already canonical — the common case when shards of
-  // an ingest-ordered corpus are concatenated — and costs one read-only
-  // scan. Otherwise entries before the violation are untouched and only the
-  // tail is (sorted and) rewritten.
-  size_t first_bad = 1;
-  while (first_bad < b.size() && PostingLess(b[first_bad - 1], b[first_bad])) {
-    ++first_bad;
-  }
-  if (first_bad >= b.size()) return;
-
-  size_t begin = first_bad - 1;
-  if (!std::is_sorted(b.begin() + static_cast<ptrdiff_t>(begin), b.end(),
-                      PostingLess)) {
-    std::stable_sort(b.begin(), b.end(), PostingLess);
-    begin = 0;  // sorting may have rearranged the previously clean prefix
-  }
-  size_t out = begin;
-  for (size_t i = begin; i < b.size();) {
-    size_t j = i;
-    double count = 0.0;
-    while (j < b.size() && PostingCellEq(b[j], b[i])) {
-      count += b[j].count;
-      ++j;
-    }
-    b[out++] = TermPosting{b[i].stream, b[i].time, count};
-    i = j;
-  }
-  b.resize(out);
-}
-
-// Accumulation state of one document shard: per-term posting buckets plus a
-// flag per term recording whether the bucket observed an out-of-order append
-// (and therefore needs a sort during canonicalization).
-struct ShardBuckets {
-  std::vector<std::vector<TermPosting>> buckets;
-  std::vector<uint8_t> needs_sort;
-
-  explicit ShardBuckets(size_t vocab) : buckets(vocab), needs_sort(vocab, 0) {}
-};
-
-// Scans documents [begin, end) of `collection` into `shard` with bucketed
-// accumulation: per-document term counts are collected with an epoch-stamped
-// scratch table (no per-doc sort), then appended to each term's bucket.
-// Consecutive documents of the same (stream, time) cell merge into the
-// bucket's tail, so when documents arrive grouped by cell — the common
-// ingest order — buckets come out sorted and deduplicated with no comparison
-// sort at all.
-void AccumulateDocumentRange(const Collection& collection, size_t begin,
-                             size_t end, ShardBuckets* shard) {
-  const size_t vocab = shard->buckets.size();
-  std::vector<uint32_t> seen_epoch(vocab, 0);
-  std::vector<uint32_t> slot_of(vocab, 0);
-  std::vector<TermId> doc_terms;
-  std::vector<double> doc_counts;
-  uint32_t epoch = 0;
-
-  const std::vector<Document>& docs = collection.documents();
-  for (size_t d = begin; d < end; ++d) {
-    const Document& doc = docs[d];
-    ++epoch;
-    doc_terms.clear();
-    doc_counts.clear();
-    for (TermId term : doc.tokens) {
-      STB_CHECK(term < vocab) << "token outside vocabulary";
-      if (seen_epoch[term] != epoch) {
-        seen_epoch[term] = epoch;
-        slot_of[term] = static_cast<uint32_t>(doc_terms.size());
-        doc_terms.push_back(term);
-        doc_counts.push_back(1.0);
-      } else {
-        doc_counts[slot_of[term]] += 1.0;
-      }
-    }
-    for (size_t k = 0; k < doc_terms.size(); ++k) {
-      std::vector<TermPosting>& bucket = shard->buckets[doc_terms[k]];
-      if (!bucket.empty()) {
-        TermPosting& tail = bucket.back();
-        if (tail.stream == doc.stream && tail.time == doc.time) {
-          tail.count += doc_counts[k];
-          continue;
-        }
-        if (tail.stream > doc.stream ||
-            (tail.stream == doc.stream && tail.time > doc.time)) {
-          shard->needs_sort[doc_terms[k]] = 1;
-        }
-      }
-      bucket.push_back(TermPosting{doc.stream, doc.time, doc_counts[k]});
-    }
-  }
-}
-
 }  // namespace
 
 FrequencyIndex FrequencyIndex::Build(const Collection& collection,
                                      size_t num_threads) {
-  return BuildImpl(collection, ResolveThreadCount(num_threads), nullptr);
-}
-
-FrequencyIndex FrequencyIndex::BuildWithPool(const Collection& collection,
-                                             ThreadPool* pool) {
-  return BuildImpl(collection, pool == nullptr ? 1 : pool->num_threads() + 1,
-                   pool);
-}
-
-FrequencyIndex FrequencyIndex::BuildImpl(const Collection& collection,
-                                         size_t threads,
-                                         ThreadPool* borrowed) {
+  // A fresh index is an empty window at the collection's first retained
+  // timestamp; catching it up is the one ingest path.
   FrequencyIndex index;
-  index.num_streams_ = collection.num_streams();
-  index.timeline_length_ = collection.timeline_length();
   index.window_start_ = collection.window_start();
-  const size_t vocab = collection.vocabulary().size();
-  const size_t num_docs = collection.documents().size();
-
-  // Sharding a tiny corpus costs more in per-shard vocab tables than the
-  // scan itself; stay serial below a few thousand documents per shard.
-  constexpr size_t kMinDocsPerShard = 2048;
-  const size_t shards =
-      std::min(threads, std::max<size_t>(1, num_docs / kMinDocsPerShard));
-
-  if (shards <= 1) {
-    ShardBuckets all(vocab);
-    AccumulateDocumentRange(collection, 0, num_docs, &all);
-    for (TermId term = 0; term < vocab; ++term) {
-      if (all.needs_sort[term]) CanonicalizeBucket(&all.buckets[term]);
-    }
-    index.postings_ = std::move(all.buckets);
-    return index;
-  }
-
-  // Stage 1: accumulate T contiguous document ranges independently. Ranges
-  // are contiguous so each shard inherits the collection's ingest order and
-  // the tail-merge fast path keeps working per shard.
-  std::vector<ShardBuckets> shard_buckets;
-  shard_buckets.reserve(shards);
-  for (size_t sh = 0; sh < shards; ++sh) shard_buckets.emplace_back(vocab);
-
-  // A borrowed standing pool is used as-is. Otherwise spawn a transient one
-  // — but never oversubscribe the machine: running more workers than
-  // hardware threads only adds context-switch and cache thrash to a
-  // CPU-bound scan. The shard structure still follows the requested thread
-  // count either way, so the merge path exercised — and the (bit-identical)
-  // output — do not depend on the host.
-  ThreadPool* pool = borrowed;
-  std::unique_ptr<ThreadPool> transient;
-  if (pool == nullptr) {
-    const size_t workers = std::min(threads, ResolveThreadCount(0));
-    // The calling thread participates, so workers - 1 pool threads suffice
-    // (a null pool runs both stages on the calling thread alone).
-    if (workers > 1) {
-      transient = std::make_unique<ThreadPool>(workers - 1);
-      pool = transient.get();
-    }
-  }
-
-  ParallelFor(pool, 0, shards, [&](size_t /*worker*/, size_t sh) {
-    AccumulateDocumentRange(collection, num_docs * sh / shards,
-                            num_docs * (sh + 1) / shards, &shard_buckets[sh]);
-  });
-
-  // Stage 2: per-term merge, parallel over the vocabulary. Shard buckets are
-  // concatenated in shard order — i.e. document order — then canonicalized,
-  // so cell counts fold in exactly the order the serial scan folds them.
-  index.postings_.resize(vocab);
-  ParallelFor(pool, 0, vocab, [&](size_t /*worker*/, size_t t) {
-    const TermId term = static_cast<TermId>(t);
-    std::vector<TermPosting>& out = index.postings_[term];
-    size_t total = 0;
-    for (size_t sh = 0; sh < shards; ++sh) {
-      total += shard_buckets[sh].buckets[term].size();
-    }
-    size_t merged_shards = 0;
-    bool dirty = false;           // some run saw an out-of-order append
-    bool boundaries_clean = true;  // runs strictly increase across joins
-    for (size_t sh = 0; sh < shards; ++sh) {
-      std::vector<TermPosting>& b = shard_buckets[sh].buckets[term];
-      if (b.empty()) continue;
-      dirty = dirty || shard_buckets[sh].needs_sort[term] != 0;
-      if (++merged_shards == 1) {
-        // Steal the first run instead of copying it, then make room for the
-        // rest in one shot (at most one realloc, often none).
-        out = std::move(b);
-        if (out.capacity() < total) out.reserve(total);
-      } else {
-        if (!PostingLess(out.back(), b.front())) boundaries_clean = false;
-        out.insert(out.end(), b.begin(), b.end());
-      }
-    }
-    // Clean runs joined at strictly increasing boundaries are canonical by
-    // construction (each run is sorted and deduplicated) — the O(shards)
-    // boundary check above replaces an O(postings) verification scan.
-    // Anything else canonicalizes: a flagged run needs its sort, and equal
-    // boundary cells must merge.
-    if (dirty || !boundaries_clean) CanonicalizeBucket(&out);
-  });
+  index.timeline_length_ = collection.window_start();
+  // Never oversubscribe the machine; the calling thread participates, so
+  // workers - 1 pool threads suffice.
+  const size_t workers =
+      std::min(ResolveThreadCount(num_threads), ResolveThreadCount(0));
+  std::unique_ptr<ThreadPool> pool;
+  if (workers > 1) pool = std::make_unique<ThreadPool>(workers - 1);
+  const Status status = index.AppendSnapshot(collection, pool.get());
+  STB_CHECK(status.ok()) << "append onto an empty index failed: "
+                         << status.ToString();
+  index.dirty_terms_.clear();
   return index;
 }
 
@@ -287,10 +97,11 @@ Status FrequencyIndex::AppendSnapshot(const Collection& collection,
   postings_.resize(vocab);
   num_streams_ = collection.num_streams();
 
-  // Gather the new snapshots' postings per term, tail-merging documents of
-  // the same cell (documents at one (stream, time) are consecutive here).
-  // The scan runs time-major so pending entries arrive in (time, stream)
-  // order per term.
+  // Gather the new snapshots' postings per term: per-document counts from
+  // an epoch-stamped scratch table, then tail-merged into the term's pending
+  // list (documents of one (stream, time) cell are consecutive here, so a
+  // cell's count folds over its documents in filing order). The scan runs
+  // stream-major, so pending lists arrive in canonical (stream, time) order.
   std::vector<std::vector<TermPosting>> pending(vocab);
   std::vector<TermId> touched;
   std::vector<uint32_t> seen_epoch(vocab, 0);
@@ -299,8 +110,9 @@ Status FrequencyIndex::AppendSnapshot(const Collection& collection,
   std::vector<double> doc_counts;
   uint32_t epoch = 0;
 
-  for (Timestamp i = timeline_length_; i < collection.timeline_length(); ++i) {
-    for (StreamId s = 0; s < num_streams_; ++s) {
+  for (StreamId s = 0; s < num_streams_; ++s) {
+    for (Timestamp i = timeline_length_; i < collection.timeline_length();
+         ++i) {
       for (DocId d : collection.DocumentsAt(s, i)) {
         const Document& doc = collection.document(d);
         ++epoch;
@@ -331,21 +143,21 @@ Status FrequencyIndex::AppendSnapshot(const Collection& collection,
     }
   }
 
-  // Splice each touched term's pending entries into its bucket. Pending is
-  // in (time, stream) order; a stable sort by stream alone yields (stream,
-  // time) order. All new times exceed every pre-existing time, so the two
-  // sorted halves merge without duplicate cells. Terms are independent, so
-  // the splice fans across the pool when one is supplied — same output,
-  // spliced concurrently.
+  // Splice each touched term's pending entries into its bucket. All new
+  // times exceed every pre-existing time, so the two sorted halves merge
+  // without duplicate cells; an empty bucket (every term of a fresh Build)
+  // takes the pending list whole. Terms are independent, so the splice fans
+  // across the pool when one is supplied — same output, spliced
+  // concurrently.
   ParallelFor(pool, 0, touched.size(), [&](size_t /*worker*/, size_t k) {
     STBURST_FAULT_POINT_THROW("frequency.append_splice");
     const TermId term = touched[k];
     std::vector<TermPosting>& add = pending[term];
-    std::stable_sort(add.begin(), add.end(),
-                     [](const TermPosting& a, const TermPosting& b) {
-                       return a.stream < b.stream;
-                     });
     std::vector<TermPosting>& bucket = postings_[term];
+    if (bucket.empty()) {
+      bucket.swap(add);
+      return;
+    }
     const size_t old_size = bucket.size();
     bucket.insert(bucket.end(), add.begin(), add.end());
     std::inplace_merge(bucket.begin(),

@@ -7,17 +7,14 @@
 // document Collection. The synthetic generators construct TermSeries
 // directly, bypassing documents.
 //
-// FrequencyIndex supports two ingest modes that share one canonical
-// representation (per-term postings sorted by (stream, time), one entry per
-// nonzero cell):
-//  - Build(collection, num_threads): full scan, optionally sharded across
-//    worker threads. The sharded build is bit-identical to the serial one
-//    for every thread count (see the determinism note on Build).
-//  - AppendSnapshot(collection): incremental catch-up after
-//    Collection::Append extended the timeline, touching only the terms that
-//    actually appear in the new snapshots. Terms touched since the last
-//    TakeDirtyTerms() call are tracked so downstream consumers (the batch
-//    miner, search indexes) can re-derive only what changed.
+// FrequencyIndex keeps one canonical representation (per-term postings
+// sorted by (stream, time), one entry per nonzero cell) and has one ingest
+// path: AppendSnapshot(collection) catches the index up with every timestamp
+// the collection gained since the index last saw it, touching only the terms
+// that appear in the new snapshots. Build(collection) is that append onto an
+// empty index. Terms touched by appends since the last TakeDirtyTerms() call
+// are tracked so downstream consumers (the batch miner, search indexes) can
+// re-derive only what changed.
 
 #ifndef STBURST_STREAM_FREQUENCY_H_
 #define STBURST_STREAM_FREQUENCY_H_
@@ -102,49 +99,35 @@ struct FrequencyEvictUndo {
 
 /// Sparse per-term frequency postings over a document collection.
 ///
-/// Thread-safety: Build is internally parallel but externally exclusive (the
-/// collection, including its vocabulary, must not be mutated during the
-/// scan). After Build / AppendSnapshot return, all const accessors are safe
-/// to call concurrently from any number of threads; AppendSnapshot and
-/// TakeDirtyTerms are writers and must be externally serialized against the
-/// readers (quiesce mining, append, re-mine — see docs/ARCHITECTURE.md).
+/// Thread-safety: Build and AppendSnapshot may fan their splice across worker
+/// threads but are externally exclusive (the collection, including its
+/// vocabulary, must not be mutated while they run). After Build /
+/// AppendSnapshot return, all const accessors are safe to call concurrently
+/// from any number of threads; AppendSnapshot and TakeDirtyTerms are writers
+/// and must be externally serialized against the readers (quiesce mining,
+/// append, re-mine — see docs/ARCHITECTURE.md).
 class FrequencyIndex {
  public:
   /// An empty index: no terms, no streams, zero-length timeline. Exists so
   /// owners (FeedRuntime) can hold an index member and assign from Build().
   FrequencyIndex() = default;
 
-  /// Scans every document in `collection` once and builds canonical per-term
-  /// postings (sorted by (stream, time), duplicate cells merged).
+  /// Builds canonical per-term postings for every retained timestamp of
+  /// `collection`: an AppendSnapshot onto an empty index whose window starts
+  /// at collection.window_start(), with the dirty set cleared afterwards.
   ///
   /// `num_threads`: 1 (default) runs serially on the calling thread; 0 means
-  /// hardware concurrency. With T > 1 the document scan is sharded into T
-  /// contiguous document ranges accumulated independently, then the per-term
-  /// shard buckets are merged with a parallel loop over the vocabulary.
-  /// The count is a ceiling: the build never runs more workers than the
-  /// hardware offers (oversubscribing a CPU-bound scan only thrashes), but
-  /// the shard structure follows the request, so behavior is host-invariant.
+  /// hardware concurrency. With T > 1 the splice of the gathered postings is
+  /// fanned across a transient pool, never larger than the hardware offers
+  /// (oversubscribing a CPU-bound loop only thrashes); the document scan
+  /// stays serial.
   ///
-  /// Determinism: output is bit-identical for every thread count. Shards
-  /// are contiguous document ranges concatenated in document order and
-  /// canonicalization is stable, so a cell's count folds over its documents
-  /// in document order; shard boundaries can group that fold into partial
-  /// sums, which is exact because counts are per-document term frequencies
-  /// (small integer doubles). If fractional counts are ever introduced, the
-  /// cross-thread guarantee weakens to "equal up to float associativity"
-  /// at cells straddling a shard boundary.
-  /// Complexity: O(tokens + nnz) work, O(nnz + T·V) transient space.
+  /// Determinism: output is bit-identical for every thread count. A cell's
+  /// count folds once, over its documents in DocumentsAt() filing order, and
+  /// terms splice independently.
+  /// Complexity: O(V + tokens + nnz) work, O(V + nnz) transient space.
   static FrequencyIndex Build(const Collection& collection,
                               size_t num_threads = 1);
-
-  /// Borrowing variant: shards the scan across `pool` (its workers plus
-  /// the calling thread) instead of spawning a transient pool — the path a
-  /// long-running owner with a standing pool (FeedRuntime) uses. A null
-  /// pool builds serially. Output is bit-identical to every Build. A named
-  /// function, not a Build overload: a literal `Build(c, 0)` must keep
-  /// meaning "hardware concurrency", not a null pool.
-  static FrequencyIndex BuildWithPool(const Collection& collection,
-                                      ThreadPool* pool);
 
   /// Incrementally extends the index with every timestamp `collection`
   /// gained since this index was built or last caught up (the result of one
@@ -158,14 +141,16 @@ class FrequencyIndex {
   /// instead). New streams and new vocabulary terms are absorbed. Returns
   /// InvalidArgument if the collection's timeline or vocabulary is behind
   /// the index. Equivalence: after any sequence of appends the index is
-  /// bit-identical to Build(collection) from scratch (tested).
+  /// bit-identical to Build(collection) from scratch, and both match a
+  /// sort-and-merge reference (tested).
   ///
   /// `pool`: when non-null, the per-term splice of the gathered postings is
   /// fanned across the pool (the gather scan stays serial — it is a single
   /// pass over the new documents). The splice is per-term independent, so
   /// output is bit-identical with or without a pool, at any pool size
   /// (tested). Feeds with 10^4+ documents per tick are splice-dominated and
-  /// benefit; tiny ticks do not.
+  /// benefit; tiny ticks do not. A term whose bucket is empty takes its
+  /// gathered list whole, so a fresh Build's splice is one move per term.
   /// Complexity: O(V + new tokens + Σ postings(t) over touched terms t).
   Status AppendSnapshot(const Collection& collection,
                         ThreadPool* pool = nullptr);
@@ -281,9 +266,6 @@ class FrequencyIndex {
   double TotalCount(TermId term) const;
 
  private:
-  static FrequencyIndex BuildImpl(const Collection& collection, size_t threads,
-                                  ThreadPool* borrowed);
-
   size_t num_streams_ = 0;
   Timestamp timeline_length_ = 0;
   Timestamp window_start_ = 0;  // first retained timestamp

@@ -1,11 +1,12 @@
-// Tests for stream/frequency: TermSeries and FrequencyIndex, including the
-// sharded build's bit-for-bit parity with the serial build and the
-// append-path parity with a from-scratch rebuild.
+// Tests for stream/frequency: TermSeries and FrequencyIndex, including
+// Build's bit-for-bit parity with a sort-and-merge reference at every
+// thread count and the append-path parity with a from-scratch rebuild.
 
 #include "stburst/stream/frequency.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -138,20 +139,126 @@ void ExpectIdenticalIndexes(const FrequencyIndex& a, const FrequencyIndex& b) {
   }
 }
 
+// The reference Build is checked against: each document's tokens sorted and
+// counted, every (stream, time, count) appended to its term, then each
+// term's list stably sorted by (stream, time) and same-cell runs summed in
+// document order.
+std::vector<std::vector<TermPosting>> ReferencePostings(
+    const Collection& collection) {
+  std::vector<std::vector<TermPosting>> postings(
+      collection.vocabulary().size());
+  for (const Document& doc : collection.documents()) {
+    std::vector<TermId> toks = doc.tokens;
+    std::sort(toks.begin(), toks.end());
+    for (size_t i = 0; i < toks.size();) {
+      size_t j = i;
+      while (j < toks.size() && toks[j] == toks[i]) ++j;
+      postings[toks[i]].push_back(
+          TermPosting{doc.stream, doc.time, static_cast<double>(j - i)});
+      i = j;
+    }
+  }
+  for (auto& plist : postings) {
+    std::stable_sort(plist.begin(), plist.end(),
+                     [](const TermPosting& a, const TermPosting& b) {
+                       if (a.stream != b.stream) return a.stream < b.stream;
+                       return a.time < b.time;
+                     });
+    size_t out = 0;
+    for (size_t i = 0; i < plist.size();) {
+      size_t j = i;
+      double count = 0.0;
+      while (j < plist.size() && plist[j].stream == plist[i].stream &&
+             plist[j].time == plist[i].time) {
+        count += plist[j].count;
+        ++j;
+      }
+      plist[out++] = TermPosting{plist[i].stream, plist[i].time, count};
+      i = j;
+    }
+    plist.resize(out);
+  }
+  return postings;
+}
+
+// Exact (bit-for-bit) equality of an index with the reference postings of
+// the collection it was built from, including its window and a clean dirty
+// set.
+void ExpectMatchesReference(FrequencyIndex& index,
+                            const Collection& collection) {
+  const std::vector<std::vector<TermPosting>> expected =
+      ReferencePostings(collection);
+  ASSERT_EQ(index.num_terms(), expected.size());
+  ASSERT_EQ(index.num_streams(), collection.num_streams());
+  ASSERT_EQ(index.timeline_length(), collection.timeline_length());
+  ASSERT_EQ(index.window_start(), collection.window_start());
+  EXPECT_TRUE(index.TakeDirtyTerms().empty());
+  for (TermId t = 0; t < index.num_terms(); ++t) {
+    const auto& got = index.postings(t);
+    const auto& want = expected[t];
+    ASSERT_EQ(got.size(), want.size()) << "term " << t;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].stream, want[i].stream) << "term " << t << " #" << i;
+      EXPECT_EQ(got[i].time, want[i].time) << "term " << t << " #" << i;
+      EXPECT_EQ(got[i].count, want[i].count) << "term " << t << " #" << i;
+    }
+  }
+}
+
+TEST(FrequencyIndexOracle, BuildMatchesReferenceAtAnyThreadCount) {
+  std::vector<Collection> inputs;
+  // Documents filed out of time order.
+  inputs.push_back(MakeRandomCorpus(17, 14, 40, 500, 17000));
+  // The same corpus time-ordered and evicted, so the window starts past 0.
+  inputs.push_back(MakeRandomCorpus(17, 14, 40, 500, 17000));
+  inputs.back().SortByTime();
+  ASSERT_TRUE(inputs.back().EvictBefore(13).ok());
+  ASSERT_EQ(inputs.back().window_start(), 13);
+  // An empty stream and vocabulary terms that never occur.
+  {
+    auto c = Collection::Create(6);
+    ASSERT_TRUE(c.ok());
+    StreamId a = c->AddStream("A", {}, {});
+    c->AddStream("empty", {}, {});
+    StreamId b = c->AddStream("B", {}, {});
+    Vocabulary* v = c->mutable_vocabulary();
+    TermId x = v->Intern("x");
+    v->Intern("unused1");
+    TermId y = v->Intern("y");
+    v->Intern("unused2");
+    ASSERT_TRUE(c->AddDocument(b, 5, {y, x, y}).ok());
+    ASSERT_TRUE(c->AddDocument(a, 2, {x}).ok());
+    ASSERT_TRUE(c->AddDocument(b, 5, {x}).ok());
+    ASSERT_TRUE(c->AddDocument(a, 0, {y, y, y}).ok());
+    inputs.push_back(std::move(*c));
+  }
+
+  Rng rng(31);
+  for (size_t n = 0; n < inputs.size(); ++n) {
+    SCOPED_TRACE("input " + std::to_string(n));
+    std::vector<size_t> thread_counts = {1, 2, 4, 8};
+    for (int i = 0; i < 3; ++i) {
+      thread_counts.push_back(2 + rng.NextUint64(9));  // 2..10
+    }
+    for (size_t threads : thread_counts) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      FrequencyIndex index = FrequencyIndex::Build(inputs[n], threads);
+      ExpectMatchesReference(index, inputs[n]);
+    }
+  }
+}
+
+// Build at any thread count equals the serial Build and the reference, bit
+// for bit, on a corpus large enough that the splice has many terms to share.
 TEST(FrequencyIndexSharded, BitIdenticalToSerialAt1248Threads) {
-  // Large enough that the build actually shards (the serial fallback guards
-  // tiny corpora).
   Collection c = MakeRandomCorpus(17, 14, 40, 500, 17000);
   FrequencyIndex serial = FrequencyIndex::Build(c, 1);
+  ExpectMatchesReference(serial, c);
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    FrequencyIndex sharded = FrequencyIndex::Build(c, threads);
-    ExpectIdenticalIndexes(serial, sharded);
-  }
-  // The standing-pool variant is just another worker arrangement.
-  ExpectIdenticalIndexes(serial, FrequencyIndex::BuildWithPool(c, nullptr));
-  for (size_t pool_threads : {1u, 3u}) {
-    ThreadPool pool(pool_threads);
-    ExpectIdenticalIndexes(serial, FrequencyIndex::BuildWithPool(c, &pool));
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    FrequencyIndex pooled = FrequencyIndex::Build(c, threads);
+    ExpectIdenticalIndexes(serial, pooled);
+    ExpectMatchesReference(pooled, c);
   }
 }
 
@@ -161,10 +268,14 @@ TEST(FrequencyIndexSharded, BitIdenticalAcrossRandomizedThreadCounts) {
     Collection c = MakeRandomCorpus(100 + static_cast<uint64_t>(trial), 9, 25,
                                     200, 9000);
     FrequencyIndex serial = FrequencyIndex::Build(c, 1);
+    ExpectMatchesReference(serial, c);
     for (int i = 0; i < 3; ++i) {
       size_t threads = 2 + rng.NextUint64(9);  // 2..10
-      FrequencyIndex sharded = FrequencyIndex::Build(c, threads);
-      ExpectIdenticalIndexes(serial, sharded);
+      SCOPED_TRACE("trial " + std::to_string(trial) + " threads " +
+                   std::to_string(threads));
+      FrequencyIndex pooled = FrequencyIndex::Build(c, threads);
+      ExpectIdenticalIndexes(serial, pooled);
+      ExpectMatchesReference(pooled, c);
     }
   }
 }
