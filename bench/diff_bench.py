@@ -13,9 +13,12 @@ machine-readable perf JSON with the schema
 This tool joins two such files on "op" and reports the candidate/baseline
 ratio per op. Ops slower than baseline by more than --threshold (default
 10%) are regressions; any regression makes the exit status nonzero so CI
-can gate on it. Ops ending in "_naive" are fixed seed re-implementations
-kept for speedup reporting — their drift is machine noise, so they are
-ignored unless --include-naive is given.
+can gate on it (--soft downgrades regressions to warnings).
+
+A baseline op missing from the candidate run always fails, --soft
+included: a deleted or renamed op must take its baseline entry with it,
+or the stale entry outlives the benchmark. An op only the candidate has
+runs ungated and warns until the baseline is refreshed.
 
 "isa" records the SIMD dispatch level active when the run was recorded
 (see bench_common.h). Two runs recorded under different levels measure
@@ -31,8 +34,12 @@ Usage:
 """
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
+import tempfile
 
 
 def load_results(path):
@@ -51,14 +58,15 @@ def isa_mismatch(baseline_isa, candidate_isa):
             and baseline_isa != candidate_isa)
 
 
-def diff(baseline, candidate, threshold, include_naive=False):
-    """Compares {op: ns} maps; returns (report_lines, regressions)."""
+def diff(baseline, candidate, threshold):
+    """Compares {op: ns} maps; returns (report_lines, regressions, missing).
+
+    `missing` lists the baseline ops absent from the candidate run.
+    """
     lines = []
     regressions = []
     common = [op for op in baseline if op in candidate]
     for op in common:
-        if not include_naive and op.endswith("_naive"):
-            continue
         base, cand = baseline[op], candidate[op]
         if base <= 0:
             continue
@@ -74,12 +82,11 @@ def diff(baseline, candidate, threshold, include_naive=False):
     only_base = sorted(set(baseline) - set(candidate))
     only_cand = sorted(set(candidate) - set(baseline))
     if only_base:
-        # Non-fatal by design (renames and retirements are legitimate), but
-        # loud: a benchmark that silently disappears from the new run would
-        # otherwise let baseline drift hide a deleted op forever.
-        lines.append("WARNING: %d op(s) in the baseline are missing from the "
+        # Fatal even under --soft: a deleted or renamed op must drop its
+        # baseline entry in the same change, or the stale entry outlives it.
+        lines.append("ERROR: %d op(s) in the baseline are missing from the "
                      "candidate run: %s — deleted benchmark or renamed op? "
-                     "(not gated; refresh the baseline if intentional)"
+                     "(gated; drop or rename the baseline entry)"
                      % (len(only_base), ", ".join(only_base)))
     if only_cand:
         # Symmetric with the vanished-op case: an op the baseline has never
@@ -89,38 +96,61 @@ def diff(baseline, candidate, threshold, include_naive=False):
                      "baseline: %s — new benchmark running ungated? "
                      "(not gated; refresh the baseline to start gating it)"
                      % (len(only_cand), ", ".join(only_cand)))
-    return lines, regressions
+    return lines, regressions, only_base
+
+
+def run_main(baseline, candidate, *flags):
+    """Exit status of a quiet main() over two temporary perf files."""
+    paths = []
+    try:
+        for results in (baseline, candidate):
+            fd, path = tempfile.mkstemp(suffix=".json")
+            paths.append(path)
+            with os.fdopen(fd, "w") as f:
+                json.dump({"results": [{"op": op, "ns_per_op": ns}
+                                       for op, ns in results.items()]}, f)
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(list(flags) + paths)
+    finally:
+        for path in paths:
+            os.remove(path)
 
 
 def self_test():
-    baseline = {"a": 100.0, "b": 200.0, "c_naive": 50.0, "gone": 1.0}
-    candidate = {"a": 105.0, "b": 400.0, "c_naive": 500.0, "new": 1.0}
+    baseline = {"a": 100.0, "b": 200.0, "gone": 1.0}
+    candidate = {"a": 105.0, "b": 400.0, "new": 1.0}
 
-    lines, regressions = diff(baseline, candidate, threshold=0.10)
+    lines, regressions, missing = diff(baseline, candidate, threshold=0.10)
     assert regressions == ["b"], regressions          # 2x slower: flagged
-    assert all("c_naive" not in r for r in regressions)  # naive ops ignored
-    # A vanished op warns loudly (names the op) but never gates: the warning
-    # is how baseline drift surfaces a deleted benchmark. A candidate-only
-    # op warns just as loudly — it is running ungated until the baseline is
-    # refreshed — and never gates either.
-    warnings = [l for l in lines if l.startswith("WARNING")]
-    assert len(warnings) == 2, lines
-    vanished = [l for l in warnings if "missing from the candidate" in l]
-    assert len(vanished) == 1 and "gone" in vanished[0], lines
+    # A vanished op is an error that names the op; it is reported apart
+    # from the regressions because it gates even under --soft. A
+    # candidate-only op warns — it runs ungated until the baseline is
+    # refreshed — and never gates.
+    errors = [l for l in lines if l.startswith("ERROR")]
+    assert len(errors) == 1 and "gone" in errors[0], lines
+    assert missing == ["gone"], missing
     assert "gone" not in regressions
-    ungated = [l for l in warnings if "missing from the baseline" in l]
-    assert len(ungated) == 1 and "new" in ungated[0], lines
+    warnings = [l for l in lines if l.startswith("WARNING")]
+    assert len(warnings) == 1 and "new" in warnings[0], lines
+    assert "missing from the baseline" in warnings[0], lines
     assert "new" not in regressions
 
-    warn_all, none = diff(baseline, {"a": 109.0}, threshold=0.10)
+    err_all, none, gone = diff(baseline, {"a": 109.0}, threshold=0.10)
     assert none == [], none                           # within threshold: ok
-    assert any(l.startswith("WARNING") and "b" in l for l in warn_all)
+    assert gone == ["b", "gone"], gone
+    assert any(l.startswith("ERROR") and "b" in l for l in err_all)
 
-    _, incl = diff(baseline, candidate, threshold=0.10, include_naive=True)
-    assert "c_naive" in incl
-
-    _, loose = diff(baseline, candidate, threshold=2.0)
+    _, loose, _ = diff(baseline, candidate, threshold=2.0)
     assert loose == [], loose                         # threshold respected
+
+    # Exit status: a missing baseline op fails with and without --soft; a
+    # candidate-only op or a regression under --soft does not.
+    all_ops = dict(candidate, gone=1.0)
+    assert run_main(baseline, candidate) == 1
+    assert run_main(baseline, candidate, "--soft") == 1
+    assert run_main(baseline, all_ops, "--soft") == 0
+    assert run_main(baseline, all_ops) == 1           # b regressed
+    assert run_main(baseline, dict(baseline, new=1.0)) == 0
 
     # ISA guard: gating is refused only when both runs recorded a level and
     # they differ; legacy files without "isa" keep comparing normally.
@@ -134,7 +164,7 @@ def self_test():
     return 0
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Diff two BENCH_*.json files; nonzero exit on regression.")
     parser.add_argument("baseline", nargs="?", help="baseline BENCH_*.json")
@@ -142,16 +172,15 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="relative slowdown tolerated per op "
                              "(default 0.10 = 10%%)")
-    parser.add_argument("--include-naive", action="store_true",
-                        help="also gate the *_naive baseline ops")
     parser.add_argument("--soft", action="store_true",
                         help="report regressions as warnings and exit 0; "
                              "tooling errors (unreadable/malformed files) "
+                             "and baseline ops missing from the candidate "
                              "still exit nonzero — for CI smoke jobs on "
                              "shared runners")
     parser.add_argument("--self-test", action="store_true",
                         help="run the built-in unit checks and exit")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.self_test:
         return self_test()
@@ -161,12 +190,15 @@ def main():
 
     baseline, baseline_isa = load_results(args.baseline)
     candidate, candidate_isa = load_results(args.candidate)
-    lines, regressions = diff(baseline, candidate, args.threshold,
-                              args.include_naive)
+    lines, regressions, missing = diff(baseline, candidate, args.threshold)
     print("diff_bench: %s -> %s (threshold %.0f%%)"
           % (args.baseline, args.candidate, args.threshold * 100))
     for line in lines:
         print("  " + line)
+    if missing:
+        print("FAIL: %d baseline op(s) missing from the candidate run: %s"
+              % (len(missing), ", ".join(missing)))
+        return 1
     if isa_mismatch(baseline_isa, candidate_isa):
         # Different dispatch levels measure different code paths; gating
         # here would flag the ISA change, not a code change. The ratios

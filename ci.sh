@@ -17,8 +17,9 @@
 #                                        combine with SANITIZE=1 for the CI
 #                                        fault-recovery leg
 #        RUN_BENCH=1 ./ci.sh             perf gate against bench/BENCH_micro.baseline.json
-#        BENCH_SOFT=1 RUN_BENCH=1 ./ci.sh  bench smoke: tooling errors gate,
-#                                          perf regressions only warn
+#        BENCH_SOFT=1 RUN_BENCH=1 ./ci.sh  bench smoke: tooling errors and
+#                                          baseline ops missing from the run
+#                                          gate, perf regressions only warn
 #        BENCH_BASELINE=path ./ci.sh     override the baseline file
 #        TEST_TIMEOUT=seconds ./ci.sh    per-test ctest timeout (default 600):
 #                                        a hung test fails its job instead of
@@ -95,7 +96,8 @@ if [[ "${RUN_BENCH:-0}" == "1" ]]; then
     if [[ "${BENCH_SOFT:-0}" == "1" ]]; then
       # Smoke mode (shared CI runners time ops unreliably): the differ
       # downgrades perf regressions to warnings but still exits nonzero on
-      # tooling errors (missing/malformed JSON), which gate as usual.
+      # tooling errors (missing/malformed JSON) and on baseline ops the run
+      # no longer has, which gate as usual.
       python3 bench/diff_bench.py --soft "$BASELINE" "$BUILD_DIR/BENCH_micro.json"
     else
       python3 bench/diff_bench.py "$BASELINE" "$BUILD_DIR/BENCH_micro.json"

@@ -37,10 +37,10 @@ std::vector<CombinatorialPattern> StComb::MinePatterns(
 // sharing a coordinate are applied before the coordinate is evaluated,
 // which makes the intra-coordinate order irrelevant and keeps
 // closed-interval semantics ([a,b] and [b,c] intersect) via the end+1 close
-// coordinate. This matches iterating MaxWeightClique over the shrinking
-// pool exactly — same stabs, same members, same scores — at
-// O(m log m + rounds * m_live) instead of O(rounds * m log m) with two
-// allocations per round.
+// coordinate. Each round reports the first stab of maximum live weight, so
+// the result equals the brute-force reference in tests/stcomb_test.cc
+// (ReferenceCliques: scan every integer stab per round) exactly — same
+// stabs, same members, same scores — at O(m log m + rounds * m_live).
 std::vector<CombinatorialPattern> StComb::MineFromIntervals(
     std::vector<StreamInterval> intervals) const {
   std::vector<CombinatorialPattern> patterns;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "stburst/common/random.h"
 
 namespace stburst {
@@ -26,6 +29,25 @@ TEST(StComb, MineFromIntervalsSingleClique) {
   EXPECT_EQ(patterns[0].streams, (std::vector<StreamId>{0, 1, 2, 3}));
   // Common segment of [2,9],[4,10],[3,8],[5,9] is [5,8].
   EXPECT_EQ(patterns[0].timeframe, (Interval{5, 8}));
+}
+
+TEST(StComb, PaperFigure2Example) {
+  // Figure 2 of the paper: I1..I7 over streams D1..D4. The highest-scoring
+  // subset is {I1, I3, I5, I6} (2.1, common segment [5, 8]); with those
+  // retired, {I2, I4, I7} (1.3, [14, 17]) is the next clique.
+  StComb miner;
+  auto patterns = miner.MineFromIntervals({
+      SI(1, 2, 9, 0.8), SI(1, 12, 18, 0.5), SI(2, 4, 10, 0.4),
+      SI(2, 13, 19, 0.6), SI(3, 3, 8, 0.3), SI(4, 5, 9, 0.6),
+      SI(4, 14, 17, 0.2),
+  });
+  ASSERT_EQ(patterns.size(), 2u);
+  EXPECT_EQ(patterns[0].streams, (std::vector<StreamId>{1, 2, 3, 4}));
+  EXPECT_EQ(patterns[0].timeframe, (Interval{5, 8}));
+  EXPECT_NEAR(patterns[0].score, 2.1, 1e-12);
+  EXPECT_EQ(patterns[1].streams, (std::vector<StreamId>{1, 2, 4}));
+  EXPECT_EQ(patterns[1].timeframe, (Interval{14, 17}));
+  EXPECT_NEAR(patterns[1].score, 1.3, 1e-12);
 }
 
 TEST(StComb, IteratedCliquesAreStreamDisjointPerRound) {
@@ -152,6 +174,120 @@ TEST(StComb, PatternsScoreEqualsMemberSum) {
     double total_interval_score = 0.0;
     for (const auto& si : intervals) total_interval_score += si.burstiness;
     EXPECT_LE(total_pattern_score, total_interval_score + 1e-9);
+  }
+}
+
+// Brute-force reference for StComb::MineFromIntervals. A clique of an
+// interval graph is the set of intervals one timestamp stabs (Helly in 1-D,
+// Prop. 1), so each round scans every integer stab over the live pool's
+// span, takes the first stab of largest live weight, and reports the
+// intervals it stabs, folded in pool order. Same-stream intervals must be
+// disjoint, so a stab holds at most one interval per stream.
+std::vector<CombinatorialPattern> ReferenceCliques(
+    std::vector<StreamInterval> pool, const StCombOptions& options) {
+  auto live = [](const StreamInterval& si) {
+    return si.burstiness > 0.0 && si.interval.valid();
+  };
+  std::vector<CombinatorialPattern> patterns;
+  while (patterns.size() < options.max_patterns) {
+    Timestamp lo = std::numeric_limits<Timestamp>::max();
+    Timestamp hi = std::numeric_limits<Timestamp>::min();
+    for (const StreamInterval& si : pool) {
+      if (!live(si)) continue;
+      lo = std::min(lo, si.interval.start);
+      hi = std::max(hi, si.interval.end);
+    }
+    double best_weight = 0.0;
+    Timestamp best_stab = 0;
+    for (Timestamp t = lo; t <= hi; ++t) {
+      double weight = 0.0;
+      for (const StreamInterval& si : pool) {
+        if (live(si) && si.interval.Contains(t)) weight += si.burstiness;
+      }
+      if (weight > best_weight) {
+        best_weight = weight;
+        best_stab = t;
+      }
+    }
+    if (best_weight <= 0.0) break;
+
+    CombinatorialPattern p;
+    for (StreamInterval& si : pool) {
+      if (!live(si) || !si.interval.Contains(best_stab)) continue;
+      p.score += si.burstiness;
+      p.timeframe = p.streams.empty() ? si.interval
+                                      : p.timeframe.Intersect(si.interval);
+      p.streams.push_back(si.stream);
+      si.burstiness = 0.0;  // retired: no later round reuses it
+    }
+    std::sort(p.streams.begin(), p.streams.end());
+    if (p.streams.size() >= options.min_streams) {
+      patterns.push_back(std::move(p));
+    }
+  }
+  std::sort(patterns.begin(), patterns.end(),
+            [](const CombinatorialPattern& a, const CombinatorialPattern& b) {
+              return a.score > b.score;
+            });
+  return patterns;
+}
+
+TEST(StCombOracle, MineFromIntervalsMatchesBruteForceCliques) {
+  Rng rng(22);
+  for (int trial = 0; trial < 1000; ++trial) {
+    // Endpoints drawn from a few anchors shared by every stream make
+    // cross-stream coincidence and shared endpoints common; free endpoints
+    // give nesting and partial overlap.
+    std::vector<Timestamp> anchors(6);
+    for (Timestamp& a : anchors) {
+      a = static_cast<Timestamp>(rng.UniformInt(0, 30));
+    }
+    auto endpoint = [&](Timestamp at_least) {
+      const Timestamp a = anchors[rng.NextUint64(anchors.size())];
+      if (a >= at_least && rng.Bernoulli(0.6)) return a;
+      return static_cast<Timestamp>(at_least + rng.UniformInt(0, 6));
+    };
+    // Weights on a 1/64 grid: every partial sum is exact, so the sweep's
+    // running sums and the reference's per-stab sums agree bit for bit.
+    const bool equal_weights = trial % 5 == 0;
+    const double shared_weight =
+        static_cast<double>(rng.UniformInt(1, 128)) / 64.0;
+
+    std::vector<StreamInterval> pool;
+    const StreamId streams = static_cast<StreamId>(1 + rng.NextUint64(10));
+    for (StreamId s = 0; s < streams; ++s) {
+      // Disjoint per stream: each start is past the previous end; a start
+      // exactly there gives a touching [a,b], [b+1,c] run.
+      Timestamp cursor = static_cast<Timestamp>(rng.UniformInt(0, 8));
+      for (int64_t n = rng.UniformInt(0, 4); n > 0; --n) {
+        const Timestamp start = rng.Bernoulli(0.3) ? cursor : endpoint(cursor);
+        const Timestamp end = endpoint(start);
+        double w = equal_weights
+                       ? shared_weight
+                       : static_cast<double>(rng.UniformInt(1, 192)) / 64.0;
+        if (!equal_weights && rng.Bernoulli(0.1)) {
+          w = rng.Bernoulli(0.5) ? -w : 0.0;  // must be ignored
+        }
+        pool.push_back(SI(s, start, end, w));
+        cursor = end + 1;
+      }
+    }
+    rng.Shuffle(&pool);
+
+    StCombOptions opts;
+    opts.min_streams = trial % 2 == 0 ? 1 : 2;
+    if (trial % 4 >= 2) opts.max_patterns = 2;
+    const auto got = StComb(opts).MineFromIntervals(pool);
+    const auto want = ReferenceCliques(pool, opts);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].streams, want[i].streams)
+          << "trial " << trial << " pattern " << i;
+      EXPECT_EQ(got[i].timeframe, want[i].timeframe)
+          << "trial " << trial << " pattern " << i;
+      EXPECT_EQ(got[i].score, want[i].score)
+          << "trial " << trial << " pattern " << i;
+    }
   }
 }
 
