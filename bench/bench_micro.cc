@@ -549,36 +549,6 @@ int Run() {
                 idle_ns / ticked_ns);
   }
 
-  // The generation-keyed query cache: hot-hit latency for a repeated query
-  // against a standing snapshot (every lookup after the first is a pure
-  // LRU hit — the floor a dashboard polling a fixed panel of queries pays).
-  {
-    FeedRuntimeOptions fr_opts;
-    fr_opts.miner.stcomb.min_interval_burstiness = 0.1;
-    fr_opts.num_threads = 4;
-    fr_opts.retention_window = corpus.timeline_length();
-    fr_opts.refresh_budget = 64;
-    fr_opts.search_serving = SearchServing::kCombinatorial;
-    fr_opts.search_cache_entries = 1024;
-    auto runtime = FeedRuntime::Create(corpus, fr_opts);
-    if (!runtime.ok()) return 1;
-    // A dashboard-shaped panel: 16 fixed queries polled round-robin, every
-    // lookup after the warm pass a pure LRU hit. Timing the panel rather
-    // than one query amortizes per-call allocator jitter (a hit copies the
-    // k-doc result), which a sub-100ns single-query op cannot.
-    std::vector<std::vector<TermId>> panel;
-    for (TermId t = 0; t < 16; ++t) panel.push_back({t, t + 1, t + 2});
-    for (const auto& q : panel) (void)runtime->Search(q, 10);
-    double panel_ns = TimeNs([&] {
-      for (const auto& q : panel) (void)runtime->Search(q, 10);
-    });
-    report("search_cached", panel_ns / panel.size(), panel.size());
-    const QueryCacheStats cache_stats = runtime->search_cache_stats();
-    std::printf("  -> cached search: %.0f ns/hit (%zu hits, %zu misses)\n",
-                panel_ns / panel.size(), cache_stats.hits,
-                cache_stats.misses);
-  }
-
   // Regional mining over a vocabulary sample (one standalone
   // MineRegionalPatterns per term — each call builds its own binning), then
   // the whole vocabulary through the batch engine sharing one standing

@@ -307,12 +307,13 @@ int main() {
     }
   }
   auto engine = BurstySearchEngine::Build(runtime->collection(), standing);
-  const InvertedIndex* live_search = runtime->search_index();
+  const std::shared_ptr<const IndexSnapshot> live_search =
+      runtime->search_snapshot();
   bool search_same =
       live_search != nullptr &&
-      live_search->total_postings() == engine.index().total_postings();
-  for (TermId t = 0; search_same && t < live_search->num_terms(); ++t) {
-    const auto& a = live_search->postings(t);
+      live_search->index.total_postings() == engine.index().total_postings();
+  for (TermId t = 0; search_same && t < live_search->index.num_terms(); ++t) {
+    const auto& a = live_search->index.postings(t);
     const auto& b = engine.index().postings(t);
     search_same = a.size() == b.size();
     for (size_t i = 0; search_same && i < a.size(); ++i) {

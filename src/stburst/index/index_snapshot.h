@@ -27,8 +27,8 @@ struct IndexSnapshot {
 
   /// == index.generation(); strictly increasing across published
   /// snapshots of one runtime. Query results computed against this
-  /// snapshot carry it (TopKResult::generation), which is what keys the
-  /// query-result cache.
+  /// snapshot carry it (TopKResult::generation), which tells a reader
+  /// which published tick answered.
   uint64_t generation = 0;
 
   /// First retained timestamp of the window the postings cover.

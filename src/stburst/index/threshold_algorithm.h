@@ -34,9 +34,9 @@ struct TopKResult {
   size_t sorted_accesses = 0;
   size_t random_accesses = 0;
   bool early_terminated = false;  // stopped before exhausting the lists
-  /// InvertedIndex::generation() at computation time. A cached result is
-  /// stale — and must be recomputed — once it differs from the index's
-  /// current generation (the index was reopened, fed, and re-finalized).
+  /// InvertedIndex::generation() at computation time: the index state the
+  /// answer reflects. It moves each time the index is reopened, fed, and
+  /// re-finalized.
   uint64_t generation = 0;
 };
 

@@ -131,12 +131,6 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
     return Status::InvalidArgument(
         "search_serving = kRegional requires miner.mine_regional");
   }
-  // A cache with nothing to cache points at a misconfigured caller.
-  if (options.search_cache_entries > 0 &&
-      options.search_serving == SearchServing::kNone) {
-    return Status::InvalidArgument(
-        "search_cache_entries requires search_serving");
-  }
   if (options.history_mode != HistoryMode::kOff &&
       options.history_bucket_width <= 0) {
     return Status::InvalidArgument(
@@ -226,10 +220,6 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
     first->window_start = runtime.index_.window_start();
     first->doc_id_base = runtime.collection_.doc_id_base();
     runtime.search_snapshot_.Publish(std::move(first));
-    if (runtime.options_.search_cache_entries > 0) {
-      runtime.search_cache_ = std::make_unique<QueryResultCache>(
-          runtime.options_.search_cache_entries);
-    }
   }
   return runtime;
 }
@@ -742,28 +732,7 @@ TopKResult FeedRuntime::Search(const std::vector<TermId>& query,
   // many ticks publish meanwhile.
   const std::shared_ptr<const IndexSnapshot> snapshot =
       search_snapshot_.Load();
-  if (search_cache_ != nullptr) {
-    TopKResult cached;
-    if (search_cache_->Lookup(snapshot->generation, query, k, &cached)) {
-      return cached;
-    }
-    TopKResult fresh = ThresholdTopK(snapshot->index, query, k);
-    search_cache_->Insert(snapshot->generation, query, k, fresh);
-    return fresh;
-  }
   return ThresholdTopK(snapshot->index, query, k);
-}
-
-const InvertedIndex* FeedRuntime::search_index() const {
-  if (options_.search_serving == SearchServing::kNone) return nullptr;
-  // The slot's own strong reference keeps the pointee alive past this
-  // call's temporary; the pointer stays valid until the next publishing
-  // tick (see the header contract).
-  return &search_snapshot_.Load()->index;
-}
-
-QueryCacheStats FeedRuntime::search_cache_stats() const {
-  return search_cache_ != nullptr ? search_cache_->stats() : QueryCacheStats{};
 }
 
 const TermPatterns& FeedRuntime::patterns(TermId term) const {

@@ -49,8 +49,8 @@
 // bit-identical at any thread count (tested at 1/2/4/8).
 //
 // docs/ARCHITECTURE.md covers the retention/eviction contract, the refresh
-// scheduling policy, and the read plane (snapshot lifecycle, memory
-// ordering, cache invalidation); examples/live_feed.cpp runs the runtime
+// scheduling policy, and the read plane (snapshot lifecycle, lifetime,
+// memory ordering); examples/live_feed.cpp runs the runtime
 // end to end.
 
 #ifndef STBURST_STREAM_FEED_RUNTIME_H_
@@ -69,7 +69,6 @@
 #include "stburst/index/index_snapshot.h"
 #include "stburst/index/inverted_index.h"
 #include "stburst/index/pattern_index.h"
-#include "stburst/index/query_cache.h"
 #include "stburst/index/threshold_algorithm.h"
 #include "stburst/stream/collection.h"
 #include "stburst/stream/frequency.h"
@@ -154,15 +153,6 @@ struct FeedRuntimeOptions {
   /// search_snapshot()->generation by one.
   SearchServing search_serving = SearchServing::kNone;
 
-  /// Capacity (entries) of the query-result cache; 0 disables it. Entries
-  /// are keyed on (snapshot generation, query terms, k), so a published
-  /// tick invalidates the whole cache for free — stale generations can
-  /// never be looked up again and age out of the LRU. Cached lookups take
-  /// one reader-only mutex the tick path never touches; leave 0 for the
-  /// mutex-free query path (PublishedPtr slot + frozen data only).
-  /// Requires search_serving.
-  size_t search_cache_entries = 0;
-
   /// Background refresh budget: quiet terms re-mined per tick, stalest
   /// first (priority = total windowed mass × ticks since last mine, ties to
   /// the smaller TermId). Only terms whose burstiness normalization
@@ -239,10 +229,12 @@ Status ValidateSnapshotDocuments(size_t num_streams, size_t vocabulary_size,
 /// The long-running runtime. Single-writer: Tick must be externally
 /// serialized against itself and against non-read-plane accessors
 /// (result(), collection(), index(), mutable_vocabulary()). The read plane
-/// is the exception: search_snapshot(), search_index(), and Search() with
-/// pre-resolved TermIds are safe from any number of threads concurrently
-/// with a running Tick — readers see the last published snapshot until the
-/// tick's single publication swap, never intermediate state. (String-query
+/// is the exception: search_snapshot() and Search() with pre-resolved
+/// TermIds are safe from any number of threads concurrently with a running
+/// Tick — readers see the last published snapshot until the tick's single
+/// publication swap, never intermediate state. To read the index itself,
+/// hold search_snapshot() and use its ->index: the held snapshot keeps it
+/// alive across any number of publishing ticks. (String-query
 /// Search only reads the frozen vocabulary, so it too is tick-safe; it
 /// must not overlap a mutable_vocabulary()->Intern burst.)
 class FeedRuntime {
@@ -364,14 +356,6 @@ class FeedRuntime {
     return search_snapshot_.Load();
   }
 
-  /// Compatibility view of the current snapshot's index; nullptr when
-  /// search serving is off. The pointee is pinned by the runtime's own
-  /// reference, so the pointer stays valid at least until the next
-  /// publishing Tick — callers that hold results across ticks should hold
-  /// search_snapshot() instead. Cached query results are keyed by its
-  /// generation(), which moves once per tick that edited search state.
-  const InvertedIndex* search_index() const;
-
   /// Top-k bursty documents for a raw query string (tokenized against the
   /// collection's vocabulary; unknown words are dropped) over the current
   /// search snapshot. Requires search serving; safe concurrently with Tick
@@ -379,14 +363,10 @@ class FeedRuntime {
   TopKResult Search(const std::string& query, size_t k) const;
 
   /// Top-k for pre-resolved term ids: one atomic snapshot load + TA over
-  /// the immutable snapshot (plus one cache mutex when
-  /// search_cache_entries > 0). Safe from any number of threads
+  /// the immutable snapshot, no locks. Safe from any number of threads
   /// concurrently with Tick; the result's generation tells which snapshot
   /// answered.
   TopKResult Search(const std::vector<TermId>& query, size_t k) const;
-
-  /// Query-cache counters; all-zero when the cache is disabled.
-  QueryCacheStats search_cache_stats() const;
 
   Timestamp window_start() const { return index_.window_start(); }
 
@@ -459,11 +439,8 @@ class FeedRuntime {
   // free.
   std::unique_ptr<ColdTier> history_;
   // The read plane (options_.search_serving != kNone): the published
-  // snapshot slot readers load from, the optional query-result cache
-  // (null when search_cache_entries == 0), and the tokenizer for string
-  // queries.
+  // snapshot slot readers load from, and the tokenizer for string queries.
   PublishedPtr<IndexSnapshot> search_snapshot_;
-  std::unique_ptr<QueryResultCache> search_cache_;
   Tokenizer tokenizer_;
   // Per-term bookkeeping for the refresh policy, indexed by TermId.
   std::vector<Timestamp> last_mined_;   // timeline length at last (re-)mine

@@ -168,7 +168,7 @@ TEST_P(FaultSweepTest, ArmedTickRollsBackAndNextTickRecovers) {
   ASSERT_TRUE(subject->Tick(std::move(next_subject)).ok());
   ASSERT_TRUE(control->Tick(std::move(next_control)).ok());
   ExpectIdenticalRuntimes(*subject, *control);
-  ExpectIdenticalIndexes(*subject->search_index(),
+  ExpectIdenticalIndexes(subject->search_snapshot()->index,
                          RebuildReferenceSearchIndex(*subject));
 }
 

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime_test_util.h"
@@ -127,9 +129,11 @@ TEST(FeedRuntime, TickOutputBitIdenticalAt1248Threads) {
         ExpectIdenticalResults(reference->result(), runtime->result());
         // The maintained search index is part of the bit-identical surface,
         // and so is the re-score's work counter.
-        ASSERT_NE(runtime->search_index(), nullptr);
-        ExpectIdenticalIndexes(*reference->search_index(),
-                               *runtime->search_index());
+        const std::shared_ptr<const IndexSnapshot> live =
+            runtime->search_snapshot();
+        ASSERT_NE(live, nullptr);
+        ExpectIdenticalIndexes(reference->search_snapshot()->index,
+                               live->index);
         EXPECT_EQ(reference_scanned, scanned) << threads << " threads";
       }
     }
@@ -322,23 +326,25 @@ TEST(FeedRuntime, SearchServingMatchesFullRebuildEveryTick) {
   auto runtime =
       FeedRuntime::Create(MakeSeedCollection(kStreams, 3, kVocab), opts);
   ASSERT_TRUE(runtime.ok());
-  ASSERT_NE(runtime->search_index(), nullptr);
-  EXPECT_TRUE(runtime->search_index()->finalized());
+  ASSERT_NE(runtime->search_snapshot(), nullptr);
+  EXPECT_TRUE(runtime->search_snapshot()->index.finalized());
 
   Rng rng(31337);
-  uint64_t last_generation = runtime->search_index()->generation();
+  uint64_t last_generation = runtime->search_snapshot()->generation;
   for (int tick = 0; tick < 25; ++tick) {
     auto stats = runtime->Tick(MakeSnapshot(rng, kStreams, kVocab));
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_EQ(runtime->search_index()->generation(), last_generation + 1)
-        << "tick " << tick;
-    last_generation = runtime->search_index()->generation();
+    const std::shared_ptr<const IndexSnapshot> published =
+        runtime->search_snapshot();
+    EXPECT_EQ(published->generation, last_generation + 1) << "tick " << tick;
+    last_generation = published->generation;
 
     InvertedIndex reference =
         RebuildReferenceSearchIndex(*runtime, SearchServing::kCombinatorial);
-    ExpectIdenticalIndexes(*runtime->search_index(), reference);
+    ExpectIdenticalIndexes(published->index, reference);
 
-    // Queries agree too, and carry the generation for cache invalidation.
+    // Queries agree too, and carry the generation of the snapshot that
+    // answered.
     const std::vector<TermId> query = {TermId{0}, TermId{1}, TermId{2}};
     TopKResult live = runtime->Search(query, 5);
     TopKResult rebuilt = ThresholdTopK(reference, query, 5);
@@ -414,7 +420,7 @@ TEST(FeedRuntime, StreamMajorHistoryMatchesPresortedHistory) {
       ASSERT_TRUE(subject_stats->evicted);
       ExpectIdenticalRuntimes(*subject, *control);
       ExpectIdenticalIndexes(
-          *subject->search_index(),
+          subject->search_snapshot()->index,
           RebuildReferenceSearchIndex(*subject,
                                       SearchServing::kCombinatorial));
     }
@@ -423,8 +429,8 @@ TEST(FeedRuntime, StreamMajorHistoryMatchesPresortedHistory) {
 
 TEST(FeedRuntime, SearchGenerationStaysPutOnEditFreeTicks) {
   // A tick with no eviction, no dirty terms, and no refresh targets leaves
-  // the search index bit-identical, so its generation must not move —
-  // cached top-k results stay valid exactly as the contract promises.
+  // the search index bit-identical, so it publishes nothing and the
+  // generation must not move.
   FeedRuntimeOptions opts = BaseOptions(1);
   opts.search_serving = SearchServing::kCombinatorial;
   Collection seed = MakeSeedCollection(2, 2, 6);
@@ -435,25 +441,25 @@ TEST(FeedRuntime, SearchGenerationStaysPutOnEditFreeTicks) {
   }
   auto runtime = FeedRuntime::Create(std::move(seed), opts);
   ASSERT_TRUE(runtime.ok());
-  const uint64_t created = runtime->search_index()->generation();
+  const uint64_t created = runtime->search_snapshot()->generation;
 
   auto idle = runtime->Tick(Snapshot{});  // no docs, no window: no edits
   ASSERT_TRUE(idle.ok());
   EXPECT_EQ(idle->search_terms, 0u);
-  EXPECT_EQ(runtime->search_index()->generation(), created);
+  EXPECT_EQ(runtime->search_snapshot()->generation, created);
 
   Snapshot snap;
   snap.push_back(SnapshotDocument{0, {TermId{0}}});
   auto editing = runtime->Tick(std::move(snap));  // dirty term: one bump
   ASSERT_TRUE(editing.ok());
-  EXPECT_EQ(runtime->search_index()->generation(), created + 1);
+  EXPECT_EQ(runtime->search_snapshot()->generation, created + 1);
 }
 
 TEST(FeedRuntime, SearchDisabledByDefault) {
   auto runtime = FeedRuntime::Create(MakeSeedCollection(2, 2, 6),
                                      BaseOptions(1));
   ASSERT_TRUE(runtime.ok());
-  EXPECT_EQ(runtime->search_index(), nullptr);
+  EXPECT_EQ(runtime->search_snapshot(), nullptr);
 }
 
 TEST(FeedRuntime, RefreshSweepDrainsStaleness) {
@@ -680,6 +686,131 @@ TEST(FeedRuntimeValidation, DuplicateEventReportsAreInvalid) {
   EXPECT_TRUE(strict->Tick(std::move(dup)).status().IsInvalidArgument());
 }
 
+// Why the one-document-at-a-time reference judges a document malformed.
+enum class DocVerdict { kValid, kBadStream, kBadToken, kDuplicateEvent };
+
+// The validation rules applied to one document at a time, in order: the
+// stream must exist, every token must be in the vocabulary, and an explicit
+// event id must not repeat one an earlier valid document of the same stream
+// carried.
+std::vector<DocVerdict> ReferenceVerdicts(const Snapshot& snapshot,
+                                          size_t num_streams, size_t vocab) {
+  std::set<std::pair<StreamId, int32_t>> seen_events;
+  std::vector<DocVerdict> verdicts;
+  for (const SnapshotDocument& doc : snapshot) {
+    DocVerdict verdict = DocVerdict::kValid;
+    if (doc.stream >= num_streams) {
+      verdict = DocVerdict::kBadStream;
+    } else if (std::any_of(doc.tokens.begin(), doc.tokens.end(),
+                           [&](TermId t) { return t >= vocab; })) {
+      verdict = DocVerdict::kBadToken;
+    } else if (doc.event_id != kNoEvent &&
+               !seen_events.insert({doc.stream, doc.event_id}).second) {
+      verdict = DocVerdict::kDuplicateEvent;
+    }
+    verdicts.push_back(verdict);
+  }
+  return verdicts;
+}
+
+void ExpectSameDocuments(const Snapshot& actual, const Snapshot& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].stream, expected[i].stream) << "doc " << i;
+    EXPECT_EQ(actual[i].tokens, expected[i].tokens) << "doc " << i;
+    EXPECT_EQ(actual[i].event_id, expected[i].event_id) << "doc " << i;
+  }
+}
+
+// A snapshot where each document is malformed with probability about
+// `dirt`: out-of-range streams (kInvalidStream included), tokens at and
+// past the vocabulary size (kInvalidTerm included), and event ids drawn
+// from a small range so (stream, event_id) pairs repeat.
+Snapshot MakeAdversarialSnapshot(Rng& rng, size_t num_streams, size_t vocab,
+                                 double dirt) {
+  const StreamId bad_streams[] = {kInvalidStream,
+                                  static_cast<StreamId>(num_streams),
+                                  static_cast<StreamId>(num_streams + 1)};
+  const TermId bad_tokens[] = {kInvalidTerm, static_cast<TermId>(vocab),
+                               static_cast<TermId>(vocab + 1)};
+  Snapshot snap;
+  const size_t docs = rng.NextUint64(13);
+  for (size_t d = 0; d < docs; ++d) {
+    SnapshotDocument doc;
+    doc.stream = rng.Bernoulli(dirt)
+                     ? bad_streams[rng.NextUint64(3)]
+                     : static_cast<StreamId>(rng.NextUint64(num_streams));
+    const size_t len = rng.NextUint64(5);
+    for (size_t i = 0; i < len; ++i) {
+      if (vocab == 0 || rng.Bernoulli(dirt / 2)) {
+        doc.tokens.push_back(bad_tokens[rng.NextUint64(3)]);
+      } else {
+        doc.tokens.push_back(static_cast<TermId>(rng.NextUint64(vocab)));
+      }
+    }
+    doc.event_id = rng.Bernoulli(0.4)
+                       ? kNoEvent
+                       : static_cast<int32_t>(rng.NextUint64(3));
+    snap.push_back(std::move(doc));
+  }
+  return snap;
+}
+
+TEST(FeedRuntimeValidation, BothPoliciesMatchOneDocumentAtATimeReference) {
+  Rng rng(4242);
+  size_t clean_snapshots = 0;
+  size_t dirty_snapshots = 0;
+  size_t verdict_counts[4] = {0, 0, 0, 0};
+  for (int trial = 0; trial < 1000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const size_t num_streams = 1 + rng.NextUint64(5);
+    const size_t vocab = rng.NextUint64(9);  // 0: every token is malformed
+    constexpr double kDirt[] = {0.0, 0.05, 0.3};
+    const double dirt = kDirt[trial % 3];
+    const Snapshot snapshot =
+        MakeAdversarialSnapshot(rng, num_streams, vocab, dirt);
+
+    const std::vector<DocVerdict> verdicts =
+        ReferenceVerdicts(snapshot, num_streams, vocab);
+    Snapshot valid_docs;
+    for (size_t i = 0; i < snapshot.size(); ++i) {
+      ++verdict_counts[static_cast<size_t>(verdicts[i])];
+      if (verdicts[i] == DocVerdict::kValid) valid_docs.push_back(snapshot[i]);
+    }
+    const bool all_valid = valid_docs.size() == snapshot.size();
+    ++(all_valid ? clean_snapshots : dirty_snapshots);
+
+    // kRejectTick: OK exactly when every document is valid; the snapshot
+    // and the rejected counter never change.
+    Snapshot strict = snapshot;
+    size_t strict_rejected = 7;
+    const Status strict_status = ValidateSnapshotDocuments(
+        num_streams, vocab, InvalidDocPolicy::kRejectTick, &strict,
+        &strict_rejected);
+    EXPECT_EQ(strict_status.ok(), all_valid) << strict_status.ToString();
+    if (!all_valid) EXPECT_TRUE(strict_status.IsInvalidArgument());
+    ExpectSameDocuments(strict, snapshot);
+    EXPECT_EQ(strict_rejected, 7u);
+
+    // kDropDocument: exactly the valid documents survive, in order, and
+    // the counter grows by the number dropped.
+    Snapshot lenient = snapshot;
+    size_t rejected = 3;
+    ASSERT_TRUE(ValidateSnapshotDocuments(num_streams, vocab,
+                                          InvalidDocPolicy::kDropDocument,
+                                          &lenient, &rejected)
+                    .ok());
+    ExpectSameDocuments(lenient, valid_docs);
+    EXPECT_EQ(rejected, 3 + snapshot.size() - valid_docs.size());
+  }
+  // The generator reached both outcomes and every kind of malformation.
+  EXPECT_GT(clean_snapshots, 100u);
+  EXPECT_GT(dirty_snapshots, 100u);
+  for (size_t kind = 0; kind < 4; ++kind) {
+    EXPECT_GT(verdict_counts[kind], 100u) << "verdict " << kind;
+  }
+}
+
 TEST(FeedRuntime, EmptySnapshotTickIsDefined) {
   // An empty snapshot is a quiet timestamp, not an error: the timeline
   // advances, nothing is mined, and every stat reads zero.
@@ -724,7 +855,7 @@ TEST(FeedRuntimeDeadline, LadderShedsRefreshThenDefersSearch) {
   }
   auto runtime = FeedRuntime::Create(std::move(seed), opts);
   ASSERT_TRUE(runtime.ok());
-  const uint64_t created_generation = runtime->search_index()->generation();
+  const uint64_t created_generation = runtime->search_snapshot()->generation;
 
   // Over-deadline tick: correctness work (append + dirty re-mine) runs;
   // the refresh sweep is shed and search re-scoring deferred.
@@ -736,7 +867,7 @@ TEST(FeedRuntimeDeadline, LadderShedsRefreshThenDefersSearch) {
   EXPECT_EQ(degraded->dirty_terms, 1u);       // correctness always runs
   EXPECT_EQ(degraded->refreshed_terms, 0u);   // ladder step 1: shed
   EXPECT_EQ(degraded->search_terms, 0u);      // ladder step 2: deferred
-  EXPECT_EQ(runtime->search_index()->generation(), created_generation);
+  EXPECT_EQ(runtime->search_snapshot()->generation, created_generation);
 
   // The next tick has headroom: the deferred term is scored (catch-up),
   // the sweep runs again, and the index is back at full-rebuild parity.
@@ -744,9 +875,9 @@ TEST(FeedRuntimeDeadline, LadderShedsRefreshThenDefersSearch) {
   ASSERT_TRUE(catchup.ok());
   EXPECT_FALSE(catchup->degraded);
   EXPECT_GE(catchup->search_terms, 1u);
-  EXPECT_GT(runtime->search_index()->generation(), created_generation);
+  EXPECT_GT(runtime->search_snapshot()->generation, created_generation);
   ExpectIdenticalIndexes(
-      *runtime->search_index(),
+      runtime->search_snapshot()->index,
       RebuildReferenceSearchIndex(*runtime, SearchServing::kCombinatorial));
 }
 

@@ -1,10 +1,9 @@
 // Deterministic read-plane tests: snapshot lifetime (a reader holding an
 // old generation reads bit-identical results while ticks publish
 // successors, and the snapshot frees exactly on last release) and the
-// query-result cache (hit/miss/eviction accounting, generation-keyed
-// invalidation, k-mismatch bypass, cached == uncached). The concurrent
-// half of the proof — readers hammering Search() against live ticks —
-// lives in read_plane_concurrency_test.cc.
+// metadata each published snapshot carries. The concurrent half of the
+// proof — readers hammering Search() against live ticks — lives in
+// read_plane_concurrency_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 
 #include "index_test_util.h"
 #include "stburst/common/random.h"
-#include "stburst/index/query_cache.h"
 #include "stburst/stream/feed_runtime.h"
 
 namespace stburst {
@@ -59,12 +57,11 @@ Snapshot MakeSnapshot(Rng& rng) {
   return snap;
 }
 
-FeedRuntimeOptions ServingOptions(size_t cache_entries = 0) {
+FeedRuntimeOptions ServingOptions() {
   FeedRuntimeOptions opts;
   opts.num_threads = 2;
   opts.retention_window = kWindow;
   opts.search_serving = SearchServing::kCombinatorial;
-  opts.search_cache_entries = cache_entries;
   opts.miner.stcomb.min_interval_burstiness = 0.05;
   return opts;
 }
@@ -140,21 +137,39 @@ TEST(ReadPlane, SnapshotFreesOnlyOnLastRelease) {
   EXPECT_FALSE(current_watcher.expired());
 }
 
-TEST(ReadPlane, SearchIndexAccessorTracksThePublishedSnapshot) {
+TEST(ReadPlane, PublishingTickLeavesTheHeldSnapshotAndAdvancesTheSlot) {
   auto runtime = FeedRuntime::Create(MakeSeedCollection(), ServingOptions());
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
   Rng rng(13);
   ASSERT_TRUE(runtime->Tick(MakeSnapshot(rng)).ok());
 
-  const std::shared_ptr<const IndexSnapshot> snapshot =
-      runtime->search_snapshot();
-  EXPECT_EQ(runtime->search_index(), &snapshot->index);
-  EXPECT_EQ(snapshot->generation, snapshot->index.generation());
-  EXPECT_EQ(snapshot->doc_id_base, runtime->collection().doc_id_base());
-  EXPECT_EQ(snapshot->window_start, runtime->window_start());
+  const std::shared_ptr<const IndexSnapshot> held = runtime->search_snapshot();
+  ASSERT_NE(held, nullptr);
+  EXPECT_EQ(held->generation, held->index.generation());
+  EXPECT_EQ(held->doc_id_base, runtime->collection().doc_id_base());
+  EXPECT_EQ(held->window_start, runtime->window_start());
+  const uint64_t held_generation = held->generation;
+  const DocId held_doc_id_base = held->doc_id_base;
+  const Timestamp held_window_start = held->window_start;
+  const size_t held_postings = held->index.total_postings();
 
+  // The publishing tick swaps a successor into the slot; the held snapshot
+  // keeps every field it had.
   ASSERT_TRUE(runtime->Tick(MakeSnapshot(rng)).ok());
-  EXPECT_NE(runtime->search_index(), &snapshot->index);
+  const std::shared_ptr<const IndexSnapshot> fresh =
+      runtime->search_snapshot();
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_NE(fresh.get(), held.get());
+  EXPECT_EQ(fresh->generation, held_generation + 1);
+  EXPECT_EQ(fresh->generation, fresh->index.generation());
+  EXPECT_EQ(fresh->doc_id_base, runtime->collection().doc_id_base());
+  EXPECT_EQ(fresh->window_start, runtime->window_start());
+
+  EXPECT_EQ(held->generation, held_generation);
+  EXPECT_EQ(held->index.generation(), held_generation);
+  EXPECT_EQ(held->doc_id_base, held_doc_id_base);
+  EXPECT_EQ(held->window_start, held_window_start);
+  EXPECT_EQ(held->index.total_postings(), held_postings);
 }
 
 TEST(ReadPlane, ServingDisabledYieldsNullSnapshot) {
@@ -163,151 +178,6 @@ TEST(ReadPlane, ServingDisabledYieldsNullSnapshot) {
   auto runtime = FeedRuntime::Create(MakeSeedCollection(), opts);
   ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
   EXPECT_EQ(runtime->search_snapshot(), nullptr);
-  EXPECT_EQ(runtime->search_index(), nullptr);
-  const QueryCacheStats stats = runtime->search_cache_stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-}
-
-TEST(ReadPlane, CreateRejectsCacheWithoutServing) {
-  FeedRuntimeOptions opts;
-  opts.search_cache_entries = 16;
-  auto runtime = FeedRuntime::Create(MakeSeedCollection(), opts);
-  EXPECT_FALSE(runtime.ok());
-  EXPECT_EQ(runtime.status().code(), StatusCode::kInvalidArgument);
-}
-
-// ---- QueryResultCache unit tests (no runtime) ----
-
-TopKResult FakeResult(uint64_t generation, DocId doc) {
-  TopKResult r;
-  r.docs.push_back(ScoredDoc{doc, 1.0});
-  r.generation = generation;
-  return r;
-}
-
-TEST(QueryCache, HitMissInsertAccounting) {
-  QueryResultCache cache(4);
-  TopKResult out;
-  EXPECT_FALSE(cache.Lookup(1, {5, 6}, 3, &out));
-  cache.Insert(1, {5, 6}, 3, FakeResult(1, 42));
-  EXPECT_TRUE(cache.Lookup(1, {5, 6}, 3, &out));
-  EXPECT_EQ(out.docs.size(), 1u);
-  EXPECT_EQ(out.docs[0].doc, 42u);
-
-  const QueryCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.insertions, 1u);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(QueryCache, EvictsLeastRecentlyUsed) {
-  QueryResultCache cache(2);
-  TopKResult out;
-  cache.Insert(1, {1}, 3, FakeResult(1, 1));
-  cache.Insert(1, {2}, 3, FakeResult(1, 2));
-  // Touch {1}: {2} becomes the LRU tail and the next insert evicts it.
-  EXPECT_TRUE(cache.Lookup(1, {1}, 3, &out));
-  cache.Insert(1, {3}, 3, FakeResult(1, 3));
-  EXPECT_TRUE(cache.Lookup(1, {1}, 3, &out));
-  EXPECT_FALSE(cache.Lookup(1, {2}, 3, &out));
-  EXPECT_TRUE(cache.Lookup(1, {3}, 3, &out));
-
-  const QueryCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-}
-
-TEST(QueryCache, GenerationAndKArePartOfTheKey) {
-  QueryResultCache cache(8);
-  TopKResult out;
-  cache.Insert(1, {1, 2}, 3, FakeResult(1, 1));
-  EXPECT_FALSE(cache.Lookup(2, {1, 2}, 3, &out)) << "stale generation served";
-  EXPECT_FALSE(cache.Lookup(1, {1, 2}, 5, &out)) << "k mismatch served";
-  EXPECT_FALSE(cache.Lookup(1, {2, 1}, 3, &out)) << "term order ignored";
-  EXPECT_TRUE(cache.Lookup(1, {1, 2}, 3, &out));
-}
-
-// ---- cache behavior through the runtime ----
-
-TEST(ReadPlane, CacheHitsRepeatsAndInvalidatesOnPublish) {
-  auto runtime = FeedRuntime::Create(MakeSeedCollection(), ServingOptions(16));
-  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
-  Rng rng(17);
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(runtime->Tick(MakeSnapshot(rng)).ok());
-  }
-
-  const TopKResult first = runtime->Search(ProbeQuery(), 5);
-  const TopKResult second = runtime->Search(ProbeQuery(), 5);
-  EXPECT_EQ(second.docs, first.docs);
-  EXPECT_EQ(second.generation, first.generation);
-  QueryCacheStats stats = runtime->search_cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.insertions, 1u);
-
-  // A publishing tick moves the generation: the cached entry is
-  // unreachable (its key embeds the old generation) and the next Search
-  // answers from the new snapshot, never the stale entry.
-  ASSERT_TRUE(runtime->Tick(MakeSnapshot(rng)).ok());
-  const TopKResult fresh = runtime->Search(ProbeQuery(), 5);
-  EXPECT_EQ(fresh.generation, first.generation + 1);
-  EXPECT_EQ(fresh.generation, runtime->search_snapshot()->generation);
-  stats = runtime->search_cache_stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 1u);
-
-  // Uncached reference over the same snapshot: the cache changed nothing.
-  const TopKResult reference =
-      ThresholdTopK(runtime->search_snapshot()->index, ProbeQuery(), 5);
-  EXPECT_EQ(fresh.docs, reference.docs);
-}
-
-TEST(ReadPlane, CacheKMismatchBypassesTheEntry) {
-  auto runtime = FeedRuntime::Create(MakeSeedCollection(), ServingOptions(16));
-  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
-  Rng rng(19);
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(runtime->Tick(MakeSnapshot(rng)).ok());
-  }
-
-  const TopKResult top3 = runtime->Search(ProbeQuery(), 3);
-  const TopKResult top5 = runtime->Search(ProbeQuery(), 5);
-  const QueryCacheStats stats = runtime->search_cache_stats();
-  EXPECT_EQ(stats.hits, 0u) << "a top-3 entry must not answer a top-5 query";
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.insertions, 2u);
-  EXPECT_LE(top3.docs.size(), 3u);
-  // The top-3 list is the top-5 prefix — same index, same ordering.
-  for (size_t i = 0; i < top3.docs.size(); ++i) {
-    EXPECT_EQ(top3.docs[i], top5.docs[i]);
-  }
-}
-
-TEST(ReadPlane, CachedRuntimeMatchesUncachedTickForTick) {
-  auto cached = FeedRuntime::Create(MakeSeedCollection(), ServingOptions(8));
-  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-  auto plain = FeedRuntime::Create(MakeSeedCollection(), ServingOptions(0));
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-
-  Rng cached_rng(23), plain_rng(23);
-  const std::vector<std::vector<TermId>> queries = {
-      {0, 1}, {2, 3, 4}, {1, 5, 9}, {0, 1}, {7}, {0, 1, 2, 3}};
-  for (int tick = 0; tick < 10; ++tick) {
-    ASSERT_TRUE(cached->Tick(MakeSnapshot(cached_rng)).ok());
-    ASSERT_TRUE(plain->Tick(MakeSnapshot(plain_rng)).ok());
-    for (const auto& q : queries) {
-      const TopKResult a = cached->Search(q, 4);
-      const TopKResult b = plain->Search(q, 4);
-      EXPECT_EQ(a.docs, b.docs) << "tick " << tick;
-      EXPECT_EQ(a.generation, b.generation) << "tick " << tick;
-    }
-  }
-  // The repeated queries actually exercised the hit path.
-  EXPECT_GT(cached->search_cache_stats().hits, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "index_test_util.h"
 #include "stburst/stream/feed_runtime.h"
 
@@ -104,10 +106,14 @@ inline void ExpectIdenticalRuntimes(const FeedRuntime& a,
     EXPECT_EQ(a.staleness(t), b.staleness(t)) << "term " << t;
   }
   ExpectIdenticalTiers(a.history(), b.history());
-  ASSERT_EQ(a.search_index() == nullptr, b.search_index() == nullptr);
-  if (a.search_index() == nullptr) return;
-  EXPECT_EQ(a.search_index()->generation(), b.search_index()->generation());
-  ExpectIdenticalIndexes(*a.search_index(), *b.search_index());
+  const std::shared_ptr<const IndexSnapshot> a_search = a.search_snapshot();
+  const std::shared_ptr<const IndexSnapshot> b_search = b.search_snapshot();
+  ASSERT_EQ(a_search == nullptr, b_search == nullptr);
+  if (a_search == nullptr) return;
+  EXPECT_EQ(a_search->generation, b_search->generation);
+  EXPECT_EQ(a_search->window_start, b_search->window_start);
+  EXPECT_EQ(a_search->doc_id_base, b_search->doc_id_base);
+  ExpectIdenticalIndexes(a_search->index, b_search->index);
 }
 
 }  // namespace stburst
