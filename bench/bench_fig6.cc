@@ -31,13 +31,17 @@ int main() {
     if (freq.TotalCount(t) > 0.0) terms.push_back(t);
   }
 
+  // Stream positions are fixed, so every term's miner shares one binning.
+  auto binning = SpatialBinning::Create(positions);
+  if (!binning.ok()) return 1;
+
   std::vector<double> open_windows(weeks, 0.0);
   std::vector<double> burstiness(n);
   for (TermId term : terms) {
     TermSeries series = freq.DenseSeries(term);
     std::vector<std::unique_ptr<ExpectedFrequencyModel>> models;
     for (size_t s = 0; s < n; ++s) models.push_back(MeanFactory()());
-    StLocal miner(positions);
+    StLocal miner(*binning);
     for (Timestamp w = 0; w < weeks; ++w) {
       for (StreamId s = 0; s < n; ++s) {
         double y = series.at(s, w);

@@ -37,6 +37,9 @@ int main() {
   std::vector<double> stlocal_ms(weeks, 0.0), stcomb_ms(weeks, 0.0);
   StComb stcomb = MakeStComb();
   std::vector<double> burstiness(n);
+  // Stream positions are fixed, so every term's miner shares one binning.
+  auto binning = SpatialBinning::Create(positions);
+  if (!binning.ok()) return 1;
 
   for (TermId term : terms) {
     TermSeries series = freq.DenseSeries(term);
@@ -44,7 +47,7 @@ int main() {
     // STLocal: online, one snapshot per tick.
     std::vector<std::unique_ptr<ExpectedFrequencyModel>> models;
     for (size_t s = 0; s < n; ++s) models.push_back(MeanFactory()());
-    StLocal miner(positions);
+    StLocal miner(*binning);
     for (Timestamp w = 0; w < weeks; ++w) {
       for (StreamId s = 0; s < n; ++s) {
         double y = series.at(s, w);

@@ -551,8 +551,8 @@ int Run() {
 
   // Regional mining over a vocabulary sample (one standalone
   // MineRegionalPatterns per term — each call builds its own binning), then
-  // the whole vocabulary through the batch engine sharing one standing
-  // binning across every term.
+  // the whole vocabulary through the batch engine, which builds one binning
+  // for the call and shares it across every term.
   {
     std::vector<Point2D> positions = corpus.StreamPositions();
     ExpectedModelFactory factory = bench::MeanFactory();

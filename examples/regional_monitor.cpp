@@ -52,7 +52,13 @@ int main() {
         std::make_unique<GlobalMeanModel>(), 0.05));
   }
 
-  StLocal miner(positions);
+  auto binning = SpatialBinning::Create(positions);
+  if (!binning.ok()) {
+    std::fprintf(stderr, "binning failed: %s\n",
+                 binning.status().ToString().c_str());
+    return 1;
+  }
+  StLocal miner(*binning);
   std::vector<double> burstiness(positions.size());
   for (Timestamp week = 0; week < corpus.timeline_length(); ++week) {
     for (StreamId s = 0; s < positions.size(); ++s) {

@@ -73,11 +73,6 @@ Status ValidateRegional(const FrequencyIndex& index,
     return Status::InvalidArgument(
         "regional mining requires an expected-model factory");
   }
-  if (options.binning != nullptr &&
-      options.binning->num_points() != index.num_streams()) {
-    return Status::InvalidArgument(
-        "shared binning does not cover the index's streams");
-  }
   return Status::OK();
 }
 
@@ -90,24 +85,23 @@ struct MineShared {
   const StComb stcomb;
   const size_t timeline;   // retained window width
   const Timestamp origin;  // absolute timestamp of window column 0
-  // Stream-position binning shared by every term's regional mine: either
-  // the caller's standing binning (options.binning) or one built per run.
-  // Immutable, so all workers read it concurrently. Null without regional
-  // mining.
-  const SpatialBinning* binning;
+  // Stream-position binning shared by every term's regional mine, built
+  // once per run. Immutable, so all workers read it concurrently. Empty
+  // without regional mining.
+  const SpatialBinning binning;
   std::vector<WorkerScratch> scratch;
   std::atomic<bool> failed{false};
   std::mutex error_mu;
   std::optional<Status> error;
 
   MineShared(const FrequencyIndex& idx, const BatchMinerOptions& opts,
-             const SpatialBinning* shared_binning, size_t threads)
+             SpatialBinning run_binning, size_t threads)
       : index(idx),
         options(opts),
         stcomb(opts.stcomb),
         timeline(static_cast<size_t>(idx.window_length())),
         origin(idx.window_start()),
-        binning(shared_binning),
+        binning(std::move(run_binning)),
         scratch(threads) {}
 
   void MineTerm(size_t worker, TermId term, TermPatterns* slot) {
@@ -140,10 +134,9 @@ struct MineShared {
                                                 index.window_length());
       }
       index.FillSeries(term, ws.dense.get());
-      auto windows = MineRegionalPatterns(*ws.dense, options.positions,
+      auto windows = MineRegionalPatterns(*ws.dense, binning,
                                           options.model_factory,
-                                          options.stlocal, binning,
-                                          &ws.regional);
+                                          options.stlocal, ws.regional);
       if (!windows.ok()) {
         std::unique_lock<std::mutex> lock(error_mu);
         if (!error.has_value()) error = windows.status();
@@ -183,19 +176,12 @@ void RunParallel(const BatchMinerOptions& options, size_t n,
   }
 }
 
-// Resolves the run's shared binning into `binning`: the caller's standing
-// one when lent, else a fresh build over the options' positions stored in
-// `own` (whose lifetime the caller scopes to the run). No-op without
-// regional mining.
-Status ResolveBinning(const BatchMinerOptions& options,
-                      std::optional<SpatialBinning>* own,
-                      const SpatialBinning** binning) {
-  *binning = options.binning;
-  if (!options.mine_regional || *binning != nullptr) return Status::OK();
-  STB_ASSIGN_OR_RETURN(*own, SpatialBinning::Create(
-                                 options.positions, options.stlocal.rbursty.rect));
-  *binning = &**own;
-  return Status::OK();
+// The run's binning of the stream positions; empty without regional
+// mining.
+StatusOr<SpatialBinning> RunBinning(const BatchMinerOptions& options) {
+  if (!options.mine_regional) return SpatialBinning();
+  return SpatialBinning::Create(options.positions,
+                                options.stlocal.rbursty.rect);
 }
 
 // Restores the mined/skipped bookkeeping invariant (mined + skipped ==
@@ -221,11 +207,8 @@ StatusOr<BatchMineResult> MineAllTerms(const FrequencyIndex& index,
   result.threads_used = threads;
   if (index.num_terms() == 0) return result;
 
-  std::optional<SpatialBinning> own_binning;
-  const SpatialBinning* binning = nullptr;
-  STB_RETURN_NOT_OK(ResolveBinning(options, &own_binning, &binning));
-
-  MineShared shared(index, options, binning, threads);
+  STB_ASSIGN_OR_RETURN(SpatialBinning binning, RunBinning(options));
+  MineShared shared(index, options, std::move(binning), threads);
   RunParallel(options, index.num_terms(), [&](size_t worker, size_t t) {
     if (shared.failed.load(std::memory_order_relaxed)) return;
     shared.MineTerm(worker, static_cast<TermId>(t), &result.terms[t]);
@@ -255,10 +238,9 @@ StatusOr<std::vector<TermId>> StageRemineTerms(
   staged->clear();
   staged->resize(todo.size());
   if (!todo.empty()) {
-    std::optional<SpatialBinning> own_binning;
-    const SpatialBinning* binning = nullptr;
-    STB_RETURN_NOT_OK(ResolveBinning(options, &own_binning, &binning));
-    MineShared shared(index, options, binning, RunWorkerSlots(options));
+    STB_ASSIGN_OR_RETURN(SpatialBinning binning, RunBinning(options));
+    MineShared shared(index, options, std::move(binning),
+                      RunWorkerSlots(options));
     RunParallel(options, todo.size(), [&](size_t worker, size_t i) {
       if (shared.failed.load(std::memory_order_relaxed)) return;
       shared.MineTerm(worker, todo[i], &(*staged)[i]);

@@ -61,21 +61,12 @@ struct BatchMinerOptions {
   double min_term_total = 0.0;
 
   /// Planar stream positions (indexed by StreamId); regional mining only.
+  /// Each MineAllTerms/RemineTerms/StageRemineTerms call bins them once
+  /// under stlocal.rbursty.rect and shares that binning across its terms.
   std::vector<Point2D> positions;
   /// Fresh expected-frequency model per (stream, term); regional mining
   /// only. Must be safe to invoke concurrently from multiple threads.
   ExpectedModelFactory model_factory;
-
-  /// Standing spatial binning of `positions` for regional mining. When null
-  /// (default) each MineAllTerms/RemineTerms call builds one and shares it
-  /// across every term of that call; a long-running owner (FeedRuntime)
-  /// builds it once and lends it here so even per-tick re-mines skip the
-  /// geometry build. Must come from SpatialBinning::Create over `positions`
-  /// and `stlocal.rbursty.rect`, and stays valid while the stream positions
-  /// are fixed (streams are append-only and never move, so in practice:
-  /// until the stream set itself grows). Read-only, shared by all workers.
-  /// Not owned.
-  const SpatialBinning* binning = nullptr;
 };
 
 /// Mining output of one term. Slots for skipped or patternless terms carry

@@ -1,48 +1,22 @@
 #include "stburst/core/stlocal.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "stburst/common/logging.h"
 
 namespace stburst {
 
-StLocal::StLocal(std::vector<Point2D> positions, StLocalOptions options,
-                 const SpatialBinning* shared_binning)
-    : positions_(std::move(positions)),
-      num_streams_(positions_.size()),
-      options_(options),
-      binning_(shared_binning) {}
-
-StLocal::StLocal(size_t num_streams, StLocalOptions options,
-                 const SpatialBinning& binning)
-    : num_streams_(num_streams), options_(options), binning_(&binning) {}
-
-Status StLocal::EnsureBinning() {
-  if (binning_ != nullptr) {
-    if (binning_->num_points() != num_streams_) {
-      return Status::InvalidArgument(
-          "shared binning does not cover this miner's streams");
-    }
-    return Status::OK();
-  }
-  STB_ASSIGN_OR_RETURN(SpatialBinning binning,
-                       SpatialBinning::Create(positions_, options_.rbursty.rect));
-  // Heap-owned so binning_ stays valid when the miner itself is moved.
-  own_binning_ = std::make_unique<SpatialBinning>(std::move(binning));
-  binning_ = own_binning_.get();
-  return Status::OK();
-}
+StLocal::StLocal(const SpatialBinning& binning, StLocalOptions options)
+    : binning_(&binning), options_(options) {}
 
 Status StLocal::ProcessSnapshot(std::span<const double> burstiness) {
-  if (burstiness.size() != num_streams_) {
+  if (burstiness.size() != num_streams()) {
     return Status::InvalidArgument("burstiness size does not match stream count");
   }
-  STB_RETURN_NOT_OK(EnsureBinning());
 
   // Line 6: bursty rectangles of this snapshot, against the standing
-  // binning (built once per miner, or shared across a whole vocabulary).
+  // binning.
   STB_ASSIGN_OR_RETURN(std::vector<BurstyRectangle> rects,
                        RBursty(*binning_, burstiness, options_.rbursty));
 
@@ -108,10 +82,22 @@ size_t StLocal::num_open_windows() const {
 
 StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
     const TermSeries& series, const std::vector<Point2D>& positions,
-    const ExpectedModelFactory& model_factory, const StLocalOptions& options,
-    const SpatialBinning* shared_binning, RegionalMiningScratch* scratch) {
+    const ExpectedModelFactory& model_factory, const StLocalOptions& options) {
   if (series.num_streams() != positions.size()) {
     return Status::InvalidArgument("series/positions stream count mismatch");
+  }
+  STB_ASSIGN_OR_RETURN(SpatialBinning binning,
+                       SpatialBinning::Create(positions, options.rbursty.rect));
+  RegionalMiningScratch scratch;
+  return MineRegionalPatterns(series, binning, model_factory, options, scratch);
+}
+
+StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
+    const TermSeries& series, const SpatialBinning& binning,
+    const ExpectedModelFactory& model_factory, const StLocalOptions& options,
+    RegionalMiningScratch& scratch) {
+  if (series.num_streams() != binning.num_points()) {
+    return Status::InvalidArgument("series/binning stream count mismatch");
   }
   const size_t n = series.num_streams();
   const size_t timeline = static_cast<size_t>(series.timeline_length());
@@ -123,28 +109,19 @@ StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
   // observes its stream in time order, so the values are the causal
   // baselines of Eq. 7 whatever the layout.
   //
-  // With a scratch, the models come from its arena — Reset() between terms
+  // The models come from the scratch's arena — Reset() between terms
   // stands in for fresh construction (the ExpectedFrequencyModel contract)
   // — and the buffer is recycled; every element is overwritten below, so
-  // no clear is needed. Without one, locals keep the call self-contained.
-  std::vector<double> local_burstiness;
-  std::vector<double>& burstiness =
-      scratch != nullptr ? scratch->burstiness : local_burstiness;
+  // no clear is needed.
+  std::vector<double>& burstiness = scratch.burstiness;
   burstiness.resize(n * timeline);
   for (StreamId s = 0; s < n; ++s) {
-    std::unique_ptr<ExpectedFrequencyModel> local_model;
-    ExpectedFrequencyModel* model;
-    if (scratch != nullptr) {
-      if (s < scratch->models.size()) {
-        scratch->models[s]->Reset();
-      } else {
-        scratch->models.push_back(model_factory());
-      }
-      model = scratch->models[s].get();
+    if (s < scratch.models.size()) {
+      scratch.models[s]->Reset();
     } else {
-      local_model = model_factory();
-      model = local_model.get();
+      scratch.models.push_back(model_factory());
     }
+    ExpectedFrequencyModel* model = scratch.models[s].get();
     const std::span<const double> row = series.StreamRow(s);
     for (size_t t = 0; t < timeline; ++t) {
       const double y = row[t];
@@ -154,17 +131,7 @@ StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
     }
   }
 
-  // Resolve the binning here (caller's, or one build for this call) so the
-  // per-term StLocal never copies the positions vector.
-  std::optional<SpatialBinning> own_binning;
-  const SpatialBinning* binning = shared_binning;
-  if (binning == nullptr) {
-    STB_ASSIGN_OR_RETURN(own_binning,
-                         SpatialBinning::Create(positions, options.rbursty.rect));
-    binning = &*own_binning;
-  }
-
-  StLocal miner(n, options, *binning);
+  StLocal miner(binning, options);
   for (size_t t = 0; t < timeline; ++t) {
     STB_RETURN_NOT_OK(miner.ProcessSnapshot(
         std::span<const double>(burstiness.data() + t * n, n)));

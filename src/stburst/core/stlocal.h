@@ -35,27 +35,16 @@ struct StLocalOptions {
 /// Per-term online miner. Feed one snapshot of per-stream burstiness values
 /// per timestamp; call Finish() once the stream closes.
 ///
-/// Binning: R-Bursty's cell geometry depends only on the positions, so the
-/// miner builds one SpatialBinning on the first snapshot and reuses it for
-/// its whole lifetime. Whole-vocabulary drivers that run one StLocal per
-/// term over the *same* positions (the batch miner) pass a shared binning
-/// instead, skipping even that one build per term.
+/// Binning: R-Bursty's cell geometry depends only on the stream positions,
+/// so the miner solves every snapshot against one SpatialBinning, built
+/// once by the code that holds the positions and shared by every miner over
+/// them (see docs/ARCHITECTURE.md, "Shared spatial binning").
 class StLocal {
  public:
-  /// `positions[s]` is the planar location of stream s. `shared_binning`,
-  /// when non-null, must have been built via SpatialBinning::Create from
-  /// these positions and options.rbursty.rect, and must outlive the miner
-  /// (not owned); null makes the miner build its own.
-  explicit StLocal(std::vector<Point2D> positions, StLocalOptions options = {},
-                   const SpatialBinning* shared_binning = nullptr);
-
-  /// Positions-free variant for drivers that already hold the binning: the
-  /// geometry comes entirely from `binning` (which must cover exactly
-  /// `num_streams` points, outlive the miner, and match
-  /// options.rbursty.rect; not owned). Skips the per-miner positions copy —
-  /// the whole-vocabulary path constructs one StLocal per term.
-  StLocal(size_t num_streams, StLocalOptions options,
-          const SpatialBinning& binning);
+  /// Mines over the binning's points: stream s is binned point s, and the
+  /// binning fixes the cell geometry (options.rbursty.rect is not read).
+  /// The binning is not owned and must outlive the miner.
+  explicit StLocal(const SpatialBinning& binning, StLocalOptions options = {});
 
   /// Processes the snapshot for the next timestamp. `burstiness[s]` is
   /// B(t, Dx[i]) per Eq. 7. Must match the stream count.
@@ -73,7 +62,7 @@ class StLocal {
   Timestamp current_time() const { return time_; }
 
   /// Streams this miner was constructed over.
-  size_t num_streams() const { return num_streams_; }
+  size_t num_streams() const { return binning_->num_points(); }
 
   /// Live region sequences (bounded by n·L in theory, tiny in practice —
   /// Figure 6's subject).
@@ -89,20 +78,13 @@ class StLocal {
     OnlineMaxSegments segments;
   };
 
-  /// Builds own_binning_ from the positions on first use (no-op when a
-  /// shared binning was supplied).
-  Status EnsureBinning();
-
   /// Moves a sequence's maximal segments into finished_. `streams` is the
   /// region identity — the sequence's key in live_.
   void Retire(const std::vector<StreamId>& streams, const Sequence& seq);
 
-  std::vector<Point2D> positions_;  // empty in the positions-free variant
-  size_t num_streams_ = 0;
+  const SpatialBinning* binning_;
   StLocalOptions options_;
   Timestamp time_ = 0;
-  const SpatialBinning* binning_ = nullptr;  // shared_binning or own_binning_
-  std::unique_ptr<SpatialBinning> own_binning_;  // stable across moves
   // Keyed by the region's canonical stream set so a region re-reported on a
   // later snapshot extends its existing sequence. The key IS the region
   // identity; sequences do not duplicate it.
@@ -118,28 +100,36 @@ class StLocal {
 /// whole-vocabulary sweep pays O(streams) factory allocations per worker
 /// instead of O(terms · streams). A scratch instance must stay paired with
 /// a single factory (its arena embodies that factory's model type) and a
-/// single thread at a time; output is bit-identical to the scratch-free
-/// path (tested).
+/// single thread at a time; reusing one leaves the output bit-identical to
+/// a fresh one (tested).
 struct RegionalMiningScratch {
   std::vector<std::unique_ptr<ExpectedFrequencyModel>> models;
   std::vector<double> burstiness;
 };
 
-/// Convenience batch driver for one term: derives per-stream burstiness from
-/// the frequency matrix with a fresh expected-frequency model per stream
+/// Batch driver for one term: derives per-stream burstiness from the
+/// frequency matrix with a fresh expected-frequency model per stream
 /// (walking each stream's row through a zero-copy span, no per-snapshot
 /// column gather), replays the timeline through StLocal, and returns the
 /// maximal windows. Timeframes are relative to the series' first column:
 /// over a windowed index's DenseSeries they count from the window's first
 /// timestamp, and the batch miner shifts them back to absolute time.
-/// `shared_binning`: see StLocal. `scratch`, when non-null, reuses models
-/// and buffers across calls (see RegionalMiningScratch) without changing
-/// the output.
+///
+/// This form builds the binning of `positions` under options.rbursty.rect
+/// and a scratch for the one call.
 StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
     const TermSeries& series, const std::vector<Point2D>& positions,
-    const ExpectedModelFactory& model_factory, const StLocalOptions& options = {},
-    const SpatialBinning* shared_binning = nullptr,
-    RegionalMiningScratch* scratch = nullptr);
+    const ExpectedModelFactory& model_factory,
+    const StLocalOptions& options = {});
+
+/// The same driver over a binning of the stream positions built by the
+/// caller (it fixes the cell geometry; options.rbursty.rect is not read),
+/// with the models and buffers of `scratch` reused across calls. The batch
+/// miner builds one binning per call and keeps one scratch per worker.
+StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
+    const TermSeries& series, const SpatialBinning& binning,
+    const ExpectedModelFactory& model_factory, const StLocalOptions& options,
+    RegionalMiningScratch& scratch);
 
 }  // namespace stburst
 

@@ -70,8 +70,8 @@ SyntheticGenerator::SyntheticGenerator(GeneratorMode mode,
                                        GeneratorOptions options)
     : mode_(mode), options_(options) {
   Rng rng(MixSeed(options_.seed, kPositionsSalt, 0));
-  positions_.resize(options_.num_streams);
-  for (Point2D& p : positions_) {
+  locations_.resize(options_.num_streams);
+  for (Point2D& p : locations_) {
     p.x = rng.Uniform(0.0, options_.map_size);
     p.y = rng.Uniform(0.0, options_.map_size);
   }
@@ -92,7 +92,7 @@ std::vector<StreamId> SyntheticGenerator::SampleDistStreams(size_t count,
   double total = 0.0;
   for (size_t s = 0; s < n; ++s) {
     if (taken[s]) continue;
-    double d = EuclideanDistance(positions_[seed], positions_[s]);
+    double d = EuclideanDistance(locations_[seed], locations_[s]);
     weight[s] = std::exp(-d / options_.locality_scale);
     total += weight[s];
   }

@@ -81,7 +81,7 @@ class SyntheticGenerator {
   GeneratorMode mode() const { return mode_; }
 
   /// Planar stream positions, indexed by StreamId.
-  const std::vector<Point2D>& positions() const { return positions_; }
+  const std::vector<Point2D>& positions() const { return locations_; }
 
   /// All injected patterns, in generation order.
   const std::vector<InjectedPattern>& patterns() const { return patterns_; }
@@ -102,7 +102,7 @@ class SyntheticGenerator {
 
   GeneratorMode mode_;
   GeneratorOptions options_;
-  std::vector<Point2D> positions_;
+  std::vector<Point2D> locations_;
   std::vector<InjectedPattern> patterns_;
   std::vector<std::vector<size_t>> patterns_by_term_;
 };

@@ -158,17 +158,28 @@ struct ColdTier::Base {
       return Status::FailedPrecondition(
           "cold tier: '" + path + "' header checksum mismatch (corrupt)");
     }
-    if (h.bucket_width == 0 || h.covered_start < 0 ||
-        h.folded_until < h.covered_start) {
+    // bucket_width becomes a Timestamp and num_terms a TermId bound.
+    if (h.bucket_width == 0 ||
+        h.bucket_width > static_cast<uint32_t>(INT32_MAX) ||
+        h.covered_start < 0 || h.folded_until < h.covered_start ||
+        h.num_terms > UINT32_MAX) {
       return Status::FailedPrecondition("cold tier: '" + path +
                                         "' header fields out of range");
     }
+    // Bound the counts by the file before multiplying, so the implied size
+    // below cannot wrap around to the real one.
+    const uint64_t file_payload = file_len - kHeaderSize;
+    if (h.num_terms >= file_payload / 8 || h.num_rows > file_payload / 32) {
+      return Status::FailedPrecondition(
+          "cold tier: '" + path + "' header counts exceed the " +
+          std::to_string(file_payload) + "-byte payload (truncated?)");
+    }
     const uint64_t payload_len = uint64_t{8} * (h.num_terms + 1) +
                                  h.num_rows * (4 + 4 + 8 + 8 + 8);
-    if (payload_len != file_len - kHeaderSize) {
+    if (payload_len != file_payload) {
       return Status::FailedPrecondition(
           "cold tier: '" + path + "' payload is " +
-          std::to_string(file_len - kHeaderSize) + " bytes but the header " +
+          std::to_string(file_payload) + " bytes but the header " +
           "implies " + std::to_string(payload_len) + " (truncated?)");
     }
     const auto* payload = static_cast<const unsigned char*>(addr) + kHeaderSize;
@@ -206,6 +217,17 @@ struct ColdTier::Base {
         return Status::FailedPrecondition(
             "cold tier: '" + path + "' term offset index is not monotone");
       }
+    }
+    // stream_upper_bound is 1 + the highest row stream: readers size
+    // per-stream arrays by it (ReplaySeries) and index them by row streams.
+    uint64_t streams_seen = 0;
+    for (uint64_t i = 0; i < h.num_rows; ++i) {
+      streams_seen = std::max(streams_seen, uint64_t{base->stream[i]} + 1);
+    }
+    if (streams_seen != h.stream_upper_bound) {
+      return Status::FailedPrecondition(
+          "cold tier: '" + path + "' row streams do not match " +
+          "stream_upper_bound " + std::to_string(h.stream_upper_bound));
     }
     return base;
   }

@@ -17,6 +17,14 @@ std::vector<TermId> DedupeQuery(const std::vector<TermId>& query) {
   return terms;
 }
 
+// Result order: descending score, ties by ascending doc id.
+struct RanksAbove {
+  bool operator()(const ScoredDoc& a, const ScoredDoc& b) const {
+    if (a.score != b.score) return a.score > b.score;
+    return a.doc < b.doc;
+  }
+};
+
 std::vector<ScoredDoc> SortAndTruncate(
     std::unordered_map<DocId, double>&& scores, size_t k) {
   std::vector<ScoredDoc> docs;
@@ -24,10 +32,7 @@ std::vector<ScoredDoc> SortAndTruncate(
   for (const auto& [doc, score] : scores) {
     if (score > 0.0) docs.push_back(ScoredDoc{doc, score});
   }
-  std::sort(docs.begin(), docs.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.doc < b.doc;
-  });
+  std::sort(docs.begin(), docs.end(), RanksAbove());
   if (docs.size() > k) docs.resize(k);
   return docs;
 }
@@ -52,16 +57,16 @@ TopKResult ThresholdTopK(const InvertedIndex& index,
   for (const auto* list : lists) expected += list->size();
   candidates.reserve(std::min(expected, size_t{1} << 16));
 
-  // Bounded min-heap over the current top-k scores: O(log k) per offer with
-  // contiguous storage, versus the node-per-score multiset it replaces.
-  std::priority_queue<double, std::vector<double>, std::greater<double>> best_k;
+  // Bounded heap over the current top-k in result order (score desc, doc
+  // asc), its top the k-th: O(log k) per offer with contiguous storage.
+  std::priority_queue<ScoredDoc, std::vector<ScoredDoc>, RanksAbove> best_k;
 
-  auto offer = [&](double score) {
+  auto offer = [&](ScoredDoc doc) {
     if (best_k.size() < k) {
-      best_k.push(score);
-    } else if (score > best_k.top()) {
+      best_k.push(doc);
+    } else if (RanksAbove()(doc, best_k.top())) {
       best_k.pop();
-      best_k.push(score);
+      best_k.push(doc);
     }
   };
 
@@ -87,7 +92,7 @@ TopKResult ThresholdTopK(const InvertedIndex& index,
         total += s;
       }
       candidates.emplace(p.doc, total);
-      offer(total);
+      offer(ScoredDoc{p.doc, total});
     }
     if (!advanced) break;  // every list exhausted: exact result
 
@@ -97,11 +102,23 @@ TopKResult ThresholdTopK(const InvertedIndex& index,
     for (size_t i = 0; i < lists.size(); ++i) {
       if (pos[i] < lists[i]->size()) threshold += (*lists[i])[pos[i]].score;
     }
-    if (best_k.size() == k && best_k.top() >= threshold) {
-      result.early_terminated = true;
-      break;
+    if (best_k.size() < k) continue;
+    const ScoredDoc& kth = best_k.top();
+    // An unseen doc scores at most the threshold. It ties only by matching
+    // every live list's frontier score (unless rounding lifts a lower sum
+    // to the tie), so it appears in each list whose frontier scores above
+    // 0, and lists run (score desc, doc asc): it sits at or after each such
+    // frontier doc, and cannot outrank the k-th when the k-th's id is at
+    // most one of them.
+    bool tie_settled = false;
+    for (size_t i = 0; kth.score == threshold && i < lists.size(); ++i) {
+      if (pos[i] < lists[i]->size() && (*lists[i])[pos[i]].score > 0.0 &&
+          kth.doc <= (*lists[i])[pos[i]].doc) {
+        tie_settled = true;
+        break;
+      }
     }
-    if (threshold <= 0.0 && best_k.size() == k) {
+    if (kth.score > threshold || tie_settled || threshold <= 0.0) {
       result.early_terminated = true;
       break;
     }

@@ -4,8 +4,9 @@
 // The aggregate is the sum of per-term scores; documents missing from a
 // term's list contribute 0 for that term. TA scans the query terms' lists
 // in parallel depth order, random-accesses each newly seen document's
-// remaining scores, and stops as soon as the k-th best complete score is at
-// least the threshold (the sum of the scores at the current scan depths).
+// remaining scores, and stops as soon as the k-th best complete score beats
+// the threshold (the sum of the scores at the current scan depths), or ties
+// it with an id no unseen tying document could undercut.
 
 #ifndef STBURST_INDEX_THRESHOLD_ALGORITHM_H_
 #define STBURST_INDEX_THRESHOLD_ALGORITHM_H_

@@ -173,19 +173,6 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
         runtime.history_->AttachAt(runtime.collection_.window_start()));
   }
 
-  // Stream positions are fixed for the runtime's lifetime, so the regional
-  // miners' cell geometry is too: build it once and lend it to every
-  // (re-)mine below. Heap-owned so the pointer survives moves of `runtime`.
-  if (runtime.options_.miner.mine_regional &&
-      runtime.options_.miner.binning == nullptr) {
-    STB_ASSIGN_OR_RETURN(
-        SpatialBinning binning,
-        SpatialBinning::Create(runtime.options_.miner.positions,
-                               runtime.options_.miner.stlocal.rbursty.rect));
-    runtime.binning_ = std::make_unique<SpatialBinning>(std::move(binning));
-    runtime.options_.miner.binning = runtime.binning_.get();
-  }
-
   runtime.index_ = FrequencyIndex::Build(runtime.collection_);
   STB_ASSIGN_OR_RETURN(runtime.result_,
                        MineAllTerms(runtime.index_, runtime.options_.miner));

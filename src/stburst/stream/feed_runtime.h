@@ -427,10 +427,6 @@ class FeedRuntime {
   Collection collection_;
   // The standing pool every phase fans across; null when fully serial.
   std::unique_ptr<ThreadPool> pool_;
-  // Standing stream-position binning for regional mining (null otherwise):
-  // built once at Create — stream positions never move — and lent to every
-  // re-mine via options_.miner.binning, so no tick rebuilds the geometry.
-  std::unique_ptr<SpatialBinning> binning_;
   FrequencyIndex index_;
   BatchMineResult result_;
   // Cold history tier (options_.history_mode != kOff): evicted postings

@@ -172,67 +172,6 @@ TEST_P(MineAllTermsParityTest, ThreadCountInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MineAllTermsParityTest, ::testing::Range(0, 5));
 
-TEST(MineAllTerms, StandingBinningInvariantAcrossThreadCounts) {
-  // Whole-vocabulary regional mining with a caller-lent standing binning
-  // (the FeedRuntime configuration) must equal the build-per-call runs at
-  // every thread count.
-  Collection c = MakeRandomCollection(77, 10, 30, 35, 350);
-  FrequencyIndex freq = FrequencyIndex::Build(c);
-
-  BatchMinerOptions opts;
-  opts.stcomb.min_interval_burstiness = 0.05;
-  opts.mine_regional = true;
-  opts.positions = c.StreamPositions();
-  opts.model_factory = TestFactory();
-  opts.num_threads = 1;
-  auto base = MineAllTerms(freq, opts);
-  ASSERT_TRUE(base.ok());
-
-  auto binning =
-      SpatialBinning::Create(opts.positions, opts.stlocal.rbursty.rect);
-  ASSERT_TRUE(binning.ok());
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    BatchMinerOptions standing = opts;
-    standing.binning = &*binning;
-    standing.num_threads = threads;
-    auto run = MineAllTerms(freq, standing);
-    ASSERT_TRUE(run.ok());
-    ASSERT_EQ(run->terms.size(), base->terms.size());
-    for (size_t t = 0; t < base->terms.size(); ++t) {
-      ExpectSamePatterns(run->terms[t].combinatorial,
-                         base->terms[t].combinatorial);
-      ExpectSameWindows(run->terms[t].regional, base->terms[t].regional);
-    }
-  }
-
-  // The same standing binning drives incremental re-mines too.
-  BatchMineResult live = std::move(*base);
-  BatchMinerOptions standing = opts;
-  standing.binning = &*binning;
-  standing.num_threads = 4;
-  std::vector<TermId> all_terms;
-  for (TermId t = 0; t < freq.num_terms(); ++t) all_terms.push_back(t);
-  ASSERT_TRUE(RemineTerms(freq, all_terms, standing, &live).ok());
-  auto fresh = MineAllTerms(freq, opts);
-  ASSERT_TRUE(fresh.ok());
-  for (size_t t = 0; t < fresh->terms.size(); ++t) {
-    ExpectSameWindows(live.terms[t].regional, fresh->terms[t].regional);
-  }
-}
-
-TEST(MineAllTerms, RejectsBinningOfWrongSize) {
-  Collection c = MakeRandomCollection(5, 6, 10, 12, 80);
-  FrequencyIndex freq = FrequencyIndex::Build(c);
-  BatchMinerOptions opts;
-  opts.mine_regional = true;
-  opts.positions = c.StreamPositions();
-  opts.model_factory = TestFactory();
-  auto binning = SpatialBinning::Create(std::vector<Point2D>(3));
-  ASSERT_TRUE(binning.ok());
-  opts.binning = &*binning;
-  EXPECT_TRUE(MineAllTerms(freq, opts).status().IsInvalidArgument());
-}
-
 TEST(MineAllTerms, RejectsNonFinitePositions) {
   // The run's own binning refuses a NaN stream position; the status reaches
   // the caller instead of a cell index one past the grid.

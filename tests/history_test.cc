@@ -510,17 +510,42 @@ TEST(ColdTierMmapTest, RestartedRuntimeRecoversBaselinesWithoutReplay) {
   std::remove(path.c_str());
 }
 
-TEST(ColdTierMmapTest, RejectsTruncatedAndCorruptFiles) {
-  const std::string path = TempPath("cold_tier_corrupt_src.stb");
+// Recomputes both checksums of a cold tier file image in place, so a
+// mutation reaches the structural checks behind them.
+void Reseal(std::string* bytes) {
+  if (bytes->size() < 64) return;
+  const uint64_t payload = Fnv1a64(bytes->data() + 64, bytes->size() - 64);
+  std::memcpy(bytes->data() + 48, &payload, sizeof(payload));
+  const uint64_t header = Fnv1a64(bytes->data(), 56);
+  std::memcpy(bytes->data() + 56, &header, sizeof(header));
+}
+
+template <typename T>
+void Poke(std::string* bytes, size_t offset, T value) {
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
+}
+
+// A published tier over SampleFoldInput: terms 0 and 3, streams 0-2.
+std::string PublishedSampleTier(const std::string& path) {
   {
     auto tier = ColdTier::OpenOrCreate(path, /*bucket_width=*/2);
-    ASSERT_TRUE(tier.ok());
+    if (!tier.ok()) {
+      ADD_FAILURE() << tier.status().ToString();
+      return std::string();
+    }
     ColdFoldUndo undo;
     auto input = SampleFoldInput();
     tier->FoldEvicted(input, /*cutoff=*/6, &undo);
-    ASSERT_TRUE(tier->Publish().ok());
+    EXPECT_TRUE(tier->Publish().ok());
   }
-  const std::string good = ReadFile(path);
+  std::string bytes = ReadFile(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+TEST(ColdTierMmapTest, RejectsTruncatedAndCorruptFiles) {
+  const std::string good =
+      PublishedSampleTier(TempPath("cold_tier_corrupt_src.stb"));
   ASSERT_GT(good.size(), 64u);
   const std::string victim = TempPath("cold_tier_corrupt.stb");
 
@@ -555,13 +580,139 @@ TEST(ColdTierMmapTest, RejectsTruncatedAndCorruptFiles) {
   {
     // A future format version with a valid checksum is still refused.
     std::string bad = good;
-    const uint32_t version = 2;
-    std::memcpy(bad.data() + 8, &version, sizeof(version));
-    const uint64_t checksum = Fnv1a64(bad.data(), 56);
-    std::memcpy(bad.data() + 56, &checksum, sizeof(checksum));
+    Poke<uint32_t>(&bad, 8, 2);
+    Reseal(&bad);
     expect_rejected(bad, "future version");
   }
-  std::remove(path.c_str());
+  std::remove(victim.c_str());
+}
+
+TEST(ColdTierMmapTest, RejectsForgedFieldsBehindValidChecksums) {
+  const std::string good = PublishedSampleTier(TempPath("cold_tier_forge.stb"));
+  ASSERT_GT(good.size(), 64u);
+  const std::string victim = TempPath("cold_tier_forged.stb");
+  {
+    // 80 bytes: num_terms 1, num_rows 2^59 and offsets {0, 2^59}. The
+    // implied size 8·2 + 2^59·32 wraps to the real 16-byte payload.
+    std::string forged = good.substr(0, 64) + std::string(16, '\0');
+    Poke<uint64_t>(&forged, 32, 1);
+    Poke<uint64_t>(&forged, 40, uint64_t{1} << 59);
+    Poke<uint64_t>(&forged, 64 + 8, uint64_t{1} << 59);
+    Reseal(&forged);
+    WriteFile(victim, forged);
+    auto opened = ColdTier::Open(victim);
+    ASSERT_FALSE(opened.ok()) << "row count wrapping the implied size";
+    EXPECT_TRUE(opened.status().IsFailedPrecondition());
+  }
+  {
+    // stream_upper_bound 1 below rows on streams 1 and 2: ReplaySeries
+    // sized by it would write past its rows.
+    std::string forged = good;
+    Poke<uint32_t>(&forged, 20, 1);
+    Reseal(&forged);
+    WriteFile(victim, forged);
+    auto opened = ColdTier::Open(victim);
+    ASSERT_FALSE(opened.ok()) << "row stream past stream_upper_bound";
+    EXPECT_TRUE(opened.status().IsFailedPrecondition());
+  }
+  {
+    // A bucket width past INT32_MAX would read back as a negative
+    // Timestamp.
+    std::string forged = good;
+    Poke<uint32_t>(&forged, 16, uint32_t{1} << 31);
+    Reseal(&forged);
+    WriteFile(victim, forged);
+    auto opened = ColdTier::Open(victim);
+    ASSERT_FALSE(opened.ok()) << "bucket width past INT32_MAX";
+    EXPECT_TRUE(opened.status().IsFailedPrecondition());
+  }
+  std::remove(victim.c_str());
+}
+
+// Seeded mutation fuzz of the loader: every mutated image either fails to
+// open or yields a tier whose queries all run clean (under ASan/UBSan in
+// the sanitizer build).
+TEST(ColdTierMmapTest, MutatedFilesFailToOpenOrQueryClean) {
+  const std::string good = PublishedSampleTier(TempPath("cold_tier_fuzz.stb"));
+  ASSERT_GT(good.size(), 64u);
+  const std::string victim = TempPath("cold_tier_fuzzed.stb");
+  const uint64_t u64s[] = {0, 1, 2, 3, 4, 5, 7, 64, uint64_t{1} << 32,
+                           uint64_t{1} << 59, (uint64_t{1} << 61) - 1,
+                           UINT64_MAX};
+  const uint32_t u32s[] = {0, 1, 2, 3, 4, 5, 1u << 31, UINT32_MAX};
+  const int32_t i32s[] = {INT32_MIN, -1, 0, 1, 2, 5, 6, 7, INT32_MAX};
+  Rng rng(2024);
+  size_t opened_ok = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string bytes = good;
+    switch (rng.NextUint64(9)) {
+      case 0:  // flip a few bytes anywhere
+        for (uint64_t f = 1 + rng.NextUint64(3); f > 0; --f) {
+          bytes[rng.NextUint64(bytes.size())] ^=
+              static_cast<char>(1 + rng.NextUint64(255));
+        }
+        break;
+      case 1:
+        Poke<uint64_t>(&bytes, 32,
+                       rng.Bernoulli(0.8) ? u64s[rng.NextUint64(12)]
+                                          : rng.NextUint64());
+        break;
+      case 2:
+        Poke<uint64_t>(&bytes, 40,
+                       rng.Bernoulli(0.8) ? u64s[rng.NextUint64(12)]
+                                          : rng.NextUint64());
+        break;
+      case 3:
+        Poke<uint32_t>(&bytes, 20, u32s[rng.NextUint64(8)]);
+        break;
+      case 4:
+        Poke<int32_t>(&bytes, 24, i32s[rng.NextUint64(9)]);
+        break;
+      case 5:
+        Poke<int32_t>(&bytes, 28, i32s[rng.NextUint64(9)]);
+        break;
+      case 6:
+        Poke<uint32_t>(&bytes, 16, u32s[rng.NextUint64(8)]);
+        break;
+      case 7:
+        bytes.resize(rng.NextUint64(bytes.size()));
+        break;
+      default:
+        for (uint64_t n = 1 + rng.NextUint64(64); n > 0; --n) {
+          bytes.push_back(static_cast<char>(rng.NextUint64(256)));
+        }
+        break;
+    }
+    Reseal(&bytes);
+    WriteFile(victim, bytes);
+    auto tier = ColdTier::Open(victim);
+    if (!tier.ok()) continue;
+    ++opened_ok;
+    const uint32_t lo = tier->bucket_lower_bound();
+    const uint32_t hi = std::min(tier->bucket_upper_bound(), lo + 64);
+    ASSERT_LE(lo, tier->bucket_upper_bound()) << "iteration " << iter;
+    volatile double sink = 0.0;  // keeps every query's reads alive
+    for (TermId term = 0; term <= tier->term_upper_bound(); ++term) {
+      for (const ColdRow& r : tier->TermRows(term)) {
+        ASSERT_LT(r.stream, tier->stream_upper_bound()) << "iteration " << iter;
+        sink = sink + r.sum;
+      }
+      sink = sink + tier->TermSum(term);
+      for (StreamId s = 0; s <= tier->stream_upper_bound() && s < 8; ++s) {
+        sink = sink + tier->StreamSum(term, s);
+      }
+      const TermSeries series =
+          tier->ReplaySeries(term, lo, hi, tier->stream_upper_bound());
+      for (StreamId s = 0; s < series.num_streams(); ++s) {
+        for (Timestamp t = 0; t < series.timeline_length(); ++t) {
+          sink = sink + series.at(s, t);
+        }
+      }
+    }
+  }
+  // Rewrites that happen to restore a field's value, and flips confined to
+  // the sum/max/count columns, leave valid images: some opens succeed.
+  EXPECT_GT(opened_ok, 0u);
   std::remove(victim.c_str());
 }
 

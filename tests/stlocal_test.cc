@@ -15,13 +15,19 @@ std::vector<Point2D> LinePositions(size_t n, double spacing = 10.0) {
   return pts;
 }
 
+SpatialBinning LineBinning(size_t n, double spacing = 10.0) {
+  return SpatialBinning::Create(LinePositions(n, spacing)).value();
+}
+
 TEST(StLocal, RejectsWrongSnapshotSize) {
-  StLocal miner(LinePositions(3));
+  const SpatialBinning binning = LineBinning(3);
+  StLocal miner(binning);
   EXPECT_TRUE(miner.ProcessSnapshot({1.0}).IsInvalidArgument());
 }
 
 TEST(StLocal, QuietStreamYieldsNothing) {
-  StLocal miner(LinePositions(4));
+  const SpatialBinning binning = LineBinning(4);
+  StLocal miner(binning);
   for (int t = 0; t < 20; ++t) {
     ASSERT_TRUE(miner.ProcessSnapshot({-0.1, -0.2, -0.1, -0.3}).ok());
   }
@@ -31,7 +37,8 @@ TEST(StLocal, QuietStreamYieldsNothing) {
 
 TEST(StLocal, SingleRegionSingleWindow) {
   // Streams 0 and 1 (adjacent) burst together during [5, 9].
-  StLocal miner(LinePositions(4, 1.0));
+  const SpatialBinning binning = LineBinning(4, 1.0);
+  StLocal miner(binning);
   for (int t = 0; t < 20; ++t) {
     double hot = (t >= 5 && t <= 9) ? 2.0 : -0.5;
     ASSERT_TRUE(miner.ProcessSnapshot({hot, hot, -0.5, -0.5}).ok());
@@ -45,7 +52,8 @@ TEST(StLocal, SingleRegionSingleWindow) {
 }
 
 TEST(StLocal, WindowScoreIsSumOfRScores) {
-  StLocal miner(LinePositions(2, 1.0));
+  const SpatialBinning binning = LineBinning(2, 1.0);
+  StLocal miner(binning);
   std::vector<double> scores = {1.0, 0.5, 2.0};  // varying burst strengths
   for (double s : scores) {
     ASSERT_TRUE(miner.ProcessSnapshot({s, s}).ok());
@@ -57,7 +65,8 @@ TEST(StLocal, WindowScoreIsSumOfRScores) {
 }
 
 TEST(StLocal, SequencePrunedWhenTotalGoesNegative) {
-  StLocal miner(LinePositions(2, 1.0));
+  const SpatialBinning binning = LineBinning(2, 1.0);
+  StLocal miner(binning);
   // Burst, then a long negative tail that drives S.total below zero.
   ASSERT_TRUE(miner.ProcessSnapshot({1.0, 1.0}).ok());
   EXPECT_EQ(miner.num_live_sequences(), 1u);
@@ -75,7 +84,8 @@ TEST(StLocal, SequencePrunedWhenTotalGoesNegative) {
 TEST(StLocal, RegionReappearingExtendsItsSequence) {
   // The same region bursts in two phases separated by a mild dip; the
   // maximal window spans both phases when the dip is shallow.
-  StLocal miner(LinePositions(2, 1.0));
+  const SpatialBinning binning = LineBinning(2, 1.0);
+  StLocal miner(binning);
   for (int t = 0; t < 3; ++t) ASSERT_TRUE(miner.ProcessSnapshot({2.0, 2.0}).ok());
   ASSERT_TRUE(miner.ProcessSnapshot({-0.2, -0.2}).ok());
   for (int t = 0; t < 3; ++t) ASSERT_TRUE(miner.ProcessSnapshot({2.0, 2.0}).ok());
@@ -87,7 +97,8 @@ TEST(StLocal, RegionReappearingExtendsItsSequence) {
 
 TEST(StLocal, DistinctRegionsTrackedIndependently) {
   // Two far-apart regions bursting at different times.
-  StLocal miner(LinePositions(4, 100.0));
+  const SpatialBinning binning = LineBinning(4, 100.0);
+  StLocal miner(binning);
   for (int t = 0; t < 30; ++t) {
     double left = (t >= 2 && t <= 6) ? 1.5 : -0.4;
     double right = (t >= 15 && t <= 22) ? 1.0 : -0.4;
@@ -113,7 +124,8 @@ TEST(StLocal, DistinctRegionsTrackedIndependently) {
 TEST(StLocal, MinWindowScoreFilters) {
   StLocalOptions opts;
   opts.min_window_score = 10.0;
-  StLocal miner(LinePositions(2, 1.0), opts);
+  const SpatialBinning binning = LineBinning(2, 1.0);
+  StLocal miner(binning, opts);
   ASSERT_TRUE(miner.ProcessSnapshot({1.0, 1.0}).ok());  // w-score 2 < 10
   EXPECT_TRUE(miner.Finish().empty());
 }
@@ -121,7 +133,8 @@ TEST(StLocal, MinWindowScoreFilters) {
 TEST(StLocal, OpenWindowCountsAreBounded) {
   Rng rng(3);
   size_t n = 12;
-  StLocal miner(LinePositions(n, 5.0));
+  const SpatialBinning binning = LineBinning(n, 5.0);
+  StLocal miner(binning);
   for (int t = 0; t < 60; ++t) {
     std::vector<double> b(n);
     for (auto& v : b) v = rng.Uniform(-1.0, 1.0);
@@ -130,43 +143,6 @@ TEST(StLocal, OpenWindowCountsAreBounded) {
               n * static_cast<size_t>(miner.current_time()));
     EXPECT_GE(miner.num_open_windows(), 0u);
   }
-}
-
-TEST(StLocal, SharedBinningMatchesOwnBinning) {
-  // A miner handed a prebuilt binning of its positions must behave exactly
-  // like one that builds its own — the batch miner relies on this to share
-  // one binning across every term of a vocabulary.
-  Rng rng(21);
-  const size_t n = 9;
-  auto positions = LinePositions(n, 3.0);
-  auto binning = SpatialBinning::Create(positions);
-  ASSERT_TRUE(binning.ok());
-
-  StLocal own(positions);
-  StLocal shared(positions, {}, &*binning);
-  for (int t = 0; t < 50; ++t) {
-    std::vector<double> b(n);
-    for (auto& v : b) v = rng.Uniform(-1.0, 1.5);
-    ASSERT_TRUE(own.ProcessSnapshot(b).ok());
-    ASSERT_TRUE(shared.ProcessSnapshot(b).ok());
-    EXPECT_EQ(own.num_live_sequences(), shared.num_live_sequences());
-  }
-  auto a = own.Finish();
-  auto c = shared.Finish();
-  ASSERT_EQ(a.size(), c.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].region, c[i].region);
-    EXPECT_EQ(a[i].streams, c[i].streams);
-    EXPECT_EQ(a[i].timeframe, c[i].timeframe);
-    EXPECT_EQ(a[i].score, c[i].score);
-  }
-}
-
-TEST(StLocal, RejectsSharedBinningOfWrongSize) {
-  auto binning = SpatialBinning::Create(LinePositions(5));
-  ASSERT_TRUE(binning.ok());
-  StLocal miner(LinePositions(3), {}, &*binning);
-  EXPECT_TRUE(miner.ProcessSnapshot({0.1, 0.2, 0.3}).IsInvalidArgument());
 }
 
 TEST(MineRegionalPatterns, EndToEndWithExpectedModel) {
@@ -203,6 +179,7 @@ TEST(MineRegionalPatterns, ScratchReusesModelsAndStaysBitIdentical) {
   const Timestamp timeline = 40;
   const size_t kTerms = 5;
   auto positions = LinePositions(n, 2.0);
+  const SpatialBinning binning = SpatialBinning::Create(positions).value();
 
   std::vector<TermSeries> terms;
   for (size_t term = 0; term < kTerms; ++term) {
@@ -232,9 +209,8 @@ TEST(MineRegionalPatterns, ScratchReusesModelsAndStaysBitIdentical) {
 
   RegionalMiningScratch scratch;
   for (size_t term = 0; term < kTerms; ++term) {
-    auto with_scratch = MineRegionalPatterns(terms[term], positions,
-                                             scratch_factory, {}, nullptr,
-                                             &scratch);
+    auto with_scratch = MineRegionalPatterns(terms[term], binning,
+                                             scratch_factory, {}, scratch);
     auto without = MineRegionalPatterns(terms[term], positions, fresh_factory);
     ASSERT_TRUE(with_scratch.ok());
     ASSERT_TRUE(without.ok());
@@ -253,8 +229,11 @@ TEST(MineRegionalPatterns, ScratchReusesModelsAndStaysBitIdentical) {
 
 TEST(MineRegionalPatterns, MismatchedPositionsRejected) {
   TermSeries series(3, 10);
-  auto result = MineRegionalPatterns(
-      series, LinePositions(2), [] { return std::make_unique<GlobalMeanModel>(); });
+  auto factory = [] { return std::make_unique<GlobalMeanModel>(); };
+  auto result = MineRegionalPatterns(series, LinePositions(2), factory);
+  EXPECT_TRUE(result.status().IsInvalidArgument());
+  RegionalMiningScratch scratch;
+  result = MineRegionalPatterns(series, LineBinning(2), factory, {}, scratch);
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 

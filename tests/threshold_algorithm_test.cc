@@ -106,6 +106,61 @@ TEST(ThresholdTopK, MatchesExhaustiveOnRandomIndexes) {
   }
 }
 
+TEST(ThresholdTopK, TieAtTheThresholdGoesToTheSmallerId) {
+  // After one round d9 scores 2.0 and the threshold is 1.0 + 1.0 = 2.0, but
+  // the unseen d1 also scores 2.0 and outranks d9 on id.
+  InvertedIndex idx;
+  idx.Add(0, 9, 2.0);
+  idx.Add(0, 1, 1.0);
+  idx.Add(1, 2, 1.5);
+  idx.Add(1, 1, 1.0);
+  idx.Finalize();
+  auto ta = ThresholdTopK(idx, {0, 1}, 1);
+  auto ex = ExhaustiveTopK(idx, {0, 1}, 1);
+  ASSERT_EQ(ex.docs, (std::vector<ScoredDoc>{{1, 2.0}}));
+  EXPECT_EQ(ta.docs, ex.docs);
+
+  // k=2 after one round: d5 2.0, d7 1.0, threshold 1.0 + 0.0. The unseen
+  // d1 ties d7 without appearing in term 1, whose 0-score frontier d9
+  // therefore bounds nothing.
+  InvertedIndex zero_frontier;
+  zero_frontier.Add(0, 5, 2.0);
+  zero_frontier.Add(0, 1, 1.0);
+  zero_frontier.Add(1, 7, 1.0);
+  zero_frontier.Add(1, 9, 0.0);
+  zero_frontier.Finalize();
+  ta = ThresholdTopK(zero_frontier, {0, 1}, 2);
+  ex = ExhaustiveTopK(zero_frontier, {0, 1}, 2);
+  ASSERT_EQ(ex.docs, (std::vector<ScoredDoc>{{5, 2.0}, {1, 1.0}}));
+  EXPECT_EQ(ta.docs, ex.docs);
+}
+
+TEST(ThresholdTopK, MatchesExhaustiveUnderHeavyTies) {
+  // Scores on a coarse grid of exactly representable values, so sums are
+  // exact and equal aggregates are common: ties at the k-th place and at the
+  // threshold must resolve by ascending id, exactly like the exhaustive merge.
+  Rng rng(123);
+  for (int trial = 0; trial < 300; ++trial) {
+    InvertedIndex idx;
+    const size_t terms = 1 + rng.NextUint64(4);
+    const size_t docs = 5 + rng.NextUint64(60);
+    for (TermId t = 0; t < terms; ++t) {
+      for (DocId d = 0; d < docs; ++d) {
+        if (rng.Bernoulli(0.5)) {
+          idx.Add(t, d, 0.25 * static_cast<double>(1 + rng.NextUint64(4)));
+        }
+      }
+    }
+    idx.Finalize();
+    std::vector<TermId> query;
+    for (TermId t = 0; t < terms; ++t) query.push_back(t);
+    const size_t k = 1 + rng.NextUint64(8);
+    auto ta = ThresholdTopK(idx, query, k);
+    auto ex = ExhaustiveTopK(idx, query, k);
+    EXPECT_EQ(ta.docs, ex.docs) << "trial " << trial;
+  }
+}
+
 TEST(ThresholdTopK, NeverMoreSortedAccessesThanExhaustive) {
   Rng rng(7);
   InvertedIndex idx;
