@@ -45,7 +45,13 @@ int main() {
         models[s]->Observe(y);
       }
       auto rects = RBursty(positions, burstiness);
-      if (rects.ok()) total_rects += rects->size();
+      if (!rects.ok()) {
+        std::fprintf(stderr, "RBursty failed for term %u at week %d: %s\n",
+                     static_cast<unsigned>(term), static_cast<int>(w),
+                     rects.status().ToString().c_str());
+        return 1;
+      }
+      total_rects += rects->size();
     }
     avg_rects.push_back(static_cast<double>(total_rects) /
                         static_cast<double>(weeks));

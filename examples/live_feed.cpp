@@ -183,12 +183,12 @@ int main() {
       // Sites that fire on every ingesting tick; the eviction sites join
       // once the window starts sliding (timeline after this tick > window).
       std::vector<std::string> eligible = {
-          "collection.append",   "frequency.append_splice",
+          "collection.append",     "frequency.append_splice",
           "batch_miner.mine_term", "runtime.remine",
-          "runtime.search_update", "runtime.publish"};
+          "runtime.search_update", "index.successor",
+          "runtime.publish"};
       if (week + 1 > kRetentionWeeks) {
-        eligible.insert(eligible.end(),
-                        {"collection.evict", "frequency.evict", "index.evict"});
+        eligible.insert(eligible.end(), {"collection.evict", "frequency.evict"});
       }
       const std::string& site =
           eligible[static_cast<size_t>(week) % eligible.size()];

@@ -36,13 +36,13 @@ SiteState g_sites[] = {
                                   // empty index)
     {"frequency.evict"},          // per-term evict worker in EvictBefore
     {"batch_miner.mine_term"},    // per-term mining worker (MineAllTerms /
-                                  // RemineTerms / staged re-mines)
+                                  // StageRemineTerms)
     {"runtime.remine"},           // FeedRuntime staging, before the re-mine
     {"runtime.search_update"},    // per-term pattern staging of the search
                                   // re-score (pool workers, phase 1 of
                                   // ScoreTermsByCell)
-    {"index.evict"},              // InvertedIndex::EvictBefore, before any
-                                  // mutation
+    {"index.successor"},          // InvertedIndex::Successor, before the
+                                  // successor is built
     {"runtime.publish"},          // after the next search snapshot is fully
                                   // built, before its publication swap
     {"history.fold"},             // FeedRuntime ingest, on an evicting tick

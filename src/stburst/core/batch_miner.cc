@@ -184,8 +184,7 @@ StatusOr<SpatialBinning> RunBinning(const BatchMinerOptions& options) {
                                 options.stlocal.rbursty.rect);
 }
 
-// Restores the mined/skipped bookkeeping invariant (mined + skipped ==
-// num_terms) after slots changed.
+// Fills the mined/skipped counters (mined + skipped == num_terms).
 void RecountTerms(BatchMineResult* result) {
   size_t mined = 0;
   for (const TermPatterns& slot : result->terms) {
@@ -248,33 +247,6 @@ StatusOr<std::vector<TermId>> StageRemineTerms(
     if (shared.error.has_value()) return *shared.error;
   }
   return todo;
-}
-
-Status RemineTerms(const FrequencyIndex& index, const std::vector<TermId>& terms,
-                   const BatchMinerOptions& options, BatchMineResult* result) {
-  if (result->terms.size() > index.num_terms()) {
-    return Status::InvalidArgument("result holds more term slots than the index");
-  }
-  // Stage first, publish after: `result` is only touched once every listed
-  // term has mined cleanly, so any error leaves it exactly as it was.
-  std::vector<TermPatterns> staged;
-  STB_ASSIGN_OR_RETURN(std::vector<TermId> todo,
-                       StageRemineTerms(index, terms, options, &staged));
-
-  // Absorb vocabulary growth: slots for new terms start out skipped and are
-  // overwritten below iff listed in `terms`.
-  const size_t old_size = result->terms.size();
-  result->terms.resize(index.num_terms());
-  for (size_t t = old_size; t < result->terms.size(); ++t) {
-    result->terms[t].term = static_cast<TermId>(t);
-  }
-
-  result->threads_used = RunWorkerSlots(options);
-  for (size_t i = 0; i < todo.size(); ++i) {
-    result->terms[todo[i]] = std::move(staged[i]);
-  }
-  RecountTerms(result);
-  return Status::OK();
 }
 
 }  // namespace stburst

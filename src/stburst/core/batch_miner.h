@@ -10,10 +10,11 @@
 //    per-stream interval extraction (no dense n x L matrix is materialized);
 //  - regional mining reuses one dense scratch matrix per worker.
 //
-// For a live feed, RemineTerms keeps a BatchMineResult current without a
-// full sweep: after FrequencyIndex::AppendSnapshot, pass the index's dirty
-// terms and only those slots are recomputed (docs/ARCHITECTURE.md walks the
-// full append → re-mine cycle; examples/live_feed.cpp demonstrates it).
+// For a live feed, StageRemineTerms keeps a BatchMineResult current without
+// a full sweep: after FrequencyIndex::AppendSnapshot, pass the index's dirty
+// terms, and only those slots are mined, into staging the owner moves in
+// (FeedRuntime commits them at the end of its tick; docs/ARCHITECTURE.md
+// walks the full append → re-mine cycle).
 
 #ifndef STBURST_CORE_BATCH_MINER_H_
 #define STBURST_CORE_BATCH_MINER_H_
@@ -50,7 +51,7 @@ struct BatchMinerOptions {
   /// Persistent thread pool to fan the per-term work across. When null
   /// (default), each call builds and joins a transient pool of
   /// `num_threads` workers — fine for one-shot sweeps, but a per-tick
-  /// RemineTerms pays thread spawn/join every snapshot; a long-running
+  /// StageRemineTerms pays thread spawn/join every snapshot; a long-running
   /// feed (FeedRuntime) supplies its standing pool here instead. The pool
   /// is only borrowed for the duration of the call; output is identical
   /// either way and at any pool size. Not owned.
@@ -110,41 +111,28 @@ struct BatchMineResult {
 StatusOr<BatchMineResult> MineAllTerms(const FrequencyIndex& index,
                                        const BatchMinerOptions& options = {});
 
-/// Recomputes only `terms` (typically FrequencyIndex::TakeDirtyTerms()
-/// after an append), updating their slots of `result` in place; all other
-/// slots are untouched. Grows `result` when the index's vocabulary grew and
-/// refreshes the mined/skipped counters. Every listed term's slot comes out
-/// identical to what a fresh MineAllTerms over the current index would
-/// produce (tested), at a cost proportional to the feed instead of the
-/// corpus.
+/// Mines only `terms` (typically FrequencyIndex::TakeDirtyTerms() after an
+/// append) into `staged` — one compact slot per entry of the returned
+/// (sorted, unique) term list, parallel to it — touching no standing
+/// result. Each staged slot is identical to what a fresh MineAllTerms over
+/// the current index would produce for its term (tested), at a cost
+/// proportional to the feed instead of the corpus. A transactional owner
+/// (FeedRuntime) stages against its live BatchMineResult and commits by
+/// moving the slots in (growing the result for new vocabulary) only after
+/// the whole tick succeeded; a failure (non-OK, or an exception out of a
+/// mining worker) leaves `staged` safe to discard and the owner's result
+/// untouched.
 ///
 /// Staleness contract: interval burstiness is normalized by timeline length,
 /// so a term with no new postings still drifts slightly as the timeline
-/// grows; unlisted slots deliberately keep the patterns of their last mine
+/// grows; slots left out deliberately keep the patterns of their last mine
 /// ("current as of the term's last activity" — the incremental-maintenance
 /// trade, discussed in docs/ARCHITECTURE.md). A watched term that needs
-/// exact per-snapshot semantics is staged after every tick with
-/// StageRemineTerms on the runtime's index (examples/live_feed.cpp).
+/// exact per-snapshot semantics is staged after every tick on the
+/// runtime's index (examples/live_feed.cpp).
 ///
-/// `result` must come from MineAllTerms (or a prior RemineTerms) over an
-/// earlier state of the same index, with the same options. Duplicate ids in
-/// `terms` are ignored; unknown ids are InvalidArgument. `result` must not
-/// be read concurrently with the call. All-or-nothing: terms are mined into
-/// staging slots (StageRemineTerms) and moved into `result` only after
-/// every listed term mined cleanly, so a non-OK return leaves `result`
-/// exactly as it was — keep the `terms` list and re-run after fixing the
-/// configuration (the index's dirty set was already consumed).
-Status RemineTerms(const FrequencyIndex& index, const std::vector<TermId>& terms,
-                   const BatchMinerOptions& options, BatchMineResult* result);
-
-/// The staging half of RemineTerms: mines the deduped `terms` into
-/// `staged` — one compact slot per entry of the returned (sorted, unique)
-/// term list, parallel to it — touching no standing result. A transactional
-/// owner (FeedRuntime) stages against its live BatchMineResult and commits
-/// by moving slots in only after the whole tick succeeded; a failure
-/// (non-OK, or an exception out of a mining worker) leaves `staged` safe to
-/// discard and the owner's result untouched. Same options/validation
-/// semantics as RemineTerms.
+/// Options and validation as for MineAllTerms; stage with the options the
+/// standing result was mined with. Duplicate ids in `terms` are ignored; unknown ids are InvalidArgument.
 StatusOr<std::vector<TermId>> StageRemineTerms(
     const FrequencyIndex& index, const std::vector<TermId>& terms,
     const BatchMinerOptions& options, std::vector<TermPatterns>* staged);

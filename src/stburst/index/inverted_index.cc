@@ -1,6 +1,8 @@
 #include "stburst/index/inverted_index.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "stburst/common/fault_injection.h"
 #include "stburst/common/logging.h"
@@ -22,77 +24,66 @@ bool DocBefore(const Posting& p, DocId doc) { return p.doc < doc; }
 
 }  // namespace
 
-void InvertedIndex::Add(TermId term, DocId doc, double score) {
-  STB_CHECK(!finalized_) << "Add after Finalize (call Reopen first)";
-  if (term >= postings_.size()) postings_.resize(term + 1);
-  postings_[term].push_back(Posting{doc, score});
-  ++total_postings_;
-  if (ever_finalized_) dirty_.push_back(term);
+InvertedIndex::InvertedIndex(std::vector<std::vector<Posting>> lists) {
+  std::vector<TermId> terms(lists.size());
+  std::iota(terms.begin(), terms.end(), TermId{0});
+  *this = Successor(InvertedIndex(), 0, terms, std::move(lists));
 }
 
-void InvertedIndex::Finalize() {
-  if (finalized_) return;
-  by_doc_.resize(postings_.size());
-  auto refreeze_term = [this](TermId t) {
-    auto& plist = postings_[t];
-    by_doc_[t] = plist;
-    std::sort(by_doc_[t].begin(), by_doc_[t].end(), DocOrder);
-    std::sort(plist.begin(), plist.end(), ScoreOrder);
-  };
-  if (!ever_finalized_) {
-    for (size_t t = 0; t < postings_.size(); ++t) {
-      refreeze_term(static_cast<TermId>(t));
+InvertedIndex InvertedIndex::Successor(
+    const InvertedIndex& base, DocId min_live_doc,
+    std::span<const TermId> terms, std::vector<std::vector<Posting>> lists) {
+  STB_CHECK(terms.size() == lists.size())
+      << "Successor takes one list per replaced term";
+  STBURST_FAULT_POINT_THROW("index.successor");
+  constexpr size_t kKept = std::numeric_limits<size_t>::max();
+  size_t num_terms = base.num_terms();
+  for (TermId t : terms) num_terms = std::max(num_terms, size_t{t} + 1);
+  std::vector<size_t> replaced_by(num_terms, kKept);
+  for (size_t i = 0; i < terms.size(); ++i) {
+    STB_CHECK(replaced_by[terms[i]] == kKept)
+        << "term " << terms[i] << " replaced twice";
+    replaced_by[terms[i]] = i;
+  }
+
+  InvertedIndex next;
+  next.by_score_.resize(num_terms);
+  next.by_doc_.resize(num_terms);
+  for (size_t t = 0; t < num_terms; ++t) {
+    std::vector<Posting>& by_score = next.by_score_[t];
+    std::vector<Posting>& by_doc = next.by_doc_[t];
+    if (replaced_by[t] != kKept) {
+      by_score = std::move(lists[replaced_by[t]]);
+      by_doc = by_score;
+      std::sort(by_doc.begin(), by_doc.end(), DocOrder);
+      std::sort(by_score.begin(), by_score.end(), ScoreOrder);
+    } else if (t < base.num_terms()) {
+      // The evicted docs are a prefix of the doc order; the score order
+      // keeps its relative order minus them.
+      const std::vector<Posting>& old_doc = base.by_doc_[t];
+      const auto live = std::lower_bound(old_doc.begin(), old_doc.end(),
+                                         min_live_doc, DocBefore);
+      by_doc.assign(live, old_doc.end());
+      if (live == old_doc.begin()) {
+        by_score = base.by_score_[t];
+      } else {
+        by_score.reserve(by_doc.size());
+        for (const Posting& p : base.by_score_[t]) {
+          if (p.doc >= min_live_doc) by_score.push_back(p);
+        }
+      }
     }
-  } else {
-    // Incremental re-freeze: only terms edited since the last Finalize()
-    // need their two orders rebuilt.
-    std::sort(dirty_.begin(), dirty_.end());
-    dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
-    for (TermId t : dirty_) refreeze_term(t);
+    next.total_postings_ += by_score.size();
   }
-  dirty_.clear();
-  finalized_ = true;
-  ever_finalized_ = true;
-  ++generation_;
-}
-
-void InvertedIndex::Reopen() { finalized_ = false; }
-
-void InvertedIndex::EvictBefore(DocId min_live_doc) {
-  STB_CHECK(!finalized_) << "EvictBefore on a frozen index (call Reopen first)";
-  STB_CHECK(ever_finalized_ && dirty_.empty())
-      << "EvictBefore must precede this open period's Add/ReplaceTerm";
-  STBURST_FAULT_POINT_THROW("index.evict");
-  for (size_t t = 0; t < by_doc_.size(); ++t) {
-    auto& by_doc = by_doc_[t];
-    if (by_doc.empty() || by_doc.front().doc >= min_live_doc) continue;
-    const auto live =
-        std::lower_bound(by_doc.begin(), by_doc.end(), min_live_doc, DocBefore);
-    total_postings_ -= static_cast<size_t>(live - by_doc.begin());
-    by_doc.erase(by_doc.begin(), live);
-    std::erase_if(postings_[t], [min_live_doc](const Posting& p) {
-      return p.doc < min_live_doc;
-    });
-  }
-}
-
-void InvertedIndex::ReplaceTerm(TermId term, std::vector<Posting> postings) {
-  STB_CHECK(!finalized_) << "ReplaceTerm on a frozen index (call Reopen first)";
-  if (term >= postings_.size()) postings_.resize(term + 1);
-  total_postings_ -= postings_[term].size();
-  total_postings_ += postings.size();
-  postings_[term] = std::move(postings);
-  if (ever_finalized_) dirty_.push_back(term);
+  return next;
 }
 
 const std::vector<Posting>& InvertedIndex::postings(TermId term) const {
-  STB_CHECK(finalized_) << "postings before Finalize";
-  if (term >= postings_.size()) return kEmpty;
-  return postings_[term];
+  if (term >= by_score_.size()) return kEmpty;
+  return by_score_[term];
 }
 
 bool InvertedIndex::Score(TermId term, DocId doc, double* score) const {
-  STB_CHECK(finalized_) << "Score before Finalize";
   if (term >= by_doc_.size()) return false;
   const auto& by_doc = by_doc_[term];
   const auto it =

@@ -8,6 +8,7 @@
 #define STBURST_INDEX_INVERTED_INDEX_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "stburst/stream/types.h"
@@ -20,82 +21,53 @@ struct Posting {
   double score = 0.0;
 };
 
-/// Append-then-freeze inverted index with incremental re-freeze. Add() all
-/// postings, Finalize() once, then query; per-term posting lists are sorted
-/// by descending score, and a doc-sorted copy of each answers Score(). On a
-/// live feed, Reopen() lets new postings in after a freeze: the next
-/// Finalize() re-sorts only the terms touched since the last one, and
-/// generation() tells consumers holding cached query results (e.g.
-/// Threshold-Algorithm top-k lists) that they are stale.
+/// Immutable once constructed. Built from per-term posting lists, or as the
+/// Successor of an existing index; a live feed publishes each successor as
+/// a new IndexSnapshot instead of editing the one readers hold.
 ///
-/// Thread-safety: queries on a finalized index are const and safe from any
-/// number of threads; Add/Reopen/Finalize are writers and must be
-/// externally serialized against them.
+/// Thread-safety: every member is const, so any number of threads may query
+/// one index concurrently.
 class InvertedIndex {
  public:
-  /// Records that `doc` scores `score` for `term`. Must precede Finalize()
-  /// (or follow a Reopen()). Each (term, doc) pair must be added at most
-  /// once per lifetime of the term's postings — to change a frozen term's
-  /// scores, ReplaceTerm() its list. Amortized O(1).
-  void Add(TermId term, DocId doc, double score);
+  /// The empty index: no terms, no postings.
+  InvertedIndex() = default;
 
-  /// Sorts each posting list by score and copies it into doc order.
-  /// Idempotent. The first call sorts everything; after a Reopen() only
-  /// terms with new or replaced postings are re-sorted (O(p log p) per such
-  /// term of p postings). Each state-changing call bumps generation().
-  void Finalize();
+  /// List t holds term t's postings in any order; each doc appears at most
+  /// once per list. Equal to Successor(InvertedIndex(), 0, {0, 1, …},
+  /// lists), which is how it is built.
+  explicit InvertedIndex(std::vector<std::vector<Posting>> lists);
 
-  /// Re-opens a finalized index so Add() is legal again. Queries are
-  /// rejected until the next Finalize(). No-op when already open.
-  void Reopen();
+  /// `base` with every posting whose doc precedes `min_live_doc` dropped
+  /// and term terms[i]'s postings replaced by lists[i] (any order, and not
+  /// filtered by `min_live_doc`; empty clears the term, an id past
+  /// base.num_terms() grows the vocabulary). `terms` must be distinct and
+  /// parallel to `lists`.
+  ///
+  /// One pass over the terms. An untouched term copies its two orders from
+  /// `base` minus the evicted doc prefix, re-sorting nothing; a replaced
+  /// term sorts its new list both ways and never copies the old one.
+  /// O(postings kept from `base` + Σ p log p over the p postings of each
+  /// replaced list).
+  static InvertedIndex Successor(const InvertedIndex& base,
+                                 DocId min_live_doc,
+                                 std::span<const TermId> terms,
+                                 std::vector<std::vector<Posting>> lists);
 
-  /// Eviction-aware edit: removes every posting whose doc precedes
-  /// `min_live_doc` — the in-place follow-up to Collection::EvictBefore,
-  /// whose prefix erase keeps every surviving document's id (pass the
-  /// collection's new doc_id_base()). The evicted docs are a prefix of each
-  /// term's doc order: a term whose first doc is live is skipped, the others
-  /// drop that prefix and compact their score order in place, so nothing is
-  /// re-sorted. Requires a finalized-then-reopened index with no Add() or
-  /// ReplaceTerm() yet since the Reopen(), as it reads the last Finalize()'s
-  /// doc order. The next Finalize() bumps generation() for the whole edit
-  /// batch, exactly as an append-only refreeze would, so cached query
-  /// results are invalidated the same way. O(terms + postings of the terms
-  /// that lose one) — no collection re-scan, no re-scoring (bench:
-  /// inverted_reopen_evict).
-  void EvictBefore(DocId min_live_doc);
-
-  /// Replaces `term`'s postings with `postings` (scores need not be sorted
-  /// — the next Finalize() sorts) and marks the term dirty; an empty list
-  /// clears the term. The move-in makes this the no-allocation commit step
-  /// for staged per-term updates (FeedRuntime stages scored postings off
-  /// to the side, then commits each re-mined term with one ReplaceTerm).
-  /// Requires the index to be open. O(postings of the term).
-  void ReplaceTerm(TermId term, std::vector<Posting> postings);
-
-  /// Monotone freeze counter, bumped by every completing Finalize().
-  /// Consumers cache it alongside derived results (top-k lists, pattern
-  /// joins) and recompute when it moved.
-  uint64_t generation() const { return generation_; }
-
-  /// Sorted postings of a term (empty if none). Requires Finalize().
+  /// Postings of a term by descending score, ties by ascending doc (empty
+  /// if none).
   const std::vector<Posting>& postings(TermId term) const;
 
   /// Random access: the score of `doc` for `term`; false if absent. A
-  /// binary search of the term's doc order. Requires Finalize().
+  /// binary search of the term's doc order.
   bool Score(TermId term, DocId doc, double* score) const;
 
-  size_t num_terms() const { return postings_.size(); }
+  size_t num_terms() const { return by_score_.size(); }
   size_t total_postings() const { return total_postings_; }
-  bool finalized() const { return finalized_; }
 
  private:
-  bool finalized_ = false;
-  bool ever_finalized_ = false;
-  uint64_t generation_ = 0;
   size_t total_postings_ = 0;
-  std::vector<std::vector<Posting>> postings_;  // indexed by TermId
-  std::vector<std::vector<Posting>> by_doc_;    // postings_ by ascending doc
-  std::vector<TermId> dirty_;  // terms edited since the last Finalize()
+  std::vector<std::vector<Posting>> by_score_;  // indexed by TermId
+  std::vector<std::vector<Posting>> by_doc_;    // by_score_ by ascending doc
   static const std::vector<Posting> kEmpty;
 };
 

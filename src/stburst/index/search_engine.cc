@@ -17,6 +17,7 @@ BurstySearchEngine BurstySearchEngine::Build(const Collection& collection,
                                              const PatternIndex& patterns) {
   BurstySearchEngine engine(&collection);
 
+  std::vector<std::vector<Posting>> lists;
   std::vector<TermId> distinct;
   for (const Document& doc : collection.documents()) {
     // Distinct terms of the document with their frequencies.
@@ -29,12 +30,15 @@ BurstySearchEngine BurstySearchEngine::Build(const Collection& collection,
       double burst_score;
       if (patterns.MaxOverlapScore(term, doc.stream, doc.time, &burst_score)) {
         double entry = Relevance(static_cast<double>(j - i)) * burst_score;
-        if (entry > 0.0) engine.index_.Add(term, doc.id, entry);
+        if (entry > 0.0) {
+          if (term >= lists.size()) lists.resize(size_t{term} + 1);
+          lists[term].push_back(Posting{doc.id, entry});
+        }
       }
       i = j;
     }
   }
-  engine.index_.Finalize();
+  engine.index_ = InvertedIndex(std::move(lists));
   return engine;
 }
 

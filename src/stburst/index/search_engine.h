@@ -37,8 +37,10 @@
 namespace stburst {
 
 /// Immutable once built. Holds a score-sorted inverted index whose per-term
-/// entries are relevance * burstiness products; Search() is one Threshold
-/// Algorithm run over it.
+/// entries are relevance * burstiness products, gathered doc-major into
+/// per-term lists and handed to the InvertedIndex list constructor;
+/// Search() is one Threshold Algorithm run over it, so its results carry
+/// generation 0.
 class BurstySearchEngine {
  public:
   /// Indexes every document of `collection` against `patterns`. Documents
@@ -79,10 +81,9 @@ using SearchPatternSource =
 /// positive entries are kept. This is the incremental path a live
 /// maintainer (FeedRuntime's search serving) takes when terms' patterns
 /// change. Returns one posting list per term, index-addressed (list i is
-/// terms[i]'s), in unspecified order; committed with
-/// InvertedIndex::ReplaceTerm and Finalize()d, they equal the postings
-/// BurstySearchEngine::Build derives doc-major from the same patterns
-/// (tested). `freq` must be in sync with `collection` (same windowed feed).
+/// terms[i]'s), in unspecified order; handed to InvertedIndex::Successor,
+/// they equal the postings BurstySearchEngine::Build derives doc-major from
+/// the same patterns (tested). `freq` must be in sync with `collection` (same windowed feed).
 ///
 /// Two phases, transposed so no document is read twice:
 ///  1. per term, across `pool`: the term's frequency postings name the

@@ -42,7 +42,6 @@ std::vector<ScoredDoc> SortAndTruncate(
 TopKResult ThresholdTopK(const InvertedIndex& index,
                          const std::vector<TermId>& query, size_t k) {
   TopKResult result;
-  result.generation = index.generation();
   if (k == 0) return result;
   std::vector<TermId> terms = DedupeQuery(query);
   if (terms.empty()) return result;
@@ -131,7 +130,6 @@ TopKResult ThresholdTopK(const InvertedIndex& index,
 TopKResult ExhaustiveTopK(const InvertedIndex& index,
                           const std::vector<TermId>& query, size_t k) {
   TopKResult result;
-  result.generation = index.generation();
   if (k == 0) return result;
   std::vector<TermId> terms = DedupeQuery(query);
   std::unordered_map<DocId, double> scores;

@@ -35,14 +35,14 @@ struct TopKResult {
   size_t sorted_accesses = 0;
   size_t random_accesses = 0;
   bool early_terminated = false;  // stopped before exhausting the lists
-  /// InvertedIndex::generation() at computation time: the index state the
-  /// answer reflects. It moves each time the index is reopened, fed, and
-  /// re-finalized.
+  /// IndexSnapshot::generation of the snapshot that answered, stamped by
+  /// FeedRuntime::Search; 0 from a bare ThresholdTopK/ExhaustiveTopK call,
+  /// which sees only an index.
   uint64_t generation = 0;
 };
 
-/// Runs TA for `query` (a set of term ids; duplicates are ignored) over a
-/// finalized index. Returns at most k documents with strictly positive
+/// Runs TA for `query` (a set of term ids; duplicates are ignored) over
+/// `index`. Returns at most k documents with strictly positive
 /// aggregate score.
 TopKResult ThresholdTopK(const InvertedIndex& index,
                          const std::vector<TermId>& query, size_t k);

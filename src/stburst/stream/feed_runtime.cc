@@ -199,11 +199,8 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
         },
         nullptr);
     auto first = std::make_shared<IndexSnapshot>();
-    for (size_t i = 0; i < all.size(); ++i) {
-      first->index.ReplaceTerm(all[i], std::move(staged[i]));
-    }
-    first->index.Finalize();
-    first->generation = first->index.generation();
+    first->index = InvertedIndex(std::move(staged));
+    first->generation = 1;
     first->window_start = runtime.index_.window_start();
     first->doc_id_base = runtime.collection_.doc_id_base();
     runtime.search_snapshot_.Publish(std::move(first));
@@ -474,30 +471,21 @@ Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
   }
 
   // ---- staged snapshot build: the next read-plane generation, entirely
-  // off to the side. A private copy of the published index goes through the
-  // incremental fast path (Reopen → EvictBefore → ReplaceTerm → Finalize);
-  // readers keep loading the current snapshot untouched, and on any failure
-  // up to and including the runtime.publish fault point the half-built
-  // successor is simply dropped — no undo entry needed.
+  // off to the side. One InvertedIndex::Successor of the published index
+  // drops the evicted docs and replaces the re-scored terms; readers keep
+  // loading the current snapshot untouched, and on any failure up to and
+  // including the runtime.publish fault point the unpublished successor is
+  // simply dropped — no undo entry needed.
   tx->touch_search =
       search && (stats->evicted || !tx->score_terms.empty());
   if (tx->touch_search) {
     const std::shared_ptr<const IndexSnapshot> current =
         search_snapshot_.Load();
     tx->next_snapshot = std::make_shared<IndexSnapshot>();
-    tx->next_snapshot->index = current->index;
-    tx->next_snapshot->index.Reopen();
-    if (stats->evicted) {
-      tx->next_snapshot->index.EvictBefore(collection_.doc_id_base());
-    }
-    for (size_t i = 0; i < tx->score_terms.size(); ++i) {
-      tx->next_snapshot->index.ReplaceTerm(tx->score_terms[i],
-                                           std::move(tx->staged_postings[i]));
-    }
-    // The copy carried the published generation, so this Finalize lands on
-    // exactly generation + 1: one bump per editing tick, as before.
-    tx->next_snapshot->index.Finalize();
-    tx->next_snapshot->generation = tx->next_snapshot->index.generation();
+    tx->next_snapshot->index = InvertedIndex::Successor(
+        current->index, collection_.doc_id_base(), tx->score_terms,
+        std::move(tx->staged_postings));
+    tx->next_snapshot->generation = current->generation + 1;
     tx->next_snapshot->window_start = index_.window_start();
     tx->next_snapshot->doc_id_base = collection_.doc_id_base();
     STBURST_FAULT_POINT("runtime.publish");
@@ -719,7 +707,9 @@ TopKResult FeedRuntime::Search(const std::vector<TermId>& query,
   // many ticks publish meanwhile.
   const std::shared_ptr<const IndexSnapshot> snapshot =
       search_snapshot_.Load();
-  return ThresholdTopK(snapshot->index, query, k);
+  TopKResult result = ThresholdTopK(snapshot->index, query, k);
+  result.generation = snapshot->generation;
+  return result;
 }
 
 const TermPatterns& FeedRuntime::patterns(TermId term) const {

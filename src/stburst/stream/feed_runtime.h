@@ -1,7 +1,7 @@
 // FeedRuntime — the long-running live-feed mining service.
 //
 // PR 2 left the live path as loose parts the caller had to wire per tick
-// (Append → AppendSnapshot → TakeDirtyTerms → RemineTerms), with three
+// (Append → AppendSnapshot → TakeDirtyTerms → re-mine), with three
 // structural leaks for a feed that runs for weeks: postings and online
 // histories grew without bound, quiet terms went stale forever, and every
 // re-mine paid a thread spawn/join. FeedRuntime owns the whole live stack —
@@ -21,7 +21,7 @@
 //                                         under the per-tick budget
 //     6. search snapshot build + publish  [optional] the next read-plane
 //                                         generation, built off to the side
-//                                         on a private copy of the current
+//                                         as the Successor of the current
 //                                         index (re-scored terms' pattern
 //                                         cells found across the pool, then
 //                                         each touched cell's documents
@@ -142,10 +142,10 @@ struct FeedRuntimeOptions {
 
   /// Maintain a bursty-document search read plane (paper §5) over the
   /// standing result. Each tick that changes search state builds the next
-  /// immutable IndexSnapshot off to the side — a private copy of the
-  /// current index, edited on the incremental fast path (evicted
-  /// documents' postings dropped, exactly the terms re-mined this tick
-  /// re-derived) — and publishes it with one atomic swap; Search() is
+  /// immutable IndexSnapshot off to the side — the InvertedIndex::Successor
+  /// of the current index (evicted documents' postings dropped, exactly
+  /// the terms re-mined this tick re-derived) — and publishes it with one
+  /// atomic swap; Search() is
   /// always window-consistent with result() (tested: equal to a
   /// from-scratch BurstySearchEngine build over the retained collection
   /// and standing patterns). Readers hold snapshots across ticks without
@@ -417,7 +417,8 @@ class FeedRuntime {
   /// documents are read once. Returns index-addressed lists,
   /// deterministic at any thread count; `*tokens_scanned` (when non-null)
   /// receives the document tokens read. The staging half of the search
-  /// update; the builder commits each list with InvertedIndex::ReplaceTerm.
+  /// update; the lists become the replaced terms of the next
+  /// InvertedIndex::Successor.
   std::vector<std::vector<Posting>> StageSearchPostings(
       const std::vector<TermId>& terms,
       const std::function<const TermPatterns&(TermId)>& slot_for,

@@ -228,7 +228,7 @@ class FrequencyIndex {
   size_t PostingsMemoryBytes() const;
 
   /// Terms whose postings changed since the last call (sorted, unique), and
-  /// resets the dirty set. Feed to RemineTerms / index rebuilds so
+  /// resets the dirty set. Feed to StageRemineTerms / search re-scoring so
   /// downstream work is proportional to the feed, not the corpus.
   std::vector<TermId> TakeDirtyTerms();
 

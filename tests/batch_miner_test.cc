@@ -225,7 +225,25 @@ TEST(RemineTerms, DirtyTermsMatchFreshSweepAndQuietSlotsKeepTheirPatterns) {
   const std::vector<TermId> dirty = freq.TakeDirtyTerms();
   ASSERT_FALSE(dirty.empty());
 
-  ASSERT_TRUE(RemineTerms(freq, dirty, opts, &live).ok());
+  std::vector<TermPatterns> staged;
+  auto todo = StageRemineTerms(freq, dirty, opts, &staged);
+  ASSERT_TRUE(todo.ok());
+  ASSERT_EQ(staged.size(), todo->size());
+  // Commit as FeedRuntime does: grow for new vocabulary (new slots start
+  // out skipped), move the staged slots in, recount.
+  const size_t old_size = live.terms.size();
+  live.terms.resize(freq.num_terms());
+  for (size_t t = old_size; t < live.terms.size(); ++t) {
+    live.terms[t].term = static_cast<TermId>(t);
+  }
+  for (size_t i = 0; i < todo->size(); ++i) {
+    live.terms[(*todo)[i]] = std::move(staged[i]);
+  }
+  live.terms_mined = 0;
+  for (const TermPatterns& slot : live.terms) {
+    if (slot.mined) ++live.terms_mined;
+  }
+  live.terms_skipped = live.terms.size() - live.terms_mined;
   ASSERT_EQ(live.terms.size(), freq.num_terms());
 
   auto fresh = MineAllTerms(freq, opts);
@@ -268,13 +286,20 @@ TEST(RemineTerms, ValidatesInput) {
   auto result = MineAllTerms(freq, opts);
   ASSERT_TRUE(result.ok());
 
-  EXPECT_TRUE(RemineTerms(freq, {static_cast<TermId>(freq.num_terms())}, opts,
-                          &*result)
+  std::vector<TermPatterns> staged;
+  EXPECT_TRUE(StageRemineTerms(freq, {static_cast<TermId>(freq.num_terms())},
+                               opts, &staged)
+                  .status()
                   .IsInvalidArgument());
   // Empty dirty set is a no-op success.
-  EXPECT_TRUE(RemineTerms(freq, {}, opts, &*result).ok());
-  // Duplicates are tolerated.
-  EXPECT_TRUE(RemineTerms(freq, {0, 0, 1}, opts, &*result).ok());
+  auto none = StageRemineTerms(freq, {}, opts, &staged);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+  // Duplicates are tolerated: one slot per distinct term.
+  auto deduped = StageRemineTerms(freq, {0, 0, 1}, opts, &staged);
+  ASSERT_TRUE(deduped.ok());
+  EXPECT_EQ(*deduped, (std::vector<TermId>{0, 1}));
+  EXPECT_EQ(staged.size(), 2u);
 }
 
 TEST(MineAllTerms, FrequencyFloorSkipsRareTerms) {

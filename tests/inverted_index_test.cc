@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "stburst/common/random.h"
@@ -13,12 +15,25 @@
 namespace stburst {
 namespace {
 
+// Lists per term for the InvertedIndex list constructor, from (term, doc,
+// score) triples in any order.
+struct Triple {
+  TermId term;
+  DocId doc;
+  double score;
+};
+
+std::vector<std::vector<Posting>> ListsOf(const std::vector<Triple>& triples) {
+  std::vector<std::vector<Posting>> lists;
+  for (const Triple& e : triples) {
+    if (e.term >= lists.size()) lists.resize(size_t{e.term} + 1);
+    lists[e.term].push_back(Posting{e.doc, e.score});
+  }
+  return lists;
+}
+
 TEST(InvertedIndex, PostingsSortedByScoreDescending) {
-  InvertedIndex idx;
-  idx.Add(0, 10, 1.0);
-  idx.Add(0, 11, 3.0);
-  idx.Add(0, 12, 2.0);
-  idx.Finalize();
+  const InvertedIndex idx(ListsOf({{0, 10, 1.0}, {0, 11, 3.0}, {0, 12, 2.0}}));
   const auto& p = idx.postings(0);
   ASSERT_EQ(p.size(), 3u);
   EXPECT_EQ(p[0].doc, 11u);
@@ -27,17 +42,12 @@ TEST(InvertedIndex, PostingsSortedByScoreDescending) {
 }
 
 TEST(InvertedIndex, TieBreakByDocId) {
-  InvertedIndex idx;
-  idx.Add(0, 9, 1.0);
-  idx.Add(0, 3, 1.0);
-  idx.Finalize();
+  const InvertedIndex idx(ListsOf({{0, 9, 1.0}, {0, 3, 1.0}}));
   EXPECT_EQ(idx.postings(0)[0].doc, 3u);
 }
 
 TEST(InvertedIndex, RandomAccess) {
-  InvertedIndex idx;
-  idx.Add(2, 5, 1.5);
-  idx.Finalize();
+  const InvertedIndex idx(ListsOf({{2, 5, 1.5}}));
   double score = 0.0;
   EXPECT_TRUE(idx.Score(2, 5, &score));
   EXPECT_DOUBLE_EQ(score, 1.5);
@@ -46,100 +56,49 @@ TEST(InvertedIndex, RandomAccess) {
 }
 
 TEST(InvertedIndex, UnknownTermEmpty) {
-  InvertedIndex idx;
-  idx.Finalize();
+  const InvertedIndex idx;
   EXPECT_TRUE(idx.postings(42).empty());
   EXPECT_EQ(idx.total_postings(), 0u);
 }
 
-TEST(InvertedIndex, CountsAndFinalizeIdempotent) {
-  InvertedIndex idx;
-  idx.Add(0, 1, 1.0);
-  idx.Add(1, 2, 2.0);
-  idx.Finalize();
-  idx.Finalize();
+TEST(InvertedIndex, Counts) {
+  const InvertedIndex idx(ListsOf({{0, 1, 1.0}, {1, 2, 2.0}}));
   EXPECT_EQ(idx.total_postings(), 2u);
   EXPECT_EQ(idx.num_terms(), 2u);
-  EXPECT_TRUE(idx.finalized());
 }
 
-TEST(InvertedIndex, ReopenIncrementalRefreezeMatchesFromScratch) {
-  // Live-feed shape: freeze, reopen, feed more postings, refreeze. The
-  // incremental refreeze (only dirty terms re-sorted) must be
+TEST(InvertedIndex, SuccessorAppendMatchesFromScratch) {
+  // Live-feed shape: build, then a successor whose appended docs join the
+  // lists of the terms they score on (an existing term and a brand-new
+  // one). Only those terms are re-sorted; the result must be
   // indistinguishable from an index built in one shot.
-  InvertedIndex incremental;
-  InvertedIndex reference;
-  incremental.Add(0, 1, 1.0);
-  incremental.Add(0, 2, 5.0);
-  incremental.Add(1, 1, 2.0);
-  incremental.Finalize();
+  const InvertedIndex base(
+      ListsOf({{0, 1, 1.0}, {0, 2, 5.0}, {1, 1, 2.0}}));
+  const std::vector<TermId> terms = {0, 2};
+  const InvertedIndex successor = InvertedIndex::Successor(
+      base, /*min_live_doc=*/0, terms,
+      {{{3, 3.0}, {1, 1.0}, {2, 5.0}}, {{9, 0.5}}});
+  const InvertedIndex reference(ListsOf(
+      {{0, 1, 1.0}, {0, 2, 5.0}, {1, 1, 2.0}, {0, 3, 3.0}, {2, 9, 0.5}}));
 
-  incremental.Reopen();
-  incremental.Add(0, 3, 3.0);   // dirty term: existing list
-  incremental.Add(2, 9, 0.5);   // dirty term: brand new
-  incremental.Finalize();
-
-  reference.Add(0, 1, 1.0);
-  reference.Add(0, 2, 5.0);
-  reference.Add(1, 1, 2.0);
-  reference.Add(0, 3, 3.0);
-  reference.Add(2, 9, 0.5);
-  reference.Finalize();
-
-  ASSERT_EQ(incremental.num_terms(), reference.num_terms());
-  EXPECT_EQ(incremental.total_postings(), reference.total_postings());
-  for (TermId t = 0; t < reference.num_terms(); ++t) {
-    const auto& a = incremental.postings(t);
-    const auto& b = reference.postings(t);
-    ASSERT_EQ(a.size(), b.size()) << "term " << t;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].doc, b[i].doc);
-      EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
-    }
-  }
+  ASSERT_EQ(successor.num_terms(), reference.num_terms());
+  ExpectIdenticalIndexes(successor, reference);
   double score = 0.0;
-  EXPECT_TRUE(incremental.Score(0, 3, &score));
+  EXPECT_TRUE(successor.Score(0, 3, &score));
   EXPECT_DOUBLE_EQ(score, 3.0);
+  // The base is untouched.
+  EXPECT_EQ(base.total_postings(), 3u);
+  EXPECT_FALSE(base.Score(0, 3, &score));
 }
 
-TEST(InvertedIndex, GenerationBumpsOnEveryFreeze) {
-  InvertedIndex idx;
-  EXPECT_EQ(idx.generation(), 0u);
-  idx.Add(0, 1, 1.0);
-  idx.Finalize();
-  EXPECT_EQ(idx.generation(), 1u);
-  idx.Finalize();  // idempotent: no state change, no bump
-  EXPECT_EQ(idx.generation(), 1u);
-  idx.Reopen();
-  EXPECT_EQ(idx.generation(), 1u);  // reopening alone is not a new freeze
-  idx.Add(0, 2, 2.0);
-  idx.Finalize();
-  EXPECT_EQ(idx.generation(), 2u);
-  EXPECT_EQ(idx.postings(0).size(), 2u);
-}
-
-TEST(InvertedIndex, ReopenWhileOpenIsANoOp) {
-  InvertedIndex idx;
-  idx.Reopen();
-  idx.Add(0, 1, 1.0);
-  idx.Finalize();
-  EXPECT_TRUE(idx.finalized());
-}
-
-TEST(InvertedIndex, EvictBeforeDropsEvictedDocsInPlace) {
-  InvertedIndex idx;
-  idx.Add(0, 1, 4.0);
-  idx.Add(0, 5, 2.0);
-  idx.Add(0, 2, 3.0);
-  idx.Add(1, 2, 1.0);   // term whose postings are wholly evicted
-  idx.Add(2, 9, 0.5);   // term untouched by the eviction
-  idx.Finalize();
-  ASSERT_EQ(idx.generation(), 1u);
-
-  idx.Reopen();
-  idx.EvictBefore(/*min_live_doc=*/3);
-  idx.Finalize();
-  EXPECT_EQ(idx.generation(), 2u);  // the edit batch is one new freeze
+TEST(InvertedIndex, SuccessorDropsEvictedDocs) {
+  const InvertedIndex base(ListsOf({{0, 1, 4.0},
+                                    {0, 5, 2.0},
+                                    {0, 2, 3.0},
+                                    {1, 2, 1.0},     // wholly evicted
+                                    {2, 9, 0.5}}));  // untouched by eviction
+  const InvertedIndex idx =
+      InvertedIndex::Successor(base, /*min_live_doc=*/3, {}, {});
 
   // Only docs >= 3 survive, still in descending-score order, and random
   // access forgot the evicted docs.
@@ -157,18 +116,12 @@ TEST(InvertedIndex, EvictBeforeDropsEvictedDocsInPlace) {
 }
 
 TEST(InvertedIndex, ClearTermReplacesPostings) {
-  InvertedIndex idx;
-  idx.Add(0, 1, 1.0);
-  idx.Add(0, 2, 2.0);
-  idx.Add(1, 1, 9.0);
-  idx.Finalize();
+  const InvertedIndex base(ListsOf({{0, 1, 1.0}, {0, 2, 2.0}, {1, 1, 9.0}}));
 
   // The live maintainer's per-term refresh: drop and re-derive one term.
-  idx.Reopen();
-  idx.ReplaceTerm(0, {});
-  idx.Add(0, 3, 7.0);
-  idx.Finalize();
-
+  const std::vector<TermId> zero = {0};
+  const InvertedIndex idx =
+      InvertedIndex::Successor(base, 0, zero, {{{3, 7.0}}});
   ASSERT_EQ(idx.postings(0).size(), 1u);
   EXPECT_EQ(idx.postings(0)[0].doc, 3u);
   EXPECT_EQ(idx.total_postings(), 2u);
@@ -177,38 +130,67 @@ TEST(InvertedIndex, ClearTermReplacesPostings) {
   EXPECT_TRUE(idx.Score(0, 3, &score));
   EXPECT_TRUE(idx.Score(1, 1, &score));   // untouched term unaffected
 
-  // Clearing a term to empty (no re-adds) leaves a clean empty slot.
-  idx.Reopen();
-  idx.ReplaceTerm(1, {});
-  idx.Finalize();
-  EXPECT_TRUE(idx.postings(1).empty());
-  EXPECT_FALSE(idx.Score(1, 1, &score));
-  EXPECT_EQ(idx.total_postings(), 1u);
+  // Clearing a term to an empty list leaves a clean empty slot.
+  const std::vector<TermId> one = {1};
+  const InvertedIndex cleared = InvertedIndex::Successor(idx, 0, one, {{}});
+  EXPECT_TRUE(cleared.postings(1).empty());
+  EXPECT_FALSE(cleared.Score(1, 1, &score));
+  EXPECT_EQ(cleared.total_postings(), 1u);
+}
+
+TEST(InvertedIndex, SuccessorEdgeCases) {
+  const InvertedIndex base(ListsOf(
+      {{0, 1, 1.0}, {0, 4, 2.0}, {1, 2, 3.0}, {1, 5, 0.5}, {2, 3, 1.5}}));
+  double score = 0.0;
+
+  // Evict everything: every term keeps its slot, none keeps a posting.
+  const InvertedIndex empty = InvertedIndex::Successor(base, 100, {}, {});
+  EXPECT_EQ(empty.num_terms(), base.num_terms());
+  EXPECT_EQ(empty.total_postings(), 0u);
+  for (TermId t = 0; t < base.num_terms(); ++t) {
+    EXPECT_TRUE(empty.postings(t).empty()) << "term " << t;
+  }
+  EXPECT_FALSE(empty.Score(0, 4, &score));
+
+  // In one successor: evict docs below 4; term 1, which loses doc 2, is not
+  // replaced; term 2 is replaced with an empty list; term 5, past
+  // base.num_terms(), grows the vocabulary (terms 3 and 4 come out empty).
+  const std::vector<TermId> terms = {5, 2};
+  const InvertedIndex next = InvertedIndex::Successor(
+      base, 4, terms, {{{7, 0.25}, {6, 4.0}}, {}});
+  EXPECT_EQ(next.num_terms(), 6u);
+  ExpectIdenticalIndexes(
+      next, InvertedIndex(ListsOf({{0, 4, 2.0}, {1, 5, 0.5},
+                                   {5, 6, 4.0}, {5, 7, 0.25}})));
+  EXPECT_TRUE(next.postings(3).empty());
+  EXPECT_TRUE(next.postings(4).empty());
+  EXPECT_FALSE(next.Score(1, 2, &score));
+  EXPECT_FALSE(next.Score(2, 3, &score));
+  ASSERT_TRUE(next.Score(5, 7, &score));
+  EXPECT_EQ(score, 0.25);
 }
 
 TEST(InvertedIndex, RandomizedAppendEvictInterleavingsMatchRebuild) {
-  // The live-feed shape, randomized: rounds of "evict an id prefix, replace
-  // a few terms' lists, append postings for fresh docs", the incremental
-  // index following each round in place (Reopen → EvictBefore → ReplaceTerm
-  // → Add → Finalize). After every round it must be indistinguishable from
-  // an index rebuilt from scratch over the surviving postings, Score() must
-  // answer exactly the live (term, doc) pairs of every doc id issued so far
-  // with their posted scores, and every round must bump the generation
-  // exactly once.
+  // The live-feed shape, randomized: a chain of Successor calls, each
+  // evicting an id prefix and replacing a few terms' lists. Each round's
+  // appended docs join the replaced lists of the terms they score on, which
+  // is how the runtime feeds new docs. After every round the successor must
+  // be indistinguishable from the list constructor over the surviving
+  // postings, and Score() must answer exactly the live (term, doc) pairs of
+  // every doc id issued so far with their posted scores.
   constexpr size_t kTerms = 12;
   Rng rng(2024);
-  InvertedIndex incremental;
+  InvertedIndex index;
   std::vector<std::vector<Posting>> live(kTerms);  // per-term surviving docs
 
   DocId next_doc = 0;
   DocId min_live = 0;
   for (int round = 0; round < 30; ++round) {
-    incremental.Reopen();
+    std::vector<bool> replaced(kTerms, false);
 
     // Evict: advance the live floor past a random slice of current docs.
     if (round > 0 && rng.Bernoulli(0.7)) {
       min_live += static_cast<DocId>(rng.NextUint64(4));
-      incremental.EvictBefore(min_live);
       for (auto& plist : live) {
         std::erase_if(plist,
                       [&](const Posting& p) { return p.doc < min_live; });
@@ -219,8 +201,8 @@ TEST(InvertedIndex, RandomizedAppendEvictInterleavingsMatchRebuild) {
     // docs rescored (same length, so a stale doc order would still look
     // plausible) or a random subset of the live id range.
     if (round > 0) {
-      const size_t replaced = rng.NextUint64(3);
-      for (size_t r = 0; r < replaced; ++r) {
+      const size_t count = rng.NextUint64(3);
+      for (size_t r = 0; r < count; ++r) {
         const TermId term = static_cast<TermId>(rng.NextUint64(kTerms));
         std::vector<Posting> fresh;
         if (rng.Bernoulli(0.5)) {
@@ -234,14 +216,13 @@ TEST(InvertedIndex, RandomizedAppendEvictInterleavingsMatchRebuild) {
             }
           }
         }
-        live[term] = fresh;
-        incremental.ReplaceTerm(term, std::move(fresh));
+        live[term] = std::move(fresh);
+        replaced[term] = true;
       }
     }
 
     // Append: a few new docs, each scoring on a few random distinct terms
-    // (Add takes each (term, doc) pair at most once — colliding draws are
-    // dropped).
+    // (each (term, doc) pair at most once — colliding draws are dropped).
     const size_t docs = 1 + rng.NextUint64(3);
     std::vector<TermId> doc_terms;
     for (size_t d = 0; d < docs; ++d) {
@@ -256,29 +237,30 @@ TEST(InvertedIndex, RandomizedAppendEvictInterleavingsMatchRebuild) {
           continue;
         }
         doc_terms.push_back(term);
-        const double score = rng.Uniform(0.1, 5.0);
-        incremental.Add(term, doc, score);
-        live[term].push_back(Posting{doc, score});
+        live[term].push_back(Posting{doc, rng.Uniform(0.1, 5.0)});
+        replaced[term] = true;
       }
     }
 
-    const uint64_t before = incremental.generation();
-    incremental.Finalize();
-    ASSERT_EQ(incremental.generation(), before + 1) << "round " << round;
-
-    InvertedIndex rebuilt;
+    // The successor: replaced lists handed over shuffled (any order goes).
+    std::vector<TermId> terms;
+    std::vector<std::vector<Posting>> lists;
     for (TermId t = 0; t < kTerms; ++t) {
-      for (const Posting& p : live[t]) rebuilt.Add(t, p.doc, p.score);
+      if (!replaced[t]) continue;
+      terms.push_back(t);
+      lists.push_back(live[t]);
+      rng.Shuffle(&lists.back());
     }
-    rebuilt.Finalize();
-    ExpectIdenticalIndexes(incremental, rebuilt);
+    index = InvertedIndex::Successor(index, min_live, terms, std::move(lists));
+
+    ExpectIdenticalIndexes(index, InvertedIndex(live));
 
     for (TermId t = 0; t < kTerms; ++t) {
       std::vector<double> posted(next_doc, -1.0);  // -1: not live in t
       for (const Posting& p : live[t]) posted[p.doc] = p.score;
       for (DocId doc = 0; doc < next_doc; ++doc) {
         double score = -1.0;
-        const bool found = incremental.Score(t, doc, &score);
+        const bool found = index.Score(t, doc, &score);
         EXPECT_EQ(found, posted[doc] >= 0.0)
             << "round " << round << " term " << t << " doc " << doc;
         if (found) {

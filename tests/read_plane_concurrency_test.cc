@@ -124,22 +124,14 @@ void ReaderLoop(const FeedRuntime& runtime,
                         std::to_string(last_generation));
       return;
     }
-    if (snapshot->generation != snapshot->index.generation()) {
-      report->Violation("snapshot metadata disagrees with its index");
-      return;
-    }
     const std::vector<TermId>& query = queries[next_query];
     next_query = (next_query + 1) % queries.size();
 
     // Internal consistency of one result: computed wholly against the
-    // pinned snapshot — its generation stamp, its live-doc floor, and
-    // exact agreement with the exhaustive reference over the same
-    // snapshot (a torn read would break one of these first).
+    // pinned snapshot — its live-doc floor, and exact agreement with the
+    // exhaustive reference over the same snapshot (a torn read would break
+    // one of these first).
     const TopKResult result = ThresholdTopK(snapshot->index, query, 5);
-    if (result.generation != snapshot->generation) {
-      report->Violation("result stamped with a foreign generation");
-      return;
-    }
     for (const ScoredDoc& doc : result.docs) {
       if (doc.doc < snapshot->doc_id_base) {
         report->Violation("posting precedes the snapshot's live window");
@@ -169,12 +161,17 @@ void ReaderLoop(const FeedRuntime& runtime,
     }
 
     // The public API takes its own (possibly newer) snapshot; it may only
-    // move forward relative to what this reader just saw. When it answers
-    // from the held generation it ran the same deterministic TA over the
-    // same immutable snapshot, so its answer must equal ours exactly.
+    // move forward relative to what this reader just saw, and no further
+    // than what is published once it returns. When it answers from the
+    // held generation it ran the same deterministic TA over the same
+    // immutable snapshot, so its answer must equal ours exactly.
     const TopKResult via_api = runtime.Search(query, 5);
     if (via_api.generation < snapshot->generation) {
       report->Violation("Search() answered from an older generation");
+      return;
+    }
+    if (via_api.generation > runtime.search_snapshot()->generation) {
+      report->Violation("Search() result stamped with a foreign generation");
       return;
     }
     if (via_api.generation == snapshot->generation &&

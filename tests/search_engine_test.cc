@@ -253,20 +253,19 @@ TEST(ScoreTermsByCell, MatchesPerTermOracleAndDocMajorBuild) {
           pool.get(), &scanned);
       ASSERT_EQ(staged.size(), terms.size());
 
-      InvertedIndex kernel;
+      // `terms` is a permutation of every term id.
+      std::vector<std::vector<Posting>> kernel_lists(terms.size());
       for (size_t i = 0; i < terms.size(); ++i) {
-        kernel.ReplaceTerm(terms[i], std::move(staged[i]));
+        kernel_lists[terms[i]] = std::move(staged[i]);
       }
-      kernel.Finalize();
+      const InvertedIndex kernel(std::move(kernel_lists));
 
-      InvertedIndex oracle;
+      std::vector<std::vector<Posting>> oracle_lists(pack.raw.size());
       for (TermId t = 0; t < pack.raw.size(); ++t) {
-        std::vector<Posting> scored;
         ReferenceScoreTerm(pack.collection, pack.freq, t,
-                           pack.patterns.PatternsFor(t), &scored);
-        oracle.ReplaceTerm(t, std::move(scored));
+                           pack.patterns.PatternsFor(t), &oracle_lists[t]);
       }
-      oracle.Finalize();
+      const InvertedIndex oracle(std::move(oracle_lists));
 
       auto engine = BurstySearchEngine::Build(pack.collection, pack.patterns);
       ExpectIdenticalIndexes(kernel, oracle);

@@ -4,21 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "stburst/common/random.h"
 
 namespace stburst {
 namespace {
 
 InvertedIndex SmallIndex() {
-  InvertedIndex idx;
   // term 0: d1=5, d2=3, d3=1 ; term 1: d2=4, d4=2
-  idx.Add(0, 1, 5.0);
-  idx.Add(0, 2, 3.0);
-  idx.Add(0, 3, 1.0);
-  idx.Add(1, 2, 4.0);
-  idx.Add(1, 4, 2.0);
-  idx.Finalize();
-  return idx;
+  return InvertedIndex({{{1, 5.0}, {2, 3.0}, {3, 1.0}}, {{2, 4.0}, {4, 2.0}}});
 }
 
 TEST(ThresholdTopK, SingleTermTopK) {
@@ -67,12 +63,12 @@ TEST(ThresholdTopK, KLargerThanCorpus) {
 TEST(ThresholdTopK, EarlyTerminationOnLongLists) {
   // 1000 docs in each of two lists; top doc dominates, so TA must stop well
   // before exhausting the lists.
-  InvertedIndex idx;
+  std::vector<std::vector<Posting>> lists(2);
   for (DocId d = 0; d < 1000; ++d) {
-    idx.Add(0, d, d == 0 ? 1000.0 : 1.0 / (1.0 + d));
-    idx.Add(1, d, d == 0 ? 1000.0 : 1.0 / (1.0 + d));
+    lists[0].push_back(Posting{d, d == 0 ? 1000.0 : 1.0 / (1.0 + d)});
+    lists[1].push_back(Posting{d, d == 0 ? 1000.0 : 1.0 / (1.0 + d)});
   }
-  idx.Finalize();
+  const InvertedIndex idx(std::move(lists));
   auto result = ThresholdTopK(idx, {0, 1}, 1);
   ASSERT_EQ(result.docs.size(), 1u);
   EXPECT_EQ(result.docs[0].doc, 0u);
@@ -83,15 +79,17 @@ TEST(ThresholdTopK, EarlyTerminationOnLongLists) {
 TEST(ThresholdTopK, MatchesExhaustiveOnRandomIndexes) {
   Rng rng(99);
   for (int trial = 0; trial < 40; ++trial) {
-    InvertedIndex idx;
     size_t terms = 1 + rng.NextUint64(4);
+    std::vector<std::vector<Posting>> lists(terms);
     for (TermId t = 0; t < terms; ++t) {
       // Each (term, doc) pair appears at most once, like the real engine.
       for (DocId d = 0; d < 100; ++d) {
-        if (rng.Bernoulli(0.4)) idx.Add(t, d, rng.Uniform(0.01, 5.0));
+        if (rng.Bernoulli(0.4)) {
+          lists[t].push_back(Posting{d, rng.Uniform(0.01, 5.0)});
+        }
       }
     }
-    idx.Finalize();
+    const InvertedIndex idx(std::move(lists));
     std::vector<TermId> query;
     for (TermId t = 0; t < terms; ++t) query.push_back(t);
     size_t k = 1 + rng.NextUint64(15);
@@ -109,12 +107,7 @@ TEST(ThresholdTopK, MatchesExhaustiveOnRandomIndexes) {
 TEST(ThresholdTopK, TieAtTheThresholdGoesToTheSmallerId) {
   // After one round d9 scores 2.0 and the threshold is 1.0 + 1.0 = 2.0, but
   // the unseen d1 also scores 2.0 and outranks d9 on id.
-  InvertedIndex idx;
-  idx.Add(0, 9, 2.0);
-  idx.Add(0, 1, 1.0);
-  idx.Add(1, 2, 1.5);
-  idx.Add(1, 1, 1.0);
-  idx.Finalize();
+  const InvertedIndex idx({{{9, 2.0}, {1, 1.0}}, {{2, 1.5}, {1, 1.0}}});
   auto ta = ThresholdTopK(idx, {0, 1}, 1);
   auto ex = ExhaustiveTopK(idx, {0, 1}, 1);
   ASSERT_EQ(ex.docs, (std::vector<ScoredDoc>{{1, 2.0}}));
@@ -123,12 +116,8 @@ TEST(ThresholdTopK, TieAtTheThresholdGoesToTheSmallerId) {
   // k=2 after one round: d5 2.0, d7 1.0, threshold 1.0 + 0.0. The unseen
   // d1 ties d7 without appearing in term 1, whose 0-score frontier d9
   // therefore bounds nothing.
-  InvertedIndex zero_frontier;
-  zero_frontier.Add(0, 5, 2.0);
-  zero_frontier.Add(0, 1, 1.0);
-  zero_frontier.Add(1, 7, 1.0);
-  zero_frontier.Add(1, 9, 0.0);
-  zero_frontier.Finalize();
+  const InvertedIndex zero_frontier(
+      {{{5, 2.0}, {1, 1.0}}, {{7, 1.0}, {9, 0.0}}});
   ta = ThresholdTopK(zero_frontier, {0, 1}, 2);
   ex = ExhaustiveTopK(zero_frontier, {0, 1}, 2);
   ASSERT_EQ(ex.docs, (std::vector<ScoredDoc>{{5, 2.0}, {1, 1.0}}));
@@ -141,17 +130,18 @@ TEST(ThresholdTopK, MatchesExhaustiveUnderHeavyTies) {
   // threshold must resolve by ascending id, exactly like the exhaustive merge.
   Rng rng(123);
   for (int trial = 0; trial < 300; ++trial) {
-    InvertedIndex idx;
     const size_t terms = 1 + rng.NextUint64(4);
     const size_t docs = 5 + rng.NextUint64(60);
+    std::vector<std::vector<Posting>> lists(terms);
     for (TermId t = 0; t < terms; ++t) {
       for (DocId d = 0; d < docs; ++d) {
         if (rng.Bernoulli(0.5)) {
-          idx.Add(t, d, 0.25 * static_cast<double>(1 + rng.NextUint64(4)));
+          lists[t].push_back(
+              Posting{d, 0.25 * static_cast<double>(1 + rng.NextUint64(4))});
         }
       }
     }
-    idx.Finalize();
+    const InvertedIndex idx(std::move(lists));
     std::vector<TermId> query;
     for (TermId t = 0; t < terms; ++t) query.push_back(t);
     const size_t k = 1 + rng.NextUint64(8);
@@ -163,13 +153,15 @@ TEST(ThresholdTopK, MatchesExhaustiveUnderHeavyTies) {
 
 TEST(ThresholdTopK, NeverMoreSortedAccessesThanExhaustive) {
   Rng rng(7);
-  InvertedIndex idx;
+  std::vector<std::vector<Posting>> lists(3);
   for (TermId t = 0; t < 3; ++t) {
     for (DocId d = 0; d < 400; ++d) {
-      if (rng.Bernoulli(0.5)) idx.Add(t, d, rng.Uniform(0.1, 2.0));
+      if (rng.Bernoulli(0.5)) {
+        lists[t].push_back(Posting{d, rng.Uniform(0.1, 2.0)});
+      }
     }
   }
-  idx.Finalize();
+  const InvertedIndex idx(std::move(lists));
   auto ta = ThresholdTopK(idx, {0, 1, 2}, 5);
   auto ex = ExhaustiveTopK(idx, {0, 1, 2}, 5);
   EXPECT_LE(ta.sorted_accesses, ex.sorted_accesses);
