@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "stburst/common/simd.h"
 #include "stburst/core/batch_miner.h"
 #include "stburst/core/stcomb.h"
 #include "stburst/core/stlocal.h"
@@ -112,13 +111,8 @@ inline StatusOr<BatchMineResult> MineVocabulary(const FrequencyIndex& freq,
 /// entries and writes one BENCH_<name>.json so the perf trajectory is
 /// trackable across PRs. Schema:
 ///   {"benchmark": "...",
-///    "isa": "avx2" | "scalar",
 ///    "corpus": {"documents": D, "streams": n, "terms": V, "timeline": L},
 ///    "results": [{"op": "...", "ns_per_op": X, "items": N}, ...]}
-///
-/// `isa` is the SIMD dispatch level active when the run was recorded;
-/// diff_bench.py refuses to compare runs recorded under different levels
-/// (the numbers answer different questions).
 class PerfJson {
  public:
   explicit PerfJson(std::string benchmark) : benchmark_(std::move(benchmark)) {}
@@ -145,9 +139,8 @@ class PerfJson {
       std::fprintf(stderr, "cannot write %s\n", path.c_str());
       return false;
     }
-    std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n  \"isa\": \"%s\",\n"
-                 "  \"corpus\": %s,\n  \"results\": [\n", benchmark_.c_str(),
-                 simd::IsaName(simd::ActiveIsa()), corpus_.c_str());
+    std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n  \"corpus\": %s,\n"
+                 "  \"results\": [\n", benchmark_.c_str(), corpus_.c_str());
     for (size_t i = 0; i < entries_.size(); ++i) {
       std::fprintf(f, "    %s%s\n", entries_[i].c_str(),
                    i + 1 < entries_.size() ? "," : "");

@@ -24,13 +24,13 @@
 #include "bench/bench_common.h"
 #include "stburst/common/parallel.h"
 #include "stburst/common/random.h"
-#include "stburst/common/simd.h"
 #include "stburst/common/timer.h"
 #include "stburst/core/batch_miner.h"
 #include "stburst/history/long_horizon.h"
 #include "stburst/stream/feed_runtime.h"
 #include "stburst/core/discrepancy.h"
 #include "stburst/core/getmax.h"
+#include "stburst/core/rbursty.h"
 #include "stburst/core/temporal.h"
 #include "stburst/index/inverted_index.h"
 #include "stburst/index/threshold_algorithm.h"
@@ -141,14 +141,10 @@ int Run() {
            pts.size());
   }
 
-  // SolveCells kernel against a standing binning (the mining access
-  // pattern: geometry built once, one O(points) weight scatter + sweep per
-  // snapshot), under the dispatched ISA and with the scalar fallback
-  // forced. The two paths are bit-identical by construction; the ratio is
-  // the pure SIMD win on the band sweep.
+  // The solver against a standing binning (the mining access pattern:
+  // geometry built once, one cell sum + sweep per snapshot), on uniform
+  // [-1, 1] planes: half the weights positive, every cell in play.
   {
-    std::printf("  [simd] active ISA: %s\n",
-                simd::IsaName(simd::ActiveIsa()));
     struct Kernel {
       const char* op;
       size_t n;
@@ -167,16 +163,9 @@ int Run() {
       RandomPlane(kernel.n, 11, &pts, &w);
       auto binning = SpatialBinning::Create(pts, kernel.opts);
       if (!binning.ok()) return 1;
-      double active =
-          TimeNs([&] { (void)MaxWeightRectangle(*binning, w); });
-      const simd::Isa previous = simd::SetIsaForTest(simd::Isa::kScalar);
-      double scalar =
-          TimeNs([&] { (void)MaxWeightRectangle(*binning, w); });
-      simd::SetIsaForTest(previous);
-      report(kernel.op, active, kernel.n);
-      report(std::string(kernel.op) + "_scalar", scalar, kernel.n);
-      std::printf("  -> %s: %.2fx %s over scalar\n", kernel.op,
-                  scalar / active, simd::IsaName(simd::ActiveIsa()));
+      report(kernel.op,
+             TimeNs([&] { (void)MaxWeightRectangle(*binning, w); }),
+             kernel.n);
     }
   }
   {
@@ -558,6 +547,48 @@ int Run() {
     std::vector<Point2D> positions = corpus.StreamPositions();
     ExpectedModelFactory factory = bench::MeanFactory();
     StLocalOptions local_opts;
+
+    // R-Bursty on batch_mine's shape: the burstiness planes of every 29th
+    // term (one per snapshot, derived with the standard expected model
+    // outside the timed region), each solved against one binning of the
+    // stream positions with its iterated extractions. Most streams sit
+    // mildly negative and a plane holds a few positive ones, unlike the
+    // uniform planes of the solve_cells_* ops.
+    {
+      auto binning = SpatialBinning::Create(positions);
+      if (!binning.ok()) return 1;
+      const size_t n = positions.size();
+      std::vector<double> planes;  // plane p at [p * n, (p + 1) * n)
+      for (TermId term = 0; term < vocab; term += 29) {
+        const TermSeries series = freq.DenseSeries(term);
+        const size_t first = planes.size();
+        const size_t timeline =
+            static_cast<size_t>(series.timeline_length());
+        planes.resize(first + n * timeline);
+        for (StreamId s = 0; s < n; ++s) {
+          const std::vector<double> b =
+              BurstinessSeries(series.StreamRow(s), factory().get());
+          for (size_t t = 0; t < timeline; ++t) {
+            planes[first + t * n + s] = b[t];
+          }
+        }
+      }
+      const size_t num_planes = planes.size() / n;
+      size_t rectangles = 0;
+      const double ns = TimeNs([&] {
+        rectangles = 0;
+        for (size_t p = 0; p < num_planes; ++p) {
+          auto r = RBursty(*binning,
+                           std::span<const double>(planes.data() + p * n, n));
+          if (!r.ok()) std::abort();
+          rectangles += r->size();
+        }
+      });
+      report("rbursty_corpus_planes", ns, num_planes);
+      std::printf("  -> %zu corpus planes, %zu rectangles per pass\n",
+                  num_planes, rectangles);
+    }
+
     std::vector<TermId> sample;
     for (TermId t = 0; t < vocab; t += 97) sample.push_back(t);
 
@@ -594,9 +625,8 @@ int Run() {
     }
     report("mine_all_terms_regional", vocab_s * 1e9, vocab);
     std::printf("  -> whole-vocab regional: %zu windows over %zu terms in "
-                "%.1f s (shared binning, %s sweep)\n",
-                vocab_windows, vocab, vocab_s,
-                simd::IsaName(simd::ActiveIsa()));
+                "%.1f s (shared binning)\n",
+                vocab_windows, vocab, vocab_s);
   }
 
   // Retention-complete serving: the search index following a sliding window

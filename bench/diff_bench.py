@@ -5,7 +5,6 @@ The stburst bench harnesses (bench_micro, bench_fig7, bench_fig8) write
 machine-readable perf JSON with the schema
 
     {"benchmark": "bench_micro",
-     "isa": "avx2",
      "corpus": {"documents": D, "streams": n, "terms": V, "timeline": L},
      "results": [{"op": "frequency_build", "ns_per_op": 81.3e6, "items": N},
                  ...]}
@@ -19,14 +18,6 @@ A baseline op missing from the candidate run always fails, --soft
 included: a deleted or renamed op must take its baseline entry with it,
 or the stale entry outlives the benchmark. An op only the candidate has
 runs ungated and warns until the baseline is refreshed.
-
-"isa" records the SIMD dispatch level active when the run was recorded
-(see bench_common.h). Two runs recorded under different levels measure
-different code paths, so comparing them gates on an ISA change rather
-than a code change: when both files carry "isa" and the values differ,
-the tool prints the per-op ratios for reference but refuses to gate —
-it warns and exits 0. Files without "isa" (pre-dispatch baselines) are
-compared normally.
 
 Usage:
     diff_bench.py BASELINE.json CANDIDATE.json [--threshold 0.10]
@@ -43,19 +34,13 @@ import tempfile
 
 
 def load_results(path):
-    """Returns ({op: ns_per_op}, isa_or_None) from one perf JSON file."""
+    """Returns {op: ns_per_op} from one perf JSON file."""
     with open(path) as f:
         doc = json.load(f)
     out = {}
     for entry in doc.get("results", []):
         out[entry["op"]] = float(entry["ns_per_op"])
-    return out, doc.get("isa")
-
-
-def isa_mismatch(baseline_isa, candidate_isa):
-    """True when both runs recorded an ISA and the levels differ."""
-    return (baseline_isa is not None and candidate_isa is not None
-            and baseline_isa != candidate_isa)
+    return out
 
 
 def diff(baseline, candidate, threshold):
@@ -152,14 +137,6 @@ def self_test():
     assert run_main(baseline, all_ops) == 1           # b regressed
     assert run_main(baseline, dict(baseline, new=1.0)) == 0
 
-    # ISA guard: gating is refused only when both runs recorded a level and
-    # they differ; legacy files without "isa" keep comparing normally.
-    assert isa_mismatch("avx2", "scalar")
-    assert not isa_mismatch("avx2", "avx2")
-    assert not isa_mismatch(None, "avx2")             # pre-dispatch baseline
-    assert not isa_mismatch("avx2", None)
-    assert not isa_mismatch(None, None)
-
     print("diff_bench.py self-test OK")
     return 0
 
@@ -188,8 +165,8 @@ def main(argv=None):
         parser.error("baseline and candidate files are required "
                      "(or use --self-test)")
 
-    baseline, baseline_isa = load_results(args.baseline)
-    candidate, candidate_isa = load_results(args.candidate)
+    baseline = load_results(args.baseline)
+    candidate = load_results(args.candidate)
     lines, regressions, missing = diff(baseline, candidate, args.threshold)
     print("diff_bench: %s -> %s (threshold %.0f%%)"
           % (args.baseline, args.candidate, args.threshold * 100))
@@ -199,16 +176,6 @@ def main(argv=None):
         print("FAIL: %d baseline op(s) missing from the candidate run: %s"
               % (len(missing), ", ".join(missing)))
         return 1
-    if isa_mismatch(baseline_isa, candidate_isa):
-        # Different dispatch levels measure different code paths; gating
-        # here would flag the ISA change, not a code change. The ratios
-        # above stay printed for reference, but nothing gates.
-        print("WARNING: baseline recorded isa=%s but candidate recorded "
-              "isa=%s — refusing to gate across dispatch levels. Re-record "
-              "both runs under the same level (see STBURST_NO_AVX2 in the "
-              "README) to compare them."
-              % (baseline_isa, candidate_isa))
-        return 0
     if regressions:
         if args.soft:
             print("WARNING: %d op(s) regressed >%.0f%%: %s (non-gating: --soft)"

@@ -4,60 +4,32 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 
-#include "stburst/common/logging.h"
-#include "stburst/common/simd.h"
 #include "stburst/geo/grid.h"
 
 namespace stburst {
 
 namespace {
 
-// Per-thread scratch of the solver. `cells` is the dense rows x cols weight
-// matrix; it is kept all-zero *between* solves (the touched-cell reset
-// below), so a solve only pays for the cells its points actually occupy —
-// never an O(rows · cols) clear. `cell_epoch` stamps which cells were
-// written during the current solve, which both dedupes the touched list
-// (coincident points share a cell) and distinguishes "first write" (store)
-// from "accumulate" (add).
-//
-// LocalScratch sizes every buffer before the scatter, so nothing between the
-// first weight landing in `cells` and the reset that clears it allocates: no
-// std::bad_alloc can leave weights behind for the thread's next solve.
-//
-// Buffers stabilize at the largest binning each thread sees: R-Bursty and
-// STLocal solve once per snapshot per term against a fixed binning, and the
-// batch miner's workers share one binning across the whole vocabulary.
-struct SolveScratch {
-  std::vector<double> cells;        // row-major; all-zero between solves
-  std::vector<uint32_t> cell_epoch; // epoch of the last write per cell
-  uint32_t epoch = 0;               // current solve's stamp
-  std::vector<size_t> touched;      // unique cell indices written this solve
-  std::vector<double> col_sums;
-  std::vector<double> row_pos_mass;    // positive cell mass per row
-  std::vector<double> suffix_pos_mass; // positive mass in rows >= r
-  std::vector<size_t> positive_rows;
-};
+constexpr uint32_t kNoColumn = std::numeric_limits<uint32_t>::max();
 
-SolveScratch& LocalScratch(size_t rows, size_t cols, size_t num_points) {
-  thread_local SolveScratch scratch;
-  const size_t ncells = rows * cols;
-  // Grown one at a time, so a throw between the two never leaves `cells`
-  // larger than the stamps that guard it.
-  if (scratch.cell_epoch.size() < ncells) scratch.cell_epoch.resize(ncells, 0);
-  if (scratch.cells.size() < ncells) scratch.cells.resize(ncells, 0.0);
-  scratch.touched.reserve(std::min(num_points, ncells));
-  scratch.col_sums.reserve(cols);
-  scratch.row_pos_mass.reserve(rows);
-  scratch.suffix_pos_mass.reserve(rows + 1);
-  scratch.positive_rows.reserve(rows);
-  if (++scratch.epoch == 0) {  // stamp wrapped: invalidate every old stamp
-    std::fill(scratch.cell_epoch.begin(), scratch.cell_epoch.end(), 0u);
-    scratch.epoch = 1;
-  }
-  scratch.touched.clear();
-  return scratch;
-}
+// Per-thread scratch of the solver, resized per solve and fully rewritten
+// by it, so nothing carries over from one solve to the next. Buffers
+// stabilize at the largest binning each thread sees: R-Bursty and STLocal
+// solve once per snapshot per term against a fixed binning, and the batch
+// miner's workers share one binning across the whole vocabulary.
+struct SolveScratch {
+  std::vector<double> cell_sums;        // per occupied cell
+  std::vector<uint32_t> row_first;      // per row: first/last column of a
+  std::vector<uint32_t> row_last;       //   cell not <= 0 (kNoColumn/0: none)
+  std::vector<uint32_t> positive_rows;  // rows holding a positive cell
+  std::vector<double> positive_mass;    // per positive row: its positive mass
+  std::vector<double> suffix_mass;      // per positive row: mass from it down
+  std::vector<std::pair<uint32_t, double>> row_positives;  // one row's cells
+  std::vector<double> col_sums;
+};
 
 // The winning rectangle in cell coordinates: rows [r1, r2], columns
 // [c1, c2]. `found` is false when no rectangle has positive weight.
@@ -67,82 +39,115 @@ struct BestBand {
   bool found = false;
 };
 
+// Index of the first point of cell k whose weight is not zero: the point
+// whose scatter into a zeroed matrix would first write the cell.
+uint32_t FirstWrite(const SpatialBinning& b, std::span<const double> weights,
+                    size_t k) {
+  const std::span<const uint32_t> points = b.cell_points();
+  for (uint32_t p = b.cell_point_begin()[k];; ++p) {
+    if (weights[points[p]] != 0.0) return points[p];
+  }
+}
+
+// Sums every occupied cell and derives, per row, the column range of its
+// cells that are not <= 0 and, per row holding a positive cell, its
+// positive mass.
+//
+// A cell's fold starts at +0.0 and adds its points in ascending index: the
+// bits a scatter into a zeroed matrix leaves there. A row's positive mass
+// adds its positive cells in the order that scatter first writes them, so
+// the pruning bounds below compare the very same numbers as the dense
+// sweep.
+void SumCells(const SpatialBinning& b, std::span<const double> weights,
+              SolveScratch& s) {
+  const std::span<const uint32_t> row_begin = b.row_cell_begin();
+  const std::span<const uint32_t> cell_cols = b.cell_cols();
+  const std::span<const uint32_t> point_begin = b.cell_point_begin();
+  const std::span<const uint32_t> points = b.cell_points();
+  s.cell_sums.resize(cell_cols.size());
+  s.row_first.resize(b.rows());
+  s.row_last.resize(b.rows());
+  s.positive_rows.clear();
+  s.positive_mass.clear();
+  for (size_t r = 0; r < b.rows(); ++r) {
+    uint32_t first = kNoColumn;
+    uint32_t last = 0;
+    s.row_positives.clear();
+    for (size_t k = row_begin[r]; k < row_begin[r + 1]; ++k) {
+      double v = 0.0;
+      for (size_t p = point_begin[k]; p < point_begin[k + 1]; ++p) {
+        v += weights[points[p]];
+      }
+      s.cell_sums[k] = v;
+      // NaN counts here too: a column holding one is not known to be <= 0.
+      if (!(v <= 0.0)) {
+        if (first == kNoColumn) first = cell_cols[k];
+        last = cell_cols[k];
+        if (v > 0.0) s.row_positives.emplace_back(FirstWrite(b, weights, k), v);
+      }
+    }
+    s.row_first[r] = first;
+    s.row_last[r] = last;
+    if (s.row_positives.empty()) continue;
+    std::sort(s.row_positives.begin(), s.row_positives.end());
+    double mass = 0.0;
+    for (const auto& [write, v] : s.row_positives) mass += v;
+    s.positive_rows.push_back(static_cast<uint32_t>(r));
+    s.positive_mass.push_back(mass);
+  }
+}
+
 // Kadane sweep over row bands with two admissible-pruning levels:
 //  - anchor level: the positive mass in rows >= r1 bounds every rectangle
 //    anchored at r1; suffix mass is non-increasing in r1, so once it cannot
 //    beat the incumbent no later anchor can either and the sweep stops.
 //  - band level: the positive mass inside [r1, r2] bounds the band's Kadane
 //    score; bands that cannot beat the incumbent only accumulate column
-//    sums (one simd::AddInto pass) and skip the max-subarray bookkeeping.
+//    sums and skip the max-subarray pass.
 // Tie-breaking (strict improvement only) keeps the pruned solver's output
 // independent of how many bands the bounds let it skip.
-//
-// The across-column pass (the col_sums + row update of every band row) goes
-// through simd::AddInto — lanes are independent columns, no fold is
-// reassociated, so the AVX2 and scalar paths are bit-identical (tested).
-// The Kadane recurrence itself is a loop-carried dependency and stays
-// scalar.
-//
-// Works in LocalScratch's pre-sized buffers only, so it cannot throw.
-BestBand SolveCells(const SpatialBinning& b, SolveScratch& scratch) noexcept {
+BestBand SolveCells(const SpatialBinning& b, SolveScratch& s) {
   BestBand best;
-  const size_t rows = b.rows();
-  const size_t cols = b.cols();
-  if (rows == 0 || cols == 0) return best;
-  const double* cells = scratch.cells.data();
+  const size_t num_positive = s.positive_rows.size();
+  if (num_positive == 0) return best;
 
-  // Positive mass per row, from the touched cells alone: untouched cells
-  // are zero by the scratch invariant, so this is the same per-row total
-  // the old full matrix scan produced at O(points) instead of
-  // O(rows · cols) — the win that makes quiet snapshots (no positive
-  // cell anywhere) cost only the scatter.
-  std::vector<double>& row_pos_mass = scratch.row_pos_mass;
-  row_pos_mass.assign(rows, 0.0);
-  for (size_t idx : scratch.touched) {
-    const double v = cells[idx];
-    if (v > 0.0) row_pos_mass[idx / cols] += v;
-  }
-  // Rows hosting positive mass: an optimal rectangle can be shrunk until
-  // its top and bottom edges touch positive cells.
-  std::vector<size_t>& positive_rows = scratch.positive_rows;
-  positive_rows.clear();
-  for (size_t r = 0; r < rows; ++r) {
-    if (row_pos_mass[r] > 0.0) positive_rows.push_back(r);
-  }
-  if (positive_rows.empty()) return best;
-  const size_t last_positive_row = positive_rows.back();
-
-  std::vector<double>& suffix_pos_mass = scratch.suffix_pos_mass;
-  suffix_pos_mass.assign(rows + 1, 0.0);
-  for (size_t r = rows; r-- > 0;) {
-    suffix_pos_mass[r] = suffix_pos_mass[r + 1] + row_pos_mass[r];
+  s.suffix_mass.resize(num_positive);
+  double suffix = 0.0;
+  for (size_t i = num_positive; i-- > 0;) {
+    suffix += s.positive_mass[i];
+    s.suffix_mass[i] = suffix;
   }
 
-  std::vector<double>& col_sums = scratch.col_sums;
-  col_sums.resize(cols);
-  for (size_t anchor = 0; anchor < positive_rows.size(); ++anchor) {
-    const size_t r1 = positive_rows[anchor];
-    if (suffix_pos_mass[r1] <= best.score) break;  // nor can any later anchor
+  const std::span<const uint32_t> row_begin = b.row_cell_begin();
+  const std::span<const uint32_t> cell_cols = b.cell_cols();
+  const double* cell_sums = s.cell_sums.data();
+  s.col_sums.resize(b.cols());
+  double* col_sums = s.col_sums.data();
+  for (size_t anchor = 0; anchor < num_positive; ++anchor) {
+    if (s.suffix_mass[anchor] <= best.score) break;  // nor can a later one
+    const size_t r1 = s.positive_rows[anchor];
 
-    std::fill(col_sums.begin(), col_sums.end(), 0.0);
-    double band_pos_mass = 0.0;
+    std::fill_n(col_sums, b.cols(), 0.0);
+    double band_mass = 0.0;
     size_t next_positive = anchor;
-    // Extend the band downward through every row (non-positive rows inside
-    // the band still contribute their weight), evaluating only when the
-    // band's bottom edge also touches a positive row.
-    for (size_t r2 = r1; r2 <= last_positive_row; ++r2) {
-      const double* row = cells + r2 * cols;
-      band_pos_mass += row_pos_mass[r2];
-      const bool evaluate =
-          positive_rows[next_positive] == r2 && band_pos_mass > best.score;
-      if (positive_rows[next_positive] == r2) ++next_positive;
-
-      simd::AddInto(col_sums.data(), row, cols);
-      if (evaluate) {
-        // Max-subarray recurrence over the freshly accumulated column sums.
+    uint32_t lo = kNoColumn;  // band's first/last column holding a cell
+    uint32_t hi = 0;          // not <= 0
+    // Extend the band downward through every row (rows without a positive
+    // cell still contribute their weight), evaluating only when the band's
+    // bottom edge also touches a positive row.
+    for (size_t r2 = r1;; ++r2) {
+      for (size_t k = row_begin[r2]; k < row_begin[r2 + 1]; ++k) {
+        col_sums[cell_cols[k]] += cell_sums[k];
+      }
+      lo = std::min(lo, s.row_first[r2]);
+      hi = std::max(hi, s.row_last[r2]);
+      if (s.positive_rows[next_positive] != r2) continue;
+      band_mass += s.positive_mass[next_positive];
+      if (band_mass > best.score) {
+        // Max-subarray recurrence over the band's positive column range.
         double run = 0.0;
-        size_t run_start = 0;
-        for (size_t c = 0; c < cols; ++c) {
+        size_t run_start = lo;
+        for (size_t c = lo; c <= hi; ++c) {
           const double v = col_sums[c];
           if (run <= 0.0) {
             run = v;
@@ -155,7 +160,7 @@ BestBand SolveCells(const SpatialBinning& b, SolveScratch& scratch) noexcept {
           }
         }
       }
-      if (next_positive >= positive_rows.size()) break;
+      if (++next_positive == num_positive) break;
     }
   }
   return best;
@@ -205,6 +210,7 @@ StatusOr<SpatialBinning> SpatialBinning::Create(
         b.row_lo_[r] = rr.min_y();
         b.row_hi_[r] = rr.max_y();
       }
+      b.IndexCells();
       return b;
     }
     // Degenerate map (all points collinear): fall through to the exact
@@ -236,7 +242,46 @@ StatusOr<SpatialBinning> SpatialBinning::Create(
     b.point_col_[i] = index_of(xs, points[i].x);
     b.point_row_[i] = index_of(ys, points[i].y);
   }
+  b.IndexCells();
   return b;
+}
+
+void SpatialBinning::IndexCells() {
+  // Two stable counting sorts, by column and then by row, leave the points
+  // ordered by (row, column, index); each run of one (row, column) is a
+  // cell.
+  const size_t n = point_row_.size();
+  std::vector<uint32_t> by_col(n);
+  {
+    std::vector<uint32_t> start(cols_ + 1, 0);
+    for (uint32_t c : point_col_) ++start[c + 1];
+    for (size_t c = 0; c < cols_; ++c) start[c + 1] += start[c];
+    for (size_t i = 0; i < n; ++i) {
+      by_col[start[point_col_[i]]++] = static_cast<uint32_t>(i);
+    }
+  }
+  std::vector<uint32_t> start(rows_ + 1, 0);
+  for (uint32_t r : point_row_) ++start[r + 1];
+  for (size_t r = 0; r < rows_; ++r) start[r + 1] += start[r];
+  cell_points_.resize(n);
+  for (uint32_t i : by_col) cell_points_[start[point_row_[i]]++] = i;
+
+  row_cell_begin_.assign(rows_ + 1, 0);
+  cell_col_.clear();
+  cell_point_begin_.clear();
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t i = cell_points_[k];
+    if (k == 0 || point_row_[i] != point_row_[cell_points_[k - 1]] ||
+        point_col_[i] != point_col_[cell_points_[k - 1]]) {
+      cell_col_.push_back(point_col_[i]);
+      cell_point_begin_.push_back(static_cast<uint32_t>(k));
+      ++row_cell_begin_[point_row_[i] + 1];
+    }
+  }
+  cell_point_begin_.push_back(static_cast<uint32_t>(n));
+  for (size_t r = 0; r < rows_; ++r) {
+    row_cell_begin_[r + 1] += row_cell_begin_[r];
+  }
 }
 
 StatusOr<MaxRectResult> MaxWeightRectangle(const SpatialBinning& binning,
@@ -244,35 +289,11 @@ StatusOr<MaxRectResult> MaxWeightRectangle(const SpatialBinning& binning,
   if (weights.size() != binning.num_points()) {
     return Status::InvalidArgument("weights length does not match binning");
   }
-  const size_t rows = binning.rows();
-  const size_t cols = binning.cols();
-  if (rows == 0 || cols == 0) return MaxRectResult{};
+  if (binning.rows() == 0 || binning.cols() == 0) return MaxRectResult{};
 
-  const size_t n = weights.size();
-  SolveScratch& scratch = LocalScratch(rows, cols, n);
-  // O(points) weight scatter: first touch of a cell stores, later touches
-  // accumulate — the fold over a cell's coincident points runs in point
-  // order, matching a scatter into a zeroed matrix.
-  const std::span<const uint32_t> point_rows = binning.point_rows();
-  const std::span<const uint32_t> point_cols = binning.point_cols();
-  for (size_t i = 0; i < n; ++i) {
-    const double w = weights[i];
-    if (w == 0.0) continue;
-    const size_t idx = static_cast<size_t>(point_rows[i]) * cols + point_cols[i];
-    if (scratch.cell_epoch[idx] != scratch.epoch) {
-      scratch.cell_epoch[idx] = scratch.epoch;
-      scratch.cells[idx] = w;
-      scratch.touched.push_back(idx);
-    } else {
-      scratch.cells[idx] += w;
-    }
-  }
-
+  thread_local SolveScratch scratch;
+  SumCells(binning, weights, scratch);
   const BestBand best = SolveCells(binning, scratch);
-
-  // Touched-cell reset: restore the all-zero invariant at O(points). It
-  // runs before anything that can allocate (the member list below).
-  for (size_t idx : scratch.touched) scratch.cells[idx] = 0.0;
 
   MaxRectResult result;
   if (!best.found) return result;
@@ -281,7 +302,9 @@ StatusOr<MaxRectResult> MaxWeightRectangle(const SpatialBinning& binning,
                      binning.col_hi()[best.c2], binning.row_hi()[best.r2]);
   // Members come from the binned indices: exactly the points whose mass the
   // winning cells aggregated — no geometric rescan.
-  for (size_t i = 0; i < n; ++i) {
+  const std::span<const uint32_t> point_rows = binning.point_rows();
+  const std::span<const uint32_t> point_cols = binning.point_cols();
+  for (size_t i = 0; i < weights.size(); ++i) {
     if (point_rows[i] >= best.r1 && point_rows[i] <= best.r2 &&
         point_cols[i] >= best.c1 && point_cols[i] <= best.c2) {
       result.points_inside.push_back(i);

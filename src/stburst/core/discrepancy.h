@@ -5,27 +5,40 @@
 // axis-oriented rectangle maximizing the total weight of the points inside.
 // This is R-Bursty's inner module.
 //
-// Two modes:
-//  - kExact: coordinate-compressed Kadane sweep over row bands. Candidate
-//    bands are anchored at rows containing positive-weight points (an
-//    optimal rectangle can always be shrunk until each horizontal edge
-//    touches a positive point), giving O(P · R · C) for P positive rows, R
-//    total rows, C columns — comfortably fast for the hundreds of streams
-//    the paper's real datasets have and exact for result-quality
-//    experiments.
-//  - kGrid: aggregates weights onto a fixed g x g grid first (the paper's §2
-//    explicitly endorses grid partitioning of the map), then runs the same
-//    sweep in O(n + g^3) independent of the stream count. Used for the
-//    Figure 8 scalability sweeps with up to 128k streams.
+// Two modes, one sweep:
+//  - kExact: rows and columns are the coordinate-compressed point
+//    coordinates, so the answer is exact over all rectangles.
+//  - kGrid: rows and columns are the cells of a fixed g x g grid over the
+//    bounding box (the paper's §2 explicitly endorses grid partitioning of
+//    the map). Used for the Figure 8 scalability sweeps with up to 128k
+//    streams.
 //
-// The binning (bounds, grid geometry, coordinate compression, and each
-// point's cell) depends only on the point set and the options — never on
-// the weights. Stream positions are fixed across every term and snapshot
-// of a corpus, so SpatialBinning lets callers pay for that geometry once:
-// each solve is then an O(points) weight scatter plus the sweep.
-// R-Bursty shares one binning across its iterative extractions, STLocal
-// across every snapshot of a term, and the batch miner across the entire
-// vocabulary (see docs/ARCHITECTURE.md, "Shared spatial binning").
+// The binning (bounds, grid geometry, coordinate compression, each point's
+// cell, and each row's occupied cells) depends only on the point set and
+// the options — never on the weights. Stream positions are fixed across
+// every term and snapshot of a corpus, so SpatialBinning lets callers pay
+// for that geometry once. R-Bursty shares one binning across its iterative
+// extractions, STLocal across every snapshot of a term, and the batch miner
+// across the entire vocabulary (see docs/ARCHITECTURE.md, "Shared spatial
+// binning").
+//
+// A solve touches occupied cells only; there is no rows x cols matrix:
+//  1. Each occupied cell sums its points' weights in ascending point order.
+//  2. Row bands are anchored at rows holding a positive cell (an optimal
+//     rectangle can be shrunk until its top and bottom edges touch positive
+//     cells). Each band step adds only the new row's occupied cells into
+//     running column sums.
+//  3. Kadane's max-subarray pass runs only from the band's first to its last
+//     column holding a positive cell. A column outside that range sums to
+//     <= 0: before the range the running sum never rises above 0, so Kadane
+//     restarts at its first column; after it no column can strictly beat the
+//     best score.
+// Every sum is the same floating-point operation, in the same order, as a
+// scatter into a zeroed dense matrix followed by full-row adds and a
+// full-width Kadane, so the rectangle, score bits and members equal that
+// dense sweep's (tests/discrepancy_test.cc keeps it as the reference).
+// With P positive rows, C columns, n points and W <= C the widest Kadane
+// range, a solve is O(n + P · (C + n + P · W)).
 
 #ifndef STBURST_CORE_DISCREPANCY_H_
 #define STBURST_CORE_DISCREPANCY_H_
@@ -64,8 +77,9 @@ struct MaxRectResult {
 };
 
 /// The weight-independent half of the rectangle solver: a rows x cols cell
-/// geometry over the plane plus the cell of every input point, built once
-/// from a fixed point set and reused for any number of weight vectors.
+/// geometry over the plane, the cell of every input point, and each row's
+/// occupied cells, built once from a fixed point set and reused for any
+/// number of weight vectors.
 ///
 /// In kExact mode rows/columns are the coordinate-compressed point
 /// coordinates; in kGrid mode they are uniform grid cells over the bounding
@@ -81,7 +95,8 @@ class SpatialBinning {
 
   /// Builds the binning for `points` under `options`. InvalidArgument for a
   /// non-finite (NaN or infinite) coordinate, or for a zero grid resolution
-  /// in kGrid mode. O(n log n).
+  /// in kGrid mode. O(n log n) in kExact mode (the coordinate sort), O(n +
+  /// rows + cols) otherwise.
   static StatusOr<SpatialBinning> Create(const std::vector<Point2D>& points,
                                          const MaxRectOptions& options = {});
 
@@ -100,12 +115,31 @@ class SpatialBinning {
   std::span<const uint32_t> point_rows() const { return point_row_; }
   std::span<const uint32_t> point_cols() const { return point_col_; }
 
+  /// Occupied cells, row-major. Row r's cells are the indices
+  /// [row_cell_begin()[r], row_cell_begin()[r + 1]) in ascending column
+  /// (length rows() + 1). Cell k lies in column cell_cols()[k] and holds the
+  /// points cell_points()[cell_point_begin()[k] .. cell_point_begin()[k + 1])
+  /// in ascending index. Every point lies in exactly one cell.
+  std::span<const uint32_t> row_cell_begin() const { return row_cell_begin_; }
+  std::span<const uint32_t> cell_cols() const { return cell_col_; }
+  std::span<const uint32_t> cell_point_begin() const {
+    return cell_point_begin_;
+  }
+  std::span<const uint32_t> cell_points() const { return cell_points_; }
+
  private:
+  // Builds the occupied-cell lists from point_row_/point_col_.
+  void IndexCells();
+
   size_t rows_ = 0;
   size_t cols_ = 0;
   std::vector<double> col_lo_, col_hi_;  // x-extent of each column
   std::vector<double> row_lo_, row_hi_;  // y-extent of each row
   std::vector<uint32_t> point_row_, point_col_;  // cell of each input point
+  std::vector<uint32_t> row_cell_begin_;    // rows_ + 1 offsets into cells
+  std::vector<uint32_t> cell_col_;          // column of each occupied cell
+  std::vector<uint32_t> cell_point_begin_;  // cells + 1 offsets into points
+  std::vector<uint32_t> cell_points_;       // point indices, grouped by cell
 };
 
 /// Finds the maximum-weight axis-oriented rectangle over the weighted
@@ -119,9 +153,9 @@ StatusOr<MaxRectResult> MaxWeightRectangle(const std::vector<Point2D>& points,
                                            const std::vector<double>& weights,
                                            const MaxRectOptions& options = {});
 
-/// Solves against a prebuilt binning: scatters `weights` (one per binned
-/// point, length binning.num_points()) into the cells and runs the sweep.
-/// O(points) scatter + O(P · R · C) sweep, no allocations in steady state
+/// Solves against a prebuilt binning: sums `weights` (one per binned point,
+/// length binning.num_points()) over the occupied cells and runs the sweep
+/// (see the file comment for its cost). No allocations in steady state
 /// (per-thread scratch). Identical output to the per-call overload built
 /// from the same points and options (tested). Thread-safe: many threads may
 /// solve against one shared binning concurrently.

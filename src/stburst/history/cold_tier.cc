@@ -470,13 +470,21 @@ double ColdTier::TermSum(TermId term) const {
   return total;
 }
 
-TermSeries ColdTier::ReplaySeries(TermId term, uint32_t bucket_begin,
-                                  uint32_t bucket_end,
-                                  size_t num_streams) const {
+StatusOr<TermSeries> ColdTier::ReplaySeries(TermId term,
+                                            uint32_t bucket_begin,
+                                            uint32_t bucket_end,
+                                            size_t num_streams) const {
   STB_CHECK(bucket_begin <= bucket_end);
   STB_CHECK(num_streams >= stream_upper_bound());
-  TermSeries series(num_streams,
-                    static_cast<Timestamp>(bucket_end - bucket_begin));
+  const uint64_t buckets = bucket_end - bucket_begin;
+  if (buckets > static_cast<uint64_t>(INT32_MAX) ||
+      (num_streams != 0 && buckets > kMaxReplayCells / num_streams)) {
+    return Status::OutOfRange(
+        "cold tier: replaying " + std::to_string(buckets) + " buckets of " +
+        std::to_string(num_streams) + " streams exceeds " +
+        std::to_string(kMaxReplayCells) + " cells");
+  }
+  TermSeries series(num_streams, static_cast<Timestamp>(buckets));
   for (const ColdRow& r : TermRows(term)) {
     if (r.bucket < bucket_begin || r.bucket >= bucket_end) continue;
     series.add(r.stream, static_cast<Timestamp>(r.bucket - bucket_begin),

@@ -172,9 +172,17 @@ class ColdTier {
   /// Bucket-resolution frequency matrix for `term` over bucket indices
   /// [bucket_begin, bucket_end): cell (s, b - bucket_begin) holds the
   /// folded sum for stream s in bucket b. `num_streams` must be >=
-  /// stream_upper_bound() to not drop rows (STB_CHECKed).
-  TermSeries ReplaySeries(TermId term, uint32_t bucket_begin,
-                          uint32_t bucket_end, size_t num_streams) const;
+  /// stream_upper_bound() to not drop rows (STB_CHECKed). OutOfRange, with
+  /// nothing allocated, when the matrix would exceed kMaxReplayCells cells
+  /// or INT32_MAX buckets: a tier's covered span comes from its header, so
+  /// a file can claim billions of buckets.
+  StatusOr<TermSeries> ReplaySeries(TermId term, uint32_t bucket_begin,
+                                    uint32_t bucket_end,
+                                    size_t num_streams) const;
+
+  /// Cells (streams x buckets) one ReplaySeries may materialize: 128 MiB of
+  /// doubles, e.g. 10k streams over 30 years of weekly buckets.
+  static constexpr uint64_t kMaxReplayCells = uint64_t{1} << 24;
 
   /// kMmap only (no-op OK for kInMemory): merges base + delta into a new
   /// generation, writes it to `<path>.tmp`, fsyncs, atomically renames it

@@ -34,8 +34,9 @@ StatusOr<std::vector<ReplayedInterval>> ReplayRange(
         std::to_string(tier.stream_upper_bound()));
   }
 
-  const TermSeries series =
-      tier.ReplaySeries(term, bucket_begin, bucket_end, num_streams);
+  STB_ASSIGN_OR_RETURN(
+      const TermSeries series,
+      tier.ReplaySeries(term, bucket_begin, bucket_end, num_streams));
   std::vector<ReplayedInterval> out;
   for (StreamId stream = 0; stream < num_streams; ++stream) {
     std::unique_ptr<ExpectedFrequencyModel> model = factory();

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
 #include "stburst/common/random.h"
-#include "stburst/common/simd.h"
+#include "stburst/core/rbursty.h"
 #include "stburst/geo/grid.h"
 
 namespace stburst {
@@ -418,64 +421,322 @@ TEST(SpatialBinning, RejectsNonFinitePositions) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD dispatch: the AVX2 SolveCells path must produce rectangles, scores,
-// and member lists bit-identical to scalar — AddInto is element-wise, so no
-// fold is reassociated.
+// Bit-exact differential oracle: the solver against the dense sweep it
+// replaced, which scatters the weights into a zeroed rows x cols matrix,
+// adds full rows into the column sums and runs Kadane over every column.
+// Score, rectangle and members must match bit for bit, for single solves
+// and for R-Bursty's iterated extractions.
 // ---------------------------------------------------------------------------
 
-// Runs fn under scalar and under AVX2, asserting the results match
-// exactly; restores the active ISA afterwards.
-template <typename Fn>
-void ExpectIsaInvariant(const Fn& fn) {
-  const simd::Isa previous = simd::SetIsaForTest(simd::Isa::kScalar);
-  MaxRectResult scalar = fn();
-  simd::SetIsaForTest(simd::Isa::kAvx2);
-  MaxRectResult vectorized = fn();
-  simd::SetIsaForTest(previous);
-  EXPECT_EQ(scalar.score, vectorized.score);
-  EXPECT_EQ(scalar.rect, vectorized.rect);
-  EXPECT_EQ(scalar.points_inside, vectorized.points_inside);
+MaxRectResult DenseSweep(const SpatialBinning& b,
+                         const std::vector<double>& w) {
+  MaxRectResult result;
+  const size_t rows = b.rows();
+  const size_t cols = b.cols();
+  if (rows == 0 || cols == 0) return result;
+  std::vector<double> cells(rows * cols, 0.0);
+  std::vector<bool> written(rows * cols, false);
+  std::vector<size_t> touched;  // cells in the order the scatter writes them
+  for (size_t i = 0; i < w.size(); ++i) {
+    if (w[i] == 0.0) continue;
+    const size_t idx = size_t{b.point_rows()[i]} * cols + b.point_cols()[i];
+    if (!written[idx]) touched.push_back(idx);
+    written[idx] = true;
+    cells[idx] += w[i];
+  }
+  std::vector<double> row_pos_mass(rows, 0.0);
+  for (size_t idx : touched) {
+    if (cells[idx] > 0.0) row_pos_mass[idx / cols] += cells[idx];
+  }
+  std::vector<size_t> positive_rows;
+  for (size_t r = 0; r < rows; ++r) {
+    if (row_pos_mass[r] > 0.0) positive_rows.push_back(r);
+  }
+  if (positive_rows.empty()) return result;
+  std::vector<double> suffix_pos_mass(rows + 1, 0.0);
+  for (size_t r = rows; r-- > 0;) {
+    suffix_pos_mass[r] = suffix_pos_mass[r + 1] + row_pos_mass[r];
+  }
+
+  double best = 0.0;
+  size_t best_r1 = 0, best_r2 = 0, best_c1 = 0, best_c2 = 0;
+  bool found = false;
+  std::vector<double> col_sums(cols);
+  for (size_t anchor = 0; anchor < positive_rows.size(); ++anchor) {
+    const size_t r1 = positive_rows[anchor];
+    if (suffix_pos_mass[r1] <= best) break;
+    std::fill(col_sums.begin(), col_sums.end(), 0.0);
+    double band_pos_mass = 0.0;
+    size_t next_positive = anchor;
+    for (size_t r2 = r1; r2 <= positive_rows.back(); ++r2) {
+      band_pos_mass += row_pos_mass[r2];
+      const bool evaluate =
+          positive_rows[next_positive] == r2 && band_pos_mass > best;
+      if (positive_rows[next_positive] == r2) ++next_positive;
+      for (size_t c = 0; c < cols; ++c) col_sums[c] += cells[r2 * cols + c];
+      if (evaluate) {
+        double run = 0.0;
+        size_t run_start = 0;
+        for (size_t c = 0; c < cols; ++c) {
+          if (run <= 0.0) {
+            run = col_sums[c];
+            run_start = c;
+          } else {
+            run += col_sums[c];
+          }
+          if (run > best) {
+            best = run;
+            best_r1 = r1;
+            best_r2 = r2;
+            best_c1 = run_start;
+            best_c2 = c;
+            found = true;
+          }
+        }
+      }
+      if (next_positive >= positive_rows.size()) break;
+    }
+  }
+  if (!found) return result;
+  result.score = best;
+  result.rect = Rect(b.col_lo()[best_c1], b.row_lo()[best_r1],
+                     b.col_hi()[best_c2], b.row_hi()[best_r2]);
+  for (size_t i = 0; i < w.size(); ++i) {
+    if (b.point_rows()[i] >= best_r1 && b.point_rows()[i] <= best_r2 &&
+        b.point_cols()[i] >= best_c1 && b.point_cols()[i] <= best_c2) {
+      result.points_inside.push_back(i);
+    }
+  }
+  return result;
 }
 
-TEST(SolveCellsSimd, AllIsaLevelsBitIdentical) {
-  if (!simd::Avx2Supported()) {
-    GTEST_SKIP() << "CPU lacks AVX2; dispatch is scalar-only here";
+// R-Bursty's extraction loop (core/rbursty.cc) over the dense sweep.
+std::vector<BurstyRectangle> DenseRBursty(const SpatialBinning& b,
+                                          std::vector<double> w,
+                                          size_t max_rectangles) {
+  std::vector<BurstyRectangle> out;
+  while (out.size() < max_rectangles) {
+    const MaxRectResult best = DenseSweep(b, w);
+    if (best.score <= 0.0) break;
+    BurstyRectangle rect{best.rect, best.score, {}};
+    for (size_t idx : best.points_inside) {
+      rect.streams.push_back(static_cast<StreamId>(idx));
+      w[idx] = kExcludedWeight;
+    }
+    out.push_back(std::move(rect));
   }
-  Rng rng(31337);
-  // Shapes spanning the deployed range: tiny, 1-D/collinear (exact-mode
-  // single row/column), odd widths around the 4-lane boundary, a dense
-  // exact matrix, and a 64x64 grid.
-  struct Shape {
-    size_t n;
-    MaxRectOptions opts;
-    bool collinear;
+  return out;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectBitIdentical(const Rect& a, const Rect& b) {
+  EXPECT_TRUE(SameBits(a.min_x(), b.min_x()) &&
+              SameBits(a.min_y(), b.min_y()) &&
+              SameBits(a.max_x(), b.max_x()) && SameBits(a.max_y(), b.max_y()))
+      << a.ToString() << " vs " << b.ToString();
+}
+
+// The occupied-cell lists: row-ordered, ascending columns within a row,
+// ascending points within a cell, each point in exactly one cell, and that
+// cell is the point's own.
+void ExpectValidCellLists(const SpatialBinning& b) {
+  const auto row_begin = b.row_cell_begin();
+  const auto cell_cols = b.cell_cols();
+  const auto point_begin = b.cell_point_begin();
+  const auto points = b.cell_points();
+  ASSERT_EQ(row_begin.size(), b.rows() + 1);
+  ASSERT_EQ(row_begin.front(), 0u);
+  ASSERT_EQ(row_begin.back(), cell_cols.size());
+  ASSERT_EQ(point_begin.size(), cell_cols.size() + 1);
+  ASSERT_EQ(point_begin.front(), 0u);
+  ASSERT_EQ(point_begin.back(), b.num_points());
+  ASSERT_EQ(points.size(), b.num_points());
+  std::vector<int> seen(b.num_points(), 0);
+  for (size_t r = 0; r < b.rows(); ++r) {
+    ASSERT_LE(row_begin[r], row_begin[r + 1]);
+    for (size_t k = row_begin[r]; k < row_begin[r + 1]; ++k) {
+      ASSERT_LT(cell_cols[k], b.cols());
+      if (k > row_begin[r]) ASSERT_LT(cell_cols[k - 1], cell_cols[k]);
+      ASSERT_LT(point_begin[k], point_begin[k + 1]) << "empty cell " << k;
+      for (size_t p = point_begin[k]; p < point_begin[k + 1]; ++p) {
+        if (p > point_begin[k]) ASSERT_LT(points[p - 1], points[p]);
+        const uint32_t i = points[p];
+        ASSERT_LT(i, b.num_points());
+        EXPECT_EQ(b.point_rows()[i], r);
+        EXPECT_EQ(b.point_cols()[i], cell_cols[k]);
+        ++seen[i];
+      }
+    }
+  }
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], 1) << "point " << i;
+  }
+}
+
+struct Pack {
+  std::string name;
+  std::vector<Point2D> points;
+  MaxRectOptions options;
+  std::vector<std::vector<double>> planes;
+};
+
+MaxRectOptions GridOptions(size_t g) {
+  MaxRectOptions opts;
+  opts.mode = MaxRectOptions::Mode::kGrid;
+  opts.grid_cols = g;
+  opts.grid_rows = g;
+  return opts;
+}
+
+std::vector<Pack> AdversarialPacks() {
+  Rng rng(2604);
+  std::vector<Pack> packs;
+  auto uniform_planes = [&rng](Pack& pack, int count, double lo, double hi) {
+    for (int p = 0; p < count; ++p) {
+      std::vector<double> w(pack.points.size());
+      for (double& v : w) v = rng.Uniform(lo, hi);
+      pack.planes.push_back(std::move(w));
+    }
   };
-  std::vector<Shape> shapes;
-  for (size_t n : {1u, 3u, 4u, 5u, 17u, 63u, 200u}) {
-    shapes.push_back({n, MaxRectOptions{}, false});
-  }
-  shapes.push_back({33, MaxRectOptions{}, true});  // 1-D layout
   {
-    MaxRectOptions grid;
-    grid.mode = MaxRectOptions::Mode::kGrid;
-    shapes.push_back({4096, grid, false});
+    // Ties: a small lattice with repeats and weights on a 1/64 grid, so
+    // many rectangles score exactly alike.
+    Pack pack{"ties_1_64", {}, {}, {}};
+    for (int i = 0; i < 48; ++i) {
+      pack.points.push_back(Point2D{static_cast<double>(rng.NextUint64(6)),
+                                    static_cast<double>(rng.NextUint64(6))});
+    }
+    for (int p = 0; p < 60; ++p) {
+      std::vector<double> w(pack.points.size());
+      for (double& v : w) {
+        v = (static_cast<double>(rng.NextUint64(257)) - 128.0) / 64.0;
+      }
+      pack.planes.push_back(std::move(w));
+    }
+    packs.push_back(std::move(pack));
   }
-  for (const Shape& shape : shapes) {
-    std::vector<Point2D> pts(shape.n);
-    for (size_t i = 0; i < shape.n; ++i) {
-      pts[i] = Point2D{rng.Uniform(0, 100),
-                       shape.collinear ? 7.0 : rng.Uniform(0, 100)};
+  {
+    Pack pack{"excluded", RandomPoints(rng, 40), {}, {}};
+    uniform_planes(pack, 40, -1.0, 1.5);
+    for (auto& w : pack.planes) {
+      for (double& v : w) {
+        if (rng.Bernoulli(0.2)) v = kExcludedWeight;
+      }
     }
-    auto binning = SpatialBinning::Create(pts, shape.opts);
+    packs.push_back(std::move(pack));
+  }
+  {
+    // Coincident points on three rows of eight positions, many of weight 0:
+    // rows hold several positive cells whose first nonzero point is not
+    // their first point, and cell sums round in point order.
+    Pack pack{"coincident", {}, {}, {}};
+    for (int i = 0; i < 72; ++i) {
+      pack.points.push_back(Point2D{static_cast<double>(rng.NextUint64(8)),
+                                    static_cast<double>(rng.NextUint64(3))});
+    }
+    uniform_planes(pack, 80, -1.0, 2.0);
+    for (auto& w : pack.planes) {
+      for (double& v : w) {
+        if (rng.Bernoulli(0.3)) v = 0.0;
+      }
+    }
+    // One cell whose first point weighs 0 and whose later points write it.
+    pack.points.insert(pack.points.end(), {{9, 1}, {9, 1}, {9, 1}});
+    for (auto& w : pack.planes) w.insert(w.end(), {0.0, 0.7, 0.4});
+    packs.push_back(std::move(pack));
+  }
+  {
+    // Row 1's positive cells sum to 1 + 2^-52 in column order but to 1 in
+    // the order the scatter first writes them (the x = 4 cell first), and
+    // the dense sweep's anchor bound uses the latter: it stops at row 1,
+    // whose mass no longer beats row 0's lone 1, and reports that 1.
+    const double tiny = std::ldexp(1.0, -53);
+    packs.push_back(
+        Pack{"first_write_order",
+             {{4, 1}, {2, 1}, {3, 1}, {0, 0}, {2, 0}, {3, 0}, {4, 0}},
+             {},
+             {{1.0, tiny, tiny, 1.0, -100.0, -100.0, -100.0}}});
+  }
+  {
+    Pack row{"single_row", {}, {}, {}};
+    Pack col{"single_column", {}, {}, {}};
+    for (int i = 0; i < 30; ++i) {
+      const double at = static_cast<double>(rng.NextUint64(20));
+      row.points.push_back(Point2D{at, 5.0});
+      col.points.push_back(Point2D{5.0, at});
+    }
+    uniform_planes(row, 40, -1.0, 1.0);
+    uniform_planes(col, 40, -1.0, 1.0);
+    packs.push_back(std::move(row));
+    packs.push_back(std::move(col));
+  }
+  {
+    // batch_mine's shape: 181 distinct streams, dense negative weights and
+    // one to three positives.
+    Pack pack{"corpus_shape", {}, {}, {}};
+    for (int i = 0; i < 181; ++i) {
+      pack.points.push_back(Point2D{rng.Uniform(0, 100), rng.Uniform(0, 100)});
+    }
+    for (int p = 0; p < 60; ++p) {
+      std::vector<double> w(pack.points.size());
+      for (double& v : w) v = -rng.Uniform(0.01, 0.4);
+      for (uint64_t k = 1 + rng.NextUint64(3); k > 0; --k) {
+        w[rng.NextUint64(w.size())] = rng.Uniform(0.2, 3.0);
+      }
+      pack.planes.push_back(std::move(w));
+    }
+    packs.push_back(std::move(pack));
+  }
+  {
+    Pack pack{"grid_4x4", RandomPoints(rng, 200), GridOptions(4), {}};
+    uniform_planes(pack, 30, -1.0, 1.0);
+    packs.push_back(std::move(pack));
+  }
+  {
+    Pack pack{"grid_64x64", RandomPoints(rng, 4000), GridOptions(64), {}};
+    uniform_planes(pack, 4, -1.0, 1.0);
+    packs.push_back(std::move(pack));
+  }
+  return packs;
+}
+
+TEST(DenseSweepOracle, SolverAndRBurstyAreBitIdentical) {
+  constexpr size_t kMaxRectangles = 12;
+  RBurstyOptions rbursty_opts;
+  rbursty_opts.max_rectangles = kMaxRectangles;
+  for (const Pack& pack : AdversarialPacks()) {
+    SCOPED_TRACE(pack.name);
+    auto binning = SpatialBinning::Create(pack.points, pack.options);
     ASSERT_TRUE(binning.ok());
-    for (int snapshot = 0; snapshot < 5; ++snapshot) {
-      std::vector<double> w = RandomWeights(rng, shape.n);
-      ExpectIsaInvariant([&] {
-        auto r = MaxWeightRectangle(*binning, w);
-        EXPECT_TRUE(r.ok());
-        return r.ok() ? *r : MaxRectResult{};
-      });
+    ExpectValidCellLists(*binning);
+    size_t found = 0;
+    for (size_t p = 0; p < pack.planes.size(); ++p) {
+      SCOPED_TRACE(::testing::Message() << "plane " << p);
+      const std::vector<double>& w = pack.planes[p];
+      const MaxRectResult want = DenseSweep(*binning, w);
+      auto got = MaxWeightRectangle(*binning, w);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(SameBits(got->score, want.score))
+          << got->score << " vs " << want.score;
+      ExpectBitIdentical(got->rect, want.rect);
+      EXPECT_EQ(got->points_inside, want.points_inside);
+      if (want.score > 0.0) ++found;
+
+      const std::vector<BurstyRectangle> want_rects =
+          DenseRBursty(*binning, w, kMaxRectangles);
+      auto got_rects = RBursty(*binning, w, rbursty_opts);
+      ASSERT_TRUE(got_rects.ok());
+      ASSERT_EQ(got_rects->size(), want_rects.size());
+      for (size_t i = 0; i < want_rects.size(); ++i) {
+        EXPECT_TRUE(SameBits((*got_rects)[i].score, want_rects[i].score));
+        ExpectBitIdentical((*got_rects)[i].rect, want_rects[i].rect);
+        EXPECT_EQ((*got_rects)[i].streams, want_rects[i].streams);
+      }
     }
+    EXPECT_GT(found, 0u) << "the pack never has a positive rectangle";
   }
 }
 

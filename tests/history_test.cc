@@ -629,6 +629,36 @@ TEST(ColdTierMmapTest, RejectsForgedFieldsBehindValidChecksums) {
   std::remove(victim.c_str());
 }
 
+// Runs every query on every term of `tier`, replaying its whole covered
+// bucket range: each must run clean or, for a replay too large to
+// materialize, return OutOfRange.
+void QueryEveryTerm(const ColdTier& tier) {
+  const uint32_t lo = tier.bucket_lower_bound();
+  const uint32_t hi = tier.bucket_upper_bound();
+  ASSERT_LE(lo, hi);
+  volatile double sink = 0.0;  // keeps every query's reads alive
+  for (TermId term = 0; term <= tier.term_upper_bound(); ++term) {
+    for (const ColdRow& r : tier.TermRows(term)) {
+      ASSERT_LT(r.stream, tier.stream_upper_bound());
+      sink = sink + r.sum;
+    }
+    sink = sink + tier.TermSum(term);
+    for (StreamId s = 0; s <= tier.stream_upper_bound() && s < 8; ++s) {
+      sink = sink + tier.StreamSum(term, s);
+    }
+    auto series = tier.ReplaySeries(term, lo, hi, tier.stream_upper_bound());
+    if (!series.ok()) {
+      EXPECT_TRUE(series.status().IsOutOfRange()) << series.status().ToString();
+      continue;
+    }
+    for (StreamId s = 0; s < series->num_streams(); ++s) {
+      for (Timestamp t = 0; t < series->timeline_length(); ++t) {
+        sink = sink + series->at(s, t);
+      }
+    }
+  }
+}
+
 // Seeded mutation fuzz of the loader: every mutated image either fails to
 // open or yields a tier whose queries all run clean (under ASan/UBSan in
 // the sanitizer build).
@@ -636,6 +666,25 @@ TEST(ColdTierMmapTest, MutatedFilesFailToOpenOrQueryClean) {
   const std::string good = PublishedSampleTier(TempPath("cold_tier_fuzz.stb"));
   ASSERT_GT(good.size(), 64u);
   const std::string victim = TempPath("cold_tier_fuzzed.stb");
+  {
+    // Bucket width 1 and folded_until near INT32_MAX: the header is
+    // consistent, so the tier opens, but a replay of its covered buckets
+    // would need about 2^31 doubles per stream.
+    std::string forged = good;
+    Poke<uint32_t>(&forged, 16, 1);
+    Poke<int32_t>(&forged, 24, 0);
+    Poke<int32_t>(&forged, 28, INT32_MAX - 1);
+    Reseal(&forged);
+    WriteFile(victim, forged);
+    auto tier = ColdTier::Open(victim);
+    ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+    EXPECT_TRUE(tier->ReplaySeries(0, tier->bucket_lower_bound(),
+                                   tier->bucket_upper_bound(),
+                                   tier->stream_upper_bound())
+                    .status()
+                    .IsOutOfRange());
+    QueryEveryTerm(*tier);
+  }
   const uint64_t u64s[] = {0, 1, 2, 3, 4, 5, 7, 64, uint64_t{1} << 32,
                            uint64_t{1} << 59, (uint64_t{1} << 61) - 1,
                            UINT64_MAX};
@@ -688,27 +737,8 @@ TEST(ColdTierMmapTest, MutatedFilesFailToOpenOrQueryClean) {
     auto tier = ColdTier::Open(victim);
     if (!tier.ok()) continue;
     ++opened_ok;
-    const uint32_t lo = tier->bucket_lower_bound();
-    const uint32_t hi = std::min(tier->bucket_upper_bound(), lo + 64);
-    ASSERT_LE(lo, tier->bucket_upper_bound()) << "iteration " << iter;
-    volatile double sink = 0.0;  // keeps every query's reads alive
-    for (TermId term = 0; term <= tier->term_upper_bound(); ++term) {
-      for (const ColdRow& r : tier->TermRows(term)) {
-        ASSERT_LT(r.stream, tier->stream_upper_bound()) << "iteration " << iter;
-        sink = sink + r.sum;
-      }
-      sink = sink + tier->TermSum(term);
-      for (StreamId s = 0; s <= tier->stream_upper_bound() && s < 8; ++s) {
-        sink = sink + tier->StreamSum(term, s);
-      }
-      const TermSeries series =
-          tier->ReplaySeries(term, lo, hi, tier->stream_upper_bound());
-      for (StreamId s = 0; s < series.num_streams(); ++s) {
-        for (Timestamp t = 0; t < series.timeline_length(); ++t) {
-          sink = sink + series.at(s, t);
-        }
-      }
-    }
+    SCOPED_TRACE(::testing::Message() << "iteration " << iter);
+    QueryEveryTerm(*tier);
   }
   // Rewrites that happen to restore a field's value, and flips confined to
   // the sum/max/count columns, leave valid images: some opens succeed.
