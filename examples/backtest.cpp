@@ -5,7 +5,7 @@
 // without replaying the cold span, and ReplayRange re-runs a stored
 // stretch of history against today's models.
 //
-// Two phases, runnable as separate processes (the CI persistence leg does
+// Two phases, runnable as separate processes (the CI ASan + UBSan job does
 // exactly that, so the recovery crosses a real process boundary):
 //
 //   backtest write <tier_path>

@@ -11,10 +11,10 @@
 //  - regional mining reuses one dense scratch matrix per worker.
 //
 // For a live feed, StageRemineTerms keeps a BatchMineResult current without
-// a full sweep: after FrequencyIndex::AppendSnapshot, pass the index's dirty
-// terms, and only those slots are mined, into staging the owner moves in
-// (FeedRuntime commits them at the end of its tick; docs/ARCHITECTURE.md
-// walks the full append → re-mine cycle).
+// a full sweep: pass the terms FrequencyIndex::AppendSnapshot (and
+// EvictBefore) returned, and only those slots are mined, into staging the
+// owner moves in (FeedRuntime commits them at the end of its tick;
+// docs/ARCHITECTURE.md walks the full append → re-mine cycle).
 
 #ifndef STBURST_CORE_BATCH_MINER_H_
 #define STBURST_CORE_BATCH_MINER_H_
@@ -111,8 +111,8 @@ struct BatchMineResult {
 StatusOr<BatchMineResult> MineAllTerms(const FrequencyIndex& index,
                                        const BatchMinerOptions& options = {});
 
-/// Mines only `terms` (typically FrequencyIndex::TakeDirtyTerms() after an
-/// append) into `staged` — one compact slot per entry of the returned
+/// Mines only `terms` (typically the terms FrequencyIndex::AppendSnapshot
+/// returned) into `staged` — one compact slot per entry of the returned
 /// (sorted, unique) term list, parallel to it — touching no standing
 /// result. Each staged slot is identical to what a fresh MineAllTerms over
 /// the current index would produce for its term (tested), at a cost

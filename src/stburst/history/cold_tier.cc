@@ -458,18 +458,6 @@ double ColdTier::StreamSum(TermId term, StreamId stream) const {
   return total;
 }
 
-double ColdTier::TermSum(TermId term) const {
-  double total = 0.0;
-  if (base_ != nullptr) {
-    auto [begin, end] = base_->Range(term);
-    for (uint64_t i = begin; i < end; ++i) total += base_->sum[i];
-  }
-  if (const std::vector<ColdRow>* delta = DeltaForTerm(term)) {
-    for (const ColdRow& r : *delta) total += r.sum;
-  }
-  return total;
-}
-
 StatusOr<TermSeries> ColdTier::ReplaySeries(TermId term,
                                             uint32_t bucket_begin,
                                             uint32_t bucket_end,

@@ -166,9 +166,6 @@ class ColdTier {
   /// covered_length() observations (zeros included).
   double StreamSum(TermId term, StreamId stream) const;
 
-  /// Sum of folded frequency for a term across all streams.
-  double TermSum(TermId term) const;
-
   /// Bucket-resolution frequency matrix for `term` over bucket indices
   /// [bucket_begin, bucket_end): cell (s, b - bucket_begin) holds the
   /// folded sum for stream s in bucket b. `num_streams` must be >=

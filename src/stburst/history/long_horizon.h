@@ -85,14 +85,6 @@ class LongHorizonBaseline {
     return std::make_unique<SeededMeanModel>(SeedFor(term, stream));
   }
 
-  /// Factory form for interfaces that construct models themselves
-  /// (BurstinessSeries, the batch miner's per-stream factories). Captures
-  /// the seed by value, so the factory stays valid past tier mutation.
-  ExpectedModelFactory FactoryFor(TermId term, StreamId stream) const {
-    SeededMeanModel seed = SeedFor(term, stream);
-    return [seed]() { return std::make_unique<SeededMeanModel>(seed); };
-  }
-
   const ColdTier* tier() const { return tier_; }
 
  private:

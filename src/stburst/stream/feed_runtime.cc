@@ -31,8 +31,6 @@ struct FeedRuntime::FeedTickUndo {
   Timestamp old_timeline = 0;
   size_t old_num_documents = 0;
   FrequencyIndex::AppendCheckpoint freq_checkpoint;
-  std::vector<TermId> pre_dirty;
-  bool pre_dirty_captured = false;
   bool collection_appended = false;
   bool index_appended = false;
   bool collection_evicted = false;
@@ -48,23 +46,22 @@ struct FeedRuntime::FeedTickUndo {
 };
 
 // Everything one in-flight tick stages between PrepareTickIngest and
-// CommitTick/AbortTick: the undo log, the running stats, the deadline
-// clock, and the staged mining / scoring / snapshot state. Lives behind
-// TickTransaction's pimpl so the header stays free of the undo types.
+// CommitTick/AbortTick: the undo log, the running stats, and the staged
+// mining / scoring / snapshot state. Lives behind TickTransaction's pimpl so
+// the header stays free of the undo types.
 struct FeedRuntime::TickTransaction::Impl {
   FeedTickUndo undo;
   FeedTickStats stats;
   Timer timer;                 // starts at PrepareTickIngest
-  double clock_start = 0.0;    // options_.clock() at PrepareTickIngest
   std::vector<TermId> dirty_todo;
   std::vector<TermPatterns> staged_dirty;
   std::vector<TermId> refresh_todo;
   std::vector<TermPatterns> staged_refresh;
   std::vector<TermId> score_terms;
   std::vector<std::vector<Posting>> staged_postings;
-  std::vector<TermId> deferred_next;
   std::shared_ptr<IndexSnapshot> next_snapshot;
   bool touch_search = false;
+  bool staged = false;  // StageTickDerived succeeded; CommitTick requires it
 };
 
 FeedRuntime::TickTransaction::TickTransaction() = default;
@@ -250,13 +247,23 @@ StatusOr<FeedRuntime::TickTransaction> FeedRuntime::PrepareTickIngest(
 
 Status FeedRuntime::StageTickDerived(TickTransaction* tx,
                                      std::vector<TermId> refresh_targets) {
-  return GuardTickPhase([&] {
+  const Status status = GuardTickPhase([&] {
     return StageDerivedGuarded(tx->impl_.get(), std::move(refresh_targets));
   });
+  tx->impl_->staged = status.ok();
+  return status;
 }
 
 StatusOr<FeedTickStats> FeedRuntime::CommitTick(TickTransaction tx) {
   TickTransaction::Impl* impl = tx.impl_.get();
+  if (!impl->staged) {
+    // Committing the ingest alone would publish a collection (evicted
+    // documents gone) that the unchanged search snapshot still indexes.
+    RollbackTick(&impl->undo);
+    return Status::FailedPrecondition(
+        "CommitTick of a transaction StageTickDerived did not stage; "
+        "the tick was rolled back");
+  }
   const Status status =
       GuardTickPhase([&] { return CommitGuarded(impl); });
   if (status.ok()) return std::move(impl->stats);
@@ -334,19 +341,8 @@ Status FeedRuntime::ValidateSnapshot(Snapshot* snapshot,
                                    &stats->rejected_documents);
 }
 
-bool FeedRuntime::TickOverDeadline(const TickTransaction::Impl& tx) const {
-  if (options_.tick_deadline_seconds <= 0.0) return false;
-  const double elapsed = options_.clock
-                             ? options_.clock() - tx.clock_start
-                             : tx.timer.ElapsedSeconds();
-  return elapsed > options_.tick_deadline_seconds;
-}
-
 Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
                                          TickTransaction::Impl* tx) {
-  // The deadline clock starts with the tick, before validation — exactly
-  // where the monolithic tick started it.
-  tx->clock_start = options_.clock ? options_.clock() : 0.0;
   FeedTickUndo* undo = &tx->undo;
   FeedTickStats* stats = &tx->stats;
 
@@ -358,13 +354,12 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
   undo->old_timeline = collection_.timeline_length();
   undo->old_num_documents = collection_.num_documents();
   undo->freq_checkpoint = index_.CheckpointBeforeAppend();
-  undo->pre_dirty = index_.PendingDirtyTerms();
-  undo->pre_dirty_captured = true;
 
   undo->collection_appended = true;
   STB_ASSIGN_OR_RETURN(stats->time, collection_.Append(std::move(snapshot)));
   undo->index_appended = true;
-  STB_RETURN_NOT_OK(index_.AppendSnapshot(collection_, pool_.get()));
+  STB_ASSIGN_OR_RETURN(std::vector<TermId> dirty,
+                       index_.AppendSnapshot(collection_, pool_.get()));
 
   const Timestamp window = options_.retention_window;
   if (window > 0 && collection_.timeline_length() > window) {
@@ -374,8 +369,10 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
       STB_RETURN_NOT_OK(
           collection_.EvictBefore(cutoff, &undo->collection_undo));
       undo->freq_evicted = true;
-      STB_RETURN_NOT_OK(
+      STB_ASSIGN_OR_RETURN(
+          std::vector<TermId> evicted_terms,
           index_.EvictBefore(cutoff, pool_.get(), &undo->freq_undo));
+      dirty.insert(dirty.end(), evicted_terms.begin(), evicted_terms.end());
       stats->evicted = true;
 
       // Tiered history (retention rule 8): the postings the eviction just
@@ -393,11 +390,10 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
   }
 
   // ---- staged dirty re-mine: into buffers, publish nothing ----
-  // Terms with appended or evicted postings: their slots are wrong until
-  // re-mined. Quiet terms' slots stay exact under the sliding window —
-  // their windowed series content is unchanged and timeframes are absolute
-  // (the retention contract).
-  std::vector<TermId> dirty = index_.TakeDirtyTerms();
+  // Terms with appended or evicted postings (StageRemineTerms merges the
+  // two lists): their slots are wrong until re-mined. Quiet terms' slots
+  // stay exact under the sliding window — their windowed series content is
+  // unchanged and timeframes are absolute (the retention contract).
   STBURST_FAULT_POINT("runtime.remine");
   STB_ASSIGN_OR_RETURN(
       tx->dirty_todo,
@@ -409,65 +405,36 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
 Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
                                         std::vector<TermId> refresh_targets) {
   FeedTickStats* stats = &tx->stats;
-  if (options_.refresh_budget > 0) {
-    if (TickOverDeadline(*tx)) {
-      // Degradation ladder, step 1: shed the refresh sweep. Pure freshness
-      // work — quiet slots just keep their standard staleness drift.
-      stats->degraded = true;
-    } else {
-      STB_ASSIGN_OR_RETURN(
-          tx->refresh_todo,
-          StageRemineTerms(index_, refresh_targets, options_.miner,
-                           &tx->staged_refresh));
-    }
-  }
+  STB_ASSIGN_OR_RETURN(tx->refresh_todo,
+                       StageRemineTerms(index_, refresh_targets,
+                                        options_.miner, &tx->staged_refresh));
   stats->refreshed_terms = tx->refresh_todo.size();
 
   const std::vector<TermId>& dirty_todo = tx->dirty_todo;
   const std::vector<TermId>& refresh_todo = tx->refresh_todo;
   const bool search = options_.search_serving != SearchServing::kNone;
   if (search) {
-    // The score set: this tick's re-mined terms, plus any scoring a
-    // previous degraded tick deferred.
-    std::vector<TermId> want;
-    want.reserve(dirty_todo.size() + refresh_todo.size() +
-                 deferred_search_terms_.size());
-    want.insert(want.end(), dirty_todo.begin(), dirty_todo.end());
-    want.insert(want.end(), refresh_todo.begin(), refresh_todo.end());
-    want.insert(want.end(), deferred_search_terms_.begin(),
-                deferred_search_terms_.end());
-    std::sort(want.begin(), want.end());
-    want.erase(std::unique(want.begin(), want.end()), want.end());
-    if (!want.empty() && TickOverDeadline(*tx)) {
-      // Degradation ladder, step 2: defer search re-scoring — the terms
-      // carry over and the next tick with headroom scores them. Search
-      // *eviction* still publishes below (a deferred drop would serve dead
-      // DocIds).
-      stats->degraded = true;
-      tx->deferred_next = std::move(want);
-    } else {
-      // A term staged this tick scores against its staged slot (its
-      // standing slot is still pre-tick); deferred carry-overs score
-      // against their standing slot, which their original tick committed.
-      const auto slot_for = [&](TermId term) -> const TermPatterns& {
-        auto it =
-            std::lower_bound(dirty_todo.begin(), dirty_todo.end(), term);
-        if (it != dirty_todo.end() && *it == term) {
-          return tx->staged_dirty[static_cast<size_t>(it -
-                                                      dirty_todo.begin())];
-        }
-        it = std::lower_bound(refresh_todo.begin(), refresh_todo.end(), term);
-        if (it != refresh_todo.end() && *it == term) {
-          return tx->staged_refresh[static_cast<size_t>(
-              it - refresh_todo.begin())];
-        }
-        if (term < result_.terms.size()) return result_.terms[term];
-        return kEmptyPatterns;
-      };
-      tx->score_terms = std::move(want);
-      tx->staged_postings = StageSearchPostings(
-          tx->score_terms, slot_for, &stats->search_tokens_scanned);
-    }
+    // The score set: exactly this tick's re-mined terms, each scored
+    // against its staged slot (its standing slot is still pre-tick).
+    tx->score_terms.reserve(dirty_todo.size() + refresh_todo.size());
+    tx->score_terms.insert(tx->score_terms.end(), dirty_todo.begin(),
+                           dirty_todo.end());
+    tx->score_terms.insert(tx->score_terms.end(), refresh_todo.begin(),
+                           refresh_todo.end());
+    std::sort(tx->score_terms.begin(), tx->score_terms.end());
+    tx->score_terms.erase(
+        std::unique(tx->score_terms.begin(), tx->score_terms.end()),
+        tx->score_terms.end());
+    const auto slot_for = [&](TermId term) -> const TermPatterns& {
+      auto it = std::lower_bound(dirty_todo.begin(), dirty_todo.end(), term);
+      if (it != dirty_todo.end() && *it == term) {
+        return tx->staged_dirty[static_cast<size_t>(it - dirty_todo.begin())];
+      }
+      it = std::lower_bound(refresh_todo.begin(), refresh_todo.end(), term);
+      return tx->staged_refresh[static_cast<size_t>(it - refresh_todo.begin())];
+    };
+    tx->staged_postings = StageSearchPostings(
+        tx->score_terms, slot_for, &stats->search_tokens_scanned);
   }
 
   // ---- staged snapshot build: the next read-plane generation, entirely
@@ -555,7 +522,6 @@ Status FeedRuntime::CommitGuarded(TickTransaction::Impl* tx) {
     // store / acquire load pair — see common/published_ptr.h).
     search_snapshot_.Publish(std::move(tx->next_snapshot));
   }
-  deferred_search_terms_ = std::move(tx->deferred_next);
 
   // Cold-tier checkpoint (kMmap): persist the folded generation. Publish
   // failure is deliberately non-wedging — the in-memory tier is already
@@ -605,9 +571,6 @@ void FeedRuntime::RollbackTick(FeedTickUndo* undo) {
   if (undo->index_appended) index_.RollbackAppend(undo->freq_checkpoint);
   if (undo->collection_appended) {
     collection_.RollbackAppend(undo->old_timeline, undo->old_num_documents);
-  }
-  if (undo->pre_dirty_captured) {
-    index_.RestoreDirtyTerms(std::move(undo->pre_dirty));
   }
 }
 

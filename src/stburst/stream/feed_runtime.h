@@ -1,7 +1,7 @@
 // FeedRuntime — the long-running live-feed mining service.
 //
 // PR 2 left the live path as loose parts the caller had to wire per tick
-// (Append → AppendSnapshot → TakeDirtyTerms → re-mine), with three
+// (Append → AppendSnapshot → re-mine the touched terms), with three
 // structural leaks for a feed that runs for weeks: postings and online
 // histories grew without bound, quiet terms went stale forever, and every
 // re-mine paid a thread spawn/join. FeedRuntime owns the whole live stack —
@@ -37,10 +37,10 @@
 // (result(), search_snapshot() and its generation, collection(), index())
 // answers bit-identically to a runtime that never saw the snapshot — an
 // unpublished snapshot is simply dropped, readers never knew it existed —
-// and the next clean Tick converges to batch parity. Under a tick deadline
-// the runtime degrades instead of falling behind: the refresh sweep is
-// shed first, search re-scoring deferred second (see
-// FeedRuntimeOptions::tick_deadline_seconds).
+// and the next clean Tick converges to batch parity. A tick carries no
+// state into the next one beyond what it committed: the dirty set of step 4
+// is the return value of steps 2 and 3, and every tick scores exactly the
+// terms it re-mined.
 //
 // With a retention window W, live memory is O(V + W · active terms) and a
 // long-running feed plateaus (tested: peak postings memory stays within
@@ -170,22 +170,6 @@ struct FeedRuntimeOptions {
 
   /// What Tick does with snapshot documents that fail validation.
   InvalidDocPolicy on_invalid = InvalidDocPolicy::kRejectTick;
-
-  /// Soft per-tick deadline in seconds; 0 disables it. When a tick is over
-  /// deadline it degrades instead of falling further behind, shedding work
-  /// in a fixed ladder: (1) the refresh sweep is skipped; (2) search
-  /// re-scoring is deferred — the terms carry over and are scored by the
-  /// next tick that has headroom. Search *eviction* is never deferred (a
-  /// deferred drop would serve dead DocIds), and correctness work (append,
-  /// eviction, dirty re-mine) always runs: degradation trades freshness of
-  /// derived state, never consistency. Degraded ticks set
-  /// FeedTickStats::degraded.
-  double tick_deadline_seconds = 0.0;
-
-  /// Clock the deadline reads, in seconds (only the difference between
-  /// calls matters). Null uses a monotonic wall clock; tests inject a
-  /// scripted clock to drive the degradation ladder deterministically.
-  std::function<double()> clock;
 };
 
 /// What one Tick did — sizes for monitoring, wall time for dashboards.
@@ -202,7 +186,6 @@ struct FeedTickStats {
   size_t folded_terms = 0;     ///< terms whose evicted postings the cold
                                ///< tier folded this tick (history on only)
   bool evicted = false;        ///< whether retention advanced the window
-  bool degraded = false;       ///< deadline ladder shed work this tick
   double seconds = 0.0;        ///< wall time of the whole tick
 };
 
@@ -297,7 +280,9 @@ class FeedRuntime {
   /// rolled itself back; a non-OK StageTickDerived leaves the transaction
   /// intact and the caller MUST AbortTick it; CommitTick either commits,
   /// rolls back cleanly, or — on a failure after publication began — wedges
-  /// the runtime, exactly like Tick.
+  /// the runtime, exactly like Tick. CommitTick of a transaction that
+  /// StageTickDerived never staged successfully rolls it back and returns
+  /// FailedPrecondition.
   ///
   /// PrepareTickIngest runs validation and the mutation phase (append,
   /// index splice, retention eviction) plus the dirty re-mine into staging.
@@ -316,15 +301,18 @@ class FeedRuntime {
       std::vector<RefreshCandidate> candidates, size_t budget);
 
   /// Stages the tick's derived state: the refresh re-mine of
-  /// `refresh_targets` (deadline rung 1 may shed it), the search re-scoring
-  /// (rung 2 may defer it), and the next search snapshot — publishing
-  /// nothing. On failure the caller must AbortTick the transaction.
+  /// `refresh_targets`, the search re-scoring of every term the tick
+  /// re-mines, and the next search snapshot — publishing nothing. On
+  /// failure the caller must AbortTick the transaction.
   Status StageTickDerived(TickTransaction* tx,
                           std::vector<TermId> refresh_targets);
 
   /// Publishes the staged state and returns the tick's stats. On a clean
   /// pre-publication failure the transaction is rolled back; a failure
-  /// after publication began wedges the runtime (see Tick).
+  /// after publication began wedges the runtime (see Tick). A transaction
+  /// with nothing staged (StageTickDerived never ran, or failed) is rolled
+  /// back with FailedPrecondition: committing its ingest alone would
+  /// publish a collection the search snapshot does not match.
   StatusOr<FeedTickStats> CommitTick(TickTransaction tx);
 
   /// Rolls the transaction back to the exact pre-tick state. No-throw.
@@ -402,11 +390,6 @@ class FeedRuntime {
                              std::vector<TermId> refresh_targets);
   Status CommitGuarded(TickTransaction::Impl* tx);
 
-  /// Whether the tick whose deadline clock `tx` carries is over
-  /// options_.tick_deadline_seconds; false with no deadline configured.
-  /// Calls options_.clock at most once (the scripted-clock contract).
-  bool TickOverDeadline(const TickTransaction::Impl& tx) const;
-
   /// Restores the exact pre-tick state recorded in `undo` (reverse order of
   /// the tick's mutations). No-throw.
   void RollbackTick(FeedTickUndo* undo);
@@ -443,10 +426,6 @@ class FeedRuntime {
   std::vector<Timestamp> last_mined_;   // timeline length at last (re-)mine
   std::vector<Timestamp> last_window_;  // window length at last (re-)mine
   std::vector<double> mass_;            // windowed TotalCount at last mine
-  // Degradation ladder: terms whose search re-scoring a deadline-pressed
-  // tick deferred (sorted, unique); the next tick with headroom scores
-  // them. Empty in steady state.
-  std::vector<TermId> deferred_search_terms_;
   // Set when a failure struck inside a commit tail (partial publish — no
   // rollback possible); every further Tick refuses with FailedPrecondition.
   bool wedged_ = false;

@@ -71,15 +71,14 @@ FrequencyIndex FrequencyIndex::Build(const Collection& collection,
       std::min(ResolveThreadCount(num_threads), ResolveThreadCount(0));
   std::unique_ptr<ThreadPool> pool;
   if (workers > 1) pool = std::make_unique<ThreadPool>(workers - 1);
-  const Status status = index.AppendSnapshot(collection, pool.get());
+  const Status status = index.AppendSnapshot(collection, pool.get()).status();
   STB_CHECK(status.ok()) << "append onto an empty index failed: "
                          << status.ToString();
-  index.dirty_terms_.clear();
   return index;
 }
 
-Status FrequencyIndex::AppendSnapshot(const Collection& collection,
-                                      ThreadPool* pool) {
+StatusOr<std::vector<TermId>> FrequencyIndex::AppendSnapshot(
+    const Collection& collection, ThreadPool* pool) {
   if (collection.timeline_length() < timeline_length_) {
     return Status::InvalidArgument("collection timeline is behind the index");
   }
@@ -143,6 +142,10 @@ Status FrequencyIndex::AppendSnapshot(const Collection& collection,
     }
   }
 
+  // The returned change set is in TermId order; the per-term splice below
+  // does not depend on the order.
+  std::sort(touched.begin(), touched.end());
+
   // Splice each touched term's pending entries into its bucket. All new
   // times exceed every pre-existing time, so the two sorted halves merge
   // without duplicate cells; an empty bucket (every term of a fresh Build)
@@ -164,10 +167,9 @@ Status FrequencyIndex::AppendSnapshot(const Collection& collection,
                        bucket.begin() + static_cast<ptrdiff_t>(old_size),
                        bucket.end(), PostingLess);
   });
-  dirty_terms_.insert(dirty_terms_.end(), touched.begin(), touched.end());
 
   timeline_length_ = collection.timeline_length();
-  return Status::OK();
+  return touched;
 }
 
 void FrequencyIndex::RollbackAppend(const AppendCheckpoint& checkpoint) {
@@ -193,9 +195,9 @@ void FrequencyIndex::RollbackAppend(const AppendCheckpoint& checkpoint) {
   num_streams_ = checkpoint.num_streams;
 }
 
-Status FrequencyIndex::EvictBefore(Timestamp cutoff, ThreadPool* pool,
-                                   FrequencyEvictUndo* undo) {
-  if (cutoff <= window_start_) return Status::OK();
+StatusOr<std::vector<TermId>> FrequencyIndex::EvictBefore(
+    Timestamp cutoff, ThreadPool* pool, FrequencyEvictUndo* undo) {
+  if (cutoff <= window_start_) return std::vector<TermId>{};
   if (cutoff > timeline_length_) {
     return Status::OutOfRange("eviction cutoff beyond the timeline");
   }
@@ -239,11 +241,12 @@ Status FrequencyIndex::EvictBefore(Timestamp cutoff, ThreadPool* pool,
     changed[t] = 1;
   });
 
+  std::vector<TermId> evicted_terms;
   for (TermId t = 0; t < changed.size(); ++t) {
-    if (changed[t]) dirty_terms_.push_back(t);
+    if (changed[t]) evicted_terms.push_back(t);
   }
   window_start_ = cutoff;
-  return Status::OK();
+  return evicted_terms;
 }
 
 void FrequencyIndex::RollbackEvict(FrequencyEvictUndo&& undo) {
@@ -276,13 +279,6 @@ size_t FrequencyIndex::PostingsMemoryBytes() const {
     bytes += bucket.capacity() * sizeof(TermPosting);
   }
   return bytes;
-}
-
-std::vector<TermId> FrequencyIndex::TakeDirtyTerms() {
-  std::sort(dirty_terms_.begin(), dirty_terms_.end());
-  dirty_terms_.erase(std::unique(dirty_terms_.begin(), dirty_terms_.end()),
-                     dirty_terms_.end());
-  return std::exchange(dirty_terms_, {});
 }
 
 const std::vector<TermPosting>& FrequencyIndex::postings(TermId term) const {

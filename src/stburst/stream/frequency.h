@@ -12,9 +12,10 @@
 // path: AppendSnapshot(collection) catches the index up with every timestamp
 // the collection gained since the index last saw it, touching only the terms
 // that appear in the new snapshots. Build(collection) is that append onto an
-// empty index. Terms touched by appends since the last TakeDirtyTerms() call
-// are tracked so downstream consumers (the batch miner, search indexes) can
-// re-derive only what changed.
+// empty index. AppendSnapshot and EvictBefore each return the terms whose
+// postings they changed, so downstream consumers (the batch miner, search
+// indexes) can re-derive only what changed; the index itself keeps no record
+// of them.
 
 #ifndef STBURST_STREAM_FREQUENCY_H_
 #define STBURST_STREAM_FREQUENCY_H_
@@ -103,7 +104,7 @@ struct FrequencyEvictUndo {
 /// threads but are externally exclusive (the collection, including its
 /// vocabulary, must not be mutated while they run). After Build /
 /// AppendSnapshot return, all const accessors are safe to call concurrently
-/// from any number of threads; AppendSnapshot and TakeDirtyTerms are writers
+/// from any number of threads; AppendSnapshot and EvictBefore are writers
 /// and must be externally serialized against the readers (quiesce mining,
 /// append, re-mine — see docs/ARCHITECTURE.md).
 class FrequencyIndex {
@@ -114,7 +115,7 @@ class FrequencyIndex {
 
   /// Builds canonical per-term postings for every retained timestamp of
   /// `collection`: an AppendSnapshot onto an empty index whose window starts
-  /// at collection.window_start(), with the dirty set cleared afterwards.
+  /// at collection.window_start().
   ///
   /// `num_threads`: 1 (default) runs serially on the calling thread; 0 means
   /// hardware concurrency. With T > 1 the splice of the gathered postings is
@@ -133,7 +134,7 @@ class FrequencyIndex {
   /// gained since this index was built or last caught up (the result of one
   /// or more Collection::Append calls). Postings are extended in place; only
   /// terms occurring in the new snapshots are touched, and those terms are
-  /// recorded for TakeDirtyTerms().
+  /// returned (sorted, unique) — the slots a miner must re-derive.
   ///
   /// Contract: `collection` must be the same logical collection the index
   /// was built from, with documents added only at appended timestamps —
@@ -152,8 +153,8 @@ class FrequencyIndex {
   /// benefit; tiny ticks do not. A term whose bucket is empty takes its
   /// gathered list whole, so a fresh Build's splice is one move per term.
   /// Complexity: O(V + new tokens + Σ postings(t) over touched terms t).
-  Status AppendSnapshot(const Collection& collection,
-                        ThreadPool* pool = nullptr);
+  StatusOr<std::vector<TermId>> AppendSnapshot(const Collection& collection,
+                                               ThreadPool* pool = nullptr);
 
   /// The index dimensions an AppendSnapshot may grow — everything
   /// RollbackAppend needs to undo one. Capture before the append.
@@ -173,45 +174,44 @@ class FrequencyIndex {
   /// posting carries a timestamp >= checkpoint.timeline_length and splices
   /// never merge into pre-existing cells, so dropping those postings (and
   /// the terms the append grew the vocabulary by) restores the exact
-  /// pre-append postings. The dirty set is NOT rewound — restore it
-  /// separately from a PendingDirtyTerms() copy taken alongside the
-  /// checkpoint. No interleaved evictions allowed between capture and
-  /// rollback. No-throw; O(retained postings of touched terms).
+  /// pre-append postings. No interleaved evictions allowed between capture
+  /// and rollback. No-throw; O(retained postings of touched terms).
   void RollbackAppend(const AppendCheckpoint& checkpoint);
 
-  /// Drops all postings older than `cutoff`, advancing window_start(). Terms
-  /// that lose postings are recorded as dirty (their standing mining slots
-  /// reference evicted timestamps) and their buckets are shrunk when the
-  /// slack exceeds ~25%, so a steadily evicting feed's postings memory
-  /// plateaus at O(window · active terms) instead of growing with the feed.
-  /// Terms untouched by the cutoff are NOT dirtied: their windowed series
-  /// content is unchanged, and patterns are reported in absolute timestamps,
-  /// so on a length-preserving window slide (evicting as many timestamps as
-  /// were appended since the slot was mined — FeedRuntime's steady state)
-  /// their standing results remain exact. An eviction that shrinks the net
-  /// window length shifts the burstiness baseline 1/N for every term, so
-  /// untouched quiet slots then carry the standard staleness drift until
-  /// re-mined (see the retention contract in docs/ARCHITECTURE.md); re-mine
-  /// the full vocabulary after first applying a window to deep history.
+  /// Drops all postings older than `cutoff`, advancing window_start(), and
+  /// returns the terms that lost postings (sorted, unique: their standing
+  /// mining slots reference evicted timestamps). Their buckets are shrunk
+  /// when the slack exceeds ~25%, so a steadily evicting feed's postings
+  /// memory plateaus at O(window · active terms) instead of growing with the
+  /// feed. Terms untouched by the cutoff are not returned: their windowed
+  /// series content is unchanged, and patterns are reported in absolute
+  /// timestamps, so on a length-preserving window slide (evicting as many
+  /// timestamps as were appended since the slot was mined — FeedRuntime's
+  /// steady state) their standing results remain exact. An eviction that
+  /// shrinks the net window length shifts the burstiness baseline 1/N for
+  /// every term, so untouched quiet slots then carry the standard staleness
+  /// drift until re-mined (see the retention contract in
+  /// docs/ARCHITECTURE.md); re-mine the full vocabulary after first applying
+  /// a window to deep history.
   ///
   /// `pool`: when non-null the per-term scan is fanned across the pool;
   /// output is identical with or without it. cutoff <= window_start() is a
-  /// no-op; cutoff beyond the timeline is OutOfRange (state untouched).
-  /// O(retained + evicted postings) work.
+  /// no-op returning no terms; cutoff beyond the timeline is OutOfRange
+  /// (state untouched). O(retained + evicted postings) work.
   ///
   /// `undo`, when non-null, receives the evicted postings per touched term
   /// (workers append under a mutex; the set of captured terms is complete
   /// even when a worker throws mid-pass, because ParallelFor quiesces before
   /// rethrowing). RollbackEvict restores them exactly.
-  Status EvictBefore(Timestamp cutoff, ThreadPool* pool = nullptr,
-                     FrequencyEvictUndo* undo = nullptr);
+  StatusOr<std::vector<TermId>> EvictBefore(
+      Timestamp cutoff, ThreadPool* pool = nullptr,
+      FrequencyEvictUndo* undo = nullptr);
 
   /// Restores the postings captured by the matching EvictBefore, consuming
   /// the undo. Valid after a completed eviction or one that threw partway:
   /// every term in the undo is re-merged (evicted entries all predate the
   /// cutoff, so the merge reconstructs the original canonical bucket), terms
-  /// not in the undo were never touched. The dirty set is NOT rewound —
-  /// restore it separately (see RollbackAppend).
+  /// not in the undo were never touched.
   void RollbackEvict(FrequencyEvictUndo&& undo);
 
   /// First retained timestamp (0 until EvictBefore advances it). Postings
@@ -226,23 +226,6 @@ class FrequencyIndex {
   /// allocator actually charges). The retention tests pin the live-memory
   /// plateau with this.
   size_t PostingsMemoryBytes() const;
-
-  /// Terms whose postings changed since the last call (sorted, unique), and
-  /// resets the dirty set. Feed to StageRemineTerms / search re-scoring so
-  /// downstream work is proportional to the feed, not the corpus.
-  std::vector<TermId> TakeDirtyTerms();
-
-  /// The pending dirty set as-is (unsorted, may hold duplicates), without
-  /// resetting it. Capture alongside CheckpointBeforeAppend so a failed
-  /// tick can restore the set with RestoreDirtyTerms.
-  std::vector<TermId> PendingDirtyTerms() const { return dirty_terms_; }
-
-  /// Replaces the pending dirty set wholesale — the rollback counterpart of
-  /// PendingDirtyTerms (exact, because the posting rollbacks restore the
-  /// postings the set describes).
-  void RestoreDirtyTerms(std::vector<TermId> dirty) {
-    dirty_terms_ = std::move(dirty);
-  }
 
   size_t num_terms() const { return postings_.size(); }
   size_t num_streams() const { return num_streams_; }
@@ -270,7 +253,6 @@ class FrequencyIndex {
   Timestamp timeline_length_ = 0;
   Timestamp window_start_ = 0;  // first retained timestamp
   std::vector<std::vector<TermPosting>> postings_;  // indexed by TermId
-  std::vector<TermId> dirty_terms_;  // touched by appends; may hold dupes
   static const std::vector<TermPosting> kEmpty;
 };
 

@@ -221,12 +221,12 @@ TEST(RemineTerms, DirtyTermsMatchFreshSweepAndQuietSlotsKeepTheirPatterns) {
     }
     ASSERT_TRUE(c.Append(std::move(snap)).ok());
   }
-  ASSERT_TRUE(freq.AppendSnapshot(c).ok());
-  const std::vector<TermId> dirty = freq.TakeDirtyTerms();
-  ASSERT_FALSE(dirty.empty());
+  auto dirty = freq.AppendSnapshot(c);
+  ASSERT_TRUE(dirty.ok());
+  ASSERT_FALSE(dirty->empty());
 
   std::vector<TermPatterns> staged;
-  auto todo = StageRemineTerms(freq, dirty, opts, &staged);
+  auto todo = StageRemineTerms(freq, *dirty, opts, &staged);
   ASSERT_TRUE(todo.ok());
   ASSERT_EQ(staged.size(), todo->size());
   // Commit as FeedRuntime does: grow for new vocabulary (new slots start
@@ -250,7 +250,7 @@ TEST(RemineTerms, DirtyTermsMatchFreshSweepAndQuietSlotsKeepTheirPatterns) {
   ASSERT_TRUE(fresh.ok());
 
   std::vector<bool> is_dirty(freq.num_terms(), false);
-  for (TermId t : dirty) is_dirty[t] = true;
+  for (TermId t : *dirty) is_dirty[t] = true;
   for (TermId t = 0; t < freq.num_terms(); ++t) {
     if (is_dirty[t]) {
       // Re-mined slots are exactly what a fresh sweep produces.

@@ -825,60 +825,7 @@ TEST(FeedRuntime, EmptySnapshotTickIsDefined) {
   EXPECT_EQ(stats->dirty_terms, 0u);
   EXPECT_EQ(stats->rejected_documents, 0u);
   EXPECT_FALSE(stats->evicted);
-  EXPECT_FALSE(stats->degraded);
   EXPECT_EQ(runtime->collection().timeline_length(), before + 1);
-}
-
-TEST(FeedRuntimeDeadline, LadderShedsRefreshThenDefersSearch) {
-  constexpr size_t kStreams = 3;
-  constexpr size_t kVocab = 12;
-
-  FeedRuntimeOptions opts = BaseOptions(1);
-  opts.refresh_budget = 3;
-  opts.search_serving = SearchServing::kCombinatorial;
-  opts.tick_deadline_seconds = 1.0;
-  // Scripted clock: reads 0.0 once (the first tick's start), then 100.0
-  // forever — so the first tick is over deadline at every later check and
-  // every subsequent tick (start 100, checks 100) has headroom.
-  auto calls = std::make_shared<int>(0);
-  opts.clock = [calls]() { return (*calls)++ == 0 ? 0.0 : 100.0; };
-
-  // Seed history so the first tick has dirty terms to re-mine and quiet
-  // terms the sweep would want.
-  Collection seed = MakeSeedCollection(kStreams, 3, kVocab);
-  for (Timestamp t = 0; t < 3; ++t) {
-    for (StreamId s = 0; s < kStreams; ++s) {
-      for (TermId term = 0; term < kVocab; ++term) {
-        ASSERT_TRUE(seed.AddDocument(s, t, {term}).ok());
-      }
-    }
-  }
-  auto runtime = FeedRuntime::Create(std::move(seed), opts);
-  ASSERT_TRUE(runtime.ok());
-  const uint64_t created_generation = runtime->search_snapshot()->generation;
-
-  // Over-deadline tick: correctness work (append + dirty re-mine) runs;
-  // the refresh sweep is shed and search re-scoring deferred.
-  Snapshot snap;
-  snap.push_back(SnapshotDocument{0, {TermId{0}, TermId{0}}});
-  auto degraded = runtime->Tick(std::move(snap));
-  ASSERT_TRUE(degraded.ok());
-  EXPECT_TRUE(degraded->degraded);
-  EXPECT_EQ(degraded->dirty_terms, 1u);       // correctness always runs
-  EXPECT_EQ(degraded->refreshed_terms, 0u);   // ladder step 1: shed
-  EXPECT_EQ(degraded->search_terms, 0u);      // ladder step 2: deferred
-  EXPECT_EQ(runtime->search_snapshot()->generation, created_generation);
-
-  // The next tick has headroom: the deferred term is scored (catch-up),
-  // the sweep runs again, and the index is back at full-rebuild parity.
-  auto catchup = runtime->Tick(Snapshot{});
-  ASSERT_TRUE(catchup.ok());
-  EXPECT_FALSE(catchup->degraded);
-  EXPECT_GE(catchup->search_terms, 1u);
-  EXPECT_GT(runtime->search_snapshot()->generation, created_generation);
-  ExpectIdenticalIndexes(
-      runtime->search_snapshot()->index,
-      RebuildReferenceSearchIndex(*runtime, SearchServing::kCombinatorial));
 }
 
 TEST(FeedRuntime, SearchEdgeCasesAreDefined) {
@@ -948,7 +895,6 @@ void ExpectSameStats(const FeedTickStats& a, const FeedTickStats& b) {
   EXPECT_EQ(a.search_tokens_scanned, b.search_tokens_scanned);
   EXPECT_EQ(a.folded_terms, b.folded_terms);
   EXPECT_EQ(a.evicted, b.evicted);
-  EXPECT_EQ(a.degraded, b.degraded);
 }
 
 TEST(FeedRuntimePhases, ComposedPhasesMatchTickBitForBit) {
@@ -1017,6 +963,49 @@ TEST(FeedRuntimePhases, AbortAfterStageRestoresPreTickState) {
   // The same snapshot then ticks cleanly, and both stay in lockstep.
   auto retried = subject->Tick(doomed);
   auto fresh = control->Tick(doomed);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_TRUE(retried->evicted);
+  ExpectSameStats(*retried, *fresh);
+  ExpectIdenticalRuntimes(*subject, *control);
+}
+
+TEST(FeedRuntimePhases, CommitWithoutStageIsRejectedAndRolledBack) {
+  const FeedRuntimeOptions opts = PhaseOptions();
+  auto subject = FeedRuntime::Create(
+      MakeSeedCollection(kPhaseStreams, 3, kPhaseVocab), opts);
+  ASSERT_TRUE(subject.ok()) << subject.status().ToString();
+  auto control = FeedRuntime::Create(
+      MakeSeedCollection(kPhaseStreams, 3, kPhaseVocab), opts);
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+
+  // Overfill the window so the unstaged tick would evict documents the
+  // published search snapshot still indexes.
+  Rng rng(1414);
+  for (int tick = 0; tick < 10; ++tick) {
+    const Snapshot snap = MakeSnapshot(rng, kPhaseStreams, kPhaseVocab);
+    ASSERT_TRUE(subject->Tick(snap).ok());
+    ASSERT_TRUE(control->Tick(snap).ok());
+  }
+  const std::shared_ptr<const IndexSnapshot> published =
+      subject->search_snapshot();
+
+  // Prepare → Commit, skipping StageTickDerived: the commit is refused and
+  // the tick rolled back; the control never sees the snapshot.
+  const Snapshot skipped = MakeSnapshot(rng, kPhaseStreams, kPhaseVocab);
+  auto tx = subject->PrepareTickIngest(skipped);
+  ASSERT_TRUE(tx.ok()) << tx.status().ToString();
+  auto committed = subject->CommitTick(std::move(*tx));
+  EXPECT_TRUE(committed.status().IsFailedPrecondition())
+      << committed.status().ToString();
+
+  EXPECT_FALSE(subject->wedged());
+  EXPECT_EQ(subject->search_snapshot().get(), published.get());
+  ExpectIdenticalRuntimes(*subject, *control);
+
+  // The next tick succeeds, and both stay in lockstep.
+  auto retried = subject->Tick(skipped);
+  auto fresh = control->Tick(skipped);
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   EXPECT_TRUE(retried->evicted);

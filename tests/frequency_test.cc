@@ -182,9 +182,8 @@ std::vector<std::vector<TermPosting>> ReferencePostings(
 }
 
 // Exact (bit-for-bit) equality of an index with the reference postings of
-// the collection it was built from, including its window and a clean dirty
-// set.
-void ExpectMatchesReference(FrequencyIndex& index,
+// the collection it was built from, including its window.
+void ExpectMatchesReference(const FrequencyIndex& index,
                             const Collection& collection) {
   const std::vector<std::vector<TermPosting>> expected =
       ReferencePostings(collection);
@@ -192,7 +191,6 @@ void ExpectMatchesReference(FrequencyIndex& index,
   ASSERT_EQ(index.num_streams(), collection.num_streams());
   ASSERT_EQ(index.timeline_length(), collection.timeline_length());
   ASSERT_EQ(index.window_start(), collection.window_start());
-  EXPECT_TRUE(index.TakeDirtyTerms().empty());
   for (TermId t = 0; t < index.num_terms(); ++t) {
     const auto& got = index.postings(t);
     const auto& want = expected[t];
@@ -325,15 +323,18 @@ TEST(FrequencyIndexAppend, TracksDirtyTerms) {
   TermId dog = v->Intern("dog");
   (void)c->AddDocument(s, 0, {cat, dog});
   FrequencyIndex idx = FrequencyIndex::Build(*c);
-  EXPECT_TRUE(idx.TakeDirtyTerms().empty());  // a fresh build is clean
 
   Snapshot snap;
   snap.push_back(SnapshotDocument{s, {dog, dog}});
   ASSERT_TRUE(c->Append(std::move(snap)).ok());
-  ASSERT_TRUE(idx.AppendSnapshot(*c).ok());
-
-  EXPECT_EQ(idx.TakeDirtyTerms(), (std::vector<TermId>{dog}));
-  EXPECT_TRUE(idx.TakeDirtyTerms().empty());  // taking resets the set
+  auto touched = idx.AppendSnapshot(*c);
+  ASSERT_TRUE(touched.ok());
+  EXPECT_EQ(*touched, (std::vector<TermId>{dog}));
+  // Nothing accumulates in the index: a catch-up with no new timestamps
+  // touches nothing.
+  auto again = idx.AppendSnapshot(*c);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->empty());
   EXPECT_DOUBLE_EQ(idx.TotalCount(dog), 3.0);
   EXPECT_DOUBLE_EQ(idx.TotalCount(cat), 1.0);
 }
@@ -349,12 +350,12 @@ TEST(FrequencyIndexAppend, RejectsForeignCollections) {
   ASSERT_TRUE(shorter.ok());
   shorter->AddStream("A", {}, {});
   shorter->mutable_vocabulary()->Intern("x");
-  EXPECT_TRUE(idx.AppendSnapshot(*shorter).IsInvalidArgument());
+  EXPECT_TRUE(idx.AppendSnapshot(*shorter).status().IsInvalidArgument());
 
   auto no_vocab = Collection::Create(6);
   ASSERT_TRUE(no_vocab.ok());
   no_vocab->AddStream("A", {}, {});
-  EXPECT_TRUE(idx.AppendSnapshot(*no_vocab).IsInvalidArgument());
+  EXPECT_TRUE(idx.AppendSnapshot(*no_vocab).status().IsInvalidArgument());
 }
 
 TEST(FrequencyIndexRetention, EvictBeforeDropsOldPostingsAndMarksDirty) {
@@ -363,39 +364,42 @@ TEST(FrequencyIndexRetention, EvictBeforeDropsOldPostingsAndMarksDirty) {
   TermId cat = c.vocabulary().Lookup("cat");
   TermId dog = c.vocabulary().Lookup("dog");
 
-  ASSERT_TRUE(idx.EvictBefore(2).ok());
+  auto evicted = idx.EvictBefore(2);
+  ASSERT_TRUE(evicted.ok());
   EXPECT_EQ(idx.window_start(), 2);
   EXPECT_EQ(idx.window_length(), 2);
   EXPECT_TRUE(idx.postings(cat).empty());
   ASSERT_EQ(idx.postings(dog).size(), 1u);
   EXPECT_EQ(idx.postings(dog)[0].time, 3);
 
-  // Both terms lost postings and must be reported dirty; re-evicting at the
-  // same cutoff is a no-op and dirties nothing.
-  EXPECT_EQ(idx.TakeDirtyTerms(), (std::vector<TermId>{cat, dog}));
-  ASSERT_TRUE(idx.EvictBefore(2).ok());
-  EXPECT_TRUE(idx.TakeDirtyTerms().empty());
+  // Both terms lost postings and must be returned; re-evicting at the same
+  // cutoff is a no-op and returns nothing.
+  EXPECT_EQ(*evicted, (std::vector<TermId>{cat, dog}));
+  auto again = idx.EvictBefore(2);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->empty());
 
   // The dense series now covers the window, with column 0 = window_start.
   TermSeries series = idx.DenseSeries(dog);
   EXPECT_EQ(series.timeline_length(), 2);
   EXPECT_DOUBLE_EQ(series.at(1, 1), 1.0);  // (s1, absolute t3)
 
-  EXPECT_TRUE(idx.EvictBefore(99).IsOutOfRange());
+  EXPECT_TRUE(idx.EvictBefore(99).status().IsOutOfRange());
 }
 
 TEST(FrequencyIndexRetention, ParallelEvictionMatchesSerial) {
   Collection c = MakeRandomCorpus(77, 8, 30, 150, 4000);
   FrequencyIndex serial = FrequencyIndex::Build(c);
-  ASSERT_TRUE(serial.EvictBefore(11).ok());
-  const std::vector<TermId> serial_dirty = serial.TakeDirtyTerms();
-  EXPECT_FALSE(serial_dirty.empty());
+  auto serial_evicted = serial.EvictBefore(11);
+  ASSERT_TRUE(serial_evicted.ok());
+  EXPECT_FALSE(serial_evicted->empty());
   for (size_t pool_threads : {1u, 3u, 7u}) {
     FrequencyIndex parallel = FrequencyIndex::Build(c);
     ThreadPool pool(pool_threads);
-    ASSERT_TRUE(parallel.EvictBefore(11, &pool).ok());
+    auto parallel_evicted = parallel.EvictBefore(11, &pool);
+    ASSERT_TRUE(parallel_evicted.ok());
     ExpectIdenticalIndexes(serial, parallel);
-    EXPECT_EQ(serial_dirty, parallel.TakeDirtyTerms());
+    EXPECT_EQ(*serial_evicted, *parallel_evicted);
   }
 }
 
@@ -429,11 +433,13 @@ TEST(FrequencyIndexAppend, ParallelSpliceBitIdenticalToSerial) {
       snap.push_back(std::move(doc));
     }
     ASSERT_TRUE(base.Append(std::move(snap)).ok());
-    ASSERT_TRUE(serial.AppendSnapshot(base).ok());
+    auto serial_touched = serial.AppendSnapshot(base);
+    ASSERT_TRUE(serial_touched.ok());
     ThreadPool pool(pool_threads);
-    ASSERT_TRUE(pooled.AppendSnapshot(base, &pool).ok());
+    auto pooled_touched = pooled.AppendSnapshot(base, &pool);
+    ASSERT_TRUE(pooled_touched.ok());
     ExpectIdenticalIndexes(serial, pooled);
-    EXPECT_EQ(serial.TakeDirtyTerms(), pooled.TakeDirtyTerms());
+    EXPECT_EQ(*serial_touched, *pooled_touched);
   }
 }
 
@@ -453,6 +459,86 @@ TEST(FrequencyIndex, PostingsSortedByStreamThenTime) {
     bool ordered = p[i - 1].stream < p[i].stream ||
                    (p[i - 1].stream == p[i].stream && p[i - 1].time < p[i].time);
     EXPECT_TRUE(ordered);
+  }
+}
+
+// The terms whose postings differ between two states of one index, in
+// TermId order; a term only `after` holds counts as changed when it has
+// postings.
+std::vector<TermId> ChangedTerms(const FrequencyIndex& before,
+                                 const FrequencyIndex& after) {
+  std::vector<TermId> changed;
+  for (TermId t = 0; t < after.num_terms(); ++t) {
+    const auto& pa = before.postings(t);
+    const auto& pb = after.postings(t);
+    bool same = pa.size() == pb.size();
+    for (size_t i = 0; same && i < pa.size(); ++i) {
+      same = pa[i].stream == pb[i].stream && pa[i].time == pb[i].time &&
+             pa[i].count == pb[i].count;
+    }
+    if (!same) changed.push_back(t);
+  }
+  return changed;
+}
+
+// Differential check of the change sets: on seeded random feeds, every list
+// AppendSnapshot and EvictBefore return is exactly the set of terms whose
+// postings the call changed — serially and with the work fanned across a
+// pool — including empty snapshots, new vocabulary and no-op evictions.
+TEST(FrequencyIndexChangeSets, ReturnedTermsAreExactlyTheChangedPostings) {
+  for (uint64_t seed : {81u, 82u, 83u}) {
+    for (size_t pool_threads : {0u, 3u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " pool " +
+                   std::to_string(pool_threads));
+      Collection c = MakeRandomCorpus(seed, 7, 12, 90, 700);
+      c.SortByTime();
+      FrequencyIndex idx = FrequencyIndex::Build(c);
+      std::unique_ptr<ThreadPool> pool;
+      if (pool_threads > 0) pool = std::make_unique<ThreadPool>(pool_threads);
+      Rng rng(seed * 7 + 1);
+      size_t appended = 0, evicted = 0;
+      for (int round = 0; round < 24; ++round) {
+        Snapshot snap;
+        const size_t docs = rng.NextUint64(25);  // sometimes empty
+        for (size_t d = 0; d < docs; ++d) {
+          SnapshotDocument doc;
+          doc.stream = static_cast<StreamId>(rng.NextUint64(c.num_streams()));
+          const size_t len = 1 + rng.NextUint64(4);
+          for (size_t i = 0; i < len; ++i) {
+            if (rng.Bernoulli(0.05)) {
+              doc.tokens.push_back(c.mutable_vocabulary()->Intern(
+                  "new" + std::to_string(rng.NextUint64(30))));
+            } else {
+              doc.tokens.push_back(static_cast<TermId>(rng.NextUint64(90)));
+            }
+          }
+          snap.push_back(std::move(doc));
+        }
+        ASSERT_TRUE(c.Append(std::move(snap)).ok());
+        const FrequencyIndex before_append = idx;
+        auto touched = idx.AppendSnapshot(c, pool.get());
+        ASSERT_TRUE(touched.ok());
+        EXPECT_EQ(*touched, ChangedTerms(before_append, idx))
+            << "append, round " << round;
+        appended += touched->size();
+
+        // Slide the window by 0-2 timestamps; a zero step is a no-op
+        // eviction that must return nothing.
+        const Timestamp cutoff = std::min<Timestamp>(
+            c.timeline_length() - 1,
+            idx.window_start() + static_cast<Timestamp>(rng.NextUint64(3)));
+        ASSERT_TRUE(c.EvictBefore(cutoff).ok());
+        const FrequencyIndex before_evict = idx;
+        auto lost = idx.EvictBefore(cutoff, pool.get());
+        ASSERT_TRUE(lost.ok());
+        EXPECT_EQ(*lost, ChangedTerms(before_evict, idx))
+            << "eviction, round " << round;
+        evicted += lost->size();
+      }
+      // Not vacuous: both calls changed postings along the way.
+      EXPECT_GT(appended, 0u);
+      EXPECT_GT(evicted, 0u);
+    }
   }
 }
 
