@@ -31,8 +31,10 @@
 #include "stburst/core/discrepancy.h"
 #include "stburst/core/getmax.h"
 #include "stburst/core/rbursty.h"
+#include "stburst/core/stcomb.h"
 #include "stburst/core/temporal.h"
 #include "stburst/index/inverted_index.h"
+#include "stburst/index/search_engine.h"
 #include "stburst/index/threshold_algorithm.h"
 
 namespace stburst {
@@ -314,12 +316,64 @@ int Run() {
     remine_opts.num_threads = 1;
     std::vector<TermPatterns> staged;
     Timer t_remine;
-    if (!StageRemineTerms(feed, dirty, remine_opts, &staged).ok()) return 1;
+    StatusOr<std::vector<TermId>> remined =
+        StageRemineTerms(feed, dirty, remine_opts, &staged);
+    if (!remined.ok()) return 1;
     double remine_s = t_remine.ElapsedSeconds();
     report("remine_dirty_terms", remine_s * 1e9, dirty.size());
     std::printf("  -> re-mined %zu dirty terms in %.0f ms (vs %zu-term full "
                 "sweep)\n",
                 dirty.size(), remine_s * 1e3, vocab);
+
+    // The re-mine's clique alone: each dirty term's pool of per-stream
+    // bursty intervals, extracted outside the timed region (the same
+    // intervals the re-mine pools, on window-relative times), then iterated
+    // maxClique over every pool per pass. Each call copies its pool, as the
+    // by-value signature asks.
+    {
+      const StComb stcomb(remine_opts.stcomb);
+      std::vector<std::vector<StreamInterval>> pools;
+      pools.reserve(dirty.size());
+      size_t pooled = 0;
+      for (TermId term : dirty) {
+        pools.push_back(stcomb.ExtractStreamIntervals(feed.DenseSeries(term)));
+        pooled += pools.back().size();
+      }
+      size_t cliques = 0;
+      const double ns = TimeNs([&] {
+        cliques = 0;
+        for (const std::vector<StreamInterval>& pool : pools) {
+          cliques += stcomb.MineFromIntervals(pool).size();
+        }
+      });
+      report("stcomb_corpus_pools", ns, pools.size());
+      std::printf("  -> %zu pools, %zu intervals, %zu patterns per pass\n",
+                  pools.size(), pooled, cliques);
+    }
+
+    // One tick's re-score of the dirty terms against their staged patterns,
+    // serially: ScoreTermsByCell's pattern-to-posting lookup (phase 1) and
+    // its per-cell document pass (phase 2).
+    {
+      size_t postings = 0;
+      size_t tokens = 0;
+      const double ns = TimeNs([&] {
+        const std::vector<std::vector<Posting>> lists = ScoreTermsByCell(
+            live, feed, *remined,
+            [&](size_t i, std::vector<TermPattern>* out) {
+              for (const CombinatorialPattern& p : staged[i].combinatorial) {
+                out->push_back(TermPattern{p.streams, p.timeframe, p.score});
+              }
+            },
+            nullptr, &tokens);
+        postings = 0;
+        for (const std::vector<Posting>& list : lists) postings += list.size();
+      });
+      report("score_terms_by_cell", ns, remined->size());
+      std::printf("  -> re-scored %zu terms: %zu postings, %zu document "
+                  "tokens read\n",
+                  remined->size(), postings, tokens);
+    }
 
     // One full FeedRuntime tick over the corpus: pooled append splice,
     // retention eviction (window = the corpus timeline, so every tick

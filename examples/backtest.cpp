@@ -25,6 +25,9 @@
 //     Then the backtest proper: ReplayRange over the cold span must
 //     rediscover the "flood" burst at bucket resolution, and one more
 //     live tick must keep folding where the previous process stopped.
+//     The restarted runtime works on a copy, `<tier_path>.restart`, so
+//     that tick publishes there: the written tier stays as `write` left
+//     it, and `recover` can be run again with the same result.
 //
 // With no arguments both phases run in sequence against a path under the
 // system temp directory.
@@ -34,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -213,6 +217,19 @@ int RunRecover(const std::string& tier_path) {
   }
   std::fclose(f);
 
+  // Restart on a copy of the tier: the post-restart tick below publishes a
+  // new generation into the file it was opened on.
+  const std::string restart_path = tier_path + ".restart";
+  std::error_code copy_error;
+  std::filesystem::copy_file(tier_path, restart_path,
+                             std::filesystem::copy_options::overwrite_existing,
+                             copy_error);
+  if (copy_error) {
+    std::fprintf(stderr, "cannot copy %s to %s: %s\n", tier_path.c_str(),
+                 restart_path.c_str(), copy_error.message().c_str());
+    return 1;
+  }
+
   // Rebuild the hot window only: Create(window_start) leaves the cold span
   // as empty timestamps that are immediately evicted — no replay.
   Collection hot = MakeSeedCollection(window_start);
@@ -220,7 +237,7 @@ int RunRecover(const std::string& tier_path) {
     if (!hot.Append(WeekSnapshot(w)).ok()) return 1;
   }
   auto runtime = FeedRuntime::Create(std::move(hot),
-                                     RuntimeOptions(tier_path));
+                                     RuntimeOptions(restart_path));
   if (!runtime.ok()) {
     std::fprintf(stderr, "restart FeedRuntime::Create: %s\n",
                  runtime.status().ToString().c_str());

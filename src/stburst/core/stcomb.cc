@@ -1,8 +1,10 @@
 #include "stburst/core/stcomb.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 
 #include "stburst/common/logging.h"
 
@@ -28,126 +30,243 @@ std::vector<CombinatorialPattern> StComb::MinePatterns(
   return MineFromIntervals(ExtractStreamIntervals(series));
 }
 
-// Iterated maximum-weight clique without per-round rebuilds. A clique on an
-// interval graph is a stabbing set (Helly in 1-D), so each round scans the
-// endpoint events in coordinate order and maximizes the active weight; the
-// event list is sorted ONCE, and after each report the events and the live
-// index list are compacted in place (order-preserving, so the list stays
-// sorted and the per-stream tie-breaking stays in index order). All events
-// sharing a coordinate are applied before the coordinate is evaluated,
-// which makes the intra-coordinate order irrelevant and keeps
-// closed-interval semantics ([a,b] and [b,c] intersect) via the end+1 close
-// coordinate. Each round reports the first stab of maximum live weight, so
-// the result equals the brute-force reference in tests/stcomb_test.cc
-// (ReferenceCliques: scan every integer stab per round) exactly — same
-// stabs, same members, same scores — at O(m log m + rounds * m_live).
+namespace {
+
+// A pool interval takes part iff its weight is positive and finite and its
+// interval is valid; everything else is ignored.
+bool Live(const StreamInterval& si) {
+  return si.burstiness > 0.0 &&
+         si.burstiness <= std::numeric_limits<double>::max() &&
+         si.interval.valid();
+}
+
+// Coordinates are ranked through a table over [min, max] unless the span
+// exceeds this many slots per endpoint; then they are sorted instead. A
+// term's pool spans the retained window (the live feed's pools: at most 49
+// distinct coordinates for 2m endpoints), so the table is the common case,
+// and the sort only guards pools whose timestamps lie far apart.
+constexpr int64_t kTableSlotsPerEndpoint = 16;
+
+// Bits of the fixed-point grid below the pool's largest weight. Burstiness
+// summed over windows that start at different timestamps differs in its
+// last few bits; a grid well above one ulp maps such twins to one image, so
+// a tie resolves to the same stab whichever window mined the term. On
+// bench/e2e live_tick (seed 1) this grid left 3 quiet slots that drift
+// structurally from a fresh mine, the float sweep it replaced 174, and a
+// grid at full int64 precision 280.
+constexpr int kGridBits = 44;
+
+// Per-thread scratch of one MineFromIntervals call, reused across calls.
+struct CliqueScratch {
+  std::vector<uint32_t> live;       // live pool indices, ascending
+  std::vector<int64_t> image;       // fixed-point weight, by pool index
+  std::vector<uint32_t> first;      // first leaf covered, by pool index
+  std::vector<uint32_t> last;       // one past the last leaf, by pool index
+  std::vector<uint32_t> table;      // coordinate - min -> rank
+  std::vector<int64_t> coords;      // sorted distinct coordinates (sort path)
+  std::vector<int64_t> cover;       // live image sum over each leaf
+  std::vector<size_t> offset;       // leaf j's list at [offset[j], +size[j])
+  std::vector<uint32_t> size;       // live-or-not-yet-dropped entries
+  std::vector<uint32_t> entries;    // covering pool indices, CSR
+  std::vector<uint32_t> stamp;      // round that last saw a stream
+  std::vector<uint32_t> pick;       // heaviest member seen, by stream
+  std::vector<StreamId> streams;    // streams stabbed this round
+};
+
+}  // namespace
+
+// Iterated maximum-weight clique over ranked leaves. A clique of an interval
+// graph is the set of intervals one timestamp stabs (Helly in 1-D), so the
+// pool's distinct coordinates (each start and each end+1, closed-interval
+// semantics: [a,b] and [b,c] intersect) cut the timeline into leaves, and
+// leaf j holds the stabs [coord_j, coord_j+1). Each live interval covers a
+// contiguous run of leaves; cover[j] is the sum of their weights and leaf
+// j's list names them in ascending pool index (one flat CSR array).
+//
+// Stab selection is exact: weights enter as fixed-point images on a
+// power-of-two grid chosen per call, and every cover is an exact int64 sum
+// in any order. The grid keeps kGridBits bits below the largest weight
+// (Kleinberg scores are unbounded, so no grid fixed in advance would fit),
+// coarser only if the live count m would otherwise let the images' sum
+// reach 2^62. A positive weight never rounds to 0. Weights closer than one
+// grid step tie, and ties go to the leftmost stab.
+//
+// Each round takes the leftmost leaf of maximal positive cover, walks its
+// list (dropping entries retired by earlier rounds), and keeps the heaviest
+// member per stream, ties to the smaller pool index (the paper's
+// one-interval-per-stream rule; same-stream intervals are disjoint by
+// precondition, so a stab holds at most one per stream). Members are
+// retired by subtracting their images over their leaf runs. The score is
+// the float fold of the members' weights in ascending stream order — on a
+// pool built stream by stream (ExtractStreamIntervals, the batch miner)
+// that is ascending pool order. The result equals the brute-force
+// reference in tests/stcomb_test.cc (ReferenceCliques: weigh every live
+// start per round on the same images) exactly.
+//
+// Cost: O(m + span) to rank (O(m log m) on the sort path), O(Σ leaves
+// covered) to build the lists — at most leaves × streams under the
+// precondition — and O(leaves + list + member runs) per round. On the live
+// feed's pools (≤ 49 leaves) a segment tree's O(log) argmax was measured
+// slower than this flat scan.
 std::vector<CombinatorialPattern> StComb::MineFromIntervals(
     std::vector<StreamInterval> intervals) const {
   std::vector<CombinatorialPattern> patterns;
+  thread_local CliqueScratch x;
 
-  struct Event {
-    Timestamp at;
-    uint32_t idx;
-    bool open;
-  };
-  thread_local std::vector<Event> events;
-  thread_local std::vector<uint32_t> alive;
-  events.clear();
-  alive.clear();
+  x.live.clear();
+  double max_weight = 0.0;
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  StreamId max_stream = 0;
   for (size_t i = 0; i < intervals.size(); ++i) {
     const StreamInterval& si = intervals[i];
-    if (si.burstiness <= 0.0 || !si.interval.valid()) continue;
-    alive.push_back(static_cast<uint32_t>(i));
-    events.push_back(Event{si.interval.start, static_cast<uint32_t>(i), true});
-    events.push_back(Event{static_cast<Timestamp>(si.interval.end + 1),
-                           static_cast<uint32_t>(i), false});
+    if (!Live(si)) continue;
+    x.live.push_back(static_cast<uint32_t>(i));
+    max_weight = std::max(max_weight, si.burstiness);
+    lo = std::min<int64_t>(lo, si.interval.start);
+    hi = std::max<int64_t>(hi, int64_t{si.interval.end} + 1);
+    max_stream = std::max(max_stream, si.stream);
   }
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) { return a.at < b.at; });
+  const size_t m = x.live.size();
+  if (m == 0 || options_.max_patterns == 0) return patterns;
+  STB_CHECK(m < UINT32_MAX / 2) << "interval pool too large";
 
-  thread_local std::unordered_map<int64_t, size_t> best_by_tag;
-  thread_local std::vector<uint32_t> members;
+  // max_weight < 2^e and m <= 2^c, so each image is at most
+  // 2^min(kGridBits, 62-c) and the m images sum to at most 2^62.
+  int e = 0;
+  std::frexp(max_weight, &e);
+  const int shift =
+      std::min(kGridBits, 62 - static_cast<int>(std::bit_width(m - 1))) - e;
+  x.image.resize(intervals.size());
+  for (uint32_t i : x.live) {
+    x.image[i] = std::max<int64_t>(
+        1, std::llround(std::ldexp(intervals[i].burstiness, shift)));
+  }
 
-  while (patterns.size() < options_.max_patterns && !alive.empty()) {
-    // Round sweep: maximum active weight over the surviving intervals.
-    double active = 0.0;
-    double best_weight = 0.0;
-    Timestamp best_stab = 0;
-    for (size_t i = 0; i < events.size();) {
-      const Timestamp at = events[i].at;
-      while (i < events.size() && events[i].at == at) {
-        const Event& e = events[i];
-        active += e.open ? intervals[e.idx].burstiness
-                         : -intervals[e.idx].burstiness;
-        ++i;
-      }
-      if (active > best_weight) {
-        best_weight = active;
-        best_stab = at;
+  // Rank the coordinates; leaf j runs from rank j to rank j+1.
+  x.first.resize(intervals.size());
+  x.last.resize(intervals.size());
+  size_t leaves = 0;
+  if (hi - lo < kTableSlotsPerEndpoint * 2 * static_cast<int64_t>(m)) {
+    x.table.assign(static_cast<size_t>(hi - lo + 1), 0);
+    auto slot = [&](int64_t c) -> uint32_t& {
+      return x.table[static_cast<size_t>(c - lo)];
+    };
+    for (uint32_t i : x.live) {
+      slot(intervals[i].interval.start) = 1;
+      slot(int64_t{intervals[i].interval.end} + 1) = 1;
+    }
+    for (uint32_t& rank : x.table) {
+      if (rank != 0) rank = static_cast<uint32_t>(leaves++);
+    }
+    for (uint32_t i : x.live) {
+      x.first[i] = slot(intervals[i].interval.start);
+      x.last[i] = slot(int64_t{intervals[i].interval.end} + 1);
+    }
+  } else {
+    x.coords.clear();
+    for (uint32_t i : x.live) {
+      x.coords.push_back(intervals[i].interval.start);
+      x.coords.push_back(int64_t{intervals[i].interval.end} + 1);
+    }
+    std::sort(x.coords.begin(), x.coords.end());
+    x.coords.erase(std::unique(x.coords.begin(), x.coords.end()),
+                   x.coords.end());
+    leaves = x.coords.size();
+    auto rank = [&](int64_t c) {
+      return static_cast<uint32_t>(
+          std::lower_bound(x.coords.begin(), x.coords.end(), c) -
+          x.coords.begin());
+    };
+    for (uint32_t i : x.live) {
+      x.first[i] = rank(intervals[i].interval.start);
+      x.last[i] = rank(int64_t{intervals[i].interval.end} + 1);
+    }
+  }
+
+  // Covers and the CSR lists, filled in ascending pool index.
+  x.cover.assign(leaves, 0);
+  x.size.assign(leaves, 0);
+  for (uint32_t i : x.live) {
+    for (uint32_t j = x.first[i]; j < x.last[i]; ++j) ++x.size[j];
+  }
+  x.offset.resize(leaves + 1);
+  x.offset[0] = 0;
+  for (size_t j = 0; j < leaves; ++j) x.offset[j + 1] = x.offset[j] + x.size[j];
+  x.entries.resize(x.offset[leaves]);
+  std::fill(x.size.begin(), x.size.end(), 0);
+  for (uint32_t i : x.live) {
+    for (uint32_t j = x.first[i]; j < x.last[i]; ++j) {
+      x.entries[x.offset[j] + x.size[j]++] = i;
+      x.cover[j] += x.image[i];
+    }
+  }
+
+  x.stamp.assign(size_t{max_stream} + 1, 0);
+  x.pick.resize(size_t{max_stream} + 1);
+  // Retired intervals read weight 0 (the pool is this call's own copy).
+  auto alive = [&](uint32_t i) { return intervals[i].burstiness > 0.0; };
+  for (uint32_t round = 1; patterns.size() < options_.max_patterns; ++round) {
+    size_t stab = leaves;
+    int64_t best = 0;
+    for (size_t j = 0; j < leaves; ++j) {
+      if (x.cover[j] > best) {
+        best = x.cover[j];
+        stab = j;
       }
     }
-    if (best_weight <= 0.0) break;
+    if (stab == leaves) break;
 
-    // Members: the stabbed intervals, heaviest per stream (the paper's
-    // one-interval-per-stream eligibility rule). `alive` is ascending, so
-    // ties resolve exactly as an index-order scan of the full pool.
-    best_by_tag.clear();
-    for (uint32_t idx : alive) {
-      const StreamInterval& si = intervals[idx];
-      if (!si.interval.Contains(best_stab)) continue;
-      auto [it, inserted] =
-          best_by_tag.emplace(static_cast<int64_t>(si.stream), size_t{idx});
-      if (!inserted && intervals[it->second].burstiness < si.burstiness) {
-        it->second = idx;
+    // Members: the heaviest live interval per stream over the stab's list,
+    // which is ascending, so equal weights resolve to the smaller index.
+    x.streams.clear();
+    uint32_t* list = x.entries.data() + x.offset[stab];
+    uint32_t kept = 0;
+    for (uint32_t k = 0; k < x.size[stab]; ++k) {
+      const uint32_t i = list[k];
+      if (!alive(i)) continue;
+      list[kept++] = i;
+      const StreamId s = intervals[i].stream;
+      if (x.stamp[s] != round) {
+        x.stamp[s] = round;
+        x.pick[s] = i;
+        x.streams.push_back(s);
+      } else if (intervals[x.pick[s]].burstiness < intervals[i].burstiness) {
+        x.pick[s] = i;
       }
     }
-
-    // Fold members in ascending pool order: the map's iteration order
-    // depends on its (thread_local) bucket history, and the score is a
-    // float sum whose result must not — determinism across thread counts
-    // and scheduling requires a fixed fold order.
-    members.clear();
-    for (const auto& [tag, idx] : best_by_tag) {
-      members.push_back(static_cast<uint32_t>(idx));
-    }
-    std::sort(members.begin(), members.end());
+    x.size[stab] = kept;
+    std::sort(x.streams.begin(), x.streams.end());
 
     CombinatorialPattern p;
-    Interval common;
-    bool first = true;
-    for (uint32_t idx : members) {
-      const StreamInterval& si = intervals[idx];
+    p.streams = x.streams;
+    for (size_t k = 0; k < x.streams.size(); ++k) {
+      const uint32_t i = x.pick[x.streams[k]];
+      StreamInterval& si = intervals[i];
       p.score += si.burstiness;
-      p.streams.push_back(si.stream);
-      common = first ? si.interval : common.Intersect(si.interval);
-      first = false;
-      // Remove the reported interval from the pool so later patterns do not
-      // reuse it; the compaction below drops it from the sweep structures.
-      intervals[idx].burstiness = 0.0;
+      p.timeframe = k == 0 ? si.interval : p.timeframe.Intersect(si.interval);
+      si.burstiness = 0.0;
+      for (uint32_t j = x.first[i]; j < x.last[i]; ++j) {
+        x.cover[j] -= x.image[i];
+      }
     }
-    STB_DCHECK(common.valid()) << "clique members must share a segment";
-    p.timeframe = common;
-    std::sort(p.streams.begin(), p.streams.end());
-
+    STB_DCHECK(p.timeframe.valid()) << "clique members must share a segment";
     if (p.streams.size() >= options_.min_streams) {
       patterns.push_back(std::move(p));
     }
-
-    alive.erase(std::remove_if(alive.begin(), alive.end(),
-                               [&](uint32_t idx) {
-                                 return intervals[idx].burstiness <= 0.0;
-                               }),
-                alive.end());
-    events.erase(std::remove_if(events.begin(), events.end(),
-                                [&](const Event& e) {
-                                  return intervals[e.idx].burstiness <= 0.0;
-                                }),
-                 events.end());
   }
 
+  // A total order, so equal-score patterns do not come out in round order.
   std::sort(patterns.begin(), patterns.end(),
             [](const CombinatorialPattern& a, const CombinatorialPattern& b) {
-              return a.score > b.score;
+              if (a.score != b.score) return a.score > b.score;
+              if (a.timeframe.start != b.timeframe.start) {
+                return a.timeframe.start < b.timeframe.start;
+              }
+              if (a.timeframe.end != b.timeframe.end) {
+                return a.timeframe.end < b.timeframe.end;
+              }
+              return a.streams < b.streams;
             });
   return patterns;
 }

@@ -80,33 +80,59 @@ std::vector<std::vector<Posting>> ScoreTermsByCell(
       static_cast<size_t>(freq.window_length()) * num_streams;
   STB_CHECK(num_cells <= UINT32_MAX) << "window too large for cell ids";
 
-  // Phase 1: per term, on the pool. Each term's hits are gathered in its
-  // worker's scratch and kept in an exactly sized list of their own.
+  // Phase 1: per term, on the pool. The term's postings are sorted by
+  // (stream, time), so each stream's run starts at `run[stream]`; each
+  // pattern binary-searches the run of each of its streams for its
+  // timeframe's start and walks to its end. Every posting keeps the maximum
+  // score over the patterns that reach it, folded in pattern order as
+  // MaxOverlapScore does, and hits come out in posting order, gathered in
+  // the worker's scratch and kept in an exactly sized list of their own.
+  struct Scratch {
+    std::vector<TermPattern> patterns;
+    std::vector<uint32_t> run;     // by stream, plus one end
+    std::vector<uint8_t> reached;  // by posting index
+    std::vector<double> burst;     // by posting index, where reached
+    std::vector<TermHit> found;
+  };
   const size_t workers = pool != nullptr ? pool->num_threads() + 1 : 1;
   std::vector<std::vector<TermHit>> hits(terms.size());
-  std::vector<std::vector<TermPattern>> pattern_scratch(workers);
-  std::vector<std::vector<TermHit>> hit_scratch(workers);
+  std::vector<Scratch> scratch(workers);
   ParallelFor(pool, 0, terms.size(), [&](size_t worker, size_t i) {
-    std::vector<TermPattern>& patterns = pattern_scratch[worker];
-    patterns.clear();
-    patterns_for(i, &patterns);
-    if (patterns.empty()) return;  // no pattern can overlap: no postings
-    // TermPattern's overlap test binary-searches the stream list. The
-    // miners already emit sorted stream sets, but sort defensively: the
-    // lists are tiny, and PatternIndex::Add does the same for Build.
-    for (TermPattern& p : patterns) {
-      std::sort(p.streams.begin(), p.streams.end());
+    Scratch& w = scratch[worker];
+    w.patterns.clear();
+    patterns_for(i, &w.patterns);
+    if (w.patterns.empty()) return;  // no pattern can overlap: no postings
+    const std::vector<TermPosting>& postings = freq.postings(terms[i]);
+    w.run.resize(num_streams + 1);
+    for (size_t s = 0, k = 0; s <= num_streams; ++s) {
+      while (k < postings.size() && postings[k].stream < s) ++k;
+      w.run[s] = static_cast<uint32_t>(k);
     }
-    std::vector<TermHit>& found = hit_scratch[worker];
-    found.clear();
-    for (const TermPosting& p : freq.postings(terms[i])) {
-      double burst;
-      if (!MaxOverlapScore(patterns, p.stream, p.time, &burst)) continue;
+    w.reached.assign(postings.size(), 0);
+    w.burst.resize(postings.size());
+    for (const TermPattern& p : w.patterns) {
+      for (StreamId stream : p.streams) {
+        if (stream >= num_streams) continue;  // holds no posting
+        const auto end = postings.begin() + w.run[stream + 1];
+        auto it = std::lower_bound(
+            postings.begin() + w.run[stream], end, p.timeframe.start,
+            [](const TermPosting& q, Timestamp t) { return q.time < t; });
+        for (; it != end && it->time <= p.timeframe.end; ++it) {
+          const size_t k = static_cast<size_t>(it - postings.begin());
+          if (!w.reached[k] || p.score > w.burst[k]) w.burst[k] = p.score;
+          w.reached[k] = 1;
+        }
+      }
+    }
+    w.found.clear();
+    for (size_t k = 0; k < postings.size(); ++k) {
+      if (!w.reached[k]) continue;
       const size_t cell =
-          static_cast<size_t>(p.time - window_start) * num_streams + p.stream;
-      found.push_back(TermHit{static_cast<uint32_t>(cell), burst});
+          static_cast<size_t>(postings[k].time - window_start) * num_streams +
+          postings[k].stream;
+      w.found.push_back(TermHit{static_cast<uint32_t>(cell), w.burst[k]});
     }
-    hits[i].assign(found.begin(), found.end());
+    hits[i].assign(w.found.begin(), w.found.end());
   });
 
   // Counting sort of references to the hits by cell into one flat buffer.

@@ -69,9 +69,9 @@ class BurstySearchEngine {
 double Relevance(double term_frequency);
 
 /// Fills `*out` (handed over empty) with the patterns of the i-th score
-/// term; stream lists may come unsorted. ScoreTermsByCell calls it once per
-/// term, concurrently from pool workers, each call with its worker's own
-/// `out`.
+/// term; stream lists may come unsorted and may repeat a stream.
+/// ScoreTermsByCell calls it once per term, concurrently from pool workers,
+/// each call with its worker's own `out`.
 using SearchPatternSource =
     std::function<void(size_t i, std::vector<TermPattern>* out)>;
 
@@ -86,15 +86,21 @@ using SearchPatternSource =
 /// the same patterns (tested). `freq` must be in sync with `collection` (same windowed feed).
 ///
 /// Two phases, transposed so no document is read twice:
-///  1. per term, across `pool`: the term's frequency postings name the
-///     cells holding it; each cell its patterns overlap becomes a
-///     (cell, term, burstiness) hit. No document is touched.
+///  1. per term, across `pool`: for each pattern and each of its streams,
+///     a binary search into that stream's run of the term's (stream,
+///     time)-sorted frequency postings finds the first cell in the
+///     timeframe, and a walk to the timeframe's end keeps each cell's
+///     maximum pattern score. Each reached cell becomes a (cell, term,
+///     burstiness) hit, in posting order, so overlapping windows and
+///     repeated or unsorted stream lists give the same hits as
+///     MaxOverlapScore per posting. No document is touched.
 ///  2. serially, per touched cell: the cell's score terms are stamped into
 ///     a TermId-indexed table, then each document of the cell is read once,
 ///     counting only stamped tokens.
-/// O(Σ postings of `terms` × patterns per term + window cells + tokens of
-/// the touched cells' documents). `*tokens_scanned`, when non-null,
-/// receives that last term exactly: the document tokens phase 2 read.
+/// O(Σ over `terms` of (postings + streams + pattern streams × log postings
+/// + cells the patterns reach) + window cells + tokens of the touched
+/// cells' documents). `*tokens_scanned`, when non-null, receives that last term
+/// exactly: the document tokens phase 2 read.
 std::vector<std::vector<Posting>> ScoreTermsByCell(
     const Collection& collection, const FrequencyIndex& freq,
     std::span<const TermId> terms, const SearchPatternSource& patterns_for,

@@ -136,9 +136,10 @@ void ReferenceScoreTerm(const Collection& collection,
 
 // One seeded adversarial pack: a windowed corpus (window_start > 0) with
 // repeated tokens, empty documents and one cell carrying every term, plus
-// per-term raw pattern lists (unsorted streams; empty lists; scores <= 0;
-// overlapping patterns of different scores) over a vocabulary that grew
-// past the frequency index's term count after it was built.
+// per-term raw pattern lists (unsorted streams, some repeated or unknown;
+// empty lists; scores <= 0; overlapping patterns of different scores) over
+// a vocabulary that grew past the frequency index's term count after it
+// was built.
 struct ScorePack {
   Collection collection;
   FrequencyIndex freq;
@@ -205,6 +206,13 @@ ScorePack MakeScorePack(uint64_t seed) {
         if (rng.Bernoulli(0.5)) streams.push_back(s);
       }
       if (streams.empty()) streams.push_back(hot_stream);
+      if (rng.Bernoulli(0.3)) {  // a repeated stream
+        streams.push_back(streams[rng.NextUint64(streams.size())]);
+      }
+      if (rng.Bernoulli(0.1)) {  // a stream the corpus does not have
+        streams.push_back(
+            static_cast<StreamId>(num_streams + rng.NextUint64(3)));
+      }
       rng.Shuffle(&streams);
       const Timestamp start =
           static_cast<Timestamp>(rng.NextUint64(kTimeline));

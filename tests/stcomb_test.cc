@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 
 #include "stburst/common/random.h"
 
@@ -177,59 +180,110 @@ TEST(StComb, PatternsScoreEqualsMemberSum) {
   }
 }
 
+// The fixed-point images MineFromIntervals compares stabs on: the largest
+// live weight is below 2^e and the m live weights are scaled by 2^shift,
+// shift = min(44, 62 - ceil(log2 m)) - e, then rounded to the nearest
+// integer, with a positive weight never rounding below 1. Indexed like
+// `pool`; 0 for intervals that take no part.
+std::vector<int64_t> ReferenceImages(const std::vector<StreamInterval>& pool) {
+  auto live = [](const StreamInterval& si) {
+    return si.burstiness > 0.0 && std::isfinite(si.burstiness) &&
+           si.interval.valid();
+  };
+  double max_weight = 0.0;
+  uint64_t m = 0;
+  for (const StreamInterval& si : pool) {
+    if (!live(si)) continue;
+    max_weight = std::max(max_weight, si.burstiness);
+    ++m;
+  }
+  int e = 0;
+  std::frexp(max_weight, &e);
+  int ceil_log2 = 0;
+  while ((uint64_t{1} << ceil_log2) < m) ++ceil_log2;
+  std::vector<int64_t> images(pool.size(), 0);
+  for (size_t i = 0; i < pool.size(); ++i) {
+    if (!live(pool[i])) continue;
+    const double scaled =
+        std::ldexp(pool[i].burstiness, std::min(44, 62 - ceil_log2) - e);
+    images[i] = std::max<int64_t>(1, std::llround(scaled));
+  }
+  return images;
+}
+
 // Brute-force reference for StComb::MineFromIntervals. A clique of an
 // interval graph is the set of intervals one timestamp stabs (Helly in 1-D,
-// Prop. 1), so each round scans every integer stab over the live pool's
-// span, takes the first stab of largest live weight, and reports the
-// intervals it stabs, folded in pool order. Same-stream intervals must be
-// disjoint, so a stab holds at most one interval per stream.
+// Prop. 1), so each round scans the stabs over the live pool and takes the
+// first of largest live weight, summed exactly on ReferenceImages. The live
+// weight rises only where an interval starts, so the first maximum is at a
+// start and only starts are scanned (every integer stab would give the same
+// answer, and far-apart timestamps stay cheap). The round reports the
+// intervals the stab holds, folded in stream order; same-stream intervals
+// must be disjoint, so a stab holds at most one interval per stream.
+// Patterns are ordered by score descending, then timeframe, then streams.
 std::vector<CombinatorialPattern> ReferenceCliques(
     std::vector<StreamInterval> pool, const StCombOptions& options) {
-  auto live = [](const StreamInterval& si) {
-    return si.burstiness > 0.0 && si.interval.valid();
-  };
+  std::vector<int64_t> images = ReferenceImages(pool);
+  auto live = [&](size_t i) { return images[i] > 0; };
   std::vector<CombinatorialPattern> patterns;
   while (patterns.size() < options.max_patterns) {
-    Timestamp lo = std::numeric_limits<Timestamp>::max();
-    Timestamp hi = std::numeric_limits<Timestamp>::min();
-    for (const StreamInterval& si : pool) {
-      if (!live(si)) continue;
-      lo = std::min(lo, si.interval.start);
-      hi = std::max(hi, si.interval.end);
-    }
-    double best_weight = 0.0;
+    int64_t best_weight = 0;
     Timestamp best_stab = 0;
-    for (Timestamp t = lo; t <= hi; ++t) {
-      double weight = 0.0;
-      for (const StreamInterval& si : pool) {
-        if (live(si) && si.interval.Contains(t)) weight += si.burstiness;
+    for (size_t s = 0; s < pool.size(); ++s) {
+      if (!live(s)) continue;
+      const Timestamp t = pool[s].interval.start;
+      int64_t weight = 0;
+      for (size_t i = 0; i < pool.size(); ++i) {
+        if (live(i) && pool[i].interval.Contains(t)) weight += images[i];
       }
-      if (weight > best_weight) {
+      if (weight > best_weight || (weight == best_weight && t < best_stab)) {
         best_weight = weight;
         best_stab = t;
       }
     }
-    if (best_weight <= 0.0) break;
+    if (best_weight <= 0) break;
 
-    CombinatorialPattern p;
-    for (StreamInterval& si : pool) {
-      if (!live(si) || !si.interval.Contains(best_stab)) continue;
-      p.score += si.burstiness;
-      p.timeframe = p.streams.empty() ? si.interval
-                                      : p.timeframe.Intersect(si.interval);
-      p.streams.push_back(si.stream);
-      si.burstiness = 0.0;  // retired: no later round reuses it
+    std::vector<size_t> members;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (live(i) && pool[i].interval.Contains(best_stab)) members.push_back(i);
     }
-    std::sort(p.streams.begin(), p.streams.end());
+    std::sort(members.begin(), members.end(), [&](size_t a, size_t b) {
+      return pool[a].stream < pool[b].stream;
+    });
+    CombinatorialPattern p;
+    for (size_t i : members) {
+      p.score += pool[i].burstiness;
+      p.timeframe = p.streams.empty() ? pool[i].interval
+                                      : p.timeframe.Intersect(pool[i].interval);
+      p.streams.push_back(pool[i].stream);
+      images[i] = 0;  // retired: no later round reuses it
+    }
     if (p.streams.size() >= options.min_streams) {
       patterns.push_back(std::move(p));
     }
   }
   std::sort(patterns.begin(), patterns.end(),
             [](const CombinatorialPattern& a, const CombinatorialPattern& b) {
-              return a.score > b.score;
+              if (a.score != b.score) return a.score > b.score;
+              if (a.timeframe.start != b.timeframe.start) {
+                return a.timeframe.start < b.timeframe.start;
+              }
+              if (a.timeframe.end != b.timeframe.end) {
+                return a.timeframe.end < b.timeframe.end;
+              }
+              return a.streams < b.streams;
             });
   return patterns;
+}
+
+void ExpectSamePatterns(const std::vector<CombinatorialPattern>& got,
+                        const std::vector<CombinatorialPattern>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].streams, want[i].streams) << "pattern " << i;
+    EXPECT_EQ(got[i].timeframe, want[i].timeframe) << "pattern " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << "pattern " << i;
+  }
 }
 
 TEST(StCombOracle, MineFromIntervalsMatchesBruteForceCliques) {
@@ -288,6 +342,170 @@ TEST(StCombOracle, MineFromIntervalsMatchesBruteForceCliques) {
       EXPECT_EQ(got[i].score, want[i].score)
           << "trial " << trial << " pattern " << i;
     }
+  }
+}
+
+// A random pool meeting the precondition (disjoint intervals per stream)
+// over [0, 60), with weights drawn by `weight`.
+template <typename Weight>
+std::vector<StreamInterval> RandomPool(Rng& rng, Weight weight) {
+  std::vector<StreamInterval> pool;
+  const StreamId streams = static_cast<StreamId>(1 + rng.NextUint64(12));
+  for (StreamId s = 0; s < streams; ++s) {
+    Timestamp cursor = static_cast<Timestamp>(rng.UniformInt(0, 8));
+    for (int64_t n = rng.UniformInt(0, 5); n > 0 && cursor < 55; --n) {
+      const Timestamp start =
+          cursor + static_cast<Timestamp>(rng.UniformInt(0, 4));
+      const Timestamp end =
+          start + static_cast<Timestamp>(rng.UniformInt(0, 6));
+      pool.push_back(SI(s, start, end, weight()));
+      cursor = end + 1;
+    }
+  }
+  rng.Shuffle(&pool);
+  return pool;
+}
+
+TEST(StCombOracle, OffGridWeightsMatchIntegerReference) {
+  Rng rng(28);
+  for (int trial = 0; trial < 600; ++trial) {
+    // Uniform doubles (no grid), Kleinberg-scale scores around 1e4, and a
+    // few values shared across streams so that near-ties are common.
+    const double shared = rng.Uniform(0.05, 1.0);
+    auto weight = [&] {
+      switch (trial % 3) {
+        case 0:
+          return rng.Uniform(0.01, 1.0);
+        case 1:
+          return rng.Uniform(5e3, 2e4);
+        default:
+          return rng.Bernoulli(0.5) ? shared : shared / 3.0;
+      }
+    };
+    const std::vector<StreamInterval> pool = RandomPool(rng, weight);
+    StCombOptions opts;
+    opts.min_streams = trial % 2 == 0 ? 1 : 2;
+    if (trial % 4 >= 2) opts.max_patterns = 1 + rng.NextUint64(3);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectSamePatterns(StComb(opts).MineFromIntervals(pool),
+                       ReferenceCliques(pool, opts));
+  }
+}
+
+TEST(StCombOracle, NearTiesFollowTheIntegerImage) {
+  StCombOptions first;
+  first.max_patterns = 1;
+  StCombOptions two;
+  two.max_patterns = 2;
+  struct Case {
+    const char* name;
+    std::vector<StreamInterval> pool;
+    StCombOptions options;
+    std::vector<StreamId> top;  // streams of the first pattern
+  };
+  const std::vector<Case> cases = {
+      // 0.1 + 0.2 exceeds 0.3 as doubles (by 2^-55), and a float sum reads
+      // 0.30000000000000004. The grid is 2^-45 here, and the images are
+      // 3518437208883 + 7036874417766 = 10555311626649 against
+      // 10555311626650 for 0.3: the single stream wins.
+      {"0.1+0.2 vs 0.3",
+       {SI(2, 0, 2, 0.3), SI(0, 5, 7, 0.1), SI(1, 5, 7, 0.2)},
+       first,
+       {2}},
+      // Stab 3 holds 0.2 alone, exactly as stab 0 does, but a running float
+      // sum reads (0.1 + 0.2) - 0.1 = 0.20000000000000004 there: an exact
+      // tie, which goes to the leftmost stab.
+      {"running-sum residue",
+       {SI(1, 3, 3, 0.2), SI(0, 2, 2, 0.1), SI(2, 0, 0, 0.2)},
+       first,
+       {2}},
+      // 1.0 and 1.0 + 2^-34 are less than one grid step apart (the step is
+      // 2^-30 next to 1e4), so their stabs tie and the leftmost wins.
+      {"below one grid step",
+       {SI(0, 0, 0, 1e4), SI(2, 9, 9, 1.0 + std::ldexp(1.0, -34)),
+        SI(1, 5, 5, 1.0)},
+       two,
+       {0}},
+      // 1e-300 vanishes in a float sum with 1e4, but its image is 1, so the
+      // stab that also holds it is strictly heavier.
+      {"tiny next to the total",
+       {SI(0, 0, 9, 1e4), SI(1, 6, 6, 1e-300)},
+       first,
+       {0, 1}},
+      // Kleinberg-scale weights: 12345.5 + 6789.25 ties 19134.75 exactly,
+      // and the leftmost stab wins.
+      {"kleinberg-scale tie",
+       {SI(0, 0, 4, 12345.5), SI(1, 2, 6, 6789.25), SI(2, 10, 12, 19134.75)},
+       first,
+       {0, 1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto got = StComb(c.options).MineFromIntervals(c.pool);
+    ExpectSamePatterns(got, ReferenceCliques(c.pool, c.options));
+    ASSERT_FALSE(got.empty());
+    EXPECT_EQ(got[0].streams, c.top);
+  }
+
+  // The "below one grid step" pool's second round: streams 1 and 2 tie on
+  // the image, and stream 1 sits leftmost.
+  const auto below = StComb(cases[2].options).MineFromIntervals(cases[2].pool);
+  ASSERT_EQ(below.size(), 2u);
+  EXPECT_EQ(below[1].streams, (std::vector<StreamId>{1}));
+}
+
+TEST(StComb, FarApartTimestampsRankBySortingAndAgree) {
+  // The same pools with every timestamp t moved to 40,000,000·t - 2·10^9:
+  // the span is then far beyond the rank table's reach, so the endpoints
+  // are sorted instead. A strictly increasing map keeps every intersection
+  // and every leftmost stab, so the patterns must be the mapped ones.
+  auto spread = [](Timestamp t) {
+    return static_cast<Timestamp>(int64_t{40'000'000} * t - 2'000'000'000);
+  };
+  Rng rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<StreamInterval> pool =
+        RandomPool(rng, [&] { return rng.Uniform(0.01, 1.0); });
+    std::vector<StreamInterval> far = pool;
+    for (StreamInterval& si : far) {
+      si.interval =
+          Interval{spread(si.interval.start), spread(si.interval.end)};
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<CombinatorialPattern> want = StComb().MineFromIntervals(pool);
+    for (CombinatorialPattern& p : want) {
+      p.timeframe =
+          Interval{spread(p.timeframe.start), spread(p.timeframe.end)};
+    }
+    ExpectSamePatterns(StComb().MineFromIntervals(far), want);
+    ExpectSamePatterns(StComb().MineFromIntervals(far),
+                       ReferenceCliques(far, StCombOptions{}));
+  }
+  // Endpoints at the ends of the timestamp range.
+  const Timestamp max = std::numeric_limits<Timestamp>::max();
+  const Timestamp min = std::numeric_limits<Timestamp>::min();
+  const std::vector<StreamInterval> extreme = {
+      SI(0, min, min + 5, 0.5), SI(1, min + 3, max, 0.25),
+      SI(2, max, max, 0.5)};
+  ExpectSamePatterns(StComb().MineFromIntervals(extreme),
+                     ReferenceCliques(extreme, StCombOptions{}));
+}
+
+TEST(StComb, ReversedPoolGivesIdenticalPatterns) {
+  // Under the precondition the output is a function of the pool's contents:
+  // stabs and members do not depend on order, the score folds in stream
+  // order, and the output order is total. Equal weights make equal-score
+  // patterns common.
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const double shared = rng.Uniform(0.05, 1.0);
+    std::vector<StreamInterval> pool = RandomPool(rng, [&] {
+      return trial % 2 == 0 ? shared : rng.Uniform(0.01, 1.0);
+    });
+    std::vector<StreamInterval> reversed(pool.rbegin(), pool.rend());
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectSamePatterns(StComb().MineFromIntervals(reversed),
+                       StComb().MineFromIntervals(pool));
   }
 }
 
