@@ -41,11 +41,14 @@ bool Live(const StreamInterval& si) {
 }
 
 // Coordinates are ranked through a table over [min, max] unless the span
-// exceeds this many slots per endpoint; then they are sorted instead. A
-// term's pool spans the retained window (the live feed's pools: at most 49
-// distinct coordinates for 2m endpoints), so the table is the common case,
-// and the sort only guards pools whose timestamps lie far apart.
-constexpr int64_t kTableSlotsPerEndpoint = 16;
+// exceeds this many slots per endpoint; then they are sorted instead. Timed
+// on bench_micro's 19,813 re-mine pools (2-vCPU host, best of 7 passes,
+// alternated): at their own span (1.3 slots per endpoint on average, at
+// most 6.3) this clique took 122-130 ms over them with the table and
+// 221-239 ms with the sort. With every timestamp scaled to widen the span,
+// the table still won at an average of 129 slots per endpoint and lost at
+// 172; the bound sits at half of where they crossed.
+constexpr int64_t kTableSlotsPerEndpoint = 64;
 
 // Bits of the fixed-point grid below the pool's largest weight. Burstiness
 // summed over windows that start at different timestamps differs in its
@@ -65,12 +68,10 @@ struct CliqueScratch {
   std::vector<uint32_t> table;      // coordinate - min -> rank
   std::vector<int64_t> coords;      // sorted distinct coordinates (sort path)
   std::vector<int64_t> cover;       // live image sum over each leaf
-  std::vector<size_t> offset;       // leaf j's list at [offset[j], +size[j])
-  std::vector<uint32_t> size;       // live-or-not-yet-dropped entries
+  std::vector<size_t> offset;       // leaf j's list at [offset[j], offset[j+1])
+  std::vector<uint32_t> fill;       // list fill cursor, by leaf
   std::vector<uint32_t> entries;    // covering pool indices, CSR
-  std::vector<uint32_t> stamp;      // round that last saw a stream
-  std::vector<uint32_t> pick;       // heaviest member seen, by stream
-  std::vector<StreamId> streams;    // streams stabbed this round
+  std::vector<uint32_t> members;    // this round's stabbed live intervals
 };
 
 }  // namespace
@@ -91,23 +92,24 @@ struct CliqueScratch {
 // reach 2^62. A positive weight never rounds to 0. Weights closer than one
 // grid step tie, and ties go to the leftmost stab.
 //
-// Each round takes the leftmost leaf of maximal positive cover, walks its
-// list (dropping entries retired by earlier rounds), and keeps the heaviest
-// member per stream, ties to the smaller pool index (the paper's
-// one-interval-per-stream rule; same-stream intervals are disjoint by
-// precondition, so a stab holds at most one per stream). Members are
-// retired by subtracting their images over their leaf runs. The score is
-// the float fold of the members' weights in ascending stream order — on a
-// pool built stream by stream (ExtractStreamIntervals, the batch miner)
-// that is ascending pool order. The result equals the brute-force
-// reference in tests/stcomb_test.cc (ReferenceCliques: weigh every live
-// start per round on the same images) exactly.
+// Each round takes the leftmost leaf of maximal positive cover; its members
+// are the live intervals on its list (skipping those retired by earlier
+// rounds). Same-stream intervals are disjoint by precondition, so a stab
+// holds at most one interval per stream (the paper's one-interval-per-stream
+// rule). Members are retired by subtracting their images over their leaf
+// runs, which leaves the stabbed leaf's cover at 0, so each list is walked
+// at most once. The score is the float fold of the members' weights in
+// ascending stream order — on a pool built stream by stream
+// (ExtractStreamIntervals, the batch miner) that is ascending pool order.
+// The result equals the brute-force reference in tests/stcomb_test.cc
+// (ReferenceCliques: weigh every live start per round on the same images)
+// exactly.
 //
 // Cost: O(m + span) to rank (O(m log m) on the sort path), O(Σ leaves
 // covered) to build the lists — at most leaves × streams under the
-// precondition — and O(leaves + list + member runs) per round. On the live
-// feed's pools (≤ 49 leaves) a segment tree's O(log) argmax was measured
-// slower than this flat scan.
+// precondition — and O(leaves + members' leaf runs) per round, plus each
+// list once. On the live feed's pools (≤ 49 leaves) a segment tree's
+// O(log) argmax was measured slower than this flat scan.
 std::vector<CombinatorialPattern> StComb::MineFromIntervals(
     std::vector<StreamInterval> intervals) const {
   std::vector<CombinatorialPattern> patterns;
@@ -117,7 +119,6 @@ std::vector<CombinatorialPattern> StComb::MineFromIntervals(
   double max_weight = 0.0;
   int64_t lo = std::numeric_limits<int64_t>::max();
   int64_t hi = std::numeric_limits<int64_t>::min();
-  StreamId max_stream = 0;
   for (size_t i = 0; i < intervals.size(); ++i) {
     const StreamInterval& si = intervals[i];
     if (!Live(si)) continue;
@@ -125,7 +126,6 @@ std::vector<CombinatorialPattern> StComb::MineFromIntervals(
     max_weight = std::max(max_weight, si.burstiness);
     lo = std::min<int64_t>(lo, si.interval.start);
     hi = std::max<int64_t>(hi, int64_t{si.interval.end} + 1);
-    max_stream = std::max(max_stream, si.stream);
   }
   const size_t m = x.live.size();
   if (m == 0 || options_.max_patterns == 0) return patterns;
@@ -186,27 +186,28 @@ std::vector<CombinatorialPattern> StComb::MineFromIntervals(
 
   // Covers and the CSR lists, filled in ascending pool index.
   x.cover.assign(leaves, 0);
-  x.size.assign(leaves, 0);
+  x.fill.assign(leaves, 0);
   for (uint32_t i : x.live) {
-    for (uint32_t j = x.first[i]; j < x.last[i]; ++j) ++x.size[j];
+    for (uint32_t j = x.first[i]; j < x.last[i]; ++j) ++x.fill[j];
   }
   x.offset.resize(leaves + 1);
   x.offset[0] = 0;
-  for (size_t j = 0; j < leaves; ++j) x.offset[j + 1] = x.offset[j] + x.size[j];
+  for (size_t j = 0; j < leaves; ++j) x.offset[j + 1] = x.offset[j] + x.fill[j];
   x.entries.resize(x.offset[leaves]);
-  std::fill(x.size.begin(), x.size.end(), 0);
+  std::fill(x.fill.begin(), x.fill.end(), 0);
   for (uint32_t i : x.live) {
     for (uint32_t j = x.first[i]; j < x.last[i]; ++j) {
-      x.entries[x.offset[j] + x.size[j]++] = i;
+      x.entries[x.offset[j] + x.fill[j]++] = i;
       x.cover[j] += x.image[i];
     }
   }
 
-  x.stamp.assign(size_t{max_stream} + 1, 0);
-  x.pick.resize(size_t{max_stream} + 1);
   // Retired intervals read weight 0 (the pool is this call's own copy).
   auto alive = [&](uint32_t i) { return intervals[i].burstiness > 0.0; };
-  for (uint32_t round = 1; patterns.size() < options_.max_patterns; ++round) {
+  auto by_stream = [&](uint32_t a, uint32_t b) {
+    return intervals[a].stream < intervals[b].stream;
+  };
+  while (patterns.size() < options_.max_patterns) {
     size_t stab = leaves;
     int64_t best = 0;
     for (size_t j = 0; j < leaves; ++j) {
@@ -217,32 +218,19 @@ std::vector<CombinatorialPattern> StComb::MineFromIntervals(
     }
     if (stab == leaves) break;
 
-    // Members: the heaviest live interval per stream over the stab's list,
-    // which is ascending, so equal weights resolve to the smaller index.
-    x.streams.clear();
-    uint32_t* list = x.entries.data() + x.offset[stab];
-    uint32_t kept = 0;
-    for (uint32_t k = 0; k < x.size[stab]; ++k) {
-      const uint32_t i = list[k];
-      if (!alive(i)) continue;
-      list[kept++] = i;
-      const StreamId s = intervals[i].stream;
-      if (x.stamp[s] != round) {
-        x.stamp[s] = round;
-        x.pick[s] = i;
-        x.streams.push_back(s);
-      } else if (intervals[x.pick[s]].burstiness < intervals[i].burstiness) {
-        x.pick[s] = i;
-      }
+    x.members.clear();
+    for (size_t k = x.offset[stab]; k < x.offset[stab + 1]; ++k) {
+      if (alive(x.entries[k])) x.members.push_back(x.entries[k]);
     }
-    x.size[stab] = kept;
-    std::sort(x.streams.begin(), x.streams.end());
+    std::sort(x.members.begin(), x.members.end(), by_stream);
 
     CombinatorialPattern p;
-    p.streams = x.streams;
-    for (size_t k = 0; k < x.streams.size(); ++k) {
-      const uint32_t i = x.pick[x.streams[k]];
+    for (size_t k = 0; k < x.members.size(); ++k) {
+      const uint32_t i = x.members[k];
       StreamInterval& si = intervals[i];
+      STB_DCHECK(k == 0 || intervals[x.members[k - 1]].stream != si.stream)
+          << "same-stream intervals must not overlap";
+      p.streams.push_back(si.stream);
       p.score += si.burstiness;
       p.timeframe = k == 0 ? si.interval : p.timeframe.Intersect(si.interval);
       si.burstiness = 0.0;

@@ -50,17 +50,16 @@ class StComb {
   std::vector<CombinatorialPattern> MinePatterns(const TermSeries& series) const;
 
   /// Pattern mining from precomputed per-stream intervals. Intervals of the
-  /// same stream must be pairwise non-overlapping; stream ids index a
-  /// per-call table, so they should be dense (a Collection's are).
+  /// same stream must be pairwise non-overlapping.
   ///
   /// Each round stabs the leftmost point of maximal live weight, compared
   /// exactly on fixed-point images of the weights (a power-of-two grid 44
   /// bits below the largest weight; weights less than one step apart tie),
-  /// and reports the heaviest stabbed interval per stream. Patterns come
-  /// out by score descending, then timeframe, then streams: a total order,
-  /// so under the precondition the result does not depend on the pool's
-  /// order. Cost O(m + span) or O(m log m) to rank the endpoints, then
-  /// O(leaves + stabbed list + member runs) per round (stcomb.cc).
+  /// and reports every live interval it stabs. Patterns come out by score
+  /// descending, then timeframe, then streams: a total order, so under the
+  /// precondition the result does not depend on the pool's order. Cost
+  /// O(m + span) or O(m log m) to rank the endpoints, then O(leaves +
+  /// members' leaf runs) per round (stcomb.cc).
   std::vector<CombinatorialPattern> MineFromIntervals(
       std::vector<StreamInterval> intervals) const;
 
