@@ -1,4 +1,4 @@
-// Ablation harness for the design choices DESIGN.md calls out:
+// Ablation harness for three design choices of the reproduction:
 //  (a) exact vs grid discrepancy inside STLocal — result quality and speed;
 //  (b) expected-frequency model choice (global mean / window / EWMA) —
 //      retrieval quality on distGen;
@@ -6,6 +6,7 @@
 //      STComb's interval source.
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -43,11 +44,15 @@ RetrievalAggregate EvalStLocal(const SyntheticGenerator& gen,
     TermSeries series = gen.GenerateTerm(truth.term);
     auto windows =
         MineRegionalPatterns(series, gen.positions(), factory, bounded);
+    if (!windows.ok()) {
+      std::fprintf(stderr, "MineRegionalPatterns failed for term %u: %s\n",
+                   static_cast<unsigned>(truth.term),
+                   windows.status().ToString().c_str());
+      std::exit(1);
+    }
     std::vector<MinedPattern> mined;
-    if (windows.ok()) {
-      for (const auto& w : *windows) {
-        mined.push_back(MinedPattern{w.streams, w.timeframe, w.score});
-      }
+    for (const auto& w : *windows) {
+      mined.push_back(MinedPattern{w.streams, w.timeframe, w.score});
     }
     scores.push_back(ScoreRetrieval(truth.streams, truth.timeframe, mined,
                                     gen.options().timeline));

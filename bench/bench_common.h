@@ -45,7 +45,7 @@ inline TopixSimulator MakeTopix() {
 /// Expected-frequency model used across the experiments: running mean with
 /// a Laplace-style prior floor, so streams that never mention a term are
 /// mildly negative rather than exactly neutral and rectangles stay tight
-/// (DESIGN.md §4).
+/// (see PriorFloorModel in core/expected.h).
 inline constexpr double kExpectedPriorFloor = 0.2;
 
 inline ExpectedModelFactory MeanFactory() {

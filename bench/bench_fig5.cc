@@ -22,29 +22,24 @@ int main() {
   std::vector<Point2D> positions = corpus.StreamPositions();
   const Timestamp weeks = corpus.timeline_length();
 
+  const size_t n = positions.size();
+  // Stream positions are fixed, so every snapshot shares one binning.
+  auto binning = SpatialBinning::Create(positions);
+  if (!binning.ok()) return 1;
+  const std::unique_ptr<ExpectedFrequencyModel> model = MeanFactory()();
+
   // Average #rectangles per timestamp for every term in the vocabulary.
   std::vector<double> avg_rects;
-  std::vector<std::unique_ptr<ExpectedFrequencyModel>> models;
-  std::vector<double> burstiness(positions.size());
   for (TermId term = 0; term < corpus.vocabulary().size(); ++term) {
     // Terms that never occur trivially produce 0 rectangles; the paper's
     // population is over observed terms.
     if (freq.TotalCount(term) <= 0.0) continue;
-    TermSeries series = freq.DenseSeries(term);
-
-    models.clear();
-    for (size_t s = 0; s < positions.size(); ++s) {
-      models.push_back(MeanFactory()());
-    }
+    const std::vector<double> burstiness =
+        SnapshotBurstiness(freq.DenseSeries(term), *model);
     size_t total_rects = 0;
     for (Timestamp w = 0; w < weeks; ++w) {
-      for (StreamId s = 0; s < positions.size(); ++s) {
-        double y = series.at(s, w);
-        burstiness[s] =
-            models[s]->HasHistory() ? y - models[s]->Expected() : 0.0;
-        models[s]->Observe(y);
-      }
-      auto rects = RBursty(positions, burstiness);
+      const std::span<const double> snapshot(burstiness.data() + w * n, n);
+      auto rects = RBursty(*binning, snapshot);
       if (!rects.ok()) {
         std::fprintf(stderr, "RBursty failed for term %u at week %d: %s\n",
                      static_cast<unsigned>(term), static_cast<int>(w),

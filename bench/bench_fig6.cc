@@ -35,21 +35,15 @@ int main() {
   auto binning = SpatialBinning::Create(positions);
   if (!binning.ok()) return 1;
 
+  const std::unique_ptr<ExpectedFrequencyModel> model = MeanFactory()();
   std::vector<double> open_windows(weeks, 0.0);
-  std::vector<double> burstiness(n);
   for (TermId term : terms) {
-    TermSeries series = freq.DenseSeries(term);
-    std::vector<std::unique_ptr<ExpectedFrequencyModel>> models;
-    for (size_t s = 0; s < n; ++s) models.push_back(MeanFactory()());
+    const std::vector<double> burstiness =
+        SnapshotBurstiness(freq.DenseSeries(term), *model);
     StLocal miner(*binning);
     for (Timestamp w = 0; w < weeks; ++w) {
-      for (StreamId s = 0; s < n; ++s) {
-        double y = series.at(s, w);
-        burstiness[s] =
-            models[s]->HasHistory() ? y - models[s]->Expected() : 0.0;
-        models[s]->Observe(y);
-      }
-      if (!miner.ProcessSnapshot(burstiness).ok()) return 1;
+      const std::span<const double> snapshot(burstiness.data() + w * n, n);
+      if (!miner.ProcessSnapshot(snapshot).ok()) return 1;
       open_windows[w] += static_cast<double>(miner.num_open_windows());
     }
   }

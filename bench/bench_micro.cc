@@ -442,7 +442,8 @@ int Run() {
     // inside the transactional tick. Gates the fold overhead against
     // feed_runtime_tick above. Then the read side: seeding one long-horizon
     // baseline (tier sums -> SeededMeanModel) for every (term, stream)
-    // pair, the per-pair cost the expected-model adapter adds to scoring.
+    // pair and reading its expectation through a one-cell row call, the
+    // per-pair cost the expected-model adapter adds to scoring.
     {
       FeedRuntimeOptions fr_opts;
       fr_opts.miner.stcomb.min_interval_burstiness = 0.1;
@@ -476,11 +477,14 @@ int Run() {
       double seeded_mass = 0.0;
       double pair_ns = TimeNs([&] {
         double mass = 0.0;
+        const double row[1] = {0.0};
+        double expected[1];
         for (size_t t = 0; t < baseline_terms; ++t) {
           for (size_t s = 0; s < baseline_streams; ++s) {
             auto model = baseline.ModelFor(static_cast<TermId>(t),
                                            static_cast<StreamId>(s));
-            mass += model->Expected();
+            model->Expected(row, expected);
+            mass += expected[0];
           }
         }
         seeded_mass = mass;
@@ -614,20 +618,12 @@ int Run() {
       auto binning = SpatialBinning::Create(positions);
       if (!binning.ok()) return 1;
       const size_t n = positions.size();
+      const std::unique_ptr<ExpectedFrequencyModel> model = factory();
       std::vector<double> planes;  // plane p at [p * n, (p + 1) * n)
       for (TermId term = 0; term < vocab; term += 29) {
-        const TermSeries series = freq.DenseSeries(term);
-        const size_t first = planes.size();
-        const size_t timeline =
-            static_cast<size_t>(series.timeline_length());
-        planes.resize(first + n * timeline);
-        for (StreamId s = 0; s < n; ++s) {
-          const std::vector<double> b =
-              BurstinessSeries(series.StreamRow(s), factory().get());
-          for (size_t t = 0; t < timeline; ++t) {
-            planes[first + t * n + s] = b[t];
-          }
-        }
+        const std::vector<double> term_planes =
+            SnapshotBurstiness(freq.DenseSeries(term), *model);
+        planes.insert(planes.end(), term_planes.begin(), term_planes.end());
       }
       const size_t num_planes = planes.size() / n;
       size_t rectangles = 0;

@@ -39,6 +39,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,11 +133,15 @@ std::vector<double> AllBaselines(const FeedRuntime& runtime) {
   for (TermId t = 0; t < VocabSize(); ++t) {
     const TermSeries hot = runtime.index().DenseSeries(t);
     for (StreamId s = 0; s < kStreams; ++s) {
-      auto model = baseline.ModelFor(t, s);
-      // Feed the hot window through the seeded model: Expected() is then
-      // the mean over the FULL horizon, cold span included.
-      for (double y : hot.StreamRow(s)) model->Observe(y);
-      out.push_back(model->Expected());
+      // The seeded model's expectation one step past the hot window is the
+      // mean over the FULL horizon, cold span included. The row's last
+      // entry stands for that unseen step; E never reads it.
+      const std::span<const double> hot_row = hot.StreamRow(s);
+      std::vector<double> row(hot_row.begin(), hot_row.end());
+      row.push_back(0.0);
+      std::vector<double> expected(row.size());
+      baseline.ModelFor(t, s)->Expected(row, expected);
+      out.push_back(expected.back());
     }
   }
   return out;

@@ -24,7 +24,8 @@ namespace {
 
 ExpectedModelFactory MeanFactory() {
   // Running mean with a Laplace prior floor: silent streams cost rectangle
-  // area, keeping regional patterns tight (see DESIGN.md).
+  // area, keeping regional patterns tight (see PriorFloorModel in
+  // core/expected.h).
   return WithPriorFloor([] { return std::make_unique<GlobalMeanModel>(); },
                         0.05);
 }

@@ -44,13 +44,12 @@ int main() {
   TermSeries series = freq.DenseSeries(term);
   std::vector<Point2D> positions = corpus.StreamPositions();
 
-  // One expected-frequency model per stream, advanced causally — exactly
-  // what a live deployment maintains.
-  std::vector<std::unique_ptr<ExpectedFrequencyModel>> models;
-  for (size_t s = 0; s < positions.size(); ++s) {
-    models.push_back(std::make_unique<PriorFloorModel>(
-        std::make_unique<GlobalMeanModel>(), 0.05));
-  }
+  // One expected-frequency model scores every stream's row. Its E at week
+  // i reads only the weeks before i, so the snapshots below carry exactly
+  // the values a live deployment would have had as each week arrived.
+  const PriorFloorModel model(std::make_unique<GlobalMeanModel>(), 0.05);
+  const size_t n = positions.size();
+  const std::vector<double> burstiness = SnapshotBurstiness(series, model);
 
   auto binning = SpatialBinning::Create(positions);
   if (!binning.ok()) {
@@ -59,14 +58,9 @@ int main() {
     return 1;
   }
   StLocal miner(*binning);
-  std::vector<double> burstiness(positions.size());
   for (Timestamp week = 0; week < corpus.timeline_length(); ++week) {
-    for (StreamId s = 0; s < positions.size(); ++s) {
-      double y = series.at(s, week);
-      burstiness[s] = models[s]->HasHistory() ? y - models[s]->Expected() : 0.0;
-      models[s]->Observe(y);
-    }
-    Status st = miner.ProcessSnapshot(burstiness);
+    Status st = miner.ProcessSnapshot(
+        std::span<const double>(burstiness.data() + week * n, n));
     if (!st.ok()) {
       std::fprintf(stderr, "snapshot failed: %s\n", st.ToString().c_str());
       return 1;

@@ -58,11 +58,11 @@ std::vector<BasePattern> BaseMine(const TermSeries& series,
     std::iota(stream_order.begin(), stream_order.end(), 0);
   }
 
+  const std::unique_ptr<ExpectedFrequencyModel> model = model_factory();
   std::vector<BasePattern> patterns;
   for (StreamId s : stream_order) {
     STB_CHECK(s < series.num_streams()) << "stream order references stream " << s;
-    auto model = model_factory();
-    std::vector<double> b = BurstinessSeries(series.StreamRow(s), model.get());
+    std::vector<double> b = BurstinessSeries(series.StreamRow(s), *model);
     for (const Interval& interval :
          BaseBinarizedIntervals(b, options.gap_fill)) {
       // Find the best-matching existing pattern.

@@ -38,9 +38,10 @@ struct BaseOptions {
 std::vector<Interval> BaseBinarizedIntervals(const std::vector<double>& burstiness,
                                              int gap_fill);
 
-/// Runs the full Base miner over one term's frequency matrix, using a fresh
-/// expected-frequency model per stream. Streams are processed in id order
-/// (the paper uses a random order; pass a shuffled `order` to emulate it).
+/// Runs the full Base miner over one term's frequency matrix, scoring every
+/// stream with the one model `model_factory` builds for the call. Streams
+/// are processed in id order (the paper uses a random order; pass a
+/// shuffled `order` to emulate it).
 std::vector<BasePattern> BaseMine(const TermSeries& series,
                                   const ExpectedModelFactory& model_factory,
                                   const BaseOptions& options = {},

@@ -24,7 +24,6 @@ struct WorkerScratch {
   std::vector<BurstyInterval> bursts;       // one stream's bursty intervals
   std::vector<StreamInterval> intervals;    // pooled per-term intervals
   std::unique_ptr<TermSeries> dense;        // regional mining only
-  RegionalMiningScratch regional;           // model arena + burstiness buffer
 };
 
 // Combinatorial step (1) straight from sorted sparse postings: postings are
@@ -77,7 +76,8 @@ Status ValidateRegional(const FrequencyIndex& index,
 }
 
 // State shared by one batch run (full sweep or dirty-term re-mine): the
-// per-worker scratch, the shared STComb instance, and first-error capture.
+// per-worker scratch, the shared STComb instance and expected model, and
+// first-error capture.
 // MineTerm is the single per-term pipeline both entry points fan out.
 struct MineShared {
   const FrequencyIndex& index;
@@ -89,6 +89,9 @@ struct MineShared {
   // once per run. Immutable, so all workers read it concurrently. Empty
   // without regional mining.
   const SpatialBinning binning;
+  // The run's expected model, built once on the calling thread and read by
+  // every worker. Null without regional mining.
+  const std::unique_ptr<ExpectedFrequencyModel> model;
   std::vector<WorkerScratch> scratch;
   std::atomic<bool> failed{false};
   std::mutex error_mu;
@@ -102,6 +105,7 @@ struct MineShared {
         timeline(static_cast<size_t>(idx.window_length())),
         origin(idx.window_start()),
         binning(std::move(run_binning)),
+        model(opts.mine_regional ? opts.model_factory() : nullptr),
         scratch(threads) {}
 
   void MineTerm(size_t worker, TermId term, TermPatterns* slot) {
@@ -134,9 +138,8 @@ struct MineShared {
                                                 index.window_length());
       }
       index.FillSeries(term, ws.dense.get());
-      auto windows = MineRegionalPatterns(*ws.dense, binning,
-                                          options.model_factory,
-                                          options.stlocal, ws.regional);
+      auto windows =
+          MineRegionalPatterns(*ws.dense, binning, *model, options.stlocal);
       if (!windows.ok()) {
         std::unique_lock<std::mutex> lock(error_mu);
         if (!error.has_value()) error = windows.status();

@@ -5,10 +5,11 @@
 // per-term STComb / STLocal pipelines across a thread pool and returns a
 // result slot per TermId, so the output is deterministic — independent of
 // thread count and scheduling — while the per-term hot paths run on
-// allocation-free per-worker scratch:
+// per-worker scratch:
 //  - combinatorial mining streams each term's sparse postings directly into
 //    per-stream interval extraction (no dense n x L matrix is materialized);
-//  - regional mining reuses one dense scratch matrix per worker.
+//  - regional mining reuses one dense scratch matrix per worker, and every
+//    worker scores its rows with the one expected model the call built.
 //
 // For a live feed, StageRemineTerms keeps a BatchMineResult current without
 // a full sweep: pass the terms FrequencyIndex::AppendSnapshot (and
@@ -62,11 +63,12 @@ struct BatchMinerOptions {
   double min_term_total = 0.0;
 
   /// Planar stream positions (indexed by StreamId); regional mining only.
-  /// Each MineAllTerms/RemineTerms/StageRemineTerms call bins them once
+  /// Each MineAllTerms/StageRemineTerms call bins them once
   /// under stlocal.rbursty.rect and shares that binning across its terms.
   std::vector<Point2D> positions;
-  /// Fresh expected-frequency model per (stream, term); regional mining
-  /// only. Must be safe to invoke concurrently from multiple threads.
+  /// Builds the expected-frequency model of a regional run; regional mining
+  /// only. Each MineAllTerms/StageRemineTerms call invokes it once, on the
+  /// calling thread, and every worker reads the one const model it returns.
   ExpectedModelFactory model_factory;
 };
 

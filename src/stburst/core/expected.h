@@ -5,113 +5,94 @@
 // between observed and expected frequency. The paper leaves the baseline
 // pluggable ("the average observed frequency ... over all the snapshots
 // collected before timestamp i", "only the most recent measurements", or
-// seasonal data); this module provides those models behind one interface.
-// Models are strictly causal: Expected() uses only observations made before
-// the current timestamp.
+// seasonal data); this module provides those models behind one interface:
+// a const call over one stream's whole row of frequencies that writes
+// E[i] for every i from y[0, i) alone. Models are strictly causal and
+// stateless between calls, so one model serves every (stream, term) row
+// and every thread at once. BurstinessSeries is the one place that turns
+// a row and its expectations into y − E.
 
 #ifndef STBURST_CORE_EXPECTED_H_
 #define STBURST_CORE_EXPECTED_H_
 
-#include <deque>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "stburst/common/math_util.h"
-
 namespace stburst {
 
-/// Causal expected-frequency model for one (stream, term) pair.
+/// Causal expected-frequency model, applied to one (stream, term) row at a
+/// time.
 class ExpectedFrequencyModel {
  public:
   virtual ~ExpectedFrequencyModel() = default;
 
-  /// Expected frequency of the upcoming observation, given only past ones.
-  /// Meaningful only when HasHistory(); callers that want a neutral first
-  /// timestamp (burstiness 0) should special-case !HasHistory().
-  virtual double Expected() const = 0;
-
-  /// Incorporates the observation for the current timestamp.
-  virtual void Observe(double y) = 0;
-
-  /// True once at least one observation has been made.
-  virtual bool HasHistory() const = 0;
-
-  /// Restores the freshly-constructed state: afterwards the model must
-  /// behave exactly like a new instance from the same factory —
-  /// HasHistory() false and the same Expected()/Observe() trajectory for
-  /// any observation sequence. RegionalMiningScratch (stlocal.h) relies on
-  /// this to reuse one model arena across every term of a batch sweep
-  /// instead of paying a factory allocation per (stream, term).
-  virtual void Reset() = 0;
+  /// Writes e[i], the expected frequency at timestamp i, for every i of
+  /// the row `y` (e.size() == y.size()), using only y[0, i). Returns the
+  /// length of the leading prefix that has no history (0 or 1 for every
+  /// model here), over which e must be 0: BurstinessSeries scores that
+  /// prefix 0, and PriorFloorModel floors it like any other E of 0.
+  virtual size_t Expected(std::span<const double> y,
+                          std::span<double> e) const = 0;
 };
 
-/// Factory producing a fresh model per (stream, term) pair.
+/// Builds the model a mining call applies to every row. Each miner calls it
+/// once per call, on the calling thread, and shares the const result with
+/// its workers.
 using ExpectedModelFactory =
     std::function<std::unique_ptr<ExpectedFrequencyModel>()>;
 
-/// E[i] = mean of all observations before i (the paper's default baseline).
+/// E[i] = mean of all observations before i (the paper's default
+/// baseline), kept as a Welford running mean: mean += (y − mean) / n.
 class GlobalMeanModel : public ExpectedFrequencyModel {
  public:
-  double Expected() const override { return stats_.mean(); }
-  void Observe(double y) override { stats_.Add(y); }
-  bool HasHistory() const override { return stats_.count() > 0; }
-  void Reset() override { stats_.Reset(); }
-
- private:
-  RunningStats stats_;
+  size_t Expected(std::span<const double> y,
+                  std::span<double> e) const override;
 };
 
 /// E[i] = mean of the most recent `window` observations ("only the most
-/// recent measurements").
+/// recent measurements"), as a running sum that adds y[i−1] and then drops
+/// y[i−1−window].
 class WindowMeanModel : public ExpectedFrequencyModel {
  public:
   explicit WindowMeanModel(size_t window);
 
-  double Expected() const override;
-  void Observe(double y) override;
-  bool HasHistory() const override { return !recent_.empty(); }
-  void Reset() override;
+  size_t Expected(std::span<const double> y,
+                  std::span<double> e) const override;
 
  private:
   size_t window_;
-  std::deque<double> recent_;
-  double sum_ = 0.0;
 };
 
-/// Exponentially-weighted recent mean — a smooth version of the sliding
-/// window that needs O(1) state.
+/// Exponentially-weighted recent mean with smoothing alpha in (0, 1] — a
+/// smooth version of the sliding window. The first observation initializes
+/// the average; each later one blends in as alpha·y + (1 − alpha)·E.
 class EwmaModel : public ExpectedFrequencyModel {
  public:
-  explicit EwmaModel(double alpha) : ewma_(alpha) {}
+  explicit EwmaModel(double alpha);
 
-  double Expected() const override { return ewma_.value(); }
-  void Observe(double y) override { ewma_.Add(y); }
-  bool HasHistory() const override { return !ewma_.empty(); }
-  void Reset() override { ewma_.Reset(); }
+  size_t Expected(std::span<const double> y,
+                  std::span<double> e) const override;
 
  private:
-  Ewma ewma_;
+  double alpha_;
 };
 
 /// E[i] = mean of observations at i−p, i−2p, ... for period p ("data from
-/// previous timeframes ... e.g. the Dec. of previous years"). Falls back to
-/// the global mean until a same-phase observation exists.
+/// previous timeframes ... e.g. the Dec. of previous years"), a Welford
+/// mean per phase. Falls back to the global mean until a same-phase
+/// observation exists.
 class SeasonalMeanModel : public ExpectedFrequencyModel {
  public:
   explicit SeasonalMeanModel(size_t period);
 
-  double Expected() const override;
-  void Observe(double y) override;
-  bool HasHistory() const override { return n_ > 0; }
-  void Reset() override;
+  size_t Expected(std::span<const double> y,
+                  std::span<double> e) const override;
 
  private:
   size_t period_;
-  size_t n_ = 0;
-  std::vector<RunningStats> phase_stats_;
-  RunningStats global_;
 };
 
 /// Wraps another model and imposes a minimum expected frequency — a
@@ -119,20 +100,16 @@ class SeasonalMeanModel : public ExpectedFrequencyModel {
 /// carries a small expectation. Under the discrepancy score (Eq. 7) this
 /// makes silent streams mildly negative instead of exactly neutral, so
 /// R-Bursty's rectangles pay for every silent stream they cover and stay
-/// tight around the sources that actually report (see DESIGN.md §4).
+/// tight around the sources that actually report; with a neutral 0 a
+/// rectangle could sweep up any number of silent streams for free. The
+/// prior counts as history, so the floor applies from the first snapshot.
 class PriorFloorModel : public ExpectedFrequencyModel {
  public:
   PriorFloorModel(std::unique_ptr<ExpectedFrequencyModel> inner, double floor)
       : inner_(std::move(inner)), floor_(floor) {}
 
-  double Expected() const override {
-    double e = inner_->HasHistory() ? inner_->Expected() : 0.0;
-    return e > floor_ ? e : floor_;
-  }
-  void Observe(double y) override { inner_->Observe(y); }
-  /// The prior counts as history: the floor applies from the first snapshot.
-  bool HasHistory() const override { return true; }
-  void Reset() override { inner_->Reset(); }
+  size_t Expected(std::span<const double> y,
+                  std::span<double> e) const override;
 
  private:
   std::unique_ptr<ExpectedFrequencyModel> inner_;
@@ -142,12 +119,17 @@ class PriorFloorModel : public ExpectedFrequencyModel {
 /// Decorates a factory with PriorFloorModel.
 ExpectedModelFactory WithPriorFloor(ExpectedModelFactory inner, double floor);
 
-/// Computes the burstiness series b[i] = y[i] − E[i] for one stream,
-/// advancing `model` causally. The first observation (no history) is scored
-/// 0 rather than y[0] so that the very first snapshot is not spuriously
-/// bursty for every term.
+/// Writes the burstiness series b[i] = y[i] − E[i] of one stream's row
+/// under `model` (b.size() == y.size()). The leading entries without
+/// history are scored 0 rather than y[i], so that the very first snapshot
+/// is not spuriously bursty for every term.
+void BurstinessSeries(std::span<const double> y,
+                      const ExpectedFrequencyModel& model,
+                      std::span<double> b);
+
+/// The same series, returned.
 std::vector<double> BurstinessSeries(std::span<const double> y,
-                                     ExpectedFrequencyModel* model);
+                                     const ExpectedFrequencyModel& model);
 
 }  // namespace stburst
 

@@ -6,7 +6,8 @@
 // and that is not contained in any higher-scoring segment. STLocal feeds
 // each tracked region's per-timestamp r-scores through an online instance of
 // this algorithm to maintain its maximal spatiotemporal windows, and the
-// temporal-burst extractor of [14] reduces to it as well (DESIGN.md §4).
+// temporal-burst extractor of [14] reduces to it as well: Eq. 1 is additive
+// over per-timestamp scores (see core/temporal.h).
 
 #ifndef STBURST_CORE_GETMAX_H_
 #define STBURST_CORE_GETMAX_H_

@@ -80,6 +80,19 @@ size_t StLocal::num_open_windows() const {
   return total;
 }
 
+std::vector<double> SnapshotBurstiness(const TermSeries& series,
+                                       const ExpectedFrequencyModel& model) {
+  const size_t n = series.num_streams();
+  const size_t timeline = static_cast<size_t>(series.timeline_length());
+  std::vector<double> burstiness(n * timeline);
+  std::vector<double> row(timeline);
+  for (StreamId s = 0; s < n; ++s) {
+    BurstinessSeries(series.StreamRow(s), model, row);
+    for (size_t t = 0; t < timeline; ++t) burstiness[t * n + s] = row[t];
+  }
+  return burstiness;
+}
+
 StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
     const TermSeries& series, const std::vector<Point2D>& positions,
     const ExpectedModelFactory& model_factory, const StLocalOptions& options) {
@@ -88,53 +101,21 @@ StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
   }
   STB_ASSIGN_OR_RETURN(SpatialBinning binning,
                        SpatialBinning::Create(positions, options.rbursty.rect));
-  RegionalMiningScratch scratch;
-  return MineRegionalPatterns(series, binning, model_factory, options, scratch);
+  return MineRegionalPatterns(series, binning, *model_factory(), options);
 }
 
 StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
     const TermSeries& series, const SpatialBinning& binning,
-    const ExpectedModelFactory& model_factory, const StLocalOptions& options,
-    RegionalMiningScratch& scratch) {
+    const ExpectedFrequencyModel& model, const StLocalOptions& options) {
   if (series.num_streams() != binning.num_points()) {
     return Status::InvalidArgument("series/binning stream count mismatch");
   }
   const size_t n = series.num_streams();
-  const size_t timeline = static_cast<size_t>(series.timeline_length());
-
-  // Burstiness for the whole term, laid out time-major (snapshot t at
-  // [t*n, (t+1)*n)): each stream's causal model walks its row through a
-  // zero-copy span, and each snapshot is then a contiguous span — no
-  // per-snapshot strided column gather, no per-push allocation. Each model
-  // observes its stream in time order, so the values are the causal
-  // baselines of Eq. 7 whatever the layout.
-  //
-  // The models come from the scratch's arena — Reset() between terms
-  // stands in for fresh construction (the ExpectedFrequencyModel contract)
-  // — and the buffer is recycled; every element is overwritten below, so
-  // no clear is needed.
-  std::vector<double>& burstiness = scratch.burstiness;
-  burstiness.resize(n * timeline);
-  for (StreamId s = 0; s < n; ++s) {
-    if (s < scratch.models.size()) {
-      scratch.models[s]->Reset();
-    } else {
-      scratch.models.push_back(model_factory());
-    }
-    ExpectedFrequencyModel* model = scratch.models[s].get();
-    const std::span<const double> row = series.StreamRow(s);
-    for (size_t t = 0; t < timeline; ++t) {
-      const double y = row[t];
-      burstiness[t * n + s] =
-          model->HasHistory() ? y - model->Expected() : 0.0;
-      model->Observe(y);
-    }
-  }
-
+  const std::vector<double> burstiness = SnapshotBurstiness(series, model);
   StLocal miner(binning, options);
-  for (size_t t = 0; t < timeline; ++t) {
-    STB_RETURN_NOT_OK(miner.ProcessSnapshot(
-        std::span<const double>(burstiness.data() + t * n, n)));
+  for (Timestamp t = 0; t < series.timeline_length(); ++t) {
+    STB_RETURN_NOT_OK(miner.ProcessSnapshot(std::span<const double>(
+        burstiness.data() + static_cast<size_t>(t) * n, n)));
   }
   return miner.Finish();
 }

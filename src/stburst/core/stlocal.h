@@ -92,44 +92,35 @@ class StLocal {
   std::vector<SpatiotemporalWindow> finished_;
 };
 
-/// Reusable state for repeated MineRegionalPatterns calls — the batch
-/// miner keeps one per worker. The per-stream expected models are
-/// constructed by the factory on first use and Reset() between terms
-/// (which the ExpectedFrequencyModel contract makes equivalent to fresh
-/// instances), and the time-major burstiness buffer is recycled, so a
-/// whole-vocabulary sweep pays O(streams) factory allocations per worker
-/// instead of O(terms · streams). A scratch instance must stay paired with
-/// a single factory (its arena embodies that factory's model type) and a
-/// single thread at a time; reusing one leaves the output bit-identical to
-/// a fresh one (tested).
-struct RegionalMiningScratch {
-  std::vector<std::unique_ptr<ExpectedFrequencyModel>> models;
-  std::vector<double> burstiness;
-};
+/// Burstiness of every (stream, timestamp) cell of `series` under `model`
+/// (BurstinessSeries of each stream row), laid out time-major: snapshot t
+/// occupies [t·n, (t+1)·n) for n streams — the span StLocal's
+/// ProcessSnapshot and RBursty take.
+std::vector<double> SnapshotBurstiness(const TermSeries& series,
+                                       const ExpectedFrequencyModel& model);
 
 /// Batch driver for one term: derives per-stream burstiness from the
-/// frequency matrix with a fresh expected-frequency model per stream
-/// (walking each stream's row through a zero-copy span, no per-snapshot
-/// column gather), replays the timeline through StLocal, and returns the
-/// maximal windows. Timeframes are relative to the series' first column:
-/// over a windowed index's DenseSeries they count from the window's first
-/// timestamp, and the batch miner shifts them back to absolute time.
+/// frequency matrix with one expected-frequency model applied to every
+/// stream row (SnapshotBurstiness), replays the timeline through StLocal,
+/// and returns the maximal windows. Timeframes are relative to the series'
+/// first column: over a windowed index's DenseSeries they count from the
+/// window's first timestamp, and the batch miner shifts them back to
+/// absolute time.
 ///
 /// This form builds the binning of `positions` under options.rbursty.rect
-/// and a scratch for the one call.
+/// and calls `model_factory` once, for the one call.
 StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
     const TermSeries& series, const std::vector<Point2D>& positions,
     const ExpectedModelFactory& model_factory,
     const StLocalOptions& options = {});
 
 /// The same driver over a binning of the stream positions built by the
-/// caller (it fixes the cell geometry; options.rbursty.rect is not read),
-/// with the models and buffers of `scratch` reused across calls. The batch
-/// miner builds one binning per call and keeps one scratch per worker.
+/// caller (it fixes the cell geometry; options.rbursty.rect is not read)
+/// and a model built by the caller. The batch miner builds one binning and
+/// one model per call and shares both, read-only, across its workers.
 StatusOr<std::vector<SpatiotemporalWindow>> MineRegionalPatterns(
     const TermSeries& series, const SpatialBinning& binning,
-    const ExpectedModelFactory& model_factory, const StLocalOptions& options,
-    RegionalMiningScratch& scratch);
+    const ExpectedFrequencyModel& model, const StLocalOptions& options);
 
 }  // namespace stburst
 

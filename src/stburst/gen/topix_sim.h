@@ -7,8 +7,10 @@
 // and the 18 Major Events of Table 4 injected with tier-dependent spatial
 // footprints and Weibull temporal profiles. Every document carries a
 // provenance label (which event burst emitted it, if any), which powers the
-// simulated annotator used by the precision experiments. See DESIGN.md's
-// substitution table for why this preserves the evaluated behaviour.
+// simulated annotator used by the precision experiments. The miners read
+// only that structure (stream geometry, per-stream volumes, and each
+// event's spatial and temporal footprint), never article text, which is
+// why the substitution preserves the evaluated behaviour.
 
 #ifndef STBURST_GEN_TOPIX_SIM_H_
 #define STBURST_GEN_TOPIX_SIM_H_

@@ -7,8 +7,7 @@
 // the evicted span: per-(term, stream) frequency sums over [covered_start(),
 // folded_until()), with covered_length() the observation count (every
 // covered timestamp is one observation; silent ones are zeros).
-// SeededMeanModel
-// carries that (sum, count) prior and then observes the hot window, so
+// SeededMeanModel puts that (sum, count) prior ahead of the hot row, so
 //
 //     Expected = (cold_sum + hot_sum) / (cold_count + hot_count)
 //
@@ -25,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "stburst/core/expected.h"
 #include "stburst/history/cold_tier.h"
@@ -34,39 +34,30 @@ namespace stburst {
 
 /// GlobalMeanModel with a (sum, count) prior. Uses plain sum/count
 /// arithmetic (not Welford) so a seeded model and an unseeded model that
-/// observed the seed span agree bit-exactly on integer-valued inputs.
+/// observed the seed span agree bit-exactly on integer-valued inputs:
+/// E[i] = (seed_sum + y[0] + ... + y[i−1]) / (seed_count + i). The seed
+/// counts as history, so a term with months of folded baseline is never
+/// scored as "first observation" again.
 class SeededMeanModel : public ExpectedFrequencyModel {
  public:
   SeededMeanModel() = default;
   SeededMeanModel(double seed_sum, uint64_t seed_count)
       : seed_sum_(seed_sum), seed_count_(seed_count) {}
 
-  double Expected() const override {
-    const uint64_t n = seed_count_ + hot_count_;
-    return n == 0 ? 0.0 : (seed_sum_ + hot_sum_) / static_cast<double>(n);
+  size_t Expected(std::span<const double> y,
+                  std::span<double> e) const override {
+    double hot_sum = 0.0;
+    for (size_t i = 0; i < y.size(); ++i) {
+      const uint64_t n = seed_count_ + i;
+      e[i] = n == 0 ? 0.0 : (seed_sum_ + hot_sum) / static_cast<double>(n);
+      hot_sum += y[i];
+    }
+    return seed_count_ > 0 || y.empty() ? 0 : 1;
   }
-  void Observe(double y) override {
-    hot_sum_ += y;
-    ++hot_count_;
-  }
-  /// The seed counts as history: a term with months of folded baseline is
-  /// never scored as "first observation" again.
-  bool HasHistory() const override { return seed_count_ + hot_count_ > 0; }
-  /// Restores the freshly-constructed (still seeded) state, per the
-  /// Reset-equals-new-instance contract in expected.h.
-  void Reset() override {
-    hot_sum_ = 0.0;
-    hot_count_ = 0;
-  }
-
-  double seed_sum() const { return seed_sum_; }
-  uint64_t seed_count() const { return seed_count_; }
 
  private:
   double seed_sum_ = 0.0;
   uint64_t seed_count_ = 0;
-  double hot_sum_ = 0.0;
-  uint64_t hot_count_ = 0;
 };
 
 /// Adapter from a ColdTier to the existing model interfaces: hands out
@@ -77,9 +68,9 @@ class LongHorizonBaseline {
  public:
   explicit LongHorizonBaseline(const ColdTier* tier) : tier_(tier) {}
 
-  /// Model whose prior is (tier StreamSum, tier covered_length()): feed it
-  /// the hot-window series starting at folded_until() and Expected() tracks
-  /// the global mean over the full covered horizon.
+  /// Model whose prior is (tier StreamSum, tier covered_length()): over
+  /// the hot-window row starting at folded_until(), its Expected() is the
+  /// global mean over the full covered horizon.
   std::unique_ptr<ExpectedFrequencyModel> ModelFor(TermId term,
                                                    StreamId stream) const {
     return std::make_unique<SeededMeanModel>(SeedFor(term, stream));

@@ -37,11 +37,11 @@ StatusOr<std::vector<ReplayedInterval>> ReplayRange(
   STB_ASSIGN_OR_RETURN(
       const TermSeries series,
       tier.ReplaySeries(term, bucket_begin, bucket_end, num_streams));
+  const std::unique_ptr<ExpectedFrequencyModel> model = factory();
   std::vector<ReplayedInterval> out;
   for (StreamId stream = 0; stream < num_streams; ++stream) {
-    std::unique_ptr<ExpectedFrequencyModel> model = factory();
     const std::vector<double> burstiness =
-        BurstinessSeries(series.StreamRow(stream), model.get());
+        BurstinessSeries(series.StreamRow(stream), *model);
     for (const BurstyInterval& found :
          ExtractBurstyIntervals(burstiness, options.min_burstiness)) {
       out.push_back(ReplayedInterval{

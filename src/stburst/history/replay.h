@@ -45,11 +45,11 @@ struct ReplayOptions {
 };
 
 /// Re-runs the stored span [bucket_begin, bucket_end) of `term` against the
-/// models produced by `factory` (one fresh model per stream) and returns
-/// every bursty interval found, ordered by (stream, bucket_begin). Fails if
-/// the requested span is empty, reaches outside the covered bucket range
-/// [tier.bucket_lower_bound(), tier.bucket_upper_bound()), or is too large
-/// to replay (ColdTier::ReplaySeries).
+/// model `factory` builds (once per call, applied to every stream) and
+/// returns every bursty interval found, ordered by (stream, bucket_begin).
+/// Fails if the requested span is empty, reaches outside the covered bucket
+/// range [tier.bucket_lower_bound(), tier.bucket_upper_bound()), or is too
+/// large to replay (ColdTier::ReplaySeries).
 StatusOr<std::vector<ReplayedInterval>> ReplayRange(
     const ColdTier& tier, TermId term, uint32_t bucket_begin,
     uint32_t bucket_end, const ExpectedModelFactory& factory,

@@ -332,11 +332,11 @@ TEST(HistoryFoldParityTest, BaselinesMatchUnwindowedControl) {
       // Control: an unseeded mean over the full horizon [0, T).
       SeededMeanModel control_model;
       const std::vector<double> want =
-          BurstinessSeries(full.StreamRow(s), &control_model);
+          BurstinessSeries(full.StreamRow(s), control_model);
       // Subject: the tier-seeded mean over the hot window [fold, T) only.
       std::unique_ptr<ExpectedFrequencyModel> model = baseline.ModelFor(t, s);
       const std::vector<double> got =
-          BurstinessSeries(hot.StreamRow(s), model.get());
+          BurstinessSeries(hot.StreamRow(s), *model);
       ASSERT_EQ(want.size(), got.size() + static_cast<size_t>(fold));
       for (size_t i = 0; i < got.size(); ++i) {
         // Bit-equal, not approximately equal: integer-valued partial sums
@@ -350,33 +350,18 @@ TEST(HistoryFoldParityTest, BaselinesMatchUnwindowedControl) {
 
 // --------------------------------------------------- LongHorizonBaseline
 
-TEST(LongHorizonBaselineTest, SeededModelHonorsResetContract) {
-  SeededMeanModel model(/*seed_sum=*/10.0, /*seed_count=*/5);
-  EXPECT_TRUE(model.HasHistory());
-  EXPECT_EQ(model.Expected(), 2.0);
-  model.Observe(8.0);
-  EXPECT_EQ(model.Expected(), 3.0);  // (10+8)/6
-  // Reset restores the freshly-constructed (seeded) state, not zero.
-  model.Reset();
-  EXPECT_TRUE(model.HasHistory());
-  EXPECT_EQ(model.Expected(), 2.0);
-  model.Observe(8.0);
-  EXPECT_EQ(model.Expected(), 3.0);
-
-  SeededMeanModel unseeded;
-  EXPECT_FALSE(unseeded.HasHistory());
-  EXPECT_EQ(unseeded.Expected(), 0.0);
-}
-
 TEST(LongHorizonBaselineTest, NullTierYieldsUnseededModelsAndComposes) {
   LongHorizonBaseline baseline(nullptr);
-  auto model = baseline.ModelFor(3, 1);
-  EXPECT_FALSE(model->HasHistory());
+  const std::vector<double> y = {4.0, 0.0};
+  std::vector<double> e(y.size());
+  // Unseeded: the first entry has no history.
+  EXPECT_EQ(baseline.ModelFor(3, 1)->Expected(y, e), 1u);
   // Its models compose with the existing decorators.
   ExpectedModelFactory floored =
       WithPriorFloor([&baseline] { return baseline.ModelFor(3, 1); }, 0.25);
-  auto m = floored();
-  EXPECT_EQ(m->Expected(), 0.25);
+  EXPECT_EQ(floored()->Expected(y, e), 0u);
+  EXPECT_EQ(e[0], 0.25);
+  EXPECT_EQ(e[1], 4.0);
 }
 
 // ------------------------------------------------------------ mmap tier
@@ -455,7 +440,7 @@ TEST(ColdTierMmapTest, RestartedRuntimeRecoversBaselinesWithoutReplay) {
       for (StreamId s = 0; s < kStreams; ++s) {
         auto model = baseline.ModelFor(t, s);
         baseline_before.push_back(
-            BurstinessSeries(hot.StreamRow(s), model.get()));
+            BurstinessSeries(hot.StreamRow(s), *model));
       }
     }
   }  // runtime destroyed; only the published file remains
@@ -494,7 +479,7 @@ TEST(ColdTierMmapTest, RestartedRuntimeRecoversBaselinesWithoutReplay) {
     const TermSeries hot = restarted->index().DenseSeries(t);
     for (StreamId s = 0; s < kStreams; ++s, ++pair_index) {
       auto model = baseline.ModelFor(t, s);
-      EXPECT_EQ(BurstinessSeries(hot.StreamRow(s), model.get()),
+      EXPECT_EQ(BurstinessSeries(hot.StreamRow(s), *model),
                 baseline_before[pair_index])
           << "term " << t << " stream " << s;
     }

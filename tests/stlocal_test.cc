@@ -170,10 +170,11 @@ TEST(MineRegionalPatterns, EndToEndWithExpectedModel) {
   EXPECT_TRUE(top.timeframe.Intersects(Interval{30, 39}));
 }
 
-TEST(MineRegionalPatterns, ScratchReusesModelsAndStaysBitIdentical) {
-  // The batch miner's per-worker arena: across a multi-term sweep the
-  // factory must run exactly once per stream (models are Reset() between
-  // terms), and every window must be bit-identical to the scratch-free path.
+TEST(MineRegionalPatterns, SharedModelStaysBitIdentical) {
+  // The batch miner's shape: one model, built once, scores every term over
+  // one binning, and every window is bit-identical to a standalone call
+  // that builds its own model and binning. The standalone form calls its
+  // factory once per call, whatever the stream count.
   Rng rng(41);
   const size_t n = 7;
   const Timestamp timeline = 40;
@@ -196,35 +197,29 @@ TEST(MineRegionalPatterns, ScratchReusesModelsAndStaysBitIdentical) {
     terms.push_back(std::move(series));
   }
 
-  size_t scratch_allocs = 0;
   size_t fresh_allocs = 0;
-  auto scratch_factory = [&scratch_allocs] {
-    ++scratch_allocs;
-    return std::make_unique<GlobalMeanModel>();
-  };
   auto fresh_factory = [&fresh_allocs] {
     ++fresh_allocs;
     return std::make_unique<GlobalMeanModel>();
   };
 
-  RegionalMiningScratch scratch;
+  const GlobalMeanModel shared;
   for (size_t term = 0; term < kTerms; ++term) {
-    auto with_scratch = MineRegionalPatterns(terms[term], binning,
-                                             scratch_factory, {}, scratch);
-    auto without = MineRegionalPatterns(terms[term], positions, fresh_factory);
-    ASSERT_TRUE(with_scratch.ok());
-    ASSERT_TRUE(without.ok());
-    ASSERT_EQ(with_scratch->size(), without->size()) << "term " << term;
-    for (size_t i = 0; i < with_scratch->size(); ++i) {
-      EXPECT_EQ((*with_scratch)[i].region, (*without)[i].region);
-      EXPECT_EQ((*with_scratch)[i].streams, (*without)[i].streams);
-      EXPECT_EQ((*with_scratch)[i].timeframe, (*without)[i].timeframe);
-      EXPECT_EQ((*with_scratch)[i].score, (*without)[i].score);
+    auto with_shared =
+        MineRegionalPatterns(terms[term], binning, shared, StLocalOptions{});
+    auto standalone =
+        MineRegionalPatterns(terms[term], positions, fresh_factory);
+    ASSERT_TRUE(with_shared.ok());
+    ASSERT_TRUE(standalone.ok());
+    ASSERT_EQ(with_shared->size(), standalone->size()) << "term " << term;
+    for (size_t i = 0; i < with_shared->size(); ++i) {
+      EXPECT_EQ((*with_shared)[i].region, (*standalone)[i].region);
+      EXPECT_EQ((*with_shared)[i].streams, (*standalone)[i].streams);
+      EXPECT_EQ((*with_shared)[i].timeframe, (*standalone)[i].timeframe);
+      EXPECT_EQ((*with_shared)[i].score, (*standalone)[i].score);
     }
   }
-  EXPECT_EQ(scratch_allocs, n);           // one model per stream, ever
-  EXPECT_EQ(fresh_allocs, n * kTerms);    // the cost the arena removes
-  EXPECT_EQ(scratch.models.size(), n);
+  EXPECT_EQ(fresh_allocs, kTerms);  // one model per call
 }
 
 TEST(MineRegionalPatterns, MismatchedPositionsRejected) {
@@ -232,8 +227,8 @@ TEST(MineRegionalPatterns, MismatchedPositionsRejected) {
   auto factory = [] { return std::make_unique<GlobalMeanModel>(); };
   auto result = MineRegionalPatterns(series, LinePositions(2), factory);
   EXPECT_TRUE(result.status().IsInvalidArgument());
-  RegionalMiningScratch scratch;
-  result = MineRegionalPatterns(series, LineBinning(2), factory, {}, scratch);
+  result = MineRegionalPatterns(series, LineBinning(2), GlobalMeanModel(),
+                                StLocalOptions{});
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
