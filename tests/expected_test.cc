@@ -43,8 +43,13 @@ TEST(GlobalMeanModel, MeanOfAllPastObservations) {
   EXPECT_DOUBLE_EQ(row.e[1], 2.0);
   EXPECT_DOUBLE_EQ(row.e[2], 3.0);
   EXPECT_DOUBLE_EQ(row.e[3], 5.0);
-  EXPECT_DOUBLE_EQ(
-      RowOf(m, {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0, kNext}).e[8], 5.0);
+}
+
+TEST(GlobalMeanModel, MeanOfEightObservations) {
+  const ExpectedRow row =
+      RowOf(GlobalMeanModel(), {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0, kNext});
+  EXPECT_EQ(row.fresh, 1u);
+  EXPECT_DOUBLE_EQ(row.e[8], 5.0);
 }
 
 TEST(GlobalMeanModel, EmptyAndSingleRows) {
