@@ -1,9 +1,9 @@
 // Backtesting against the tiered long-horizon history (docs/STORAGE.md,
 // docs/ARCHITECTURE.md "Tiered history"): a windowed FeedRuntime folds
-// everything the retention window evicts into an mmap-backed ColdTier, a
-// later process reopens that file and recovers the full-horizon baselines
-// without replaying the cold span, and ReplayRange re-runs a stored
-// stretch of history against today's models.
+// everything the retention window evicts into a ColdTier checkpointed to a
+// file, a later process reopens that file and recovers the full-horizon
+// baselines without replaying the cold span, and ReplayRange re-runs a
+// stored stretch of history against today's models.
 //
 // Two phases, runnable as separate processes (the CI ASan + UBSan job does
 // exactly that, so the recovery crosses a real process boundary):

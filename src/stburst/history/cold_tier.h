@@ -21,13 +21,13 @@
 // folded_until() are skipped — which makes restart-with-replay-overlap
 // safe.
 //
-// Storage model (kMmap mode): queries merge an immutable mmap-backed base
-// generation (the last published file; layout documented field-by-field in
-// docs/STORAGE.md) with an in-memory delta overlay holding folds since the
-// last `Publish()`. Publish writes a merged generation to `<path>.tmp`,
-// fsyncs, and atomically renames it over `<path>` — a crash mid-write
-// recovers the previous generation untouched. kInMemory keeps everything in
-// the delta overlay and never touches disk.
+// Storage model: one row set, held in memory, per term sorted by
+// (stream, bucket). kMmap tiers also checkpoint it: the file (layout
+// documented field-by-field in docs/STORAGE.md) is nothing but the
+// serialization of that row set. Open decodes it into memory; Publish writes
+// it to `<path>.tmp`, fsyncs, and atomically renames it over `<path>`, so a
+// crash mid-write recovers the previous checkpoint untouched. kInMemory
+// never touches disk.
 //
 // Thread-safety: externally synchronized, like the rest of the tick state.
 // The FeedRuntime mutates the tier only inside the tick transaction.
@@ -36,10 +36,8 @@
 #define STBURST_HISTORY_COLD_TIER_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,9 +49,10 @@
 namespace stburst {
 
 /// Where the cold tier lives. kOff disables folding entirely (eviction drops
-/// history, the pre-PR-10 behavior); kInMemory folds into a process-local
-/// tier that dies with the process; kMmap additionally publishes each folded
-/// generation to `history_path` and recovers it on restart.
+/// history); kInMemory folds into a process-local tier that dies with the
+/// process; kMmap folds into the same in-memory tier and additionally
+/// checkpoints it to `history_path` after each folding tick, recovering it
+/// on restart (the file is read into memory, not mapped).
 enum class HistoryMode { kOff = 0, kInMemory = 1, kMmap = 2 };
 
 /// One coarse aggregate cell: everything the tier remembers about
@@ -78,14 +77,14 @@ struct ColdRow {
 };
 
 /// Captured pre-fold tier state for one `FoldEvicted` call, restored exactly
-/// by `RollbackFold`. Folds only mutate the in-memory delta overlay (the
-/// published base generation is immutable), so rollback is pure memory.
+/// by `RollbackFold`. Folds only mutate memory (a checkpoint file changes
+/// only at Publish), so rollback is pure memory.
 struct ColdFoldUndo {
   Timestamp folded_until = 0;
   uint32_t stream_upper_bound = 0;
   uint32_t term_upper_bound = 0;
-  /// Per touched term, the term's delta rows before the fold.
-  std::vector<std::pair<TermId, std::vector<ColdRow>>> saved_delta;
+  /// Per touched term, the term's rows before the fold.
+  std::vector<std::pair<TermId, std::vector<ColdRow>>> saved_rows;
 };
 
 class ColdTier {
@@ -93,11 +92,12 @@ class ColdTier {
   /// In-memory tier (HistoryMode::kInMemory). bucket_width must be > 0.
   static StatusOr<ColdTier> CreateInMemory(Timestamp bucket_width);
 
-  /// Mmap-backed tier (HistoryMode::kMmap). If `path` exists it is opened,
-  /// validated (magic, version, header + payload checksums), and required to
-  /// have the same bucket width; if it does not exist, an empty tier is
-  /// created and the file appears on the first `Publish()`. Rejects
-  /// big-endian hosts (the format is little-endian, see docs/STORAGE.md).
+  /// Checkpointed tier (HistoryMode::kMmap). If `path` exists it is read,
+  /// validated (magic, version, header + payload checksums, structure),
+  /// decoded into memory, and required to have the same bucket width; if it
+  /// does not exist, an empty tier is created and the file appears on the
+  /// first `Publish()`. Rejects big-endian hosts (the format is
+  /// little-endian, see docs/STORAGE.md).
   static StatusOr<ColdTier> OpenOrCreate(std::string path,
                                          Timestamp bucket_width);
 
@@ -105,12 +105,6 @@ class ColdTier {
   /// stored span without a live feed. Fails if the file is missing or does
   /// not validate. Any bucket width is accepted (it is read from the file).
   static StatusOr<ColdTier> Open(std::string path);
-
-  ColdTier(ColdTier&&) noexcept;
-  ColdTier& operator=(ColdTier&&) noexcept;
-  ~ColdTier();
-  ColdTier(const ColdTier&) = delete;
-  ColdTier& operator=(const ColdTier&) = delete;
 
   Timestamp bucket_width() const { return bucket_width_; }
   /// First timestamp the tier covers (see the class comment).
@@ -121,12 +115,13 @@ class ColdTier {
   /// Covered timestamps = observations per stream the aggregates stand for
   /// (zeros included) — the denominator LongHorizonBaseline seeds with.
   Timestamp covered_length() const { return folded_until_ - covered_start_; }
-  bool mmap_backed() const { return !path_.empty(); }
   const std::string& path() const { return path_; }
 
   /// One past the largest stream id / term id with any folded cell.
   uint32_t stream_upper_bound() const { return stream_ub_; }
-  uint32_t term_upper_bound() const { return term_ub_; }
+  uint32_t term_upper_bound() const {
+    return static_cast<uint32_t>(rows_.size());
+  }
   /// Bucket index range that may hold rows:
   /// [bucket_lower_bound(), bucket_upper_bound()). The boundary buckets may
   /// be partially covered when covered_start()/folded_until() fall inside a
@@ -158,8 +153,9 @@ class ColdTier {
   /// Restores the tier to its exact pre-FoldEvicted state. Consumes `undo`.
   void RollbackFold(ColdFoldUndo&& undo);
 
-  /// Merged (base + delta) rows for one term, sorted by (stream, bucket).
-  std::vector<ColdRow> TermRows(TermId term) const;
+  /// Rows for one term, sorted by (stream, bucket); empty for terms past
+  /// term_upper_bound(). Valid until the next FoldEvicted or RollbackFold.
+  const std::vector<ColdRow>& TermRows(TermId term) const;
 
   /// Sum of folded frequency for (term, stream) over the whole covered
   /// span — the numerator of a long-horizon mean whose denominator is
@@ -181,37 +177,28 @@ class ColdTier {
   /// doubles, e.g. 10k streams over 30 years of weekly buckets.
   static constexpr uint64_t kMaxReplayCells = uint64_t{1} << 24;
 
-  /// kMmap only (no-op OK for kInMemory): merges base + delta into a new
-  /// generation, writes it to `<path>.tmp`, fsyncs, atomically renames it
-  /// over `path`, remaps the published file, and clears the delta overlay.
-  /// On failure the previous published generation and the in-memory state
-  /// are both intact, and the same delta is retried on the next call.
+  /// Writes the row set to `<path>.tmp`, fsyncs it, atomically renames it
+  /// over `path`, and fsyncs the directory. OK and does nothing without a
+  /// path (kInMemory). On failure the previous file and the in-memory rows
+  /// are both intact, and the next call writes the whole row set again.
   Status Publish();
 
-  /// Rows folded since the last Publish (kInMemory: since creation).
-  size_t delta_rows() const;
-  /// Rows in the published base generation (0 when nothing published).
-  uint64_t base_rows() const;
-
  private:
-  struct Base;  // mmap view of the published generation
-  ColdTier();
+  ColdTier() = default;
 
-  std::vector<ColdRow>* DeltaForTerm(TermId term);
-  const std::vector<ColdRow>* DeltaForTerm(TermId term) const;
-  std::span<const uint64_t> BaseRange(TermId term, const uint64_t** offsets)
-      const;
+  // Reads, validates (docs/STORAGE.md checks 1-11) and decodes `path_` into
+  // this tier's watermarks and rows. Returns the file's bucket width, or 0
+  // when the file does not exist and `missing_ok` is set.
+  StatusOr<uint32_t> Load(bool missing_ok);
 
   std::string path_;  // empty <=> kInMemory
   Timestamp bucket_width_ = 1;
   Timestamp covered_start_ = 0;
   Timestamp folded_until_ = 0;
   uint32_t stream_ub_ = 0;
-  uint32_t term_ub_ = 0;
-  /// Folds since the last publish; per term, sorted by (stream, bucket).
-  /// In kMmap mode these are increments over the base generation.
-  std::unordered_map<TermId, std::vector<ColdRow>> delta_;
-  std::unique_ptr<Base> base_;
+  /// Indexed by TermId; each term's rows sorted by (stream, bucket). Its
+  /// size is the term upper bound.
+  std::vector<std::vector<ColdRow>> rows_;
 };
 
 }  // namespace stburst

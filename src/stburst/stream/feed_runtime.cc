@@ -154,7 +154,7 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
   }
 
   // Attach the cold history tier: fresh tiers adopt the live window's start
-  // as their coverage origin; reopened mmap tiers must reach it (no gap
+  // as their coverage origin; reopened tier files must reach it (no gap
   // between the persisted aggregates and the live window). Folding begins
   // with the first evicting Tick — Create's own deep-history eviction above
   // is a declared drop, not a fold, and covered_start() records that.
@@ -378,7 +378,7 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
       // Tiered history (retention rule 8): the postings the eviction just
       // removed — captured verbatim in the undo log, so the fold costs no
       // extra posting walk — aggregate into the cold tier before they are
-      // forgotten. In-memory only here; the kMmap generation publishes in
+      // forgotten. In-memory only here; the kMmap checkpoint is written in
       // the commit tail. RollbackTick restores the pre-fold tier.
       if (history_ != nullptr) {
         STBURST_FAULT_POINT("history.fold");
@@ -523,14 +523,15 @@ Status FeedRuntime::CommitGuarded(TickTransaction::Impl* tx) {
     search_snapshot_.Publish(std::move(tx->next_snapshot));
   }
 
-  // Cold-tier checkpoint (kMmap): persist the folded generation. Publish
-  // failure is deliberately non-wedging — the in-memory tier is already
-  // correct and the on-disk file is a checkpoint that lags until the next
-  // folding tick retries; a crash meanwhile recovers the last generation
-  // that *was* atomically published (see docs/STORAGE.md). The local
-  // try/catch keeps even an allocation failure inside Publish from
-  // escalating a healthy commit into a wedge.
-  if (undo->history_folded && history_ != nullptr && history_->mmap_backed()) {
+  // Cold-tier checkpoint: after a fold, write the row set to the tier file
+  // (kMmap; Publish does nothing for kInMemory). Publish failure is
+  // deliberately non-wedging — the in-memory tier is already correct and the
+  // file is a checkpoint that lags until the next folding tick writes the
+  // whole row set again; a crash meanwhile recovers the last checkpoint that
+  // *was* atomically published (see docs/STORAGE.md). The local try/catch
+  // keeps even an allocation failure inside Publish from escalating a
+  // healthy commit into a wedge.
+  if (undo->history_folded && history_ != nullptr) {
     try {
       const Status published = history_->Publish();
       if (!published.ok()) {

@@ -122,19 +122,20 @@ struct FeedRuntimeOptions {
   /// Tiered history (docs/ARCHITECTURE.md "Tiered history", retention rule
   /// 8): what eviction does with the snapshots it drops. kOff discards them
   /// (the pre-tier behavior); kInMemory folds them into a process-local
-  /// ColdTier of per-(term, stream, bucket) aggregates; kMmap additionally
-  /// publishes each folded generation to `history_path` (atomic
-  /// rename-on-publish; format in docs/STORAGE.md) so a restarted runtime
-  /// recovers months of baseline without replay. The tier feeds
-  /// LongHorizonBaseline (history/long_horizon.h) and ReplayRange
-  /// (history/replay.h); folding happens inside the tick transaction and
-  /// rolls back with it (fault site `history.fold`). Without a retention
-  /// window nothing is ever evicted, so the tier stays empty.
+  /// ColdTier of per-(term, stream, bucket) aggregates; kMmap folds into the
+  /// same in-memory rows and additionally checkpoints them to `history_path`
+  /// after each folding tick (atomic rename-on-publish; format in
+  /// docs/STORAGE.md), so a restarted runtime reads months of baseline back
+  /// without replay. The tier feeds LongHorizonBaseline
+  /// (history/long_horizon.h) and ReplayRange (history/replay.h); folding
+  /// happens inside the tick transaction and rolls back with it (fault site
+  /// `history.fold`). Without a retention window nothing is ever evicted,
+  /// so the tier stays empty.
   HistoryMode history_mode = HistoryMode::kOff;
 
   /// Aggregation bucket width in timestamps (e.g. 4 for 4-week buckets on a
   /// weekly feed). Must be > 0 when history is on; must match the existing
-  /// file when reopening an mmap tier (aggregates cannot be re-bucketed).
+  /// file when reopening a tier file (aggregates cannot be re-bucketed).
   Timestamp history_bucket_width = 4;
 
   /// Published tier file for kMmap (required there, ignored otherwise).
@@ -414,8 +415,8 @@ class FeedRuntime {
   FrequencyIndex index_;
   BatchMineResult result_;
   // Cold history tier (options_.history_mode != kOff): evicted postings
-  // fold into it inside the tick transaction; kMmap generations publish in
-  // the commit tail. unique_ptr keeps the runtime movable and the off case
+  // fold into it inside the tick transaction; kMmap checkpoints it in the
+  // commit tail. unique_ptr keeps the runtime movable and the off case
   // free.
   std::unique_ptr<ColdTier> history_;
   // The read plane (options_.search_serving != kNone): the published

@@ -72,7 +72,7 @@ Snapshot MakeSnapshot(Rng& rng) {
 // (batch_miner.mine_term via runtime.remine), a refresh sweep,
 // combinatorial search serving (runtime.search_update), and the cold
 // history tier (history.fold; kInMemory needs no file and proves the same
-// delta-overlay rollback path kMmap uses).
+// fold rollback kMmap uses).
 FeedRuntimeOptions SweepOptions() {
   FeedRuntimeOptions opts;
   opts.num_threads = 4;  // sites must roll back when hit on pool workers

@@ -9,7 +9,7 @@
 //    and a restarted runtime recovers the baselines without replaying the
 //    cold span;
 //  - storage hardening: truncated / corrupt / wrong-format files are
-//    rejected, never half-read;
+//    rejected, never half-read, and the format's bytes are pinned;
 //  - ReplayRange backtesting over stored spans.
 //
 // Bit-equality leans on the frequency determinism note in frequency.h:
@@ -22,12 +22,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "runtime_test_util.h"
 #include "stburst/common/random.h"
 #include "stburst/core/expected.h"
 #include "stburst/history/cold_tier.h"
@@ -364,7 +367,7 @@ TEST(LongHorizonBaselineTest, NullTierYieldsUnseededModelsAndComposes) {
   EXPECT_EQ(e[1], 4.0);
 }
 
-// ------------------------------------------------------------ mmap tier
+// ------------------------------------------------------------ tier file
 
 std::vector<std::pair<TermId, std::vector<TermPosting>>> SampleFoldInput() {
   return {{0, {{0, 0, 1.0}, {1, 2, 2.0}, {1, 3, 3.0}}},
@@ -380,10 +383,8 @@ TEST(ColdTierMmapTest, PublishReopenRoundTripWithDeltaOverlay) {
     auto input = SampleFoldInput();
     tier->FoldEvicted(input, /*cutoff=*/4, &undo);
     ASSERT_TRUE(tier->Publish().ok());
-    EXPECT_GT(tier->base_rows(), 0u);
-    EXPECT_EQ(tier->delta_rows(), 0u);
 
-    // Fold more on top of the published base: queries merge base + delta.
+    // Fold more on top of the published rows.
     std::vector<std::pair<TermId, std::vector<TermPosting>>> more = {
         {0, {{1, 4, 5.0}}}, {3, {{2, 5, 1.0}}}};
     ColdFoldUndo undo2;
@@ -494,6 +495,46 @@ TEST(ColdTierMmapTest, RestartedRuntimeRecoversBaselinesWithoutReplay) {
   std::remove(path.c_str());
 }
 
+// A failed tier publish (here: the file's directory does not exist yet)
+// does not wedge the runtime: its ticks commit, the in-memory tier keeps
+// every fold, and the file is a checkpoint that lags until a publish
+// succeeds and writes the whole row set.
+TEST(ColdTierMmapTest, FailedPublishLeavesLaggingCheckpoint) {
+  const std::string dir = TempPath("cold_tier_missing_dir");
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/tier.stb";
+  FeedRuntimeOptions opts = WindowedHistoryOptions(HistoryMode::kMmap);
+  opts.history_path = path;
+  auto subject = FeedRuntime::Create(MakeSeedCollection(), opts);
+  ASSERT_TRUE(subject.ok()) << subject.status().ToString();
+  auto twin = FeedRuntime::Create(
+      MakeSeedCollection(), WindowedHistoryOptions(HistoryMode::kInMemory));
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+
+  const std::vector<Snapshot> feed = MakeFeed(/*seed=*/91, kTicks);
+  size_t folding_ticks = 0;
+  for (size_t i = 0; i + 1 < feed.size(); ++i) {
+    auto stats = subject->Tick(Snapshot(feed[i]));
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    if (stats->folded_terms > 0) ++folding_ticks;
+    ASSERT_TRUE(twin->Tick(Snapshot(feed[i])).ok());
+  }
+  ASSERT_GT(folding_ticks, 0u);
+  EXPECT_FALSE(subject->wedged());
+  EXPECT_FALSE(std::filesystem::exists(path));
+  ExpectIdenticalTiers(subject->history(), twin->history());
+
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  auto stats = subject->Tick(Snapshot(feed.back()));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE(stats->evicted);
+  EXPECT_FALSE(subject->wedged());
+  auto reopened = ColdTier::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectIdenticalTiers(&*reopened, subject->history());
+  std::filesystem::remove_all(dir);
+}
+
 // Recomputes both checksums of a cold tier file image in place, so a
 // mutation reaches the structural checks behind them.
 void Reseal(std::string* bytes) {
@@ -507,6 +548,21 @@ void Reseal(std::string* bytes) {
 template <typename T>
 void Poke(std::string* bytes, size_t offset, T value) {
   std::memcpy(bytes->data() + offset, &value, sizeof(value));
+}
+
+// Swaps rows `a` and `b` in every column of a cold tier file image.
+void SwapRows(std::string* bytes, uint64_t a, uint64_t b) {
+  uint64_t num_terms = 0;
+  uint64_t num_rows = 0;
+  std::memcpy(&num_terms, bytes->data() + 32, sizeof(num_terms));
+  std::memcpy(&num_rows, bytes->data() + 40, sizeof(num_rows));
+  size_t column = 64 + 8 * (num_terms + 1);
+  for (const size_t width : {4, 4, 8, 8, 8}) {
+    std::swap_ranges(bytes->begin() + column + a * width,
+                     bytes->begin() + column + (a + 1) * width,
+                     bytes->begin() + column + b * width);
+    column += num_rows * width;
+  }
 }
 
 // A published tier over SampleFoldInput: terms 0 and 3, streams 0-2.
@@ -525,6 +581,50 @@ std::string PublishedSampleTier(const std::string& path) {
   std::string bytes = ReadFile(path);
   std::remove(path.c_str());
   return bytes;
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// Format version 1, pinned: the 232 bytes a publish of SampleFoldInput
+// (bucket width 2, cutoff 6) writes — header, then the offset index
+// {0, 2, 2, 2, 4} and the stream, bucket, sum, max and count columns. The
+// other tests write and read with the same code, so a drift of writer and
+// reader in step would pass them; this one fails it.
+TEST(ColdTierMmapTest, PublishWritesPinnedVersion1Bytes) {
+  const std::string pinned = FromHex(
+      "535442434f4c4431010000004000000002000000030000000000000006000000"
+      "040000000000000004000000000000007ea1d94c935ac8f979e473a12960bce2"
+      "0000000000000000020000000000000002000000000000000200000000000000"
+      "0400000000000000000000000100000002000000020000000000000001000000"
+      "0000000002000000000000000000f03f00000000000014400000000000001040"
+      "000000000000f03f000000000000f03f00000000000008400000000000001040"
+      "000000000000f03f010000000000000002000000000000000100000000000000"
+      "0100000000000000");
+  ASSERT_EQ(pinned.size(), 232u);
+  EXPECT_EQ(PublishedSampleTier(TempPath("cold_tier_pinned_src.stb")), pinned);
+
+  const std::string path = TempPath("cold_tier_pinned.stb");
+  WriteFile(path, pinned);
+  auto opened = ColdTier::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->bucket_width(), 2);
+  EXPECT_EQ(opened->covered_start(), 0);
+  EXPECT_EQ(opened->folded_until(), 6);
+  EXPECT_EQ(opened->stream_upper_bound(), 3u);
+  EXPECT_EQ(opened->term_upper_bound(), 4u);
+  ExpectSameRows(opened->TermRows(0),
+                 {{0, 0, 1.0, 1.0, 1}, {1, 1, 5.0, 3.0, 2}}, 0);
+  for (TermId t : {1u, 2u, 4u}) ExpectSameRows(opened->TermRows(t), {}, t);
+  ExpectSameRows(opened->TermRows(3),
+                 {{2, 0, 4.0, 4.0, 1}, {2, 2, 1.0, 1.0, 1}}, 3);
+  std::remove(path.c_str());
 }
 
 TEST(ColdTierMmapTest, RejectsTruncatedAndCorruptFiles) {
@@ -610,6 +710,17 @@ TEST(ColdTierMmapTest, RejectsForgedFieldsBehindValidChecksums) {
     ASSERT_FALSE(opened.ok()) << "bucket width past INT32_MAX";
     EXPECT_TRUE(opened.status().IsFailedPrecondition());
   }
+  {
+    // Term 0's two rows, (0, 0) and (1, 1), swapped in every column: a fold
+    // binary-searching them could insert a second row for a key it holds.
+    std::string forged = good;
+    SwapRows(&forged, 0, 1);
+    Reseal(&forged);
+    WriteFile(victim, forged);
+    auto opened = ColdTier::Open(victim);
+    ASSERT_FALSE(opened.ok()) << "rows out of (stream, bucket) order";
+    EXPECT_TRUE(opened.status().IsFailedPrecondition());
+  }
   std::remove(victim.c_str());
 }
 
@@ -642,13 +753,88 @@ void QueryEveryTerm(const ColdTier& tier) {
   }
 }
 
+// Bitwise row equality: a mutated sum column may hold NaNs, which == refuses.
+void ExpectSameRowBits(const std::vector<ColdRow>& got,
+                       const std::vector<ColdRow>& want, TermId term) {
+  static_assert(sizeof(ColdRow) == 32, "ColdRow must have no padding");
+  ASSERT_EQ(got.size(), want.size()) << "term " << term;
+  if (got.empty()) return;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(ColdRow)),
+            0)
+      << "term " << term;
+}
+
+// Every row, watermark and bound of `b` equals `a`'s, bit for bit.
+void ExpectSameTierBits(const ColdTier& a, const ColdTier& b) {
+  EXPECT_EQ(a.bucket_width(), b.bucket_width());
+  EXPECT_EQ(a.covered_start(), b.covered_start());
+  EXPECT_EQ(a.folded_until(), b.folded_until());
+  EXPECT_EQ(a.stream_upper_bound(), b.stream_upper_bound());
+  ASSERT_EQ(a.term_upper_bound(), b.term_upper_bound());
+  for (TermId t = 0; t < a.term_upper_bound(); ++t) {
+    ExpectSameRowBits(b.TermRows(t), a.TermRows(t), t);
+  }
+}
+
+// Reopens `bytes` as a live tier at `copy` (OpenOrCreate with the file's
+// own bucket width) and drives the mutating calls on it: AttachAt below, at
+// and above folded_until() returns OK or InvalidArgument; a fold then its
+// rollback restores every row bit for bit; a publish reopens equal to the
+// in-memory rows.
+void ExerciseReopenedTier(const std::string& bytes, Timestamp bucket_width,
+                          const std::string& copy) {
+  WriteFile(copy, bytes);
+  auto tier = ColdTier::OpenOrCreate(copy, bucket_width);
+  ASSERT_TRUE(tier.ok()) << tier.status().ToString();
+  const int64_t watermark = tier->folded_until();
+  for (const int64_t start : {watermark - 1, watermark, watermark + 1}) {
+    if (start > INT32_MAX) continue;
+    const Status attached = tier->AttachAt(static_cast<Timestamp>(start));
+    EXPECT_TRUE(attached.ok() || attached.IsInvalidArgument())
+        << attached.ToString();
+  }
+
+  const Timestamp from = tier->folded_until();
+  if (from < INT32_MAX) {  // at INT32_MAX no later cutoff exists
+    const auto cutoff = static_cast<Timestamp>(
+        std::min<int64_t>(int64_t{from} + 4, INT32_MAX));
+    std::vector<TermId> terms = {0, 3, tier->term_upper_bound()};
+    std::sort(terms.begin(), terms.end());
+    terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+    std::vector<std::pair<TermId, std::vector<TermPosting>>> removed;
+    for (const TermId term : terms) {
+      std::vector<TermPosting> postings;
+      for (StreamId s = 0; s < 3; ++s) {
+        for (Timestamp t = from; t < cutoff; ++t) {
+          postings.push_back({s, t, 1.0 + (t % 3)});
+        }
+      }
+      removed.emplace_back(term, std::move(postings));
+    }
+    const ColdTier before = *tier;
+    ColdFoldUndo undo;
+    EXPECT_EQ(tier->FoldEvicted(removed, cutoff, &undo), terms.size());
+    EXPECT_EQ(tier->folded_until(), cutoff);
+    tier->RollbackFold(std::move(undo));
+    ExpectSameTierBits(before, *tier);
+  }
+
+  ASSERT_TRUE(tier->Publish().ok());
+  auto reopened = ColdTier::Open(copy);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectSameTierBits(*tier, *reopened);
+  std::remove(copy.c_str());
+}
+
 // Seeded mutation fuzz of the loader: every mutated image either fails to
-// open or yields a tier whose queries all run clean (under ASan/UBSan in
-// the sanitizer build).
+// open or yields a tier whose queries all run clean, and that also opens as
+// a live tier whose attach, fold, rollback and publish behave (under
+// ASan/UBSan in the sanitizer build).
 TEST(ColdTierMmapTest, MutatedFilesFailToOpenOrQueryClean) {
   const std::string good = PublishedSampleTier(TempPath("cold_tier_fuzz.stb"));
   ASSERT_GT(good.size(), 64u);
   const std::string victim = TempPath("cold_tier_fuzzed.stb");
+  const std::string copy = TempPath("cold_tier_fuzzed_live.stb");
   {
     // Bucket width 1 and folded_until near INT32_MAX: the header is
     // consistent, so the tier opens, but a replay of its covered buckets
@@ -667,6 +853,7 @@ TEST(ColdTierMmapTest, MutatedFilesFailToOpenOrQueryClean) {
                     .status()
                     .IsOutOfRange());
     QueryEveryTerm(*tier);
+    ExerciseReopenedTier(forged, tier->bucket_width(), copy);
   }
   const uint64_t u64s[] = {0, 1, 2, 3, 4, 5, 7, 64, uint64_t{1} << 32,
                            uint64_t{1} << 59, (uint64_t{1} << 61) - 1,
@@ -722,6 +909,7 @@ TEST(ColdTierMmapTest, MutatedFilesFailToOpenOrQueryClean) {
     ++opened_ok;
     SCOPED_TRACE(::testing::Message() << "iteration " << iter);
     QueryEveryTerm(*tier);
+    ExerciseReopenedTier(bytes, tier->bucket_width(), copy);
   }
   // Rewrites that happen to restore a field's value, and flips confined to
   // the sum/max/count columns, leave valid images: some opens succeed.
