@@ -2,12 +2,12 @@
 // mining engine. Self-contained harness (no external benchmark framework):
 // each op is timed with an adaptive repetition loop and the results are
 // written to BENCH_micro.json (see PerfJson in bench_common.h for the
-// schema) so the perf trajectory is tracked across PRs.
+// schema).
 //
 // Every op times library code. Correctness references live in the tests
 // (the brute-force cliques in tests/stcomb_test.cc, the brute-force
-// rectangles in tests/discrepancy_test.cc); the only check here is that the
-// 1- and 4-thread whole-vocabulary runs find the same number of patterns.
+// rectangles in tests/discrepancy_test.cc, the thread-count parity suites);
+// bench/diff_bench.py compares runs of two builds op by op.
 
 #include <algorithm>
 #include <atomic>
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "stburst/common/parallel.h"
 #include "stburst/common/random.h"
 #include "stburst/common/timer.h"
 #include "stburst/core/batch_miner.h"
@@ -188,52 +187,21 @@ int Run() {
   perf.SetCorpus(corpus.num_documents(), corpus.num_streams(),
                  corpus.vocabulary().size(), corpus.timeline_length());
 
-  {
-    double opt = TimeNs([&] { FrequencyIndex::Build(corpus); });
-    double t2 = TimeNs([&] { FrequencyIndex::Build(corpus, 2); });
-    double t4 = TimeNs([&] { FrequencyIndex::Build(corpus, 4); });
-    report("frequency_build", opt, corpus.num_documents());
-    report("frequency_build_t2", t2, corpus.num_documents());
-    report("frequency_build_t4", t4, corpus.num_documents());
-  }
+  report("frequency_build", TimeNs([&] { FrequencyIndex::Build(corpus); }),
+         corpus.num_documents());
 
   FrequencyIndex freq = FrequencyIndex::Build(corpus);
   const size_t vocab = freq.num_terms();
 
-  size_t batch_patterns = 0;
   Timer t1;
-  {
-    auto r = bench::MineVocabulary(freq, 1);
-    if (!r.ok()) return 1;
-    for (const TermPatterns& tp : r->terms) batch_patterns += tp.combinatorial.size();
-  }
-  double batch1_s = t1.ElapsedSeconds();
-  report("mine_vocab_batch_t1", batch1_s * 1e9, vocab);
-
-  Timer t4;
-  {
-    auto r = bench::MineVocabulary(freq, 4);
-    if (!r.ok()) return 1;
-    size_t check = 0;
-    for (const TermPatterns& tp : r->terms) check += tp.combinatorial.size();
-    if (check != batch_patterns) {
-      std::fprintf(stderr, "parity violation: t1=%zu t4=%zu\n", batch_patterns,
-                   check);
-      return 1;
-    }
-  }
-  double batch4_s = t4.ElapsedSeconds();
-  report("mine_vocab_batch_t4", batch4_s * 1e9, vocab);
-
-  std::printf("  -> whole-vocab t4 over t1: %.2fx; %zu patterns, "
-              "t1/t4 parity OK\n",
-              batch1_s / batch4_s, batch_patterns);
+  if (!bench::MineVocabulary(freq, 1).ok()) return 1;
+  report("mine_vocab_batch_t1", t1.ElapsedSeconds() * 1e9, vocab);
 
   // Live-feed path: one appended snapshot (one extra week of the corpus,
   // ~D/L documents) through Collection::Append + FrequencyIndex::
-  // AppendSnapshot — serial and pool-spliced — versus the full rebuild it
-  // replaces, plus the dirty-term incremental re-mine versus the
-  // whole-vocabulary sweep, plus one full FeedRuntime tick.
+  // AppendSnapshot versus the full rebuild it replaces, plus the dirty-term
+  // incremental re-mine versus the whole-vocabulary sweep, plus one full
+  // FeedRuntime tick.
   {
     Rng rng(321);
     const size_t docs_per_week =
@@ -284,23 +252,6 @@ int Run() {
     double append_s = t_append.ElapsedSeconds();
     report("frequency_append_snapshot",
            append_s * 1e9 / static_cast<double>(kWeeks), docs_per_week);
-
-    // The same appends with the per-term splice fanned across a 4-worker
-    // pool (3 pool threads + the caller).
-    {
-      Collection live4 = corpus;
-      FrequencyIndex feed4 = FrequencyIndex::Build(live4);
-      std::vector<Snapshot> snapshots4 = master;
-      ThreadPool splice_pool(3);
-      Timer t_splice;
-      for (Snapshot& snap : snapshots4) {
-        if (!live4.Append(std::move(snap)).ok()) return 1;
-        if (!feed4.AppendSnapshot(live4, &splice_pool).ok()) return 1;
-      }
-      double splice_s = t_splice.ElapsedSeconds();
-      report("append_splice_t4",
-             splice_s * 1e9 / static_cast<double>(kWeeks), docs_per_week);
-    }
 
     double rebuild = TimeNs([&] { FrequencyIndex::Build(live); });
     report("frequency_rebuild_after_append", rebuild, live.num_documents());

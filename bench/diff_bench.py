@@ -1,141 +1,131 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json perf logs and flag regressions.
+"""Compare bench_micro runs of a parent and a change build, op by op.
 
-The stburst bench harnesses (bench_micro, bench_fig7, bench_fig8) write
-machine-readable perf JSON with the schema
+bench_micro writes BENCH_micro.json:
 
     {"benchmark": "bench_micro",
      "corpus": {"documents": D, "streams": n, "terms": V, "timeline": L},
      "results": [{"op": "frequency_build", "ns_per_op": 81.3e6, "items": N},
                  ...]}
 
-This tool joins two such files on "op" and reports the candidate/baseline
-ratio per op. Ops slower than baseline by more than --threshold (default
-10%) are regressions; any regression makes the exit status nonzero so CI
-can gate on it (--soft downgrades regressions to warnings).
-
-A baseline op missing from the candidate run always fails, --soft
-included: a deleted or renamed op must take its baseline entry with it,
-or the stale entry outlives the benchmark. An op only the candidate has
-runs ungated and warns until the baseline is refreshed.
+Run the two builds alternately, keeping each run's file as
+PARENT_DIR/BENCH_micro.<i>.json or CHANGE_DIR/BENCH_micro.<i>.json (every
+BENCH_micro*.json in a directory is one run). Each op's verdict — ok,
+REGRESSION or unresolved — is `compare_metric` of bench/e2e/run.py, the
+rule the end-to-end benchmark applies, at the 0.25 bound BENCHMARK.json
+gives its wall-time metrics. An op whose `items` differ between any two
+runs times different work and fails the gate; an op only one side ran is
+listed but not gated. The exit code is 1 on any REGRESSION or items
+mismatch.
 
 Usage:
-    diff_bench.py BASELINE.json CANDIDATE.json [--threshold 0.10]
+    diff_bench.py PARENT_DIR CHANGE_DIR
     diff_bench.py --self-test
 """
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
-import os
 import sys
 import tempfile
+from pathlib import Path
+
+BOUND = 0.25
 
 
-def load_results(path):
-    """Returns {op: ns_per_op} from one perf JSON file."""
-    with open(path) as f:
-        doc = json.load(f)
-    out = {}
-    for entry in doc.get("results", []):
-        out[entry["op"]] = float(entry["ns_per_op"])
-    return out
+def load_compare_metric():
+    path = Path(__file__).resolve().parent / "e2e" / "run.py"
+    spec = importlib.util.spec_from_file_location("e2e_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.compare_metric
 
 
-def diff(baseline, candidate, threshold):
-    """Compares {op: ns} maps; returns (report_lines, regressions, missing).
+def load_runs(directory):
+    """{op: [(ns_per_op, items), ...]} over the runs in `directory`."""
+    paths = sorted(Path(directory).glob("BENCH_micro*.json"))
+    if not paths:
+        sys.exit("diff_bench: no BENCH_micro*.json in %s" % directory)
+    runs = {}
+    for path in paths:
+        with open(path) as f:
+            for entry in json.load(f)["results"]:
+                runs.setdefault(entry["op"], []).append(
+                    (float(entry["ns_per_op"]), entry["items"]))
+    return runs
 
-    `missing` lists the baseline ops absent from the candidate run.
-    """
-    lines = []
-    regressions = []
-    common = [op for op in baseline if op in candidate]
-    for op in common:
-        base, cand = baseline[op], candidate[op]
-        if base <= 0:
+
+def compare(parent, change):
+    """Report lines and the ops that fail the gate."""
+    compare_metric = load_compare_metric()
+    lines, failures = [], []
+    for op in list(parent) + [op for op in change if op not in parent]:
+        if op not in change or op not in parent:
+            side = "parent" if op in parent else "change"
+            lines.append("%-34s only in the %s runs (not gated)" % (op, side))
             continue
-        ratio = cand / base
-        verdict = "ok"
-        if ratio > 1.0 + threshold:
-            verdict = "REGRESSION"
-            regressions.append(op)
-        elif ratio < 1.0 - threshold:
-            verdict = "improved"
-        lines.append("%-36s %12.0f -> %12.0f ns/op  %6.2fx  %s"
-                     % (op, base, cand, ratio, verdict))
-    only_base = sorted(set(baseline) - set(candidate))
-    only_cand = sorted(set(candidate) - set(baseline))
-    if only_base:
-        # Fatal even under --soft: a deleted or renamed op must drop its
-        # baseline entry in the same change, or the stale entry outlives it.
-        lines.append("ERROR: %d op(s) in the baseline are missing from the "
-                     "candidate run: %s — deleted benchmark or renamed op? "
-                     "(gated; drop or rename the baseline entry)"
-                     % (len(only_base), ", ".join(only_base)))
-    if only_cand:
-        # Symmetric with the vanished-op case: an op the baseline has never
-        # seen runs ungated, so a silently passing new benchmark would stay
-        # ungated forever if this stayed quiet.
-        lines.append("WARNING: %d op(s) in the candidate are missing from the "
-                     "baseline: %s — new benchmark running ungated? "
-                     "(not gated; refresh the baseline to start gating it)"
-                     % (len(only_cand), ", ".join(only_cand)))
-    return lines, regressions, only_base
+        items = sorted({n for _, n in parent[op] + change[op]})
+        if len(items) > 1:
+            lines.append("%-34s items differ: %s" % (op, items))
+            failures.append(op)
+            continue
+        verdict, worse = compare_metric([ns for ns, _ in parent[op]],
+                                        [ns for ns, _ in change[op]],
+                                        "lower", BOUND)
+        if verdict == "REGRESSION":
+            failures.append(op)
+        lines.append("%-34s %3d/%-3d %+8.1f%%  %s" % (
+            op, len(parent[op]), len(change[op]), 100 * worse, verdict))
+    return lines, failures
 
 
-def run_main(baseline, candidate, *flags):
-    """Exit status of a quiet main() over two temporary perf files."""
-    paths = []
-    try:
-        for results in (baseline, candidate):
-            fd, path = tempfile.mkstemp(suffix=".json")
-            paths.append(path)
-            with os.fdopen(fd, "w") as f:
-                json.dump({"results": [{"op": op, "ns_per_op": ns}
-                                       for op, ns in results.items()]}, f)
-        with contextlib.redirect_stdout(io.StringIO()):
-            return main(list(flags) + paths)
-    finally:
-        for path in paths:
-            os.remove(path)
+def run_main(parent, change):
+    """Exit status and output of main() over two directories of runs.
+
+    `parent` and `change` are lists of runs, each {op: (ns_per_op, items)}.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = []
+        for name, runs in (("parent", parent), ("change", change)):
+            d = Path(tmp) / name
+            d.mkdir()
+            for i, run in enumerate(runs):
+                results = [{"op": op, "ns_per_op": ns, "items": n}
+                           for op, (ns, n) in run.items()]
+                (d / ("BENCH_micro.%d.json" % i)).write_text(
+                    json.dumps({"results": results}))
+            dirs.append(str(d))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(dirs)
+        return status, out.getvalue()
 
 
 def self_test():
-    baseline = {"a": 100.0, "b": 200.0, "gone": 1.0}
-    candidate = {"a": 105.0, "b": 400.0, "new": 1.0}
+    steady = [{"a": (100.0 + i, 8), "b": (200.0 - i, 8)} for i in range(5)]
 
-    lines, regressions, missing = diff(baseline, candidate, threshold=0.10)
-    assert regressions == ["b"], regressions          # 2x slower: flagged
-    # A vanished op is an error that names the op; it is reported apart
-    # from the regressions because it gates even under --soft. A
-    # candidate-only op warns — it runs ungated until the baseline is
-    # refreshed — and never gates.
-    errors = [l for l in lines if l.startswith("ERROR")]
-    assert len(errors) == 1 and "gone" in errors[0], lines
-    assert missing == ["gone"], missing
-    assert "gone" not in regressions
-    warnings = [l for l in lines if l.startswith("WARNING")]
-    assert len(warnings) == 1 and "new" in warnings[0], lines
-    assert "missing from the baseline" in warnings[0], lines
-    assert "new" not in regressions
+    status, out = run_main(steady, steady)
+    assert status == 0 and "REGRESSION" not in out, out
 
-    err_all, none, gone = diff(baseline, {"a": 109.0}, threshold=0.10)
-    assert none == [], none                           # within threshold: ok
-    assert gone == ["b", "gone"], gone
-    assert any(l.startswith("ERROR") and "b" in l for l in err_all)
+    slow_b = [dict(run, b=(2 * run["b"][0], 8)) for run in steady]
+    status, out = run_main(steady, slow_b)
+    regressed = [l.split()[0] for l in out.splitlines() if "REGRESSION" in l]
+    assert status == 1 and regressed == ["b"], out
 
-    _, loose, _ = diff(baseline, candidate, threshold=2.0)
-    assert loose == [], loose                         # threshold respected
+    # A parent noisier than the bound cannot resolve a 4% move.
+    noisy = [{"a": (ns, 8)} for ns in (60.0, 80.0, 100.0, 120.0, 140.0)]
+    status, out = run_main(noisy, [{"a": (104.0, 8)}] * 5)
+    assert status == 0 and "unresolved" in out, out
 
-    # Exit status: a missing baseline op fails with and without --soft; a
-    # candidate-only op or a regression under --soft does not.
-    all_ops = dict(candidate, gone=1.0)
-    assert run_main(baseline, candidate) == 1
-    assert run_main(baseline, candidate, "--soft") == 1
-    assert run_main(baseline, all_ops, "--soft") == 0
-    assert run_main(baseline, all_ops) == 1           # b regressed
-    assert run_main(baseline, dict(baseline, new=1.0)) == 0
+    other_items = [dict(run, a=(run["a"][0], 9)) for run in steady]
+    status, out = run_main(steady, other_items)
+    assert status == 1 and "items differ" in out, out
+
+    with_new = [dict(run, new=(1.0, 1)) for run in steady]
+    status, out = run_main(steady, with_new)
+    assert status == 0 and "new" in out and "only in the change" in out, out
 
     print("diff_bench.py self-test OK")
     return 0
@@ -143,50 +133,27 @@ def self_test():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Diff two BENCH_*.json files; nonzero exit on regression.")
-    parser.add_argument("baseline", nargs="?", help="baseline BENCH_*.json")
-    parser.add_argument("candidate", nargs="?", help="candidate BENCH_*.json")
-    parser.add_argument("--threshold", type=float, default=0.10,
-                        help="relative slowdown tolerated per op "
-                             "(default 0.10 = 10%%)")
-    parser.add_argument("--soft", action="store_true",
-                        help="report regressions as warnings and exit 0; "
-                             "tooling errors (unreadable/malformed files) "
-                             "and baseline ops missing from the candidate "
-                             "still exit nonzero — for CI smoke jobs on "
-                             "shared runners")
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("parent", nargs="?", help="directory of parent runs")
+    parser.add_argument("change", nargs="?", help="directory of change runs")
     parser.add_argument("--self-test", action="store_true",
-                        help="run the built-in unit checks and exit")
+                        help="run the built-in checks and exit")
     args = parser.parse_args(argv)
 
     if args.self_test:
         return self_test()
-    if not args.baseline or not args.candidate:
-        parser.error("baseline and candidate files are required "
+    if not args.parent or not args.change:
+        parser.error("PARENT_DIR and CHANGE_DIR are required "
                      "(or use --self-test)")
 
-    baseline = load_results(args.baseline)
-    candidate = load_results(args.candidate)
-    lines, regressions, missing = diff(baseline, candidate, args.threshold)
-    print("diff_bench: %s -> %s (threshold %.0f%%)"
-          % (args.baseline, args.candidate, args.threshold * 100))
+    lines, failures = compare(load_runs(args.parent), load_runs(args.change))
+    print("%-34s %7s %9s  %s" % ("op", "runs", "worse", "verdict"))
     for line in lines:
-        print("  " + line)
-    if missing:
-        print("FAIL: %d baseline op(s) missing from the candidate run: %s"
-              % (len(missing), ", ".join(missing)))
+        print(line)
+    if failures:
+        print("FAIL: %s" % ", ".join(failures))
         return 1
-    if regressions:
-        if args.soft:
-            print("WARNING: %d op(s) regressed >%.0f%%: %s (non-gating: --soft)"
-                  % (len(regressions), args.threshold * 100,
-                     ", ".join(regressions)))
-            return 0
-        print("FAIL: %d op(s) regressed >%.0f%%: %s"
-              % (len(regressions), args.threshold * 100,
-                 ", ".join(regressions)))
-        return 1
-    print("OK: no op regressed more than %.0f%%" % (args.threshold * 100))
+    print("OK: no op regressed more than %.0f%%" % (100 * BOUND))
     return 0
 
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# One-step CI: configure, build, run the test suite, and check the perf
-# tooling. With RUN_BENCH=1 also runs bench_micro and gates the result
-# against the committed baseline (>10% per-op regression fails).
+# One-step CI: configure, build, run the test suite, and self-test the perf
+# differ. Comparing bench_micro across two builds is a separate paired loop,
+# bench/diff_bench.py PARENT_DIR CHANGE_DIR (README, "Benchmarks & perf
+# JSON").
 #
 # Usage: ./ci.sh [build-dir]             (default: build; build-sanitize when SANITIZE=1)
 #        BUILD_TYPE=Debug ./ci.sh        set CMAKE_BUILD_TYPE (default: RelWithDebInfo)
@@ -16,11 +17,6 @@
 #                                        tests/fault_injection_test.cc runs;
 #                                        combine with SANITIZE=1 for the CI
 #                                        fault-recovery leg
-#        RUN_BENCH=1 ./ci.sh             perf gate against bench/BENCH_micro.baseline.json
-#        BENCH_SOFT=1 RUN_BENCH=1 ./ci.sh  bench smoke: tooling errors and
-#                                          baseline ops missing from the run
-#                                          gate, perf regressions only warn
-#        BENCH_BASELINE=path ./ci.sh     override the baseline file
 #        TEST_TIMEOUT=seconds ./ci.sh    per-test ctest timeout (default 600):
 #                                        a hung test fails its job instead of
 #                                        stalling it to the runner's limit
@@ -83,26 +79,4 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error -j "$JOBS" \
       --timeout "${TEST_TIMEOUT:-600}" \
       "${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"}"
 
-# The perf differ always runs its self-test so CI catches tooling rot even
-# when the (slower) benchmark pass is skipped.
 python3 bench/diff_bench.py --self-test
-
-if [[ "${RUN_BENCH:-0}" == "1" ]]; then
-  BASELINE="${BENCH_BASELINE:-bench/BENCH_micro.baseline.json}"
-  # A bench binary that fails to run is a tooling error and always gates,
-  # even in soft mode.
-  (cd "$BUILD_DIR" && ./bench_micro)
-  if [[ -f "$BASELINE" ]]; then
-    if [[ "${BENCH_SOFT:-0}" == "1" ]]; then
-      # Smoke mode (shared CI runners time ops unreliably): the differ
-      # downgrades perf regressions to warnings but still exits nonzero on
-      # tooling errors (missing/malformed JSON) and on baseline ops the run
-      # no longer has, which gate as usual.
-      python3 bench/diff_bench.py --soft "$BASELINE" "$BUILD_DIR/BENCH_micro.json"
-    else
-      python3 bench/diff_bench.py "$BASELINE" "$BUILD_DIR/BENCH_micro.json"
-    fi
-  else
-    echo "no baseline at $BASELINE; skipping perf diff" >&2
-  fi
-fi

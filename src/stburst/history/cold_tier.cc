@@ -370,7 +370,11 @@ size_t ColdTier::FoldEvicted(
 }
 
 void ColdTier::RollbackFold(ColdFoldUndo&& undo) {
-  for (auto& [term, rows] : undo.saved_rows) rows_[term] = std::move(rows);
+  // Newest first: a term named twice in one fold was saved twice, and its
+  // first save holds the pre-fold rows.
+  for (auto it = undo.saved_rows.rbegin(); it != undo.saved_rows.rend(); ++it) {
+    rows_[it->first] = std::move(it->second);
+  }
   rows_.resize(undo.term_upper_bound);  // drops terms the fold added
   folded_until_ = undo.folded_until;
   stream_ub_ = undo.stream_upper_bound;

@@ -279,7 +279,9 @@ TEST(CollectionRetention, SortByTimeIsStableDenseAndRefiles) {
         const Document& prev = c.documents()[i - 1];
         ASSERT_LE(prev.time, doc.time);
         // Stable: same-time documents keep their filing order.
-        if (prev.time == doc.time) EXPECT_LT(prev.event_id, doc.event_id);
+        if (prev.time == doc.time) {
+          EXPECT_LT(prev.event_id, doc.event_id);
+        }
       }
     }
     // DocumentsAt is re-filed onto the new ids, each cell in filing order.

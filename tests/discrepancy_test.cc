@@ -559,10 +559,14 @@ void ExpectValidCellLists(const SpatialBinning& b) {
     ASSERT_LE(row_begin[r], row_begin[r + 1]);
     for (size_t k = row_begin[r]; k < row_begin[r + 1]; ++k) {
       ASSERT_LT(cell_cols[k], b.cols());
-      if (k > row_begin[r]) ASSERT_LT(cell_cols[k - 1], cell_cols[k]);
+      if (k > row_begin[r]) {
+        ASSERT_LT(cell_cols[k - 1], cell_cols[k]);
+      }
       ASSERT_LT(point_begin[k], point_begin[k + 1]) << "empty cell " << k;
       for (size_t p = point_begin[k]; p < point_begin[k + 1]; ++p) {
-        if (p > point_begin[k]) ASSERT_LT(points[p - 1], points[p]);
+        if (p > point_begin[k]) {
+          ASSERT_LT(points[p - 1], points[p]);
+        }
         const uint32_t i = points[p];
         ASSERT_LT(i, b.num_points());
         EXPECT_EQ(b.point_rows()[i], r);

@@ -788,7 +788,9 @@ TEST(FeedRuntimeValidation, BothPoliciesMatchOneDocumentAtATimeReference) {
         num_streams, vocab, InvalidDocPolicy::kRejectTick, &strict,
         &strict_rejected);
     EXPECT_EQ(strict_status.ok(), all_valid) << strict_status.ToString();
-    if (!all_valid) EXPECT_TRUE(strict_status.IsInvalidArgument());
+    if (!all_valid) {
+      EXPECT_TRUE(strict_status.IsInvalidArgument());
+    }
     ExpectSameDocuments(strict, snapshot);
     EXPECT_EQ(strict_rejected, 7u);
 

@@ -51,7 +51,9 @@ TEST(PairwiseDistanceMatrix, SymmetricZeroDiagonal) {
     EXPECT_DOUBLE_EQ(d[i * 4 + i], 0.0);
     for (size_t j = 0; j < 4; ++j) {
       EXPECT_DOUBLE_EQ(d[i * 4 + j], d[j * 4 + i]);
-      if (i != j) EXPECT_GT(d[i * 4 + j], 0.0);
+      if (i != j) {
+        EXPECT_GT(d[i * 4 + j], 0.0);
+      }
     }
   }
   EXPECT_DOUBLE_EQ(d[1], HaversineKm(pts[0], pts[1]));

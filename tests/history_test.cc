@@ -226,6 +226,35 @@ TEST(ColdTierTest, FoldAggregatesRollsBackAndIsIdempotent) {
                  7);
 }
 
+TEST(ColdTierTest, RollbackRestoresATermNamedTwiceInOneFold) {
+  auto tier = ColdTier::CreateInMemory(/*bucket_width=*/4);
+  ASSERT_TRUE(tier.ok());
+
+  std::vector<std::pair<TermId, std::vector<TermPosting>>> first;
+  first.push_back({5, {{0, 1, 2.0}}});
+  ColdFoldUndo undo1;
+  tier->FoldEvicted(first, /*cutoff=*/4, &undo1);
+  ExpectSameRows(tier->TermRows(5), {{0, 0, 2.0, 2.0, 1}}, 5);
+
+  // One fold naming term 5 twice saves its rows twice; rollback must end on
+  // the first save, the pre-fold rows.
+  std::vector<std::pair<TermId, std::vector<TermPosting>>> twice;
+  twice.push_back({5, {{0, 4, 3.0}}});
+  twice.push_back({5, {{1, 5, 1.0}}});
+  ColdFoldUndo undo2;
+  tier->FoldEvicted(twice, /*cutoff=*/8, &undo2);
+  ExpectSameRows(tier->TermRows(5),
+                 {{0, 0, 2.0, 2.0, 1},
+                  {0, 1, 3.0, 3.0, 1},
+                  {1, 1, 1.0, 1.0, 1}},
+                 5);
+
+  tier->RollbackFold(std::move(undo2));
+  EXPECT_EQ(tier->folded_until(), 4);
+  EXPECT_EQ(tier->stream_upper_bound(), 1u);
+  ExpectSameRows(tier->TermRows(5), {{0, 0, 2.0, 2.0, 1}}, 5);
+}
+
 TEST(ColdTierTest, AttachAdoptsWindowStartAndRejectsGaps) {
   auto tier = ColdTier::CreateInMemory(4);
   ASSERT_TRUE(tier.ok());
@@ -1005,7 +1034,9 @@ TEST(HistoryTickStatsTest, FoldedTermsTracksEvictionAndMode) {
       ASSERT_TRUE(stats.ok());
       // Non-evicting ticks never fold; evicting ticks may fold zero terms
       // while the (empty) seed prefix drains out of the window.
-      if (!stats->evicted) EXPECT_EQ(stats->folded_terms, 0u) << "tick " << i;
+      if (!stats->evicted) {
+        EXPECT_EQ(stats->folded_terms, 0u) << "tick " << i;
+      }
       total_folded += stats->folded_terms;
     }
     EXPECT_GT(total_folded, 0u);
