@@ -10,7 +10,8 @@
 //
 //   backtest write <tier_path>
 //     Ingest a deterministic 40-week feed through a FeedRuntime with an
-//     8-week retention window and history_mode = kMmap. Weeks 20..27 carry
+//     8-week retention window, history_mode = kInMemory and history_path
+//     set, so the tier is checkpointed to <tier_path>. Weeks 20..27 carry
 //     an injected burst of the term "flood" in the clustered streams —
 //     long gone from the hot window by the end of the run. Alongside the
 //     tier the phase writes `<tier_path>.expected`: every (term, stream)
@@ -116,7 +117,7 @@ FeedRuntimeOptions RuntimeOptions(const std::string& tier_path) {
   FeedRuntimeOptions opts;
   opts.num_threads = 2;
   opts.retention_window = kWindow;
-  opts.history_mode = HistoryMode::kMmap;
+  opts.history_mode = HistoryMode::kInMemory;
   opts.history_bucket_width = kBucketWidth;
   opts.history_path = tier_path;
   return opts;

@@ -117,10 +117,6 @@ struct MineShared {
 
     const std::vector<TermPosting>& postings = index.postings(term);
     if (postings.empty()) return;
-    if (options.min_term_total > 0.0 &&
-        index.TotalCount(term) < options.min_term_total) {
-      return;
-    }
     slot->mined = true;
     WorkerScratch& ws = scratch[worker];
 

@@ -58,10 +58,6 @@ struct BatchMinerOptions {
   /// either way and at any pool size. Not owned.
   ThreadPool* pool = nullptr;
 
-  /// Terms whose total corpus frequency is below this are skipped (their
-  /// result slot stays empty). Prunes the Zipfian singleton tail cheaply.
-  double min_term_total = 0.0;
-
   /// Planar stream positions (indexed by StreamId); regional mining only.
   /// Each MineAllTerms/StageRemineTerms call bins them once
   /// under stlocal.rbursty.rect and shares that binning across its terms.
@@ -77,7 +73,7 @@ struct BatchMinerOptions {
 struct TermPatterns {
   TermId term = kInvalidTerm;
   /// True when the term was actually mined; false means the term was
-  /// skipped (no postings, or total frequency below min_term_total).
+  /// skipped (no postings in the corpus).
   bool mined = false;
   std::vector<CombinatorialPattern> combinatorial;
   std::vector<SpatiotemporalWindow> regional;
@@ -88,8 +84,8 @@ struct BatchMineResult {
   std::vector<TermPatterns> terms;
   /// Terms actually mined (slots with mined == true).
   size_t terms_mined = 0;
-  /// Terms not mined: no postings in the corpus, or total frequency below
-  /// min_term_total. Invariant: terms_mined + terms_skipped == terms.size().
+  /// Terms not mined: no postings in the corpus. Invariant: terms_mined +
+  /// terms_skipped == terms.size().
   size_t terms_skipped = 0;
   /// Worker count the last (re-)mining call actually ran with.
   size_t threads_used = 0;

@@ -239,9 +239,7 @@ std::vector<CombinatorialPattern> StComb::MineFromIntervals(
       }
     }
     STB_DCHECK(p.timeframe.valid()) << "clique members must share a segment";
-    if (p.streams.size() >= options_.min_streams) {
-      patterns.push_back(std::move(p));
-    }
+    patterns.push_back(std::move(p));
   }
 
   // A total order, so equal-score patterns do not come out in round order.

@@ -36,8 +36,6 @@ struct StCombOptions {
   double min_interval_burstiness = 0.0;
   /// Stop after this many patterns (the HSS problem alone needs 1).
   size_t max_patterns = static_cast<size_t>(-1);
-  /// A pattern must contain at least this many streams to be reported.
-  size_t min_streams = 1;
 };
 
 /// Combinatorial pattern miner. Stateless; safe to share across threads.

@@ -52,7 +52,8 @@ Status StLocal::ProcessSnapshot(std::span<const double> burstiness) {
 
 void StLocal::Retire(const std::vector<StreamId>& streams, const Sequence& seq) {
   for (const Segment& seg : seq.segments.CurrentSegments()) {
-    if (seg.score <= options_.min_window_score) continue;
+    // Rounding can leave a maximal segment scoring 0; that is no burst.
+    if (seg.score <= 0.0) continue;
     SpatiotemporalWindow w;
     w.region = seq.rect;
     w.streams = streams;

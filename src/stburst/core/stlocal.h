@@ -28,8 +28,6 @@ namespace stburst {
 
 struct StLocalOptions {
   RBurstyOptions rbursty;
-  /// Finished windows scoring at or below this are dropped.
-  double min_window_score = 0.0;
 };
 
 /// Per-term online miner. Feed one snapshot of per-stream burstiness values

@@ -125,11 +125,11 @@ const std::vector<ColdRow> kNoRows;
 
 }  // namespace
 
-StatusOr<uint32_t> ColdTier::Load(bool missing_ok) {
+StatusOr<uint32_t> ColdTier::Load() {
   const std::string& path = path_;
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
-    if (errno == ENOENT && missing_ok) return uint32_t{0};
+    if (errno == ENOENT) return uint32_t{0};
     return Status::InvalidArgument(Errno("open", path));
   }
   STB_ASSIGN_OR_RETURN(std::string bytes, ReadAndClose(fd, path));
@@ -249,7 +249,7 @@ StatusOr<uint32_t> ColdTier::Load(bool missing_ok) {
   return h.bucket_width;
 }
 
-StatusOr<ColdTier> ColdTier::CreateInMemory(Timestamp bucket_width) {
+StatusOr<ColdTier> ColdTier::Open(Timestamp bucket_width, std::string path) {
   if (bucket_width <= 0) {
     return Status::InvalidArgument(
         "cold tier: bucket width must be positive, got " +
@@ -257,47 +257,19 @@ StatusOr<ColdTier> ColdTier::CreateInMemory(Timestamp bucket_width) {
   }
   ColdTier tier;
   tier.bucket_width_ = bucket_width;
-  return tier;
-}
-
-StatusOr<ColdTier> ColdTier::OpenOrCreate(std::string path,
-                                          Timestamp bucket_width) {
+  if (path.empty()) return tier;
   if (!HostIsLittleEndian()) {
     return Status::NotImplemented(
         "cold tier: the file format is little-endian; this host is not");
   }
-  if (bucket_width <= 0) {
-    return Status::InvalidArgument(
-        "cold tier: bucket width must be positive, got " +
-        std::to_string(bucket_width));
-  }
-  if (path.empty()) {
-    return Status::InvalidArgument("cold tier: empty path for kMmap mode");
-  }
-  ColdTier tier;
   tier.path_ = std::move(path);
-  tier.bucket_width_ = bucket_width;
-  STB_ASSIGN_OR_RETURN(const uint32_t file_width,
-                       tier.Load(/*missing_ok=*/true));
+  STB_ASSIGN_OR_RETURN(const uint32_t file_width, tier.Load());
   if (file_width != 0 && static_cast<Timestamp>(file_width) != bucket_width) {
     return Status::InvalidArgument(
         "cold tier: '" + tier.path_ + "' was written with bucket width " +
         std::to_string(file_width) + " but the runtime asks for " +
         std::to_string(bucket_width) + "; aggregates cannot be re-bucketed");
   }
-  return tier;
-}
-
-StatusOr<ColdTier> ColdTier::Open(std::string path) {
-  if (!HostIsLittleEndian()) {
-    return Status::NotImplemented(
-        "cold tier: the file format is little-endian; this host is not");
-  }
-  ColdTier tier;
-  tier.path_ = std::move(path);
-  STB_ASSIGN_OR_RETURN(const uint32_t file_width,
-                       tier.Load(/*missing_ok=*/false));
-  tier.bucket_width_ = static_cast<Timestamp>(file_width);
   return tier;
 }
 
@@ -395,10 +367,9 @@ double ColdTier::StreamSum(TermId term, StreamId stream) const {
 
 StatusOr<TermSeries> ColdTier::ReplaySeries(TermId term,
                                             uint32_t bucket_begin,
-                                            uint32_t bucket_end,
-                                            size_t num_streams) const {
+                                            uint32_t bucket_end) const {
   STB_CHECK(bucket_begin <= bucket_end);
-  STB_CHECK(num_streams >= stream_upper_bound());
+  const size_t num_streams = stream_upper_bound();
   const uint64_t buckets = bucket_end - bucket_begin;
   if (buckets > static_cast<uint64_t>(INT32_MAX) ||
       (num_streams != 0 && buckets > kMaxReplayCells / num_streams)) {

@@ -22,12 +22,12 @@
 // safe.
 //
 // Storage model: one row set, held in memory, per term sorted by
-// (stream, bucket). kMmap tiers also checkpoint it: the file (layout
-// documented field-by-field in docs/STORAGE.md) is nothing but the
+// (stream, bucket). A tier opened with a path also checkpoints it: the file
+// (layout documented field-by-field in docs/STORAGE.md) is nothing but the
 // serialization of that row set. Open decodes it into memory; Publish writes
 // it to `<path>.tmp`, fsyncs, and atomically renames it over `<path>`, so a
-// crash mid-write recovers the previous checkpoint untouched. kInMemory
-// never touches disk.
+// crash mid-write recovers the previous checkpoint untouched. A tier without
+// a path never touches disk.
 //
 // Thread-safety: externally synchronized, like the rest of the tick state.
 // The FeedRuntime mutates the tier only inside the tick transaction.
@@ -48,12 +48,11 @@
 
 namespace stburst {
 
-/// Where the cold tier lives. kOff disables folding entirely (eviction drops
-/// history); kInMemory folds into a process-local tier that dies with the
-/// process; kMmap folds into the same in-memory tier and additionally
-/// checkpoints it to `history_path` after each folding tick, recovering it
-/// on restart (the file is read into memory, not mapped).
-enum class HistoryMode { kOff = 0, kInMemory = 1, kMmap = 2 };
+/// Whether the runtime keeps a cold tier. kOff disables folding entirely
+/// (eviction drops history); kInMemory folds into a tier held in process
+/// memory, which a non-empty `history_path` also checkpoints to a file after
+/// each folding tick and recovers on restart.
+enum class HistoryMode { kOff = 0, kInMemory = 1 };
 
 /// One coarse aggregate cell: everything the tier remembers about
 /// (term, stream) inside one bucket of `bucket_width` timestamps.
@@ -89,22 +88,14 @@ struct ColdFoldUndo {
 
 class ColdTier {
  public:
-  /// In-memory tier (HistoryMode::kInMemory). bucket_width must be > 0.
-  static StatusOr<ColdTier> CreateInMemory(Timestamp bucket_width);
-
-  /// Checkpointed tier (HistoryMode::kMmap). If `path` exists it is read,
-  /// validated (magic, version, header + payload checksums, structure),
-  /// decoded into memory, and required to have the same bucket width; if it
-  /// does not exist, an empty tier is created and the file appears on the
-  /// first `Publish()`. Rejects big-endian hosts (the format is
-  /// little-endian, see docs/STORAGE.md).
-  static StatusOr<ColdTier> OpenOrCreate(std::string path,
-                                         Timestamp bucket_width);
-
-  /// Read-only open of an existing published tier, e.g. for backtesting a
-  /// stored span without a live feed. Fails if the file is missing or does
-  /// not validate. Any bucket width is accepted (it is read from the file).
-  static StatusOr<ColdTier> Open(std::string path);
+  /// Opens a tier of `bucket_width` timestamps per bucket (must be > 0).
+  /// An empty `path` keeps the tier in memory only. Otherwise the tier is
+  /// checkpointed to `path`: an existing file is read, validated (magic,
+  /// version, header + payload checksums, structure), decoded into memory,
+  /// and required to have the same bucket width; a missing file leaves the
+  /// tier empty until the first `Publish()` writes it. A path is rejected on
+  /// big-endian hosts (the format is little-endian, see docs/STORAGE.md).
+  static StatusOr<ColdTier> Open(Timestamp bucket_width, std::string path);
 
   Timestamp bucket_width() const { return bucket_width_; }
   /// First timestamp the tier covers (see the class comment).
@@ -115,7 +106,6 @@ class ColdTier {
   /// Covered timestamps = observations per stream the aggregates stand for
   /// (zeros included) — the denominator LongHorizonBaseline seeds with.
   Timestamp covered_length() const { return folded_until_ - covered_start_; }
-  const std::string& path() const { return path_; }
 
   /// One past the largest stream id / term id with any folded cell.
   uint32_t stream_upper_bound() const { return stream_ub_; }
@@ -163,15 +153,14 @@ class ColdTier {
   double StreamSum(TermId term, StreamId stream) const;
 
   /// Bucket-resolution frequency matrix for `term` over bucket indices
-  /// [bucket_begin, bucket_end): cell (s, b - bucket_begin) holds the
-  /// folded sum for stream s in bucket b. `num_streams` must be >=
-  /// stream_upper_bound() to not drop rows (STB_CHECKed). OutOfRange, with
-  /// nothing allocated, when the matrix would exceed kMaxReplayCells cells
-  /// or INT32_MAX buckets: a tier's covered span comes from its header, so
-  /// a file can claim billions of buckets.
+  /// [bucket_begin, bucket_end), one row per stream below
+  /// stream_upper_bound(): cell (s, b - bucket_begin) holds the folded sum
+  /// for stream s in bucket b. OutOfRange, with nothing allocated, when the
+  /// matrix would exceed kMaxReplayCells cells or INT32_MAX buckets: a
+  /// tier's covered span comes from its header, so a file can claim
+  /// billions of buckets.
   StatusOr<TermSeries> ReplaySeries(TermId term, uint32_t bucket_begin,
-                                    uint32_t bucket_end,
-                                    size_t num_streams) const;
+                                    uint32_t bucket_end) const;
 
   /// Cells (streams x buckets) one ReplaySeries may materialize: 128 MiB of
   /// doubles, e.g. 10k streams over 30 years of weekly buckets.
@@ -179,8 +168,8 @@ class ColdTier {
 
   /// Writes the row set to `<path>.tmp`, fsyncs it, atomically renames it
   /// over `path`, and fsyncs the directory. OK and does nothing without a
-  /// path (kInMemory). On failure the previous file and the in-memory rows
-  /// are both intact, and the next call writes the whole row set again.
+  /// path. On failure the previous file and the in-memory rows are both
+  /// intact, and the next call writes the whole row set again.
   Status Publish();
 
  private:
@@ -188,10 +177,10 @@ class ColdTier {
 
   // Reads, validates (docs/STORAGE.md checks 1-11) and decodes `path_` into
   // this tier's watermarks and rows. Returns the file's bucket width, or 0
-  // when the file does not exist and `missing_ok` is set.
-  StatusOr<uint32_t> Load(bool missing_ok);
+  // when the file does not exist.
+  StatusOr<uint32_t> Load();
 
-  std::string path_;  // empty <=> kInMemory
+  std::string path_;  // empty <=> memory only
   Timestamp bucket_width_ = 1;
   Timestamp covered_start_ = 0;
   Timestamp folded_until_ = 0;

@@ -76,8 +76,6 @@ class LongHorizonBaseline {
     return std::make_unique<SeededMeanModel>(SeedFor(term, stream));
   }
 
-  const ColdTier* tier() const { return tier_; }
-
  private:
   SeededMeanModel SeedFor(TermId term, StreamId stream) const {
     if (tier_ == nullptr || tier_->covered_length() <= 0) {

@@ -9,8 +9,7 @@ namespace stburst {
 
 StatusOr<std::vector<ReplayedInterval>> ReplayRange(
     const ColdTier& tier, TermId term, uint32_t bucket_begin,
-    uint32_t bucket_end, const ExpectedModelFactory& factory,
-    const ReplayOptions& options) {
+    uint32_t bucket_end, const ExpectedModelFactory& factory) {
   if (bucket_begin >= bucket_end) {
     return Status::InvalidArgument(
         "ReplayRange: empty bucket span [" + std::to_string(bucket_begin) +
@@ -24,26 +23,14 @@ StatusOr<std::vector<ReplayedInterval>> ReplayRange(
         std::to_string(tier.bucket_lower_bound()) + ", " +
         std::to_string(tier.bucket_upper_bound()) + ")");
   }
-  const size_t num_streams = options.num_streams != 0
-                                 ? options.num_streams
-                                 : tier.stream_upper_bound();
-  if (num_streams < tier.stream_upper_bound()) {
-    return Status::InvalidArgument(
-        "ReplayRange: num_streams " + std::to_string(num_streams) +
-        " would drop rows; the tier has streams up to " +
-        std::to_string(tier.stream_upper_bound()));
-  }
-
-  STB_ASSIGN_OR_RETURN(
-      const TermSeries series,
-      tier.ReplaySeries(term, bucket_begin, bucket_end, num_streams));
+  STB_ASSIGN_OR_RETURN(const TermSeries series,
+                       tier.ReplaySeries(term, bucket_begin, bucket_end));
   const std::unique_ptr<ExpectedFrequencyModel> model = factory();
   std::vector<ReplayedInterval> out;
-  for (StreamId stream = 0; stream < num_streams; ++stream) {
+  for (StreamId stream = 0; stream < series.num_streams(); ++stream) {
     const std::vector<double> burstiness =
         BurstinessSeries(series.StreamRow(stream), *model);
-    for (const BurstyInterval& found :
-         ExtractBurstyIntervals(burstiness, options.min_burstiness)) {
+    for (const BurstyInterval& found : ExtractBurstyIntervals(burstiness)) {
       out.push_back(ReplayedInterval{
           stream, bucket_begin + static_cast<uint32_t>(found.interval.start),
           bucket_begin + static_cast<uint32_t>(found.interval.end) + 1,

@@ -37,23 +37,16 @@ struct ReplayedInterval {
   }
 };
 
-struct ReplayOptions {
-  /// Intervals scoring <= this are dropped (same knob as the live miner).
-  double min_burstiness = 0.0;
-  /// Rows per replayed series; 0 means the tier's stream_upper_bound().
-  size_t num_streams = 0;
-};
-
 /// Re-runs the stored span [bucket_begin, bucket_end) of `term` against the
-/// model `factory` builds (once per call, applied to every stream) and
-/// returns every bursty interval found, ordered by (stream, bucket_begin).
+/// model `factory` builds (once per call, applied to every stream below the
+/// tier's stream_upper_bound()) and returns every bursty interval found,
+/// ordered by (stream, bucket_begin).
 /// Fails if the requested span is empty, reaches outside the covered bucket
 /// range [tier.bucket_lower_bound(), tier.bucket_upper_bound()), or is too
 /// large to replay (ColdTier::ReplaySeries).
 StatusOr<std::vector<ReplayedInterval>> ReplayRange(
     const ColdTier& tier, TermId term, uint32_t bucket_begin,
-    uint32_t bucket_end, const ExpectedModelFactory& factory,
-    const ReplayOptions& options = {});
+    uint32_t bucket_end, const ExpectedModelFactory& factory);
 
 }  // namespace stburst
 

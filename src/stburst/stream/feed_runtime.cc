@@ -128,15 +128,10 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
     return Status::InvalidArgument(
         "search_serving = kRegional requires miner.mine_regional");
   }
-  if (options.history_mode != HistoryMode::kOff &&
-      options.history_bucket_width <= 0) {
+  if (options.history_mode == HistoryMode::kOff &&
+      !options.history_path.empty()) {
     return Status::InvalidArgument(
-        "history_bucket_width must be positive when history is on");
-  }
-  if (options.history_mode == HistoryMode::kMmap &&
-      options.history_path.empty()) {
-    return Status::InvalidArgument(
-        "history_mode = kMmap requires history_path");
+        "history_path is set but history_mode is kOff");
   }
   FeedRuntime runtime(std::move(collection), std::move(options));
 
@@ -159,13 +154,10 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
   // with the first evicting Tick — Create's own deep-history eviction above
   // is a declared drop, not a fold, and covered_start() records that.
   if (runtime.options_.history_mode != HistoryMode::kOff) {
-    StatusOr<ColdTier> tier =
-        runtime.options_.history_mode == HistoryMode::kMmap
-            ? ColdTier::OpenOrCreate(runtime.options_.history_path,
-                                     runtime.options_.history_bucket_width)
-            : ColdTier::CreateInMemory(runtime.options_.history_bucket_width);
-    if (!tier.ok()) return tier.status();
-    runtime.history_ = std::make_unique<ColdTier>(std::move(tier).value());
+    STB_ASSIGN_OR_RETURN(
+        ColdTier tier, ColdTier::Open(runtime.options_.history_bucket_width,
+                                      runtime.options_.history_path));
+    runtime.history_ = std::make_unique<ColdTier>(std::move(tier));
     STB_RETURN_NOT_OK(
         runtime.history_->AttachAt(runtime.collection_.window_start()));
   }
@@ -378,8 +370,8 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
       // Tiered history (retention rule 8): the postings the eviction just
       // removed — captured verbatim in the undo log, so the fold costs no
       // extra posting walk — aggregate into the cold tier before they are
-      // forgotten. In-memory only here; the kMmap checkpoint is written in
-      // the commit tail. RollbackTick restores the pre-fold tier.
+      // forgotten. In-memory only here; the checkpoint is written in the
+      // commit tail. RollbackTick restores the pre-fold tier.
       if (history_ != nullptr) {
         STBURST_FAULT_POINT("history.fold");
         undo->history_folded = true;
@@ -524,7 +516,7 @@ Status FeedRuntime::CommitGuarded(TickTransaction::Impl* tx) {
   }
 
   // Cold-tier checkpoint: after a fold, write the row set to the tier file
-  // (kMmap; Publish does nothing for kInMemory). Publish failure is
+  // (Publish does nothing for a tier without a path). Publish failure is
   // deliberately non-wedging — the in-memory tier is already correct and the
   // file is a checkpoint that lags until the next folding tick writes the
   // whole row set again; a crash meanwhile recovers the last checkpoint that
@@ -590,9 +582,7 @@ std::vector<RefreshCandidate> FeedRuntime::RefreshCandidates(
   // can drift by rounding, and occasionally in structure. Skipping such
   // slots is policy, not proof — it drains the sweep to zero once the
   // window is full, and bench/e2e measures the drift it leaves as
-  // audit.quiet_slots_*. Sub-threshold terms never qualify either: the
-  // miner would skip them anyway, and cycling them through the budget
-  // would starve real work.
+  // audit.quiet_slots_*.
   const std::vector<TermId>& exclude = tx.impl_->dirty_todo;
   const Timestamp now = collection_.timeline_length();
   const Timestamp window = index_.window_length();
@@ -605,7 +595,6 @@ std::vector<RefreshCandidate> FeedRuntime::RefreshCandidates(
     const Timestamp stale = now - last_mined_[t];
     if (stale <= 0 || mass_[t] <= 0.0) continue;
     if (last_window_[t] == window) continue;
-    if (mass_[t] < options_.miner.min_term_total) continue;
     candidates.push_back(
         RefreshCandidate{t, mass_[t] * static_cast<double>(stale)});
   }

@@ -121,12 +121,9 @@ struct FeedRuntimeOptions {
 
   /// Tiered history (docs/ARCHITECTURE.md "Tiered history", retention rule
   /// 8): what eviction does with the snapshots it drops. kOff discards them
-  /// (the pre-tier behavior); kInMemory folds them into a process-local
-  /// ColdTier of per-(term, stream, bucket) aggregates; kMmap folds into the
-  /// same in-memory rows and additionally checkpoints them to `history_path`
-  /// after each folding tick (atomic rename-on-publish; format in
-  /// docs/STORAGE.md), so a restarted runtime reads months of baseline back
-  /// without replay. The tier feeds LongHorizonBaseline
+  /// (the pre-tier behavior); kInMemory folds them into an in-memory
+  /// ColdTier of per-(term, stream, bucket) aggregates, which
+  /// `history_path` can also checkpoint. The tier feeds LongHorizonBaseline
   /// (history/long_horizon.h) and ReplayRange (history/replay.h); folding
   /// happens inside the tick transaction and rolls back with it (fault site
   /// `history.fold`). Without a retention window nothing is ever evicted,
@@ -138,7 +135,11 @@ struct FeedRuntimeOptions {
   /// file when reopening a tier file (aggregates cannot be re-bucketed).
   Timestamp history_bucket_width = 4;
 
-  /// Published tier file for kMmap (required there, ignored otherwise).
+  /// Tier file for kInMemory. When set, the tier is checkpointed to it after
+  /// each folding tick (atomic rename-on-publish; format in
+  /// docs/STORAGE.md) and an existing file is read back at Create, so a
+  /// restarted runtime recovers months of baseline without replay. Empty
+  /// keeps the tier in memory only. Must be empty when history is kOff.
   std::string history_path;
 
   /// Maintain a bursty-document search read plane (paper §5) over the
@@ -415,9 +416,9 @@ class FeedRuntime {
   FrequencyIndex index_;
   BatchMineResult result_;
   // Cold history tier (options_.history_mode != kOff): evicted postings
-  // fold into it inside the tick transaction; kMmap checkpoints it in the
-  // commit tail. unique_ptr keeps the runtime movable and the off case
-  // free.
+  // fold into it inside the tick transaction; a tier with a path is
+  // checkpointed in the commit tail. unique_ptr keeps the runtime movable
+  // and the off case free.
   std::unique_ptr<ColdTier> history_;
   // The read plane (options_.search_serving != kNone): the published
   // snapshot slot readers load from, and the tokenizer for string queries.

@@ -35,10 +35,10 @@ class ThreadPool;
 /// timestamps. Values are real (generators inject fractional frequencies).
 class TermSeries {
  public:
-  /// Zero-initialized n x L matrix. Requires n > 0 would be too strict (a
-  /// collection may have no streams), and likewise L = 0 is a valid empty
-  /// window (a fully evicted feed): both degenerate shapes are usable,
-  /// holding no cells. L must be non-negative.
+  /// Zero-initialized n x L matrix. L must be non-negative. Either dimension
+  /// may be zero — n = 0 for a collection with no streams, L = 0 for an
+  /// empty window (a fully evicted feed) — and the matrix then holds no
+  /// cells.
   TermSeries(size_t num_streams, Timestamp timeline_length);
 
   size_t num_streams() const { return num_streams_; }
@@ -175,7 +175,8 @@ class FrequencyIndex {
   /// never merge into pre-existing cells, so dropping those postings (and
   /// the terms the append grew the vocabulary by) restores the exact
   /// pre-append postings. No interleaved evictions allowed between capture
-  /// and rollback. No-throw; O(retained postings of touched terms).
+  /// and rollback. No-throw; O(all retained postings): every term's
+  /// posting list is scanned, touched by the append or not.
   void RollbackAppend(const AppendCheckpoint& checkpoint);
 
   /// Drops all postings older than `cutoff`, advancing window_start(), and

@@ -6,18 +6,12 @@
 
 namespace stburst {
 
-Tokenizer::Tokenizer(TokenizerOptions options) : options_(std::move(options)) {}
-
 std::vector<std::string> Tokenizer::SplitNormalize(std::string_view text) const {
-  const size_t max_len = options_.max_token_length;
   std::vector<std::string> out;
   std::string current;
   bool overlong = false;
   auto flush = [&]() {
-    if (!overlong && current.size() >= options_.min_token_length &&
-        options_.stopwords.find(current) == options_.stopwords.end()) {
-      out.push_back(current);
-    }
+    if (!overlong && !current.empty()) out.push_back(current);
     current.clear();
     overlong = false;
   };
@@ -27,14 +21,12 @@ std::vector<std::string> Tokenizer::SplitNormalize(std::string_view text) const 
     // UB to pass to isalnum/tolower directly.
     unsigned char c = static_cast<unsigned char>(raw);
     if (std::isalnum(c)) {
-      if (max_len > 0 && current.size() >= max_len) {
+      if (current.size() >= kMaxTokenLength) {
         // Keep scanning the run without accumulating it; the whole run is
         // dropped at the next separator.
         overlong = true;
       } else {
-        current.push_back(options_.lowercase
-                              ? static_cast<char>(std::tolower(c))
-                              : raw);
+        current.push_back(static_cast<char>(std::tolower(c)));
       }
     } else {
       flush();
@@ -61,13 +53,6 @@ std::vector<TermId> Tokenizer::TokenizeFrozen(std::string_view text,
     if (id != kInvalidTerm) out.push_back(id);
   }
   return out;
-}
-
-std::unordered_set<std::string> Tokenizer::DefaultStopwords() {
-  return {"a",    "an",  "and", "are", "as",   "at",   "be",   "by",   "for",
-          "from", "has", "he",  "in",  "is",   "it",   "its",  "of",   "on",
-          "that", "the", "to",  "was", "were", "will", "with", "this", "but",
-          "they", "have", "had", "what", "when", "where", "who",  "which"};
 }
 
 }  // namespace stburst

@@ -3,9 +3,9 @@
 #ifndef STBURST_STREAM_TOKENIZER_H_
 #define STBURST_STREAM_TOKENIZER_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "stburst/stream/types.h"
@@ -13,31 +13,19 @@
 
 namespace stburst {
 
-/// Tokenizer configuration.
-struct TokenizerOptions {
-  /// ASCII-lowercase tokens before interning.
-  bool lowercase = true;
-  /// Drop tokens shorter than this many characters.
-  size_t min_token_length = 1;
-  /// Drop alphanumeric runs longer than this many bytes (0 = unbounded).
-  /// A megabyte-long "word" in a hostile or binary input is garbage, not a
+/// Splits text on non-alphanumeric characters, ASCII-lowercases each run,
+/// and interns the runs into a vocabulary. Total on any byte stream: bytes
+/// outside [0, 127] (invalid UTF-8, binary blobs, embedded NULs) are
+/// ordinary non-alphanumeric separators — never UB, never an error — and
+/// memory stays bounded by kMaxTokenLength per in-flight token.
+class Tokenizer {
+ public:
+  /// Alphanumeric runs longer than this many bytes are dropped. A
+  /// megabyte-long "word" in a hostile or binary input is garbage, not a
   /// term: dropping (rather than truncating) avoids aliasing distinct junk
   /// runs into one interned term, and the accumulator never grows past the
   /// bound however long the run is.
-  size_t max_token_length = 64;
-  /// Drop tokens in this set (checked after lowercasing).
-  std::unordered_set<std::string> stopwords;
-};
-
-/// Splits text on non-alphanumeric characters, normalizes per the options,
-/// and interns the surviving tokens into a vocabulary. Total on any byte
-/// stream: bytes outside [0, 127] (invalid UTF-8, binary blobs, embedded
-/// NULs) are ordinary non-alphanumeric separators — never UB, never an
-/// error — and memory stays bounded by max_token_length per in-flight
-/// token.
-class Tokenizer {
- public:
-  explicit Tokenizer(TokenizerOptions options = {});
+  static constexpr size_t kMaxTokenLength = 64;
 
   /// Tokenizes `text`, interning new terms into `*vocab`.
   std::vector<TermId> Tokenize(std::string_view text, Vocabulary* vocab) const;
@@ -47,15 +35,8 @@ class Tokenizer {
   std::vector<TermId> TokenizeFrozen(std::string_view text,
                                      const Vocabulary& vocab) const;
 
-  const TokenizerOptions& options() const { return options_; }
-
-  /// A small English stopword list suitable for the news-like corpora.
-  static std::unordered_set<std::string> DefaultStopwords();
-
  private:
   std::vector<std::string> SplitNormalize(std::string_view text) const;
-
-  TokenizerOptions options_;
 };
 
 }  // namespace stburst

@@ -302,24 +302,5 @@ TEST(RemineTerms, ValidatesInput) {
   EXPECT_EQ(staged.size(), 2u);
 }
 
-TEST(MineAllTerms, FrequencyFloorSkipsRareTerms) {
-  Collection c = MakeRandomCollection(11, 6, 20, 25, 200);
-  FrequencyIndex freq = FrequencyIndex::Build(c);
-  BatchMinerOptions opts;
-  opts.min_term_total = 5.0;
-  auto result = MineAllTerms(freq, opts);
-  ASSERT_TRUE(result.ok());
-  size_t expected_mined = 0;
-  for (TermId t = 0; t < freq.num_terms(); ++t) {
-    if (!freq.postings(t).empty() && freq.TotalCount(t) >= 5.0) ++expected_mined;
-  }
-  EXPECT_EQ(result->terms_mined, expected_mined);
-  for (TermId t = 0; t < freq.num_terms(); ++t) {
-    if (freq.TotalCount(t) < 5.0) {
-      EXPECT_TRUE(result->terms[t].combinatorial.empty());
-    }
-  }
-}
-
 }  // namespace
 }  // namespace stburst

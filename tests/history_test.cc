@@ -5,7 +5,7 @@
 //    aggregating the dropped snapshots directly (via an unwindowed control);
 //  - full-horizon baseline parity: a windowed runtime + LongHorizonBaseline
 //    reproduces the unwindowed control's expected-model baselines exactly;
-//  - restart recovery: a tier written through kMmap reopens bit-identical,
+//  - restart recovery: a tier checkpointed to a file reopens bit-identical,
 //    and a restarted runtime recovers the baselines without replaying the
 //    cold span;
 //  - storage hardening: truncated / corrupt / wrong-format files are
@@ -170,7 +170,7 @@ uint64_t Fnv1a64(const void* data, size_t len) {
 // ---------------------------------------------------------------- ColdTier
 
 TEST(ColdTierTest, FoldAggregatesRollsBackAndIsIdempotent) {
-  auto tier = ColdTier::CreateInMemory(/*bucket_width=*/4);
+  auto tier = ColdTier::Open(/*bucket_width=*/4, /*path=*/"");
   ASSERT_TRUE(tier.ok());
 
   std::vector<std::pair<TermId, std::vector<TermPosting>>> removed;
@@ -227,7 +227,7 @@ TEST(ColdTierTest, FoldAggregatesRollsBackAndIsIdempotent) {
 }
 
 TEST(ColdTierTest, RollbackRestoresATermNamedTwiceInOneFold) {
-  auto tier = ColdTier::CreateInMemory(/*bucket_width=*/4);
+  auto tier = ColdTier::Open(/*bucket_width=*/4, /*path=*/"");
   ASSERT_TRUE(tier.ok());
 
   std::vector<std::pair<TermId, std::vector<TermPosting>>> first;
@@ -256,7 +256,7 @@ TEST(ColdTierTest, RollbackRestoresATermNamedTwiceInOneFold) {
 }
 
 TEST(ColdTierTest, AttachAdoptsWindowStartAndRejectsGaps) {
-  auto tier = ColdTier::CreateInMemory(4);
+  auto tier = ColdTier::Open(4, /*path=*/"");
   ASSERT_TRUE(tier.ok());
 
   // Fresh tier: coverage honestly begins at the live window.
@@ -281,16 +281,36 @@ TEST(ColdTierTest, AttachAdoptsWindowStartAndRejectsGaps) {
 }
 
 TEST(ColdTierTest, RuntimeValidatesHistoryOptions) {
+  const std::string path = TempPath("cold_tier_options.stb");
   {
     FeedRuntimeOptions opts = WindowedHistoryOptions(HistoryMode::kInMemory);
     opts.history_bucket_width = 0;
-    EXPECT_FALSE(FeedRuntime::Create(MakeSeedCollection(), opts).ok());
+    auto runtime = FeedRuntime::Create(MakeSeedCollection(), opts);
+    ASSERT_FALSE(runtime.ok());
+    EXPECT_TRUE(runtime.status().IsInvalidArgument());
   }
   {
-    FeedRuntimeOptions opts = WindowedHistoryOptions(HistoryMode::kMmap);
-    opts.history_path.clear();
-    EXPECT_FALSE(FeedRuntime::Create(MakeSeedCollection(), opts).ok());
+    // No tier to checkpoint: the path would be silently ignored.
+    FeedRuntimeOptions opts = WindowedHistoryOptions(HistoryMode::kOff);
+    opts.history_path = path;
+    auto runtime = FeedRuntime::Create(MakeSeedCollection(), opts);
+    ASSERT_FALSE(runtime.ok());
+    EXPECT_TRUE(runtime.status().IsInvalidArgument());
   }
+  {
+    FeedRuntimeOptions opts = WindowedHistoryOptions(HistoryMode::kInMemory);
+    opts.history_path = path;
+    auto runtime = FeedRuntime::Create(MakeSeedCollection(), opts);
+    ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+    EXPECT_NE(runtime->history(), nullptr);
+  }
+  {
+    auto runtime = FeedRuntime::Create(
+        MakeSeedCollection(), WindowedHistoryOptions(HistoryMode::kInMemory));
+    ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+    EXPECT_NE(runtime->history(), nullptr);
+  }
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------- fold-vs-direct parity
@@ -406,7 +426,7 @@ std::vector<std::pair<TermId, std::vector<TermPosting>>> SampleFoldInput() {
 TEST(ColdTierMmapTest, PublishReopenRoundTripWithDeltaOverlay) {
   const std::string path = TempPath("cold_tier_roundtrip.stb");
   {
-    auto tier = ColdTier::OpenOrCreate(path, /*bucket_width=*/2);
+    auto tier = ColdTier::Open(/*bucket_width=*/2, path);
     ASSERT_TRUE(tier.ok()) << tier.status().ToString();
     ColdFoldUndo undo;
     auto input = SampleFoldInput();
@@ -427,7 +447,7 @@ TEST(ColdTierMmapTest, PublishReopenRoundTripWithDeltaOverlay) {
     ASSERT_TRUE(tier->Publish().ok());
   }
   // Reopen from disk only: bit-identical state.
-  auto reopened = ColdTier::Open(path);
+  auto reopened = ColdTier::Open(/*bucket_width=*/2, path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened->bucket_width(), 2);
   EXPECT_EQ(reopened->covered_start(), 0);
@@ -452,7 +472,7 @@ TEST(ColdTierMmapTest, RestartedRuntimeRecoversBaselinesWithoutReplay) {
   std::vector<std::vector<ColdRow>> rows_before(kVocab);
   std::vector<std::vector<double>> baseline_before;
   {
-    FeedRuntimeOptions opts = WindowedHistoryOptions(HistoryMode::kMmap);
+    FeedRuntimeOptions opts = WindowedHistoryOptions(HistoryMode::kInMemory);
     opts.history_path = path;
     auto runtime = FeedRuntime::Create(MakeSeedCollection(), opts);
     ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
@@ -477,7 +497,7 @@ TEST(ColdTierMmapTest, RestartedRuntimeRecoversBaselinesWithoutReplay) {
 
   // Standalone reopen (backtesting shape): bit-identical aggregates.
   {
-    auto reopened = ColdTier::Open(path);
+    auto reopened = ColdTier::Open(kBucket, path);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_EQ(reopened->folded_until(), fold);
     for (TermId t = 0; t < kVocab; ++t) {
@@ -493,7 +513,7 @@ TEST(ColdTierMmapTest, RestartedRuntimeRecoversBaselinesWithoutReplay) {
        i < feed.size(); ++i) {
     ASSERT_TRUE(hot_only.Append(Snapshot(feed[i])).ok());
   }
-  FeedRuntimeOptions opts = WindowedHistoryOptions(HistoryMode::kMmap);
+  FeedRuntimeOptions opts = WindowedHistoryOptions(HistoryMode::kInMemory);
   opts.history_path = path;
   auto restarted = FeedRuntime::Create(std::move(hot_only), opts);
   ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
@@ -532,7 +552,7 @@ TEST(ColdTierMmapTest, FailedPublishLeavesLaggingCheckpoint) {
   const std::string dir = TempPath("cold_tier_missing_dir");
   std::filesystem::remove_all(dir);
   const std::string path = dir + "/tier.stb";
-  FeedRuntimeOptions opts = WindowedHistoryOptions(HistoryMode::kMmap);
+  FeedRuntimeOptions opts = WindowedHistoryOptions(HistoryMode::kInMemory);
   opts.history_path = path;
   auto subject = FeedRuntime::Create(MakeSeedCollection(), opts);
   ASSERT_TRUE(subject.ok()) << subject.status().ToString();
@@ -558,7 +578,7 @@ TEST(ColdTierMmapTest, FailedPublishLeavesLaggingCheckpoint) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_TRUE(stats->evicted);
   EXPECT_FALSE(subject->wedged());
-  auto reopened = ColdTier::Open(path);
+  auto reopened = ColdTier::Open(kBucket, path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ExpectIdenticalTiers(&*reopened, subject->history());
   std::filesystem::remove_all(dir);
@@ -594,10 +614,19 @@ void SwapRows(std::string* bytes, uint64_t a, uint64_t b) {
   }
 }
 
+// The bucket width a cold tier file image declares (header bytes 16-19), so
+// an image of unknown width opens at its own; 1 for an image too short to
+// hold the field.
+Timestamp FileBucketWidth(const std::string& bytes) {
+  uint32_t width = 1;
+  if (bytes.size() >= 20) std::memcpy(&width, bytes.data() + 16, sizeof(width));
+  return static_cast<Timestamp>(width);
+}
+
 // A published tier over SampleFoldInput: terms 0 and 3, streams 0-2.
 std::string PublishedSampleTier(const std::string& path) {
   {
-    auto tier = ColdTier::OpenOrCreate(path, /*bucket_width=*/2);
+    auto tier = ColdTier::Open(/*bucket_width=*/2, path);
     if (!tier.ok()) {
       ADD_FAILURE() << tier.status().ToString();
       return std::string();
@@ -641,7 +670,7 @@ TEST(ColdTierMmapTest, PublishWritesPinnedVersion1Bytes) {
 
   const std::string path = TempPath("cold_tier_pinned.stb");
   WriteFile(path, pinned);
-  auto opened = ColdTier::Open(path);
+  auto opened = ColdTier::Open(/*bucket_width=*/2, path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_EQ(opened->bucket_width(), 2);
   EXPECT_EQ(opened->covered_start(), 0);
@@ -664,12 +693,10 @@ TEST(ColdTierMmapTest, RejectsTruncatedAndCorruptFiles) {
 
   auto expect_rejected = [&](std::string bytes, const char* what) {
     WriteFile(victim, bytes);
-    auto opened = ColdTier::Open(victim);
+    // Refused at the image's own width, never silently restarted as an
+    // empty tier over a damaged file.
+    auto opened = ColdTier::Open(FileBucketWidth(bytes), victim);
     EXPECT_FALSE(opened.ok()) << what;
-    // OpenOrCreate must refuse too — never silently restart an empty tier
-    // over a damaged file.
-    auto reattached = ColdTier::OpenOrCreate(victim, 2);
-    EXPECT_FALSE(reattached.ok()) << what;
   };
 
   expect_rejected(std::string(), "empty file");
@@ -713,7 +740,7 @@ TEST(ColdTierMmapTest, RejectsForgedFieldsBehindValidChecksums) {
     Poke<uint64_t>(&forged, 64 + 8, uint64_t{1} << 59);
     Reseal(&forged);
     WriteFile(victim, forged);
-    auto opened = ColdTier::Open(victim);
+    auto opened = ColdTier::Open(/*bucket_width=*/2, victim);
     ASSERT_FALSE(opened.ok()) << "row count wrapping the implied size";
     EXPECT_TRUE(opened.status().IsFailedPrecondition());
   }
@@ -724,7 +751,7 @@ TEST(ColdTierMmapTest, RejectsForgedFieldsBehindValidChecksums) {
     Poke<uint32_t>(&forged, 20, 1);
     Reseal(&forged);
     WriteFile(victim, forged);
-    auto opened = ColdTier::Open(victim);
+    auto opened = ColdTier::Open(/*bucket_width=*/2, victim);
     ASSERT_FALSE(opened.ok()) << "row stream past stream_upper_bound";
     EXPECT_TRUE(opened.status().IsFailedPrecondition());
   }
@@ -735,7 +762,7 @@ TEST(ColdTierMmapTest, RejectsForgedFieldsBehindValidChecksums) {
     Poke<uint32_t>(&forged, 16, uint32_t{1} << 31);
     Reseal(&forged);
     WriteFile(victim, forged);
-    auto opened = ColdTier::Open(victim);
+    auto opened = ColdTier::Open(/*bucket_width=*/2, victim);
     ASSERT_FALSE(opened.ok()) << "bucket width past INT32_MAX";
     EXPECT_TRUE(opened.status().IsFailedPrecondition());
   }
@@ -746,7 +773,7 @@ TEST(ColdTierMmapTest, RejectsForgedFieldsBehindValidChecksums) {
     SwapRows(&forged, 0, 1);
     Reseal(&forged);
     WriteFile(victim, forged);
-    auto opened = ColdTier::Open(victim);
+    auto opened = ColdTier::Open(/*bucket_width=*/2, victim);
     ASSERT_FALSE(opened.ok()) << "rows out of (stream, bucket) order";
     EXPECT_TRUE(opened.status().IsFailedPrecondition());
   }
@@ -769,7 +796,7 @@ void QueryEveryTerm(const ColdTier& tier) {
     for (StreamId s = 0; s <= tier.stream_upper_bound() && s < 8; ++s) {
       sink = sink + tier.StreamSum(term, s);
     }
-    auto series = tier.ReplaySeries(term, lo, hi, tier.stream_upper_bound());
+    auto series = tier.ReplaySeries(term, lo, hi);
     if (!series.ok()) {
       EXPECT_TRUE(series.status().IsOutOfRange()) << series.status().ToString();
       continue;
@@ -805,15 +832,15 @@ void ExpectSameTierBits(const ColdTier& a, const ColdTier& b) {
   }
 }
 
-// Reopens `bytes` as a live tier at `copy` (OpenOrCreate with the file's
-// own bucket width) and drives the mutating calls on it: AttachAt below, at
+// Reopens `bytes` as a live tier at `copy` (at the file's own bucket
+// width) and drives the mutating calls on it: AttachAt below, at
 // and above folded_until() returns OK or InvalidArgument; a fold then its
 // rollback restores every row bit for bit; a publish reopens equal to the
 // in-memory rows.
 void ExerciseReopenedTier(const std::string& bytes, Timestamp bucket_width,
                           const std::string& copy) {
   WriteFile(copy, bytes);
-  auto tier = ColdTier::OpenOrCreate(copy, bucket_width);
+  auto tier = ColdTier::Open(bucket_width, copy);
   ASSERT_TRUE(tier.ok()) << tier.status().ToString();
   const int64_t watermark = tier->folded_until();
   for (const int64_t start : {watermark - 1, watermark, watermark + 1}) {
@@ -849,7 +876,7 @@ void ExerciseReopenedTier(const std::string& bytes, Timestamp bucket_width,
   }
 
   ASSERT_TRUE(tier->Publish().ok());
-  auto reopened = ColdTier::Open(copy);
+  auto reopened = ColdTier::Open(bucket_width, copy);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ExpectSameTierBits(*tier, *reopened);
   std::remove(copy.c_str());
@@ -874,11 +901,10 @@ TEST(ColdTierMmapTest, MutatedFilesFailToOpenOrQueryClean) {
     Poke<int32_t>(&forged, 28, INT32_MAX - 1);
     Reseal(&forged);
     WriteFile(victim, forged);
-    auto tier = ColdTier::Open(victim);
+    auto tier = ColdTier::Open(FileBucketWidth(forged), victim);
     ASSERT_TRUE(tier.ok()) << tier.status().ToString();
     EXPECT_TRUE(tier->ReplaySeries(0, tier->bucket_lower_bound(),
-                                   tier->bucket_upper_bound(),
-                                   tier->stream_upper_bound())
+                                   tier->bucket_upper_bound())
                     .status()
                     .IsOutOfRange());
     QueryEveryTerm(*tier);
@@ -933,7 +959,7 @@ TEST(ColdTierMmapTest, MutatedFilesFailToOpenOrQueryClean) {
     }
     Reseal(&bytes);
     WriteFile(victim, bytes);
-    auto tier = ColdTier::Open(victim);
+    auto tier = ColdTier::Open(FileBucketWidth(bytes), victim);
     if (!tier.ok()) continue;
     ++opened_ok;
     SCOPED_TRACE(::testing::Message() << "iteration " << iter);
@@ -949,14 +975,14 @@ TEST(ColdTierMmapTest, MutatedFilesFailToOpenOrQueryClean) {
 TEST(ColdTierMmapTest, RejectsBucketWidthMismatch) {
   const std::string path = TempPath("cold_tier_width.stb");
   {
-    auto tier = ColdTier::OpenOrCreate(path, /*bucket_width=*/2);
+    auto tier = ColdTier::Open(/*bucket_width=*/2, path);
     ASSERT_TRUE(tier.ok());
     ColdFoldUndo undo;
     auto input = SampleFoldInput();
     tier->FoldEvicted(input, /*cutoff=*/6, &undo);
     ASSERT_TRUE(tier->Publish().ok());
   }
-  auto mismatched = ColdTier::OpenOrCreate(path, /*bucket_width=*/3);
+  auto mismatched = ColdTier::Open(/*bucket_width=*/3, path);
   EXPECT_FALSE(mismatched.ok());
   EXPECT_TRUE(mismatched.status().IsInvalidArgument());
   std::remove(path.c_str());
@@ -965,7 +991,7 @@ TEST(ColdTierMmapTest, RejectsBucketWidthMismatch) {
 // -------------------------------------------------------------- ReplayRange
 
 TEST(ReplayTest, ReplayRangeFindsStoredBurst) {
-  auto tier = ColdTier::CreateInMemory(/*bucket_width=*/4);
+  auto tier = ColdTier::Open(/*bucket_width=*/4, /*path=*/"");
   ASSERT_TRUE(tier.ok());
   // Stream 0: background frequency 1 everywhere, a burst (5s) at times
   // 8..11 — exactly bucket 2. Stream 1: flat.

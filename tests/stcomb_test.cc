@@ -80,19 +80,6 @@ TEST(StComb, MaxPatternsCap) {
   EXPECT_EQ(patterns.size(), 1u);
 }
 
-TEST(StComb, MinStreamsFiltersSingletons) {
-  StCombOptions opts;
-  opts.min_streams = 2;
-  StComb miner(opts);
-  auto patterns = miner.MineFromIntervals({
-      SI(0, 0, 5, 1.0),
-      SI(1, 3, 8, 0.5),
-      SI(2, 20, 22, 2.0),  // lone burst, filtered
-  });
-  ASSERT_EQ(patterns.size(), 1u);
-  EXPECT_EQ(patterns[0].streams.size(), 2u);
-}
-
 TEST(StComb, EmptyInput) {
   StComb miner;
   EXPECT_TRUE(miner.MineFromIntervals({}).empty());
@@ -258,9 +245,7 @@ std::vector<CombinatorialPattern> ReferenceCliques(
       p.streams.push_back(pool[i].stream);
       images[i] = 0;  // retired: no later round reuses it
     }
-    if (p.streams.size() >= options.min_streams) {
-      patterns.push_back(std::move(p));
-    }
+    patterns.push_back(std::move(p));
   }
   std::sort(patterns.begin(), patterns.end(),
             [](const CombinatorialPattern& a, const CombinatorialPattern& b) {
@@ -329,7 +314,6 @@ TEST(StCombOracle, MineFromIntervalsMatchesBruteForceCliques) {
     rng.Shuffle(&pool);
 
     StCombOptions opts;
-    opts.min_streams = trial % 2 == 0 ? 1 : 2;
     if (trial % 4 >= 2) opts.max_patterns = 2;
     const auto got = StComb(opts).MineFromIntervals(pool);
     const auto want = ReferenceCliques(pool, opts);
@@ -384,7 +368,6 @@ TEST(StCombOracle, OffGridWeightsMatchIntegerReference) {
     };
     const std::vector<StreamInterval> pool = RandomPool(rng, weight);
     StCombOptions opts;
-    opts.min_streams = trial % 2 == 0 ? 1 : 2;
     if (trial % 4 >= 2) opts.max_patterns = 1 + rng.NextUint64(3);
     SCOPED_TRACE("trial " + std::to_string(trial));
     ExpectSamePatterns(StComb(opts).MineFromIntervals(pool),

@@ -121,15 +121,6 @@ TEST(StLocal, DistinctRegionsTrackedIndependently) {
   EXPECT_TRUE(saw_right);
 }
 
-TEST(StLocal, MinWindowScoreFilters) {
-  StLocalOptions opts;
-  opts.min_window_score = 10.0;
-  const SpatialBinning binning = LineBinning(2, 1.0);
-  StLocal miner(binning, opts);
-  ASSERT_TRUE(miner.ProcessSnapshot({1.0, 1.0}).ok());  // w-score 2 < 10
-  EXPECT_TRUE(miner.Finish().empty());
-}
-
 TEST(StLocal, OpenWindowCountsAreBounded) {
   Rng rng(3);
   size_t n = 12;

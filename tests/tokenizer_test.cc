@@ -24,39 +24,6 @@ TEST(Tokenizer, SplitsOnNonAlnumAndLowercases) {
   EXPECT_EQ(vocab.TermOf(ids[4]), "bar");
 }
 
-TEST(Tokenizer, PreservesCaseWhenDisabled) {
-  TokenizerOptions opts;
-  opts.lowercase = false;
-  Vocabulary vocab;
-  Tokenizer tok(opts);
-  auto ids = tok.Tokenize("Obama visits", &vocab);
-  EXPECT_EQ(vocab.TermOf(ids[0]), "Obama");
-}
-
-TEST(Tokenizer, MinTokenLengthDropsShortTokens) {
-  TokenizerOptions opts;
-  opts.min_token_length = 3;
-  Vocabulary vocab;
-  Tokenizer tok(opts);
-  auto ids = tok.Tokenize("a an the quick fox", &vocab);
-  ASSERT_EQ(ids.size(), 3u);
-  EXPECT_EQ(vocab.TermOf(ids[0]), "the");
-  EXPECT_EQ(vocab.TermOf(ids[1]), "quick");
-  EXPECT_EQ(vocab.TermOf(ids[2]), "fox");
-}
-
-TEST(Tokenizer, StopwordsRemoved) {
-  TokenizerOptions opts;
-  opts.stopwords = Tokenizer::DefaultStopwords();
-  Vocabulary vocab;
-  Tokenizer tok(opts);
-  auto ids = tok.Tokenize("the earthquake in Chile was strong", &vocab);
-  ASSERT_EQ(ids.size(), 3u);
-  EXPECT_EQ(vocab.TermOf(ids[0]), "earthquake");
-  EXPECT_EQ(vocab.TermOf(ids[1]), "chile");
-  EXPECT_EQ(vocab.TermOf(ids[2]), "strong");
-}
-
 TEST(Tokenizer, DuplicatesKeptForFrequency) {
   Vocabulary vocab;
   Tokenizer tok;
@@ -86,7 +53,7 @@ TEST(Tokenizer, EmptyAndPunctuationOnly) {
 
 TEST(Tokenizer, OverlongRunsAreDroppedNotTruncated) {
   Vocabulary vocab;
-  Tokenizer tok;  // default max_token_length = 64
+  Tokenizer tok;
   std::string text = "ok " + std::string(1 << 20, 'a') + " fine";
   auto ids = tok.Tokenize(text, &vocab);
   ASSERT_EQ(ids.size(), 2u);
@@ -98,24 +65,13 @@ TEST(Tokenizer, OverlongRunsAreDroppedNotTruncated) {
 
 TEST(Tokenizer, MaxTokenLengthBoundaryIsInclusive) {
   Vocabulary vocab;
-  TokenizerOptions opts;
-  opts.max_token_length = 4;
-  Tokenizer tok(opts);
-  auto ids = tok.Tokenize("abcd abcde abc", &vocab);
+  Tokenizer tok;
+  const std::string kept(64, 'k');
+  const std::string dropped(65, 'd');
+  auto ids = tok.Tokenize(kept + " " + dropped + " abc", &vocab);
   ASSERT_EQ(ids.size(), 2u);
-  EXPECT_EQ(vocab.TermOf(ids[0]), "abcd");
+  EXPECT_EQ(vocab.TermOf(ids[0]), kept);
   EXPECT_EQ(vocab.TermOf(ids[1]), "abc");
-}
-
-TEST(Tokenizer, ZeroMaxTokenLengthIsUnbounded) {
-  Vocabulary vocab;
-  TokenizerOptions opts;
-  opts.max_token_length = 0;
-  Tokenizer tok(opts);
-  std::string big(500, 'z');
-  auto ids = tok.Tokenize(big, &vocab);
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(vocab.TermOf(ids[0]), big);
 }
 
 TEST(Tokenizer, EveryByteValueIsSafe) {
@@ -137,13 +93,10 @@ TEST(Tokenizer, EveryByteValueIsSafe) {
 
 TEST(Tokenizer, RandomBinaryStreamsNeverProduceInvalidTokens) {
   // Fuzz-shaped: arbitrary binary garbage must yield only bounded,
-  // alphanumeric, stopword-free tokens — and identical results via the
-  // frozen path.
+  // lowercase alphanumeric tokens — and identical results via the frozen
+  // path.
   Rng rng(97);
-  TokenizerOptions opts;
-  opts.max_token_length = 16;
-  opts.stopwords = Tokenizer::DefaultStopwords();
-  Tokenizer tok(opts);
+  Tokenizer tok;
   Vocabulary vocab;
   for (int trial = 0; trial < 50; ++trial) {
     std::string bytes;
@@ -155,8 +108,10 @@ TEST(Tokenizer, RandomBinaryStreamsNeverProduceInvalidTokens) {
     for (TermId id : ids) {
       const std::string& term = vocab.TermOf(id);
       EXPECT_FALSE(term.empty());
-      EXPECT_LE(term.size(), opts.max_token_length);
-      EXPECT_EQ(opts.stopwords.count(term), 0u);
+      EXPECT_LE(term.size(), Tokenizer::kMaxTokenLength);
+      for (char c : term) {
+        EXPECT_FALSE(std::isupper(static_cast<unsigned char>(c)));
+      }
     }
     EXPECT_EQ(tok.TokenizeFrozen(bytes, vocab), ids);
   }
