@@ -153,9 +153,9 @@ int main() {
 #endif
   std::printf("live feed (burst of \"storm\" in the cluster, weeks 36-40; "
               "window %d weeks):\n", kRetentionWeeks);
-  std::printf("%6s %6s %7s %9s %13s %8s %10s %22s\n", "week", "docs",
-              "dirty", "refreshed", "scored tokens", "window", "tick(ms)",
-              "watched pattern");
+  std::printf("%6s %6s %7s %8s %9s %13s %8s %10s %22s\n", "week", "docs",
+              "dirty", "rows", "refreshed", "scored tokens", "window",
+              "tick(ms)", "watched pattern");
   for (Timestamp week = kHistoryWeeks; week < kHistoryWeeks + kLiveWeeks;
        ++week) {
     const bool bursting = week >= 36 && week <= 40;
@@ -236,8 +236,9 @@ int main() {
               ", " + std::to_string(patterns[0].streams.size()) + " streams" +
               (bursting ? "  <- burst" : "");
     }
-    std::printf("%6d %6zu %7zu %9zu %13zu %8d %10.1f %22s\n", stats->time,
-                stats->documents, stats->dirty_terms, stats->refreshed_terms,
+    std::printf("%6d %6zu %7zu %8zu %9zu %13zu %8d %10.1f %22s\n",
+                stats->time, stats->documents, stats->dirty_terms,
+                stats->extracted_rows, stats->refreshed_terms,
                 stats->search_tokens_scanned, runtime->window_start(),
                 stats->seconds * 1e3, state.c_str());
   }

@@ -20,44 +20,46 @@ namespace {
 // Per-worker reusable state. One instance per worker id; ParallelFor
 // guarantees a worker id is never active on two threads at once.
 struct WorkerScratch {
-  std::vector<double> row;                  // one stream's timeline
+  std::vector<RowCell> cells;               // one stream's occupied cells
+  BurstyIntervalExtractor extractor;
   std::vector<BurstyInterval> bursts;       // one stream's bursty intervals
   std::vector<StreamInterval> intervals;    // pooled per-term intervals
+  size_t extracted_rows = 0;                // (term, stream) rows extracted
   std::unique_ptr<TermSeries> dense;        // regional mining only
 };
 
 // Combinatorial step (1) straight from sorted sparse postings: postings are
-// grouped by stream, so each group is scattered into the window scratch
-// (absolute time minus `origin`) and fed to interval extraction; the
-// extracted intervals are mapped back to absolute timestamps. Streams
-// without postings have no mass and thus no intervals — identical output to
-// the dense ExtractStreamIntervals, at O(nnz + active_streams * L) instead
-// of O(n * L).
+// grouped by stream and time-ordered within a stream, one per nonzero
+// cell, so each group is a row's occupied cells (absolute time minus
+// `origin`) and goes to interval extraction as is; the extracted intervals
+// are mapped back to absolute timestamps. Streams without postings have no
+// mass and thus no intervals — identical output to the dense
+// ExtractStreamIntervals, at O(postings + zero cells between a row's first
+// and last posting) instead of O(n * L).
 void ExtractIntervalsFromPostings(const std::vector<TermPosting>& postings,
                                   size_t timeline, Timestamp origin,
                                   double min_burstiness,
                                   WorkerScratch* scratch) {
   scratch->intervals.clear();
-  scratch->row.resize(timeline);
   size_t i = 0;
   while (i < postings.size()) {
     const StreamId stream = postings[i].stream;
-    std::fill(scratch->row.begin(), scratch->row.end(), 0.0);
-    size_t j = i;
-    while (j < postings.size() && postings[j].stream == stream) {
-      scratch->row[static_cast<size_t>(postings[j].time - origin)] +=
-          postings[j].count;
-      ++j;
+    scratch->cells.clear();
+    for (; i < postings.size() && postings[i].stream == stream; ++i) {
+      scratch->cells.push_back(
+          RowCell{static_cast<size_t>(postings[i].time - origin),
+                  postings[i].count});
     }
     scratch->bursts.clear();
-    AppendBurstyIntervals(scratch->row, min_burstiness, &scratch->bursts);
+    scratch->extractor.Append(scratch->cells, timeline, min_burstiness,
+                              &scratch->bursts);
+    ++scratch->extracted_rows;
     for (const BurstyInterval& bi : scratch->bursts) {
       scratch->intervals.push_back(StreamInterval{
           stream,
           Interval{bi.interval.start + origin, bi.interval.end + origin},
           bi.burstiness});
     }
-    i = j;
   }
 }
 
@@ -219,7 +221,8 @@ StatusOr<BatchMineResult> MineAllTerms(const FrequencyIndex& index,
 
 StatusOr<std::vector<TermId>> StageRemineTerms(
     const FrequencyIndex& index, const std::vector<TermId>& terms,
-    const BatchMinerOptions& options, std::vector<TermPatterns>* staged) {
+    const BatchMinerOptions& options, std::vector<TermPatterns>* staged,
+    size_t* extracted_rows) {
   STB_RETURN_NOT_OK(ValidateRegional(index, options));
 
   // Dedupe so no two workers share a slot, and validate before mining so a
@@ -235,6 +238,7 @@ StatusOr<std::vector<TermId>> StageRemineTerms(
 
   staged->clear();
   staged->resize(todo.size());
+  if (extracted_rows != nullptr) *extracted_rows = 0;
   if (!todo.empty()) {
     STB_ASSIGN_OR_RETURN(SpatialBinning binning, RunBinning(options));
     MineShared shared(index, options, std::move(binning),
@@ -244,6 +248,11 @@ StatusOr<std::vector<TermId>> StageRemineTerms(
       shared.MineTerm(worker, todo[i], &(*staged)[i]);
     });
     if (shared.error.has_value()) return *shared.error;
+    if (extracted_rows != nullptr) {
+      for (const WorkerScratch& ws : shared.scratch) {
+        *extracted_rows += ws.extracted_rows;
+      }
+    }
   }
   return todo;
 }

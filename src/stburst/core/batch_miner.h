@@ -6,8 +6,10 @@
 // result slot per TermId, so the output is deterministic — independent of
 // thread count and scheduling — while the per-term hot paths run on
 // per-worker scratch:
-//  - combinatorial mining streams each term's sparse postings directly into
-//    per-stream interval extraction (no dense n x L matrix is materialized);
+//  - combinatorial mining hands each (term, stream) row's postings, as its
+//    occupied cells, straight to BurstyIntervalExtractor (core/temporal.h):
+//    no dense n x L matrix and no zero-filled row, and a row costs its
+//    postings plus the zero cells between its first and last posting;
 //  - regional mining reuses one dense scratch matrix per worker, and every
 //    worker scores its rows with the one expected model the call built.
 //
@@ -105,7 +107,9 @@ struct BatchMineResult {
 /// Thread-safety: `index` and `options` are read concurrently by the
 /// workers and must not be mutated during the call.
 /// Complexity: O(Σ per-term mining) work over options.num_threads workers;
-/// per-worker scratch is O(L) (+ O(n·L) when mine_regional).
+/// a term's interval extraction is O(its postings + the zero cells inside
+/// each of its rows' posting spans). Per-worker scratch is O(L) (+ O(n·L)
+/// when mine_regional).
 StatusOr<BatchMineResult> MineAllTerms(const FrequencyIndex& index,
                                        const BatchMinerOptions& options = {});
 
@@ -131,9 +135,15 @@ StatusOr<BatchMineResult> MineAllTerms(const FrequencyIndex& index,
 ///
 /// Options and validation as for MineAllTerms; stage with the options the
 /// standing result was mined with. Duplicate ids in `terms` are ignored; unknown ids are InvalidArgument.
+///
+/// `extracted_rows`, when non-null, receives the number of (term, stream)
+/// rows the combinatorial step extracted bursty intervals from: the
+/// distinct streams of each staged term's postings, summed (0 without
+/// combinatorial mining). Exact and thread-count independent.
 StatusOr<std::vector<TermId>> StageRemineTerms(
     const FrequencyIndex& index, const std::vector<TermId>& terms,
-    const BatchMinerOptions& options, std::vector<TermPatterns>* staged);
+    const BatchMinerOptions& options, std::vector<TermPatterns>* staged,
+    size_t* extracted_rows = nullptr);
 
 }  // namespace stburst
 

@@ -17,8 +17,12 @@ size_t FirstEntryFresh(std::span<const double> y) {
 
 size_t GlobalMeanModel::Expected(std::span<const double> y,
                                  std::span<double> e) const {
+  // Across the leading zeros (of either sign) the mean stays exactly +0.0,
+  // so the division chain starts at the first nonzero cell.
+  size_t i = 0;
+  for (; i < y.size() && y[i] == 0.0; ++i) e[i] = 0.0;
   double mean = 0.0;
-  for (size_t i = 0; i < y.size(); ++i) {
+  for (; i < y.size(); ++i) {
     e[i] = mean;
     mean += (y[i] - mean) / static_cast<double>(i + 1);
   }

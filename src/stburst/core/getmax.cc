@@ -2,15 +2,8 @@
 
 namespace stburst {
 
-void OnlineMaxSegments::Add(double score) {
+void OnlineMaxSegments::AddPositive(double score) {
   const size_t idx = n_++;
-  if (score <= 0.0) {
-    // Non-positive scores never open or extend a candidate directly; they
-    // only contribute through the cumulative totals.
-    cum_ += score;
-    return;
-  }
-
   Candidate k{idx, idx, cum_, cum_ + score};
   cum_ += score;
 
@@ -49,10 +42,10 @@ void OnlineMaxSegments::AppendCurrentSegments(std::vector<Segment>* out) const {
   }
 }
 
-void OnlineMaxSegments::Reset() {
+void OnlineMaxSegments::Reset(size_t consumed, double total) {
   cands_.clear();
-  cum_ = 0.0;
-  n_ = 0;
+  cum_ = total;
+  n_ = consumed;
 }
 
 std::vector<Segment> MaximalSegments(std::span<const double> scores) {

@@ -36,8 +36,17 @@ struct Segment {
 /// short candidate lists burst mining produces.
 class OnlineMaxSegments {
  public:
-  /// Consumes the next score.
-  void Add(double score);
+  /// Consumes the next score. Inline for the common non-positive score,
+  /// which never opens or extends a candidate and only moves the
+  /// cumulative total.
+  void Add(double score) {
+    if (score <= 0.0) {
+      cum_ += score;
+      ++n_;
+      return;
+    }
+    AddPositive(score);
+  }
 
   /// Number of scores consumed.
   size_t size() const { return n_; }
@@ -58,10 +67,16 @@ class OnlineMaxSegments {
   /// them (Figure 6 reports this count per timestamp).
   size_t num_candidates() const { return cands_.size(); }
 
-  /// Resets to the empty sequence.
-  void Reset();
+  /// Resets to the state after `consumed` non-positive scores whose
+  /// in-order running sum is `total` (the empty sequence by default).
+  /// Non-positive scores never open or extend a candidate, so the count
+  /// and the sum are all they leave behind.
+  void Reset(size_t consumed = 0, double total = 0.0);
 
  private:
+  // Add for a score that is not <= 0 (positive, or NaN).
+  void AddPositive(double score);
+
   // Candidate segment: [start, end] with l = cumulative score before start,
   // r = cumulative score through end (Ruzzo–Tompa's bookkeeping).
   struct Candidate {

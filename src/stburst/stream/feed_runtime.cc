@@ -389,7 +389,8 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
   STBURST_FAULT_POINT("runtime.remine");
   STB_ASSIGN_OR_RETURN(
       tx->dirty_todo,
-      StageRemineTerms(index_, dirty, options_.miner, &tx->staged_dirty));
+      StageRemineTerms(index_, dirty, options_.miner, &tx->staged_dirty,
+                       &stats->extracted_rows));
   stats->dirty_terms = tx->dirty_todo.size();
   return Status::OK();
 }
@@ -397,10 +398,13 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
 Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
                                         std::vector<TermId> refresh_targets) {
   FeedTickStats* stats = &tx->stats;
-  STB_ASSIGN_OR_RETURN(tx->refresh_todo,
-                       StageRemineTerms(index_, refresh_targets,
-                                        options_.miner, &tx->staged_refresh));
+  size_t refresh_rows = 0;
+  STB_ASSIGN_OR_RETURN(
+      tx->refresh_todo,
+      StageRemineTerms(index_, refresh_targets, options_.miner,
+                       &tx->staged_refresh, &refresh_rows));
   stats->refreshed_terms = tx->refresh_todo.size();
+  stats->extracted_rows += refresh_rows;
 
   const std::vector<TermId>& dirty_todo = tx->dirty_todo;
   const std::vector<TermId>& refresh_todo = tx->refresh_todo;

@@ -182,6 +182,11 @@ struct FeedTickStats {
                                   ///< (kDropDocument policy only)
   size_t dirty_terms = 0;      ///< terms re-mined for new/evicted postings
   size_t refreshed_terms = 0;  ///< quiet terms re-mined by the sweep
+  size_t extracted_rows = 0;   ///< (term, stream) rows the re-mines
+                               ///< extracted bursty intervals from: the
+                               ///< distinct streams of every re-mined
+                               ///< term's postings, summed (0 without
+                               ///< combinatorial mining)
   size_t search_terms = 0;     ///< terms whose search postings were re-derived
   size_t search_tokens_scanned = 0;  ///< document tokens the re-derivation
                                      ///< read (ScoreTermsByCell)

@@ -62,7 +62,7 @@ void ExpectSamePatterns(const std::vector<CombinatorialPattern>& a,
     EXPECT_EQ(a[i].streams, b[i].streams);
     EXPECT_EQ(a[i].timeframe.start, b[i].timeframe.start + shift);
     EXPECT_EQ(a[i].timeframe.end, b[i].timeframe.end + shift);
-    EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
+    EXPECT_EQ(a[i].score, b[i].score);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <deque>
@@ -72,6 +73,49 @@ TEST(GlobalMeanModel, MatchesBatchMeanOnRandomData) {
   const double mean = sum / static_cast<double>(y.size());
   y.push_back(kNext);
   EXPECT_NEAR(RowOf(GlobalMeanModel(), y).e.back(), mean, 1e-9);
+}
+
+// The Welford loop GlobalMeanModel ran before it skipped leading zeros:
+// one division per cell from the first one on.
+size_t ReferenceGlobalMean(const std::vector<double>& y, std::vector<double>* e) {
+  double mean = 0.0;
+  for (size_t i = 0; i < y.size(); ++i) {
+    (*e)[i] = mean;
+    mean += (y[i] - mean) / static_cast<double>(i + 1);
+  }
+  return std::min<size_t>(1, y.size());
+}
+
+TEST(GlobalMeanModel, LeadingZeroSkipMatchesWelfordLoopBitForBit) {
+  Rng rng(29);
+  for (size_t length : {1u, 2u, 48u}) {
+    for (size_t zeros : {size_t{0}, size_t{1}, length - 1, length}) {
+      for (int trial = 0; trial < 50; ++trial) {
+        SCOPED_TRACE(testing::Message() << "L=" << length << " zeros=" << zeros
+                                        << " trial=" << trial);
+        std::vector<double> y(length);
+        for (size_t i = 0; i < length; ++i) {
+          if (i < zeros) {
+            y[i] = rng.Bernoulli(0.3) ? -0.0 : 0.0;  // zeros of either sign
+          } else if (trial % 2 == 0) {
+            y[i] = static_cast<double>(rng.Poisson(0.5));
+          } else {
+            y[i] = rng.Uniform(-3.0, 3.0);
+          }
+        }
+        if (zeros < length && y[zeros] == 0.0) y[zeros] = 1.0;
+        std::vector<double> want(length, -1.0);
+        const size_t want_fresh = ReferenceGlobalMean(y, &want);
+        const ExpectedRow got = RowOf(GlobalMeanModel(), y);
+        EXPECT_EQ(got.fresh, want_fresh);
+        for (size_t i = 0; i < length; ++i) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(got.e[i]),
+                    std::bit_cast<uint64_t>(want[i]))
+              << i << ": " << got.e[i] << " vs " << want[i];
+        }
+      }
+    }
+  }
 }
 
 TEST(WindowMeanModel, OnlyRecentWindowCounts) {

@@ -813,6 +813,60 @@ TEST(FeedRuntimeValidation, BothPoliciesMatchOneDocumentAtATimeReference) {
   }
 }
 
+// Number of distinct streams among a term's (stream, time)-sorted postings.
+size_t DistinctStreams(const std::vector<TermPosting>& postings) {
+  size_t streams = 0;
+  for (size_t i = 0; i < postings.size(); ++i) {
+    if (i == 0 || postings[i].stream != postings[i - 1].stream) ++streams;
+  }
+  return streams;
+}
+
+bool SamePostings(const std::vector<TermPosting>& a,
+                  const std::vector<TermPosting>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].stream != b[i].stream || a[i].time != b[i].time ||
+        a[i].count != b[i].count) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(FeedRuntime, ExtractedRowsCountsTheDirtyTermsStreams) {
+  // Without a refresh sweep, a tick's re-mine extracts one row per
+  // (dirty term, stream with a posting of it). The dirty terms are exactly
+  // those whose postings the tick's append or eviction changed.
+  FeedRuntimeOptions opts = BaseOptions(2);
+  opts.retention_window = 6;
+  auto runtime = FeedRuntime::Create(MakeSeedCollection(6, 3, 40), opts);
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+  Rng rng(4242);
+  size_t evicting = 0, total_rows = 0;
+  for (int tick = 0; tick < 15; ++tick) {
+    std::vector<std::vector<TermPosting>> before;
+    for (TermId t = 0; t < runtime->index().num_terms(); ++t) {
+      before.push_back(runtime->index().postings(t));
+    }
+    auto stats = runtime->Tick(MakeSnapshot(rng, 6, 40));
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    size_t dirty = 0, rows = 0;
+    for (TermId t = 0; t < runtime->index().num_terms(); ++t) {
+      const std::vector<TermPosting>& now = runtime->index().postings(t);
+      if (t < before.size() && SamePostings(before[t], now)) continue;
+      ++dirty;
+      rows += DistinctStreams(now);
+    }
+    EXPECT_EQ(stats->dirty_terms, dirty) << "tick " << tick;
+    EXPECT_EQ(stats->extracted_rows, rows) << "tick " << tick;
+    evicting += stats->evicted ? 1 : 0;
+    total_rows += rows;
+  }
+  EXPECT_GT(evicting, 5u);
+  EXPECT_GT(total_rows, 0u);
+}
+
 TEST(FeedRuntime, EmptySnapshotTickIsDefined) {
   // An empty snapshot is a quiet timestamp, not an error: the timeline
   // advances, nothing is mined, and every stat reads zero.
@@ -893,6 +947,7 @@ void ExpectSameStats(const FeedTickStats& a, const FeedTickStats& b) {
   EXPECT_EQ(a.rejected_documents, b.rejected_documents);
   EXPECT_EQ(a.dirty_terms, b.dirty_terms);
   EXPECT_EQ(a.refreshed_terms, b.refreshed_terms);
+  EXPECT_EQ(a.extracted_rows, b.extracted_rows);
   EXPECT_EQ(a.search_terms, b.search_terms);
   EXPECT_EQ(a.search_tokens_scanned, b.search_tokens_scanned);
   EXPECT_EQ(a.folded_terms, b.folded_terms);
