@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -122,6 +123,44 @@ int Run() {
     y[y.size() / 2] += 50.0;
     report("extract_bursty_intervals_4k",
            TimeNs([&] { ExtractBurstyIntervals(y); }), y.size());
+  }
+  {
+    // The rows a live tick extracts: a 48-column window and 1–8 postings
+    // per (term, stream) row, handed over as occupied cells. Thousands of
+    // short rows per call time the kernel rather than one loop's placement.
+    constexpr size_t kLength = 48;
+    constexpr size_t kRows = 4096;
+    Rng rng(6);
+    std::vector<RowCell> cells;
+    std::vector<size_t> row_end;
+    std::vector<size_t> columns(kLength);
+    for (size_t r = 0; r < kRows; ++r) {
+      for (size_t c = 0; c < kLength; ++c) columns[c] = c;
+      const size_t postings = 1 + rng.NextUint64(8);
+      for (size_t i = 0; i < postings; ++i) {  // distinct columns
+        std::swap(columns[i], columns[i + rng.NextUint64(kLength - i)]);
+      }
+      std::sort(columns.begin(), columns.begin() + postings);
+      for (size_t i = 0; i < postings; ++i) {
+        cells.push_back(RowCell{
+            columns[i], static_cast<double>(1 + rng.NextUint64(6))});
+      }
+      row_end.push_back(cells.size());
+    }
+    BurstyIntervalExtractor extractor;
+    std::vector<BurstyInterval> out;
+    report("extract_intervals_live_rows", TimeNs([&] {
+             size_t begin = 0;
+             for (size_t end : row_end) {
+               out.clear();
+               extractor.Append(
+                   std::span<const RowCell>(cells.data() + begin,
+                                            end - begin),
+                   kLength, 0.1, &out);
+               begin = end;
+             }
+           }),
+           kRows);
   }
 
   {

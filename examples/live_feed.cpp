@@ -13,7 +13,7 @@
 //     freshly built search-index snapshot (readers keep serving the old
 //     one). After each tick the watched term is re-mined on the runtime's
 //     windowed index with StageRemineTerms (combinatorial and regional),
-//     the same call the runtime makes for every dirty term.
+//     the call the runtime makes, combinatorial only, for every dirty term.
 //  4. Verify: the runtime's windowed index matches a from-scratch rebuild
 //     of the evicted collection; the watched term's staged slot matches
 //     batch STComb (scores within 1e-9) and MineRegionalPatterns (scores

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -77,10 +78,9 @@ Status ValidateRegional(const FrequencyIndex& index,
   return Status::OK();
 }
 
-// State shared by one batch run (full sweep or dirty-term re-mine): the
-// per-worker scratch, the shared STComb instance and expected model, and
-// first-error capture.
-// MineTerm is the single per-term pipeline both entry points fan out.
+// State shared by one StageRemineTerms run (MineAllTerms is one over every
+// term): the per-worker scratch, the shared STComb instance and expected
+// model, and first-error capture. MineTerm is the per-term pipeline.
 struct MineShared {
   const FrequencyIndex& index;
   const BatchMinerOptions& options;
@@ -199,22 +199,14 @@ void RecountTerms(BatchMineResult* result) {
 
 StatusOr<BatchMineResult> MineAllTerms(const FrequencyIndex& index,
                                        const BatchMinerOptions& options) {
-  STB_RETURN_NOT_OK(ValidateRegional(index, options));
-
+  // A full sweep is a re-mine of every TermId: the sorted, unique id list
+  // makes the staged slots exactly the TermId-indexed result.
+  std::vector<TermId> all(index.num_terms());
+  std::iota(all.begin(), all.end(), TermId{0});
   BatchMineResult result;
-  result.terms.resize(index.num_terms());
-  const size_t threads = RunWorkerSlots(options);
-  result.threads_used = threads;
-  if (index.num_terms() == 0) return result;
-
-  STB_ASSIGN_OR_RETURN(SpatialBinning binning, RunBinning(options));
-  MineShared shared(index, options, std::move(binning), threads);
-  RunParallel(options, index.num_terms(), [&](size_t worker, size_t t) {
-    if (shared.failed.load(std::memory_order_relaxed)) return;
-    shared.MineTerm(worker, static_cast<TermId>(t), &result.terms[t]);
-  });
-
-  if (shared.error.has_value()) return *shared.error;
+  STB_RETURN_NOT_OK(
+      StageRemineTerms(index, all, options, &result.terms).status());
+  result.threads_used = RunWorkerSlots(options);
   RecountTerms(&result);
   return result;
 }

@@ -93,8 +93,8 @@ struct BatchMineResult {
   size_t threads_used = 0;
 };
 
-/// Mines every vocabulary term of `index` and returns per-term patterns in
-/// TermId order.
+/// Mines every vocabulary term of `index` (StageRemineTerms over every
+/// TermId) and returns per-term patterns in TermId order.
 ///
 /// Windowed indexes: mining operates over the index's retained window
 /// (burstiness normalized by window mass and window length), and every

@@ -123,10 +123,13 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
     return Status::InvalidArgument(
         "search_serving = kCombinatorial requires miner.mine_combinatorial");
   }
-  if (options.search_serving == SearchServing::kRegional &&
-      !options.miner.mine_regional) {
+  // Regional mining stays with the batch miner: a regional re-mine replays
+  // R-Bursty over the whole retained window for every dirty term, far too
+  // slow for a tick, whether or not anything is served from it.
+  if (options.miner.mine_regional) {
     return Status::InvalidArgument(
-        "search_serving = kRegional requires miner.mine_regional");
+        "FeedRuntime mines combinatorial patterns only; "
+        "miner.mine_regional must be off");
   }
   if (options.history_mode == HistoryMode::kOff &&
       !options.history_path.empty()) {
@@ -631,21 +634,12 @@ std::vector<std::vector<Posting>> FeedRuntime::StageSearchPostings(
     size_t* tokens_scanned) const {
   // Reads only frozen state (collection, frequency index, standing + staged
   // slots), so the kernel's pool workers share it without synchronization.
-  const bool combinatorial =
-      options_.search_serving == SearchServing::kCombinatorial;
   return ScoreTermsByCell(
       collection_, index_, terms,
       [&](size_t i, std::vector<TermPattern>* out) {
         STBURST_FAULT_POINT_THROW("runtime.search_update");
-        const TermPatterns& slot = slot_for(terms[i]);
-        if (combinatorial) {
-          for (const CombinatorialPattern& p : slot.combinatorial) {
-            out->push_back(TermPattern{p.streams, p.timeframe, p.score});
-          }
-        } else {
-          for (const SpatiotemporalWindow& w : slot.regional) {
-            out->push_back(TermPattern{w.streams, w.timeframe, w.score});
-          }
+        for (const CombinatorialPattern& p : slot_for(terms[i]).combinatorial) {
+          out->push_back(TermPattern{p.streams, p.timeframe, p.score});
         }
       },
       pool_.get(), tokens_scanned);

@@ -1,12 +1,9 @@
 // FeedRuntime — the long-running live-feed mining service.
 //
-// PR 2 left the live path as loose parts the caller had to wire per tick
-// (Append → AppendSnapshot → re-mine the touched terms), with three
-// structural leaks for a feed that runs for weeks: postings and online
-// histories grew without bound, quiet terms went stale forever, and every
-// re-mine paid a thread spawn/join. FeedRuntime owns the whole live stack —
-// the Collection, the FrequencyIndex, one persistent ThreadPool, and a
-// standing BatchMineResult — and drives the full tick cycle:
+// FeedRuntime owns the whole live stack — the Collection, the
+// FrequencyIndex, one persistent ThreadPool, and a standing BatchMineResult
+// of STComb patterns (regional mining stays with the batch miner) — and
+// drives the full tick cycle:
 //
 //   Tick(snapshot):
 //     0. ValidateSnapshot                 reject or quarantine malformed
@@ -77,12 +74,11 @@
 
 namespace stburst {
 
-/// Which mined pattern type the runtime's optional search index scores
-/// documents against (§5: one engine instance per pattern type).
+/// Whether the runtime keeps a search index (§5) over its standing STComb
+/// patterns. A regional engine is built from the batch miner's windows.
 enum class SearchServing {
   kNone,           ///< no search index is maintained
   kCombinatorial,  ///< score against the standing STComb patterns
-  kRegional,       ///< score against the standing STLocal windows
 };
 
 /// What Tick does with a snapshot document that fails validation (unknown
@@ -102,8 +98,9 @@ enum class InvalidDocPolicy {
 };
 
 struct FeedRuntimeOptions {
-  /// Per-term mining configuration. `miner.pool` and `miner.num_threads`
-  /// are overridden by the runtime (it supplies its own standing pool).
+  /// Per-term mining configuration: the runtime reads `miner.stcomb` and
+  /// `miner.mine_combinatorial`, supplies `miner.pool` itself, and refuses
+  /// `miner.mine_regional` (regional mining stays with the batch miner).
   BatchMinerOptions miner;
 
   /// Workers of the persistent pool (0 = hardware concurrency, 1 = fully

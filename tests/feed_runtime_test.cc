@@ -88,54 +88,40 @@ TEST(FeedRuntime, TickOutputBitIdenticalAt1248Threads) {
   constexpr size_t kVocab = 120;
   constexpr int kTicks = 40;
 
-  for (SearchServing serving :
-       {SearchServing::kRegional, SearchServing::kCombinatorial}) {
-    SCOPED_TRACE(serving == SearchServing::kRegional ? "regional"
-                                                     : "combinatorial");
-    std::unique_ptr<FeedRuntime> reference;
-    std::vector<size_t> reference_scanned;
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      FeedRuntimeOptions opts = BaseOptions(threads);
-      opts.retention_window = 16;
-      opts.refresh_budget = 6;
-      opts.miner.mine_regional = true;
-      opts.miner.positions.resize(kStreams);
-      for (size_t s = 0; s < kStreams; ++s) {
-        opts.miner.positions[s] =
-            Point2D{static_cast<double>(s % 4), static_cast<double>(s / 4)};
-      }
-      opts.miner.model_factory = WithPriorFloor(
-          [] { return std::make_unique<GlobalMeanModel>(); }, 0.2);
+  std::unique_ptr<FeedRuntime> reference;
+  std::vector<size_t> reference_scanned;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    FeedRuntimeOptions opts = BaseOptions(threads);
+    opts.retention_window = 16;
+    opts.refresh_budget = 6;
+    opts.search_serving = SearchServing::kCombinatorial;
 
-      opts.search_serving = serving;
+    auto runtime = FeedRuntime::Create(
+        MakeSeedCollection(kStreams, 4, kVocab), std::move(opts));
+    ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
 
-      auto runtime = FeedRuntime::Create(
-          MakeSeedCollection(kStreams, 4, kVocab), std::move(opts));
-      ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
-
-      Rng rng(777);  // same seed per thread count -> same snapshot sequence
-      std::vector<size_t> scanned;
-      for (int tick = 0; tick < kTicks; ++tick) {
-        auto stats = runtime->Tick(MakeSnapshot(rng, kStreams, kVocab));
-        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-        scanned.push_back(stats->search_tokens_scanned);
-      }
-      if (reference == nullptr) {
-        ASSERT_GT(*std::max_element(scanned.begin(), scanned.end()), 0u);
-        reference = std::make_unique<FeedRuntime>(std::move(*runtime));
-        reference_scanned = std::move(scanned);
-      } else {
-        ExpectIdenticalPostings(reference->index(), runtime->index());
-        ExpectIdenticalResults(reference->result(), runtime->result());
-        // The maintained search index is part of the bit-identical surface,
-        // and so is the re-score's work counter.
-        const std::shared_ptr<const IndexSnapshot> live =
-            runtime->search_snapshot();
-        ASSERT_NE(live, nullptr);
-        ExpectIdenticalIndexes(reference->search_snapshot()->index,
-                               live->index);
-        EXPECT_EQ(reference_scanned, scanned) << threads << " threads";
-      }
+    Rng rng(777);  // same seed per thread count -> same snapshot sequence
+    std::vector<size_t> scanned;
+    for (int tick = 0; tick < kTicks; ++tick) {
+      auto stats = runtime->Tick(MakeSnapshot(rng, kStreams, kVocab));
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      scanned.push_back(stats->search_tokens_scanned);
+    }
+    if (reference == nullptr) {
+      ASSERT_GT(*std::max_element(scanned.begin(), scanned.end()), 0u);
+      reference = std::make_unique<FeedRuntime>(std::move(*runtime));
+      reference_scanned = std::move(scanned);
+    } else {
+      ExpectIdenticalPostings(reference->index(), runtime->index());
+      ExpectIdenticalResults(reference->result(), runtime->result());
+      // The maintained search index is part of the bit-identical surface,
+      // and so is the re-score's work counter.
+      const std::shared_ptr<const IndexSnapshot> live =
+          runtime->search_snapshot();
+      ASSERT_NE(live, nullptr);
+      ExpectIdenticalIndexes(reference->search_snapshot()->index,
+                             live->index);
+      EXPECT_EQ(reference_scanned, scanned) << threads << " threads";
     }
   }
 }
@@ -569,20 +555,31 @@ TEST(FeedRuntime, RefreshPrefersMassTimesStaleness) {
 }
 
 TEST(FeedRuntime, CreateRejectsSearchServingWithoutItsPatternType) {
-  // kRegional serving with combinatorial-only mining (and vice versa) would
-  // silently serve an always-empty index; Create must refuse instead.
-  FeedRuntimeOptions regional = BaseOptions(1);
-  regional.search_serving = SearchServing::kRegional;  // mine_regional off
-  EXPECT_TRUE(FeedRuntime::Create(MakeSeedCollection(2, 2, 4), regional)
-                  .status()
-                  .IsInvalidArgument());
-
+  // kCombinatorial serving without combinatorial mining would silently
+  // serve an always-empty index; Create must refuse instead.
   FeedRuntimeOptions combinatorial = BaseOptions(1);
   combinatorial.search_serving = SearchServing::kCombinatorial;
   combinatorial.miner.mine_combinatorial = false;
   EXPECT_TRUE(FeedRuntime::Create(MakeSeedCollection(2, 2, 4), combinatorial)
                   .status()
                   .IsInvalidArgument());
+
+  // The runtime mines and serves combinatorial patterns only; regional
+  // mining belongs to the batch miner, served or not.
+  for (SearchServing serving :
+       {SearchServing::kNone, SearchServing::kCombinatorial}) {
+    FeedRuntimeOptions regional = BaseOptions(1);
+    regional.search_serving = serving;
+    regional.miner.mine_regional = true;
+    // Complete regional inputs, so only the runtime's own rule refuses.
+    regional.miner.positions.assign(2, Point2D{0.0, 0.0});
+    regional.miner.model_factory = [] {
+      return std::make_unique<GlobalMeanModel>();
+    };
+    EXPECT_TRUE(FeedRuntime::Create(MakeSeedCollection(2, 2, 4), regional)
+                    .status()
+                    .IsInvalidArgument());
+  }
 }
 
 TEST(FeedRuntime, CreateRejectsNegativeWindow) {
