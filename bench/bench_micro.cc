@@ -342,18 +342,16 @@ int Run() {
     }
 
     // One tick's re-score of the dirty terms against their staged patterns,
-    // serially: ScoreTermsByCell's pattern-to-posting lookup (phase 1) and
-    // its per-cell document pass (phase 2).
+    // read in place, serially: ScoreTermsByCell's pattern-to-posting lookup
+    // (phase 1) and its per-cell document pass (phase 2).
     {
       size_t postings = 0;
       size_t tokens = 0;
       const double ns = TimeNs([&] {
         const std::vector<std::vector<Posting>> lists = ScoreTermsByCell(
             live, feed, *remined,
-            [&](size_t i, std::vector<TermPattern>* out) {
-              for (const CombinatorialPattern& p : staged[i].combinatorial) {
-                out->push_back(TermPattern{p.streams, p.timeframe, p.score});
-              }
+            [&](size_t i) -> std::span<const CombinatorialPattern> {
+              return staged[i].combinatorial;
             },
             nullptr, &tokens);
         postings = 0;

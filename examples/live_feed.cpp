@@ -128,13 +128,14 @@ int main() {
               runtime->result().terms_mined, runtime->result().terms_skipped);
 
   // The watched term is staged on the runtime's index after every tick:
-  // the runtime's own miner options plus regional mining, serial.
+  // the runtime's STComb options plus regional mining, serial.
   const std::vector<Point2D> positions =
       runtime->collection().StreamPositions();
   const ExpectedModelFactory mean_model = [] {
     return std::make_unique<GlobalMeanModel>();
   };
-  BatchMinerOptions watch_opts = opts.miner;
+  BatchMinerOptions watch_opts;
+  watch_opts.stcomb = opts.miner.stcomb;
   watch_opts.mine_regional = true;
   watch_opts.positions = positions;
   watch_opts.model_factory = mean_model;

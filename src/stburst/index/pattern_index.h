@@ -33,11 +33,10 @@ struct TermPattern {
   }
 };
 
-/// Eq. 11 with f = max over an explicit pattern list (the per-term slice a
-/// live maintainer holds — FeedRuntime's search serving): the maximum score
-/// among `patterns` overlapping a document from `stream` at `time`; false
-/// when none does. Every pattern's stream list must be sorted (TermPattern's
-/// invariant).
+/// Eq. 11 with f = max over an explicit pattern list (one term's slice of a
+/// PatternIndex): the maximum score among `patterns` overlapping a document
+/// from `stream` at `time`; false when none does. Every pattern's stream list
+/// must be sorted (TermPattern's invariant).
 bool MaxOverlapScore(std::span<const TermPattern> patterns, StreamId stream,
                      Timestamp time, double* score);
 

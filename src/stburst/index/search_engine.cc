@@ -88,7 +88,6 @@ std::vector<std::vector<Posting>> ScoreTermsByCell(
   // MaxOverlapScore does, and hits come out in posting order, gathered in
   // the worker's scratch and kept in an exactly sized list of their own.
   struct Scratch {
-    std::vector<TermPattern> patterns;
     std::vector<uint32_t> run;     // by stream, plus one end
     std::vector<uint8_t> reached;  // by posting index
     std::vector<double> burst;     // by posting index, where reached
@@ -99,9 +98,8 @@ std::vector<std::vector<Posting>> ScoreTermsByCell(
   std::vector<Scratch> scratch(workers);
   ParallelFor(pool, 0, terms.size(), [&](size_t worker, size_t i) {
     Scratch& w = scratch[worker];
-    w.patterns.clear();
-    patterns_for(i, &w.patterns);
-    if (w.patterns.empty()) return;  // no pattern can overlap: no postings
+    const std::span<const CombinatorialPattern> patterns = patterns_for(i);
+    if (patterns.empty()) return;  // no pattern can overlap: no postings
     const std::vector<TermPosting>& postings = freq.postings(terms[i]);
     w.run.resize(num_streams + 1);
     for (size_t s = 0, k = 0; s <= num_streams; ++s) {
@@ -110,7 +108,7 @@ std::vector<std::vector<Posting>> ScoreTermsByCell(
     }
     w.reached.assign(postings.size(), 0);
     w.burst.resize(postings.size());
-    for (const TermPattern& p : w.patterns) {
+    for (const CombinatorialPattern& p : patterns) {
       for (StreamId stream : p.streams) {
         if (stream >= num_streams) continue;  // holds no posting
         const auto end = postings.begin() + w.run[stream + 1];

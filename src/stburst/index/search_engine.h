@@ -13,9 +13,9 @@
 //
 // Two derivations produce the same postings: BurstySearchEngine::Build reads
 // every document once (doc-major; the batch path and the tests' oracle), and
-// ScoreTermsByCell re-derives a subset of terms, reading only the documents
-// of the (stream, time) cells their patterns overlap (the live runtime's
-// per-tick path).
+// ScoreTermsByCell re-derives a subset of terms from their STComb patterns,
+// reading only the documents of the (stream, time) cells those patterns
+// overlap (the live runtime's per-tick path).
 
 #ifndef STBURST_INDEX_SEARCH_ENGINE_H_
 #define STBURST_INDEX_SEARCH_ENGINE_H_
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "stburst/common/parallel.h"
+#include "stburst/core/pattern.h"
 #include "stburst/index/inverted_index.h"
 #include "stburst/index/pattern_index.h"
 #include "stburst/index/threshold_algorithm.h"
@@ -68,12 +69,12 @@ class BurstySearchEngine {
 /// relevance(d, t) of Eq. 10 for a raw term frequency.
 double Relevance(double term_frequency);
 
-/// Fills `*out` (handed over empty) with the patterns of the i-th score
-/// term; stream lists may come unsorted and may repeat a stream.
-/// ScoreTermsByCell calls it once per term, concurrently from pool workers,
-/// each call with its worker's own `out`.
+/// The STComb patterns of the i-th score term, read in place; stream lists
+/// may come unsorted and may repeat a stream. ScoreTermsByCell calls it
+/// once per term, concurrently from pool workers, and reads the span before
+/// the call returns, so it need only stay valid that long.
 using SearchPatternSource =
-    std::function<void(size_t i, std::vector<TermPattern>* out)>;
+    std::function<std::span<const CombinatorialPattern>(size_t i)>;
 
 /// Re-derives the search postings of `terms` (distinct) from the retained
 /// documents: for each term, every document holding it at a (stream, time)
@@ -91,7 +92,7 @@ using SearchPatternSource =
 ///     time)-sorted frequency postings finds the first cell in the
 ///     timeframe, and a walk to the timeframe's end keeps each cell's
 ///     maximum pattern score. Each reached cell becomes a (cell, term,
-///     burstiness) hit, in posting order, so overlapping windows and
+///     burstiness) hit, in posting order, so overlapping patterns and
 ///     repeated or unsorted stream lists give the same hits as
 ///     MaxOverlapScore per posting. No document is touched.
 ///  2. serially, per touched cell: the cell's score terms are stamped into

@@ -104,32 +104,18 @@ FeedRuntime::FeedRuntime(Collection collection, FeedRuntimeOptions options)
   // pool workers give the requested parallelism; serial runtimes hold no
   // pool at all (ParallelFor(nullptr, ...) runs inline).
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
-  // The miner always runs on the standing pool (or inline when serial);
-  // a caller-supplied transient-pool configuration would reintroduce the
-  // per-tick spawn/join this runtime exists to remove.
-  options_.miner.pool = pool_.get();
-  options_.miner.num_threads = 1;
+  // Every mine runs on the standing pool. num_threads = 1 matters when
+  // serial (no pool): the miner's default of 0 would spawn and join a
+  // transient hardware-sized pool on every call.
+  mine_options_.stcomb = options_.miner.stcomb;
+  mine_options_.pool = pool_.get();
+  mine_options_.num_threads = 1;
 }
 
 StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
                                           FeedRuntimeOptions options) {
   if (options.retention_window < 0) {
     return Status::InvalidArgument("retention window must be non-negative");
-  }
-  // A search index over a pattern type the miner never produces would
-  // silently serve zero results forever.
-  if (options.search_serving == SearchServing::kCombinatorial &&
-      !options.miner.mine_combinatorial) {
-    return Status::InvalidArgument(
-        "search_serving = kCombinatorial requires miner.mine_combinatorial");
-  }
-  // Regional mining stays with the batch miner: a regional re-mine replays
-  // R-Bursty over the whole retained window for every dirty term, far too
-  // slow for a tick, whether or not anything is served from it.
-  if (options.miner.mine_regional) {
-    return Status::InvalidArgument(
-        "FeedRuntime mines combinatorial patterns only; "
-        "miner.mine_regional must be off");
   }
   if (options.history_mode == HistoryMode::kOff &&
       !options.history_path.empty()) {
@@ -167,7 +153,7 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
 
   runtime.index_ = FrequencyIndex::Build(runtime.collection_);
   STB_ASSIGN_OR_RETURN(runtime.result_,
-                       MineAllTerms(runtime.index_, runtime.options_.miner));
+                       MineAllTerms(runtime.index_, runtime.mine_options_));
 
   const Timestamp now = runtime.collection_.timeline_length();
   runtime.last_mined_.assign(runtime.index_.num_terms(), now);
@@ -328,21 +314,15 @@ Status ValidateSnapshotDocuments(size_t num_streams, size_t vocabulary_size,
   return Status::OK();
 }
 
-Status FeedRuntime::ValidateSnapshot(Snapshot* snapshot,
-                                     FeedTickStats* stats) const {
-  return ValidateSnapshotDocuments(collection_.num_streams(),
-                                   collection_.vocabulary().size(),
-                                   options_.on_invalid, snapshot,
-                                   &stats->rejected_documents);
-}
-
 Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
                                          TickTransaction::Impl* tx) {
   FeedTickUndo* undo = &tx->undo;
   FeedTickStats* stats = &tx->stats;
 
   // Step 0: validation is pure — a rejected tick never touched the runtime.
-  STB_RETURN_NOT_OK(ValidateSnapshot(&snapshot, stats));
+  STB_RETURN_NOT_OK(ValidateSnapshotDocuments(
+      collection_.num_streams(), collection_.vocabulary().size(),
+      options_.on_invalid, &snapshot, &stats->rejected_documents));
   stats->documents = snapshot.size();
 
   // ---- mutation phase: record undo state before every mutating call ----
@@ -392,7 +372,7 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
   STBURST_FAULT_POINT("runtime.remine");
   STB_ASSIGN_OR_RETURN(
       tx->dirty_todo,
-      StageRemineTerms(index_, dirty, options_.miner, &tx->staged_dirty,
+      StageRemineTerms(index_, dirty, mine_options_, &tx->staged_dirty,
                        &stats->extracted_rows));
   stats->dirty_terms = tx->dirty_todo.size();
   return Status::OK();
@@ -404,7 +384,7 @@ Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
   size_t refresh_rows = 0;
   STB_ASSIGN_OR_RETURN(
       tx->refresh_todo,
-      StageRemineTerms(index_, refresh_targets, options_.miner,
+      StageRemineTerms(index_, refresh_targets, mine_options_,
                        &tx->staged_refresh, &refresh_rows));
   stats->refreshed_terms = tx->refresh_todo.size();
   stats->extracted_rows += refresh_rows;
@@ -636,11 +616,9 @@ std::vector<std::vector<Posting>> FeedRuntime::StageSearchPostings(
   // slots), so the kernel's pool workers share it without synchronization.
   return ScoreTermsByCell(
       collection_, index_, terms,
-      [&](size_t i, std::vector<TermPattern>* out) {
+      [&](size_t i) -> std::span<const CombinatorialPattern> {
         STBURST_FAULT_POINT_THROW("runtime.search_update");
-        for (const CombinatorialPattern& p : slot_for(terms[i]).combinatorial) {
-          out->push_back(TermPattern{p.streams, p.timeframe, p.score});
-        }
+        return slot_for(terms[i]).combinatorial;
       },
       pool_.get(), tokens_scanned);
 }

@@ -2,11 +2,14 @@
 //
 // FeedRuntime owns the whole live stack — the Collection, the
 // FrequencyIndex, one persistent ThreadPool, and a standing BatchMineResult
-// of STComb patterns (regional mining stays with the batch miner) — and
-// drives the full tick cycle:
+// of STComb patterns — and drives the full tick cycle. It is the paper's
+// combinatorial search instance (§5: "a separate instance … for each
+// type"): its options hold STComb's settings and nothing else, so a
+// regional runtime cannot be configured; regional windows come from the
+// batch miner (MineAllTerms). The tick cycle:
 //
 //   Tick(snapshot):
-//     0. ValidateSnapshot                 reject or quarantine malformed
+//     0. ValidateSnapshotDocuments        reject or quarantine malformed
 //                                         documents (on_invalid policy)
 //     1. Collection::Append               file the new documents
 //     2. FrequencyIndex::AppendSnapshot   per-term splice fanned across the pool
@@ -97,11 +100,15 @@ enum class InvalidDocPolicy {
   kDropDocument,
 };
 
+/// What a FeedRuntime's re-mines are configured by: STComb's options only.
+/// The runtime supplies the thread pool itself.
+struct FeedMinerOptions {
+  StCombOptions stcomb;
+};
+
 struct FeedRuntimeOptions {
-  /// Per-term mining configuration: the runtime reads `miner.stcomb` and
-  /// `miner.mine_combinatorial`, supplies `miner.pool` itself, and refuses
-  /// `miner.mine_regional` (regional mining stays with the batch miner).
-  BatchMinerOptions miner;
+  /// Per-term mining configuration of the initial sweep and every re-mine.
+  FeedMinerOptions miner;
 
   /// Workers of the persistent pool (0 = hardware concurrency, 1 = fully
   /// serial on the calling thread). Shared by the index build, the append
@@ -182,8 +189,7 @@ struct FeedTickStats {
   size_t extracted_rows = 0;   ///< (term, stream) rows the re-mines
                                ///< extracted bursty intervals from: the
                                ///< distinct streams of every re-mined
-                               ///< term's postings, summed (0 without
-                               ///< combinatorial mining)
+                               ///< term's postings, summed
   size_t search_terms = 0;     ///< terms whose search postings were re-derived
   size_t search_tokens_scanned = 0;  ///< document tokens the re-derivation
                                      ///< read (ScoreTermsByCell)
@@ -379,12 +385,6 @@ class FeedRuntime {
 
   FeedRuntime(Collection collection, FeedRuntimeOptions options);
 
-  /// Step 0 of Tick, pure (no runtime state touched): enforces the
-  /// on_invalid policy. kRejectTick returns InvalidArgument on the first
-  /// malformed document; kDropDocument filters them out of `snapshot` and
-  /// counts them into `stats->rejected_documents`.
-  Status ValidateSnapshot(Snapshot* snapshot, FeedTickStats* stats) const;
-
   /// The guarded phase bodies: each stages or publishes its slice of the
   /// tick, recording undo state before every mutation. Exceptions escape to
   /// the public phase wrappers, which map them to Status (bad_alloc,
@@ -399,9 +399,9 @@ class FeedRuntime {
   void RollbackTick(FeedTickUndo* undo);
 
   /// Re-derives the search postings of every term in `terms` (distinct;
-  /// slot via `slot_for`) with ScoreTermsByCell: the terms' pattern lists
-  /// are built across the standing pool, then each touched cell's
-  /// documents are read once. Returns index-addressed lists,
+  /// slot via `slot_for`) with ScoreTermsByCell: each slot's STComb
+  /// patterns are read in place across the standing pool, then each
+  /// touched cell's documents are read once. Returns index-addressed lists,
   /// deterministic at any thread count; `*tokens_scanned` (when non-null)
   /// receives the document tokens read. The staging half of the search
   /// update; the lists become the replaced terms of the next
@@ -415,6 +415,9 @@ class FeedRuntime {
   Collection collection_;
   // The standing pool every phase fans across; null when fully serial.
   std::unique_ptr<ThreadPool> pool_;
+  // What every mine runs with: options_.miner.stcomb on pool_ (inline on
+  // the calling thread when serial).
+  BatchMinerOptions mine_options_;
   FrequencyIndex index_;
   BatchMineResult result_;
   // Cold history tier (options_.history_mode != kOff): evicted postings

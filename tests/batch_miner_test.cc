@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "stburst/common/random.h"
+#include "stburst/common/string_util.h"
 #include "stburst/core/stcomb.h"
 #include "stburst/core/stlocal.h"
 
@@ -24,7 +25,7 @@ Collection MakeRandomCollection(uint64_t seed, size_t num_streams,
   EXPECT_TRUE(collection.ok());
   Rng rng(seed);
   for (size_t s = 0; s < num_streams; ++s) {
-    collection->AddStream("s" + std::to_string(s), {},
+    collection->AddStream(StringPrintf("s%zu", s), {},
                           Point2D{rng.Uniform(0, 10), rng.Uniform(0, 10)});
   }
   Vocabulary* v = collection->mutable_vocabulary();

@@ -9,6 +9,7 @@
 
 #include "runtime_test_util.h"
 #include "stburst/common/random.h"
+#include "stburst/common/string_util.h"
 #include "stburst/stream/frequency.h"
 
 namespace stburst {
@@ -211,7 +212,7 @@ Collection MakeShuffledCollection(uint64_t seed) {
   EXPECT_TRUE(c.ok());
   for (size_t s = 0; s < kStreams; ++s) c->AddStream("s", {}, {});
   Vocabulary* v = c->mutable_vocabulary();
-  for (int t = 0; t < 5; ++t) v->Intern("t" + std::to_string(t));
+  for (int t = 0; t < 5; ++t) v->Intern(StringPrintf("t%d", t));
   for (StreamId s = 0; s < kStreams; ++s) {
     EXPECT_TRUE(c->AddDocument(s, 0, {0}).ok());
   }

@@ -17,7 +17,7 @@
 
 #include "runtime_test_util.h"
 #include "stburst/common/random.h"
-#include "stburst/core/expected.h"
+#include "stburst/common/string_util.h"
 #include "stburst/index/search_engine.h"
 
 namespace stburst {
@@ -27,15 +27,11 @@ namespace {
 // BurstySearchEngine over the retained collection and the *standing*
 // patterns (search serving is consistent with result(), staleness and all,
 // not with a hypothetical fresh mine).
-InvertedIndex RebuildReferenceSearchIndex(const FeedRuntime& runtime,
-                                          SearchServing source) {
+InvertedIndex RebuildReferenceSearchIndex(const FeedRuntime& runtime) {
   PatternIndex patterns;
   for (TermId t = 0; t < runtime.result().terms.size(); ++t) {
-    const TermPatterns& slot = runtime.result().terms[t];
-    if (source == SearchServing::kCombinatorial) {
-      for (const auto& p : slot.combinatorial) patterns.AddCombinatorial(t, p);
-    } else {
-      for (const auto& w : slot.regional) patterns.AddWindow(t, w);
+    for (const auto& p : runtime.result().terms[t].combinatorial) {
+      patterns.AddCombinatorial(t, p);
     }
   }
   auto engine = BurstySearchEngine::Build(runtime.collection(), patterns);
@@ -48,7 +44,7 @@ Collection MakeSeedCollection(size_t num_streams, Timestamp timeline,
   auto c = Collection::Create(timeline);
   EXPECT_TRUE(c.ok());
   for (size_t s = 0; s < num_streams; ++s) {
-    c->AddStream("s" + std::to_string(s), {},
+    c->AddStream(StringPrintf("s%zu", s), {},
                  Point2D{static_cast<double>(s % 4), static_cast<double>(s / 4)});
   }
   Vocabulary* v = c->mutable_vocabulary();
@@ -325,8 +321,7 @@ TEST(FeedRuntime, SearchServingMatchesFullRebuildEveryTick) {
     EXPECT_EQ(published->generation, last_generation + 1) << "tick " << tick;
     last_generation = published->generation;
 
-    InvertedIndex reference =
-        RebuildReferenceSearchIndex(*runtime, SearchServing::kCombinatorial);
+    InvertedIndex reference = RebuildReferenceSearchIndex(*runtime);
     ExpectIdenticalIndexes(published->index, reference);
 
     // Queries agree too, and carry the generation of the snapshot that
@@ -405,10 +400,8 @@ TEST(FeedRuntime, StreamMajorHistoryMatchesPresortedHistory) {
       ASSERT_TRUE(control_stats.ok()) << control_stats.status().ToString();
       ASSERT_TRUE(subject_stats->evicted);
       ExpectIdenticalRuntimes(*subject, *control);
-      ExpectIdenticalIndexes(
-          subject->search_snapshot()->index,
-          RebuildReferenceSearchIndex(*subject,
-                                      SearchServing::kCombinatorial));
+      ExpectIdenticalIndexes(subject->search_snapshot()->index,
+                             RebuildReferenceSearchIndex(*subject));
     }
   }
 }
@@ -554,31 +547,23 @@ TEST(FeedRuntime, RefreshPrefersMassTimesStaleness) {
   EXPECT_EQ(runtime->staleness(light), 2);
 }
 
-TEST(FeedRuntime, CreateRejectsSearchServingWithoutItsPatternType) {
-  // kCombinatorial serving without combinatorial mining would silently
-  // serve an always-empty index; Create must refuse instead.
-  FeedRuntimeOptions combinatorial = BaseOptions(1);
-  combinatorial.search_serving = SearchServing::kCombinatorial;
-  combinatorial.miner.mine_combinatorial = false;
-  EXPECT_TRUE(FeedRuntime::Create(MakeSeedCollection(2, 2, 4), combinatorial)
-                  .status()
-                  .IsInvalidArgument());
-
-  // The runtime mines and serves combinatorial patterns only; regional
-  // mining belongs to the batch miner, served or not.
-  for (SearchServing serving :
-       {SearchServing::kNone, SearchServing::kCombinatorial}) {
-    FeedRuntimeOptions regional = BaseOptions(1);
-    regional.search_serving = serving;
-    regional.miner.mine_regional = true;
-    // Complete regional inputs, so only the runtime's own rule refuses.
-    regional.miner.positions.assign(2, Point2D{0.0, 0.0});
-    regional.miner.model_factory = [] {
-      return std::make_unique<GlobalMeanModel>();
-    };
-    EXPECT_TRUE(FeedRuntime::Create(MakeSeedCollection(2, 2, 4), regional)
-                    .status()
-                    .IsInvalidArgument());
+TEST(FeedRuntime, SerialRuntimeMinesOnTheCallingThread) {
+  // Every mine runs on the standing pool, or inline when serial: a serial
+  // runtime must not fall back to a transient hardware-sized pool, and a
+  // pooled one mines on its pool plus the calling thread.
+  for (size_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Collection seed = MakeSeedCollection(4, 4, 40);
+    Rng rng(17);
+    for (Timestamp t = 0; t < 4; ++t) {
+      for (const SnapshotDocument& doc : MakeSnapshot(rng, 4, 40)) {
+        ASSERT_TRUE(seed.AddDocument(doc.stream, t, doc.tokens).ok());
+      }
+    }
+    auto runtime = FeedRuntime::Create(std::move(seed), BaseOptions(threads));
+    ASSERT_TRUE(runtime.ok());
+    ASSERT_GT(runtime->result().terms_mined, 0u);
+    EXPECT_EQ(runtime->result().threads_used, threads);
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include "stburst/common/parallel.h"
 #include "stburst/common/random.h"
+#include "stburst/common/string_util.h"
 
 namespace stburst {
 namespace {
@@ -102,7 +103,7 @@ Collection MakeRandomCorpus(uint64_t seed, size_t num_streams,
   EXPECT_TRUE(c.ok());
   Rng rng(seed);
   for (size_t s = 0; s < num_streams; ++s) {
-    c->AddStream("s" + std::to_string(s), {}, {});
+    c->AddStream(StringPrintf("s%zu", s), {}, {});
   }
   Vocabulary* v = c->mutable_vocabulary();
   for (size_t t = 0; t < vocab; ++t) v->Intern("term" + std::to_string(t));

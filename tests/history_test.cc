@@ -32,6 +32,7 @@
 
 #include "runtime_test_util.h"
 #include "stburst/common/random.h"
+#include "stburst/common/string_util.h"
 #include "stburst/core/expected.h"
 #include "stburst/history/cold_tier.h"
 #include "stburst/history/long_horizon.h"
@@ -51,7 +52,7 @@ Collection MakeSeedCollection(Timestamp initial_timeline = 2) {
   auto c = Collection::Create(initial_timeline);
   EXPECT_TRUE(c.ok());
   for (size_t s = 0; s < kStreams; ++s) {
-    c->AddStream("s" + std::to_string(s), {},
+    c->AddStream(StringPrintf("s%zu", s), {},
                  Point2D{static_cast<double>(s % 2),
                          static_cast<double>(s / 2)});
   }

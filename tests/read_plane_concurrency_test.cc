@@ -25,6 +25,7 @@
 
 #include "index_test_util.h"
 #include "stburst/common/random.h"
+#include "stburst/common/string_util.h"
 #include "stburst/index/pattern_index.h"
 #include "stburst/index/search_engine.h"
 #include "stburst/stream/feed_runtime.h"
@@ -42,7 +43,7 @@ Collection MakeSeedCollection() {
   auto c = Collection::Create(2);
   EXPECT_TRUE(c.ok());
   for (size_t s = 0; s < kStreams; ++s) {
-    c->AddStream("s" + std::to_string(s), {},
+    c->AddStream(StringPrintf("s%zu", s), {},
                  Point2D{static_cast<double>(s % 3),
                          static_cast<double>(s / 3)});
   }

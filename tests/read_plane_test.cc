@@ -14,6 +14,7 @@
 
 #include "index_test_util.h"
 #include "stburst/common/random.h"
+#include "stburst/common/string_util.h"
 #include "stburst/stream/feed_runtime.h"
 
 namespace stburst {
@@ -27,7 +28,7 @@ Collection MakeSeedCollection() {
   auto c = Collection::Create(2);
   EXPECT_TRUE(c.ok());
   for (size_t s = 0; s < kStreams; ++s) {
-    c->AddStream("s" + std::to_string(s), {},
+    c->AddStream(StringPrintf("s%zu", s), {},
                  Point2D{static_cast<double>(s % 3),
                          static_cast<double>(s / 3)});
   }

@@ -14,6 +14,7 @@
 
 #include "index_test_util.h"
 #include "stburst/common/random.h"
+#include "stburst/common/string_util.h"
 
 namespace stburst {
 namespace {
@@ -143,8 +144,9 @@ void ReferenceScoreTerm(const Collection& collection,
 struct ScorePack {
   Collection collection;
   FrequencyIndex freq;
-  std::vector<std::vector<TermPattern>> raw;  // by TermId, unsorted streams
-  PatternIndex patterns;                      // the same, sorted on Add
+  // By TermId, with unsorted streams.
+  std::vector<std::vector<CombinatorialPattern>> raw;
+  PatternIndex patterns;  // the same, sorted on Add
 };
 
 ScorePack MakeScorePack(uint64_t seed) {
@@ -160,7 +162,7 @@ ScorePack MakeScorePack(uint64_t seed) {
     c->AddStream("s", {}, Point2D{static_cast<double>(s), 0.0});
   }
   Vocabulary* v = c->mutable_vocabulary();
-  for (size_t t = 0; t < vocab; ++t) v->Intern("t" + std::to_string(t));
+  for (size_t t = 0; t < vocab; ++t) v->Intern(StringPrintf("t%zu", t));
   const StreamId hot_stream =
       static_cast<StreamId>(rng.NextUint64(num_streams));
   const Timestamp hot_time = static_cast<Timestamp>(
@@ -192,7 +194,7 @@ ScorePack MakeScorePack(uint64_t seed) {
   }
   EXPECT_TRUE(c->EvictBefore(kEvictBefore).ok());
   FrequencyIndex freq = FrequencyIndex::Build(*c);
-  for (size_t t = 0; t < extra_terms; ++t) v->Intern("x" + std::to_string(t));
+  for (size_t t = 0; t < extra_terms; ++t) v->Intern(StringPrintf("x%zu", t));
 
   ScorePack pack{std::move(*c), std::move(freq), {}, {}};
   const size_t total_terms = vocab + extra_terms;
@@ -221,17 +223,19 @@ ScorePack MakeScorePack(uint64_t seed) {
       double score = rng.Uniform(0.2, 3.0);
       if (rng.Bernoulli(0.15)) score = 0.0;
       if (rng.Bernoulli(0.15)) score = -rng.Uniform(0.1, 2.0);
-      pack.raw[t].push_back(
-          TermPattern{std::move(streams), Interval{start, end}, score});
+      pack.raw[t].push_back(CombinatorialPattern{
+          std::move(streams), Interval{start, end}, score});
     }
     // Every patterned term also overlaps the hot cell, so that cell holds
     // many score terms at once.
-    pack.raw[t].push_back(TermPattern{{hot_stream},
-                                      Interval{hot_time, hot_time},
-                                      rng.Uniform(-0.5, 3.0)});
+    pack.raw[t].push_back(CombinatorialPattern{{hot_stream},
+                                               Interval{hot_time, hot_time},
+                                               rng.Uniform(-0.5, 3.0)});
   }
   for (TermId t = 0; t < total_terms; ++t) {
-    for (const TermPattern& p : pack.raw[t]) pack.patterns.Add(t, p);
+    for (const CombinatorialPattern& p : pack.raw[t]) {
+      pack.patterns.AddCombinatorial(t, p);
+    }
   }
   return pack;
 }
@@ -255,8 +259,8 @@ TEST(ScoreTermsByCell, MatchesPerTermOracleAndDocMajorBuild) {
       size_t scanned = 0;
       std::vector<std::vector<Posting>> staged = ScoreTermsByCell(
           pack.collection, pack.freq, terms,
-          [&](size_t i, std::vector<TermPattern>* out) {
-            *out = pack.raw[terms[i]];
+          [&](size_t i) -> std::span<const CombinatorialPattern> {
+            return pack.raw[terms[i]];
           },
           pool.get(), &scanned);
       ASSERT_EQ(staged.size(), terms.size());
@@ -311,7 +315,10 @@ TEST(ScoreTermsByCell, EmptyTermListScoresNothing) {
   size_t scanned = 1;
   std::vector<std::vector<Posting>> staged = ScoreTermsByCell(
       pack.collection, pack.freq, {},
-      [](size_t, std::vector<TermPattern>*) { FAIL() << "no term to source"; },
+      [](size_t) -> std::span<const CombinatorialPattern> {
+        ADD_FAILURE() << "no term to source";
+        return {};
+      },
       nullptr, &scanned);
   EXPECT_TRUE(staged.empty());
   EXPECT_EQ(scanned, 0u);
