@@ -490,10 +490,9 @@ int Run() {
   // a live runtime. The idle measurement runs with a CPU-matched spinner
   // thread standing in for the ticker, so the idle/under-ticks ratio
   // isolates read-path blocking from plain CPU contention (on a saturated
-  // box the ticker steals cycles either way). The wait-free contract says
+  // box the ticker steals cycles either way). The read-plane contract says
   // the ratio stays near 1; the binary reports it but does not gate (shared
-  // runners time contention unreliably) — the committed baseline carries
-  // the locally verified numbers.
+  // runners time contention unreliably).
   {
     FeedRuntimeOptions fr_opts;
     fr_opts.miner.stcomb.min_interval_burstiness = 0.1;
@@ -553,7 +552,7 @@ int Run() {
 
     // Small snapshots (few hundred dirty terms, not the whole vocabulary)
     // keep each tick in the tens of milliseconds, so many generations
-    // publish while the readers run — the scenario the wait-free claim is
+    // publish while the readers run — the scenario the read-plane claim is
     // about, rather than one giant tick the readers outlive.
     Rng srng(655);
     auto make_tick = [&] {

@@ -1,42 +1,29 @@
 // Single-writer publication slot for immutable snapshots (RCU-style).
 //
 // A PublishedPtr<T> holds the current generation of some immutable value as
-// a shared_ptr<const T> behind an atomic slot. One writer builds the next
-// generation off to the side and Publish()es it with one release-ordered
-// swap; any number of readers Load() the current one and keep it alive for
-// as long as they hold the shared_ptr — the previous generation is freed
-// when its last holder releases it, never in a reader's face.
+// a shared_ptr<const T> behind a mutex. One writer builds the next
+// generation off to the side and Publish()es it with one swap; any number
+// of readers Load() the current one and keep it alive for as long as they
+// hold the shared_ptr — the previous generation is freed when its last
+// holder releases it, never in a reader's face.
 //
-// Memory-ordering contract: Publish() releases and Load() acquires, so
-// everything the writer wrote into the pointee happens-before any reader's
-// use of it. The pointee must be treated as immutable after Publish() —
-// the slot synchronizes the hand-off, not subsequent mutation.
-//
-// Why not std::atomic<std::shared_ptr>: it is the same design — libstdc++
-// guards the control-block swap with a spin bit embedded in an atomic word,
-// not a mutex — but as of GCC 12 its load() releases that bit with a
-// *relaxed* fetch_sub (bits/shared_ptr_atomic.h), so there is no formal
-// happens-before edge from a reader's pointer read to the next store()'s
-// pointer write and ThreadSanitizer reports the pair as a data race. This
-// slot keeps the embedded-spin-bit shape and fixes the ordering: the bit is
-// acquired with an acquire exchange and released with a release store, so
-// the TSan CI leg proves the read plane clean with no suppressions. The
-// critical sections are a shared_ptr copy (Load) or swap (Publish) — a
-// refcount increment or a pointer exchange, a handful of instructions;
-// readers never wait on anything slower than another reader's increment,
-// and never on the writer's snapshot *build*, which happens entirely
-// outside the slot.
+// The mutex orders the hand-off: everything the writer wrote into the
+// pointee before Publish() happens-before any reader's use of it after
+// Load(). The pointee must be treated as immutable after Publish() — the
+// slot synchronizes the hand-off, not subsequent mutation. The critical
+// sections are a shared_ptr copy (Load) or swap (Publish); readers never
+// wait on the writer's snapshot *build*, which happens outside the slot.
 //
 // The slot lives behind a unique_ptr so owners keep their defaulted move
-// operations (atomics are immovable); moving a PublishedPtr moves the
-// slot, which is only valid while no other thread is using the source —
-// the same single-writer rule every owner already follows during moves.
+// operations (a mutex is immovable); moving a PublishedPtr moves the slot,
+// which is only valid while no other thread is using the source — the same
+// single-writer rule every owner already follows during moves.
 
 #ifndef STBURST_COMMON_PUBLISHED_PTR_H_
 #define STBURST_COMMON_PUBLISHED_PTR_H_
 
-#include <atomic>
 #include <memory>
+#include <mutex>
 
 namespace stburst {
 
@@ -52,40 +39,25 @@ class PublishedPtr {
   /// returned shared_ptr keeps the value alive independently of any later
   /// Publish; safe from any thread, any time.
   std::shared_ptr<const T> Load() const {
-    Slot* slot = slot_.get();
-    slot->Lock();
-    std::shared_ptr<const T> current = slot->ptr;
-    slot->Unlock();
-    return current;
+    std::lock_guard<std::mutex> lock(slot_->mu);
+    return slot_->ptr;
   }
 
   /// Publishes `next` as the current value. Single writer: concurrent
   /// Publish calls must be externally serialized (Loads need not be).
   void Publish(std::shared_ptr<const T> next) {
-    Slot* slot = slot_.get();
-    slot->Lock();
-    slot->ptr.swap(next);
-    slot->Unlock();
+    {
+      std::lock_guard<std::mutex> lock(slot_->mu);
+      slot_->ptr.swap(next);
+    }
     // `next` now holds the superseded generation; it releases here, outside
-    // the critical section, so a last-reference destruction of a whole
-    // snapshot never runs under the bit.
+    // the lock, so a last-reference destruction of a whole snapshot never
+    // blocks a reader.
   }
 
  private:
   struct Slot {
-    // Test-and-test-and-set on the embedded bit. Acquire on the winning
-    // exchange pairs with the release in Unlock(): everything a previous
-    // holder did to `ptr` happens-before the next holder's access.
-    void Lock() const {
-      for (;;) {
-        if (!locked.exchange(true, std::memory_order_acquire)) return;
-        while (locked.load(std::memory_order_relaxed)) {
-        }
-      }
-    }
-    void Unlock() const { locked.store(false, std::memory_order_release); }
-
-    mutable std::atomic<bool> locked{false};
+    std::mutex mu;
     std::shared_ptr<const T> ptr;
   };
   std::unique_ptr<Slot> slot_;

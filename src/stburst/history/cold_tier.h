@@ -1,4 +1,4 @@
-// ColdTier: the persistent half of the tiered history subsystem.
+// ColdTier: the long-horizon half of the tiered history subsystem.
 //
 // Eviction has dropped snapshots past the retention window since the feed
 // runtime gained a window (retention rules 1-7, docs/ARCHITECTURE.md), which
@@ -17,17 +17,11 @@
 // a feed whose whole history passed through eviction, later when Create
 // applied the retention window to a deep seed collection (that prefix was
 // dropped, not folded, and the tier says so instead of faking zero
-// observations). Folding is idempotent under the invariant — postings below
-// folded_until() are skipped — which makes restart-with-replay-overlap
-// safe.
+// observations). Folding is idempotent — postings below folded_until() are
+// skipped.
 //
-// Storage model: one row set, held in memory, per term sorted by
-// (stream, bucket). A tier opened with a path also checkpoints it: the file
-// (layout documented field-by-field in docs/STORAGE.md) is nothing but the
-// serialization of that row set. Open decodes it into memory; Publish writes
-// it to `<path>.tmp`, fsyncs, and atomically renames it over `<path>`, so a
-// crash mid-write recovers the previous checkpoint untouched. A tier without
-// a path never touches disk.
+// Storage model: one row set, held in process memory, per term sorted by
+// (stream, bucket). It lives and dies with the runtime that owns it.
 //
 // Thread-safety: externally synchronized, like the rest of the tick state.
 // The FeedRuntime mutates the tier only inside the tick transaction.
@@ -37,7 +31,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -50,8 +43,7 @@ namespace stburst {
 
 /// Whether the runtime keeps a cold tier. kOff disables folding entirely
 /// (eviction drops history); kInMemory folds into a tier held in process
-/// memory, which a non-empty `history_path` also checkpoints to a file after
-/// each folding tick and recovers on restart.
+/// memory.
 enum class HistoryMode { kOff = 0, kInMemory = 1 };
 
 /// One coarse aggregate cell: everything the tier remembers about
@@ -59,7 +51,7 @@ enum class HistoryMode { kOff = 0, kInMemory = 1 };
 struct ColdRow {
   StreamId stream = 0;
   /// Absolute bucket index: time / bucket_width. Buckets never shift when
-  /// the hot window slides, so rows are stable identities across restarts.
+  /// the hot window slides, so a row keeps its identity across folds.
   uint32_t bucket = 0;
   /// Sum of folded cell frequencies (integer-valued for document-driven
   /// feeds, so partial sums are exact in double — see frequency.h).
@@ -76,8 +68,7 @@ struct ColdRow {
 };
 
 /// Captured pre-fold tier state for one `FoldEvicted` call, restored exactly
-/// by `RollbackFold`. Folds only mutate memory (a checkpoint file changes
-/// only at Publish), so rollback is pure memory.
+/// by `RollbackFold`.
 struct ColdFoldUndo {
   Timestamp folded_until = 0;
   uint32_t stream_upper_bound = 0;
@@ -88,14 +79,13 @@ struct ColdFoldUndo {
 
 class ColdTier {
  public:
-  /// Opens a tier of `bucket_width` timestamps per bucket (must be > 0).
-  /// An empty `path` keeps the tier in memory only. Otherwise the tier is
-  /// checkpointed to `path`: an existing file is read, validated (magic,
-  /// version, header + payload checksums, structure), decoded into memory,
-  /// and required to have the same bucket width; a missing file leaves the
-  /// tier empty until the first `Publish()` writes it. A path is rejected on
-  /// big-endian hosts (the format is little-endian, see docs/STORAGE.md).
-  static StatusOr<ColdTier> Open(Timestamp bucket_width, std::string path);
+  /// Opens an empty tier of `bucket_width` timestamps per bucket (must be
+  /// > 0) whose coverage begins, and so far ends, at `covered_start` (must
+  /// be >= 0). FeedRuntime::Create passes the live window's start: any
+  /// deeper seed history was dropped un-folded, so coverage honestly begins
+  /// there.
+  static StatusOr<ColdTier> Open(Timestamp bucket_width,
+                                 Timestamp covered_start);
 
   Timestamp bucket_width() const { return bucket_width_; }
   /// First timestamp the tier covers (see the class comment).
@@ -118,16 +108,6 @@ class ColdTier {
   /// bucket.
   uint32_t bucket_lower_bound() const;
   uint32_t bucket_upper_bound() const;
-
-  /// Runtime-attach handshake: called once by FeedRuntime::Create with the
-  /// live window's start. An empty tier adopts it as covered_start (Create
-  /// dropped any deeper seed history un-folded, so coverage honestly begins
-  /// there); a reopened tier must already reach it (folded_until() >=
-  /// window_start), else there is an unrecoverable gap between the
-  /// persisted aggregates and the live window and the attach fails with
-  /// InvalidArgument. Overlap (folded_until() > window_start after a
-  /// restart replayed extra history) is fine: folds skip covered times.
-  Status AttachAt(Timestamp window_start);
 
   /// Folds evicted postings (the `FrequencyEvictUndo::removed` capture of a
   /// tick's eviction, or any per-term posting list in canonical
@@ -156,9 +136,9 @@ class ColdTier {
   /// [bucket_begin, bucket_end), one row per stream below
   /// stream_upper_bound(): cell (s, b - bucket_begin) holds the folded sum
   /// for stream s in bucket b. OutOfRange, with nothing allocated, when the
-  /// matrix would exceed kMaxReplayCells cells or INT32_MAX buckets: a
-  /// tier's covered span comes from its header, so a file can claim
-  /// billions of buckets.
+  /// matrix would exceed kMaxReplayCells cells or INT32_MAX buckets: the
+  /// span is the caller's, and a narrow bucket over a long covered span can
+  /// ask for billions of buckets.
   StatusOr<TermSeries> ReplaySeries(TermId term, uint32_t bucket_begin,
                                     uint32_t bucket_end) const;
 
@@ -166,21 +146,9 @@ class ColdTier {
   /// doubles, e.g. 10k streams over 30 years of weekly buckets.
   static constexpr uint64_t kMaxReplayCells = uint64_t{1} << 24;
 
-  /// Writes the row set to `<path>.tmp`, fsyncs it, atomically renames it
-  /// over `path`, and fsyncs the directory. OK and does nothing without a
-  /// path. On failure the previous file and the in-memory rows are both
-  /// intact, and the next call writes the whole row set again.
-  Status Publish();
-
  private:
   ColdTier() = default;
 
-  // Reads, validates (docs/STORAGE.md checks 1-11) and decodes `path_` into
-  // this tier's watermarks and rows. Returns the file's bucket width, or 0
-  // when the file does not exist.
-  StatusOr<uint32_t> Load();
-
-  std::string path_;  // empty <=> memory only
   Timestamp bucket_width_ = 1;
   Timestamp covered_start_ = 0;
   Timestamp folded_until_ = 0;

@@ -117,11 +117,6 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
   if (options.retention_window < 0) {
     return Status::InvalidArgument("retention window must be non-negative");
   }
-  if (options.history_mode == HistoryMode::kOff &&
-      !options.history_path.empty()) {
-    return Status::InvalidArgument(
-        "history_path is set but history_mode is kOff");
-  }
   FeedRuntime runtime(std::move(collection), std::move(options));
 
   // Time-order the history once (a no-op for in-order and Append-built
@@ -137,18 +132,15 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
         runtime.collection_.timeline_length() - window));
   }
 
-  // Attach the cold history tier: fresh tiers adopt the live window's start
-  // as their coverage origin; reopened tier files must reach it (no gap
-  // between the persisted aggregates and the live window). Folding begins
-  // with the first evicting Tick — Create's own deep-history eviction above
-  // is a declared drop, not a fold, and covered_start() records that.
+  // Open the cold history tier at the live window's start, its coverage
+  // origin. Folding begins with the first evicting Tick — Create's own
+  // deep-history eviction above is a declared drop, not a fold, and
+  // covered_start() records that.
   if (runtime.options_.history_mode != HistoryMode::kOff) {
     STB_ASSIGN_OR_RETURN(
         ColdTier tier, ColdTier::Open(runtime.options_.history_bucket_width,
-                                      runtime.options_.history_path));
+                                      runtime.collection_.window_start()));
     runtime.history_ = std::make_unique<ColdTier>(std::move(tier));
-    STB_RETURN_NOT_OK(
-        runtime.history_->AttachAt(runtime.collection_.window_start()));
   }
 
   runtime.index_ = FrequencyIndex::Build(runtime.collection_);
@@ -353,8 +345,7 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
       // Tiered history (retention rule 8): the postings the eviction just
       // removed — captured verbatim in the undo log, so the fold costs no
       // extra posting walk — aggregate into the cold tier before they are
-      // forgotten. In-memory only here; the checkpoint is written in the
-      // commit tail. RollbackTick restores the pre-fold tier.
+      // forgotten. RollbackTick restores the pre-fold tier.
       if (history_ != nullptr) {
         STBURST_FAULT_POINT("history.fold");
         undo->history_folded = true;
@@ -497,33 +488,9 @@ Status FeedRuntime::CommitGuarded(TickTransaction::Impl* tx) {
   if (tx->touch_search) {
     stats->search_terms = tx->score_terms.size();
     // The publication swap: readers that loaded the old snapshot keep it
-    // alive; every later load sees the new generation complete (release
-    // store / acquire load pair — see common/published_ptr.h).
+    // alive; every later load sees the new generation complete (see
+    // common/published_ptr.h).
     search_snapshot_.Publish(std::move(tx->next_snapshot));
-  }
-
-  // Cold-tier checkpoint: after a fold, write the row set to the tier file
-  // (Publish does nothing for a tier without a path). Publish failure is
-  // deliberately non-wedging — the in-memory tier is already correct and the
-  // file is a checkpoint that lags until the next folding tick writes the
-  // whole row set again; a crash meanwhile recovers the last checkpoint that
-  // *was* atomically published (see docs/STORAGE.md). The local try/catch
-  // keeps even an allocation failure inside Publish from escalating a
-  // healthy commit into a wedge.
-  if (undo->history_folded && history_ != nullptr) {
-    try {
-      const Status published = history_->Publish();
-      if (!published.ok()) {
-        STB_LOG(WARNING) << "cold tier publish failed ("
-                         << published.ToString()
-                         << "); on-disk generation lags until the next "
-                            "folding tick";
-      }
-    } catch (const std::exception& e) {
-      STB_LOG(WARNING) << "cold tier publish threw (" << e.what()
-                       << "); on-disk generation lags until the next "
-                          "folding tick";
-    }
   }
 
   stats->seconds = tx->timer.ElapsedSeconds();

@@ -126,25 +126,16 @@ struct FeedRuntimeOptions {
   /// Tiered history (docs/ARCHITECTURE.md "Tiered history", retention rule
   /// 8): what eviction does with the snapshots it drops. kOff discards them
   /// (the pre-tier behavior); kInMemory folds them into an in-memory
-  /// ColdTier of per-(term, stream, bucket) aggregates, which
-  /// `history_path` can also checkpoint. The tier feeds LongHorizonBaseline
-  /// (history/long_horizon.h) and ReplayRange (history/replay.h); folding
-  /// happens inside the tick transaction and rolls back with it (fault site
-  /// `history.fold`). Without a retention window nothing is ever evicted,
-  /// so the tier stays empty.
+  /// ColdTier of per-(term, stream, bucket) aggregates. The tier feeds
+  /// LongHorizonBaseline (history/long_horizon.h) and ReplayRange
+  /// (history/replay.h); folding happens inside the tick transaction and
+  /// rolls back with it (fault site `history.fold`). Without a retention
+  /// window nothing is ever evicted, so the tier stays empty.
   HistoryMode history_mode = HistoryMode::kOff;
 
   /// Aggregation bucket width in timestamps (e.g. 4 for 4-week buckets on a
-  /// weekly feed). Must be > 0 when history is on; must match the existing
-  /// file when reopening a tier file (aggregates cannot be re-bucketed).
+  /// weekly feed). Must be > 0 when history is on.
   Timestamp history_bucket_width = 4;
-
-  /// Tier file for kInMemory. When set, the tier is checkpointed to it after
-  /// each folding tick (atomic rename-on-publish; format in
-  /// docs/STORAGE.md) and an existing file is read back at Create, so a
-  /// restarted runtime recovers months of baseline without replay. Empty
-  /// keeps the tier in memory only. Must be empty when history is kOff.
-  std::string history_path;
 
   /// Maintain a bursty-document search read plane (paper §5) over the
   /// standing result. Each tick that changes search state builds the next
@@ -344,8 +335,8 @@ class FeedRuntime {
   /// absorbed by the next tick; do not mutate anything else mid-cycle.
   Vocabulary* mutable_vocabulary() { return collection_.mutable_vocabulary(); }
 
-  /// The currently published search snapshot — one atomic acquire load, no
-  /// locks. Hold it as long as you like: it stays bit-identical while
+  /// The currently published search snapshot — one `shared_ptr` copy under
+  /// the publication slot's mutex. Hold it as long as you like: it stays bit-identical while
   /// ticks publish successors, and is freed when the last holder releases
   /// it. Window-consistent with result() as of the tick that published it;
   /// null when search serving is off. Safe from any thread concurrently
@@ -360,8 +351,8 @@ class FeedRuntime {
   /// (but not with vocabulary interning — see the class comment).
   TopKResult Search(const std::string& query, size_t k) const;
 
-  /// Top-k for pre-resolved term ids: one atomic snapshot load + TA over
-  /// the immutable snapshot, no locks. Safe from any number of threads
+  /// Top-k for pre-resolved term ids: one snapshot load + TA over the
+  /// immutable snapshot, no further lock. Safe from any number of threads
   /// concurrently with Tick; the result's generation tells which snapshot
   /// answered.
   TopKResult Search(const std::vector<TermId>& query, size_t k) const;
@@ -421,9 +412,8 @@ class FeedRuntime {
   FrequencyIndex index_;
   BatchMineResult result_;
   // Cold history tier (options_.history_mode != kOff): evicted postings
-  // fold into it inside the tick transaction; a tier with a path is
-  // checkpointed in the commit tail. unique_ptr keeps the runtime movable
-  // and the off case free.
+  // fold into it inside the tick transaction. unique_ptr keeps the off
+  // case free.
   std::unique_ptr<ColdTier> history_;
   // The read plane (options_.search_serving != kNone): the published
   // snapshot slot readers load from, and the tokenizer for string queries.

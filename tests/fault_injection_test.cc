@@ -71,8 +71,7 @@ Snapshot MakeSnapshot(Rng& rng) {
 // tick: retention (collection/frequency/index evict), dirty re-mine
 // (batch_miner.mine_term via runtime.remine), a refresh sweep,
 // combinatorial search serving (runtime.search_update), and the cold
-// history tier (history.fold; a tier without a path needs no file and
-// proves the same fold rollback a checkpointed tier uses).
+// history tier (history.fold).
 FeedRuntimeOptions SweepOptions() {
   FeedRuntimeOptions opts;
   opts.num_threads = 4;  // sites must roll back when hit on pool workers
