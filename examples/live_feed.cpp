@@ -9,7 +9,7 @@
 //  3. Go live for 18 weeks. Every Tick: parallel append splice, retention
 //     eviction beyond the 36-week window, dirty-term re-mining, a
 //     background refresh sweep that re-mines the stalest quiet terms
-//     (mass x staleness, 16 terms/tick), and the atomic publication of a
+//     (mass x staleness, 16 terms/tick), and the one-swap publication of a
 //     freshly built search-index snapshot (readers keep serving the old
 //     one). After each tick the watched term is re-mined on the runtime's
 //     windowed index with StageRemineTerms (combinatorial and regional),

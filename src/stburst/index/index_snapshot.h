@@ -2,10 +2,11 @@
 //
 // A tick that edits search state constructs the next IndexSnapshot off to
 // the side (InvertedIndex::Successor of the current index: the evicted docs
-// dropped, the re-scored terms replaced) and publishes it with one atomic
-// swap; readers hold a shared_ptr<const IndexSnapshot> and query it
-// lock-free for as long as they like. The metadata alongside the index pins
-// down what "internally consistent" means for a result computed
+// dropped, the re-scored terms replaced) and publishes it with one swap
+// under the PublishedPtr slot's mutex; readers copy a
+// shared_ptr<const IndexSnapshot> under that mutex and then query it
+// without locks for as long as they like. The metadata alongside the index
+// pins down what "internally consistent" means for a result computed
 // against this snapshot: its generation, and the window the postings cover.
 
 #ifndef STBURST_INDEX_INDEX_SNAPSHOT_H_

@@ -43,7 +43,13 @@ struct TopKResult {
 
 /// Runs TA for `query` (a set of term ids; duplicates are ignored) over
 /// `index`. Returns at most k documents with strictly positive
-/// aggregate score.
+/// aggregate score. Scores may be of any sign: a list's negative frontier
+/// bounds an unseen doc at 0, its score where it is absent.
+///
+/// Cost: O(log k) per sorted access (the top-k heap), a binary search over
+/// one list per random access, and O(q) per scan round over q terms. The
+/// bookkeeping is O(docs scored) in time and memory: a set of seen ids and
+/// a heap of at most k docs. Nothing is sized by the lists' length.
 TopKResult ThresholdTopK(const InvertedIndex& index,
                          const std::vector<TermId>& query, size_t k);
 

@@ -26,7 +26,7 @@
 //                                         cells found across the pool, then
 //                                         each touched cell's documents
 //                                         read once) and published to
-//                                         readers with one atomic swap
+//                                         readers with one locked swap
 //
 // Every tick is transactional (the failure and recovery contract in
 // docs/ARCHITECTURE.md): steps 4–6 mine, score, and build into staging
@@ -142,7 +142,7 @@ struct FeedRuntimeOptions {
   /// immutable IndexSnapshot off to the side — the InvertedIndex::Successor
   /// of the current index (evicted documents' postings dropped, exactly
   /// the terms re-mined this tick re-derived) — and publishes it with one
-  /// atomic swap; Search() is
+  /// swap under the publication slot's mutex; Search() is
   /// always window-consistent with result() (tested: equal to a
   /// from-scratch BurstySearchEngine build over the retained collection
   /// and standing patterns). Readers hold snapshots across ticks without

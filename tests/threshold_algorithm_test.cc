@@ -4,12 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <utility>
 #include <vector>
 
 #include "stburst/common/random.h"
 
 namespace stburst {
+
+// gtest prints mismatched answers with this rather than as raw bytes.
+void PrintTo(const ScoredDoc& d, std::ostream* os) {
+  *os << "{doc " << d.doc << ", " << d.score << "}";
+}
+
 namespace {
 
 InvertedIndex SmallIndex() {
@@ -96,11 +104,8 @@ TEST(ThresholdTopK, MatchesExhaustiveOnRandomIndexes) {
 
     auto ta = ThresholdTopK(idx, query, k);
     auto ex = ExhaustiveTopK(idx, query, k);
-    ASSERT_EQ(ta.docs.size(), ex.docs.size()) << "trial " << trial;
-    for (size_t i = 0; i < ta.docs.size(); ++i) {
-      EXPECT_EQ(ta.docs[i].doc, ex.docs[i].doc) << "trial " << trial;
-      EXPECT_NEAR(ta.docs[i].score, ex.docs[i].score, 1e-9);
-    }
+    // Both add a doc's scores in the same term order: exact equality.
+    EXPECT_EQ(ta.docs, ex.docs) << "trial " << trial;
   }
 }
 
@@ -149,6 +154,125 @@ TEST(ThresholdTopK, MatchesExhaustiveUnderHeavyTies) {
     auto ex = ExhaustiveTopK(idx, query, k);
     EXPECT_EQ(ta.docs, ex.docs) << "trial " << trial;
   }
+}
+
+// `terms` lists of `docs` docs each, every doc present with probability
+// `density` and scored on the exactly representable 0.25 grid {0.25 .. 1.0}.
+InvertedIndex GridIndex(Rng& rng, size_t terms, DocId docs, double density) {
+  std::vector<std::vector<Posting>> lists(terms);
+  for (TermId t = 0; t < terms; ++t) {
+    for (DocId d = 0; d < docs; ++d) {
+      if (rng.Bernoulli(density)) {
+        lists[t].push_back(
+            Posting{d, 0.25 * static_cast<double>(1 + rng.NextUint64(4))});
+      }
+    }
+  }
+  return InvertedIndex(std::move(lists));
+}
+
+TEST(ThresholdTopK, MatchesExhaustiveOnDeepScans) {
+  // ~20k-doc lists on a 4-value grid tie thousands of docs at every score,
+  // so TA scores thousands of candidates before it can stop and its seen
+  // set must grow, more than once. Big and small queries alternate on one
+  // thread, so bookkeeping left over from one query would show in the next.
+  Rng rng(2024);
+  const InvertedIndex big = GridIndex(rng, 4, 20000, 0.8);
+  const InvertedIndex small = GridIndex(rng, 4, 40, 0.5);
+  size_t max_sorted = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const bool deep = trial % 2 == 0;
+    const InvertedIndex& idx = deep ? big : small;
+    const size_t terms = 1 + rng.NextUint64(4);
+    std::vector<TermId> query;
+    for (TermId t = 0; t < terms; ++t) query.push_back(t);
+    const size_t k = 1 + rng.NextUint64(50);
+    auto ta = ThresholdTopK(idx, query, k);
+    auto ex = ExhaustiveTopK(idx, query, k);
+    EXPECT_EQ(ta.docs, ex.docs) << "trial " << trial << " k " << k;
+    if (deep) max_sorted = std::max(max_sorted, ta.sorted_accesses);
+  }
+  // Over 4096 sorted accesses on at most 4 lists score over 1024 docs.
+  EXPECT_GT(max_sorted, 4096u);
+}
+
+TEST(ThresholdTopK, ReturnsOnlyPositiveAggregatesAmongNonPositiveScores) {
+  // Postings of -1, -0.5, 0 and 0.5, 1: many docs aggregate to 0 or less,
+  // and k exceeds the positive aggregates, so the top-k holds non-positive
+  // docs that the answer must leave out. A doc absent from a list scores 0
+  // there, above that list's negative frontier.
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t terms = 1 + rng.NextUint64(4);
+    const size_t docs = 5 + rng.NextUint64(60);
+    std::vector<std::vector<Posting>> lists(terms);
+    for (TermId t = 0; t < terms; ++t) {
+      for (DocId d = 0; d < docs; ++d) {
+        if (rng.Bernoulli(0.6)) {
+          const double steps = static_cast<double>(rng.NextUint64(5)) - 2.0;
+          lists[t].push_back(Posting{d, 0.5 * steps});
+        }
+      }
+    }
+    const InvertedIndex idx(std::move(lists));
+    std::vector<TermId> query;
+    for (TermId t = 0; t < terms; ++t) query.push_back(t);
+    const size_t positive = ExhaustiveTopK(idx, query, docs).docs.size();
+    const size_t k = positive + 1 + rng.NextUint64(8);
+    auto ta = ThresholdTopK(idx, query, k);
+    auto ex = ExhaustiveTopK(idx, query, k);
+    ASSERT_EQ(ex.docs.size(), positive) << "trial " << trial;
+    EXPECT_EQ(ta.docs, ex.docs) << "trial " << trial;
+  }
+}
+
+TEST(ThresholdTopK, AccessCountsArePinned) {
+  // The scan order, random accesses and stopping rule, observed through
+  // the counters on fixed queries over a seeded index.
+  Rng rng(31);
+  std::vector<std::vector<Posting>> lists(6);
+  for (TermId t = 0; t < 6; ++t) {
+    for (DocId d = 0; d < 3000; ++d) {
+      if (rng.Bernoulli(0.3)) {
+        lists[t].push_back(Posting{d, rng.Uniform(0.01, 5.0)});
+      }
+    }
+  }
+  const InvertedIndex continuous(std::move(lists));
+  Rng grid_rng(32);
+  const InvertedIndex grid = GridIndex(grid_rng, 6, 3000, 0.3);
+  // The counts were recorded from the unordered_map implementation that
+  // the seen-doc set replaced.
+  auto expect = [](int line, const InvertedIndex& idx,
+                   const std::vector<TermId>& query, size_t k, size_t sorted,
+                   size_t random, bool early) {
+    testing::ScopedTrace trace(__FILE__, line, "pinned query");
+    const TopKResult r = ThresholdTopK(idx, query, k);
+    EXPECT_EQ(r.sorted_accesses, sorted);
+    EXPECT_EQ(r.random_accesses, random);
+    EXPECT_EQ(r.early_terminated, early);
+    EXPECT_EQ(r.docs, ExhaustiveTopK(idx, query, k).docs);
+  };
+  expect(__LINE__, continuous, {0}, 10, 10, 0, true);
+  expect(__LINE__, continuous, {0, 1}, 10, 242, 239, true);
+  expect(__LINE__, continuous, {2, 3, 4}, 10, 780, 1438, true);
+  expect(__LINE__, continuous, {0, 1, 2, 5}, 50, 1668, 3993, true);
+  expect(__LINE__, continuous, {1, 4}, 1000, 1438, 1269, true);
+  expect(__LINE__, grid, {0}, 10, 10, 0, true);
+  expect(__LINE__, grid, {0, 1}, 10, 138, 130, true);
+  expect(__LINE__, grid, {2, 3, 4}, 25, 1233, 2148, true);
+  expect(__LINE__, grid, {0, 1, 2, 5}, 5, 984, 2589, true);
+  expect(__LINE__, grid, {3, 5}, 2000, 1779, 1511, false);
+}
+
+TEST(ThresholdTopK, ScoresTheLargestDocIdOnce) {
+  // kInvalidDoc is a legal posting id: it must be scored once, not once per
+  // list that holds it.
+  const InvertedIndex idx(
+      {{{kInvalidDoc, 2.0}, {3, 1.0}}, {{kInvalidDoc, 1.0}, {3, 0.5}}});
+  const auto ta = ThresholdTopK(idx, {0, 1}, 5);
+  ASSERT_EQ(ta.docs, (std::vector<ScoredDoc>{{kInvalidDoc, 3.0}, {3, 1.5}}));
+  EXPECT_EQ(ta.random_accesses, 2u);
 }
 
 TEST(ThresholdTopK, NeverMoreSortedAccessesThanExhaustive) {
